@@ -3,11 +3,12 @@
 The jitted path is the default wherever numba can be imported; without
 numba every kernel runs its fallback. Set the environment variable
 ``CURVGNN_NUMBA=0`` before import to force the fallback implementations
-(useful for debugging and for the benchmark in ``benchmarks/``).
+(useful for debugging). ``bfs_path_sums``, the all-sources kernel behind
+embedding distortion, is numpy-only on every platform.
 
 All kernels take CSR adjacency (``indptr``, ``indices``, both int64) and
 are deterministic: hop counts are integers and floating-point reductions
-happen in the same order on both paths, so results are bit-identical
+happen in the same order on every path, so results are bit-identical
 regardless of backend.
 """
 
@@ -125,28 +126,10 @@ def _delta_exact_loop(dist):
     return best
 
 
-def _path_sums_loop(order, parent, step_len):
-    """Accumulate per-node path lengths along a BFS tree.
-
-    step_len[v] is the embedded length of the tree edge (v, parent[v]);
-    entries for the source and unreachable nodes are ignored. Nodes are
-    processed in BFS order so parents are finished before children.
-    """
-    n = order.shape[0]
-    total = np.zeros(n, dtype=np.float64)
-    for k in range(n):
-        v = order[k]
-        p = parent[v]
-        if p >= 0:
-            total[v] = total[p] + step_len[v]
-    return total
-
-
 if NUMBA_ENABLED:
     _bfs_hops_nb = _njit(cache=True)(_bfs_hops_loop)
     _bfs_tree_nb = _njit(cache=True)(_bfs_tree_loop)
     _delta_exact_nb = _njit(cache=True)(_delta_exact_loop)
-    _path_sums_nb = _njit(cache=True)(_path_sums_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +198,70 @@ def _delta_exact_np(dist):
     return best
 
 
-_path_sums_np = _path_sums_loop
+# ---------------------------------------------------------------------------
+# numpy-only kernels
+# ---------------------------------------------------------------------------
+
+def bfs_path_sums(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray,
+                  slot_len: np.ndarray):
+    """Hop rows and BFS-tree path sums from a block of sources, shape (B, n).
+
+    Row b belongs to ``sources[b]``: ``hops[b]`` is ``bfs_hops`` from it
+    (UNREACHABLE for other components) and ``sums[b, v]`` adds
+    ``slot_len`` along the ``bfs_tree`` path to v (0 at the source, +inf
+    where unreachable). ``slot_len[k]`` is the length of CSR slot k, the
+    edge from the node owning slot k to ``indices[k]``. Each node's parent
+    is the neighbour in its first CSR slot one hop closer to the source,
+    the smallest-predecessor rule of ``bfs_tree``, and sums grow from the
+    root one level at a time, so every entry is bit-identical to walking
+    each source's tree alone. Temporaries hold O(B * (n + slots))
+    elements, so callers bound memory through B.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    n = indptr.shape[0] - 1
+    deg = np.diff(indptr)
+    hops = np.full(sources.shape[0] * n, UNREACHABLE, dtype=np.int64)
+    # push BFS on flat (row * n + node) positions, all rows at once
+    frontier = np.arange(sources.shape[0], dtype=np.int64) * n + sources
+    hops[frontier] = 0
+    levels = []
+    while True:
+        node = frontier % n
+        d = deg[node]
+        slot = np.repeat(indptr[node] - (np.cumsum(d) - d), d) + np.arange(d.sum())
+        reach = np.repeat(frontier - node, d) + indices[slot]
+        new = np.sort(reach[hops[reach] == UNREACHABLE])
+        if new.size == 0:
+            break
+        # dedupe by sort: numpy 2's hash-based np.unique was ~10x slower on
+        # these few-thousand-element frontiers
+        frontier = new[np.concatenate(([True], new[1:] != new[:-1]))]
+        hops[frontier] = len(levels) + 1
+        levels.append(frontier)
+    hops = hops.reshape(sources.shape[0], n)
+    sums = np.zeros(hops.size, dtype=np.float64)
+    if levels:
+        # first slot of each node whose neighbour is one hop closer; the
+        # reduceat segments start only at nodes that own slots, so an empty
+        # adjacency list (e.g. isolated nodes at the highest ids) neither
+        # clips nor shifts a neighbour's segment. Hop counts and slot ids
+        # are held as int32 here to halve the (B, slots) temporaries.
+        owner = np.repeat(np.arange(n), deg)
+        h = hops.astype(np.int32)
+        closer = h[:, indices] == h[:, owner] - 1
+        cand = np.where(closer, np.arange(indices.shape[0], dtype=np.int32),
+                        indices.shape[0])
+        has_slots = deg > 0
+        parent_slot = np.zeros(hops.shape, dtype=np.int64)
+        parent_slot[:, has_slots] = np.minimum.reduceat(cand, indptr[:-1][has_slots],
+                                                        axis=1)
+        parent_slot = parent_slot.ravel()
+        for pos in levels:
+            k = parent_slot[pos]
+            sums[pos] = sums[pos - pos % n + indices[k]] + slot_len[k]
+    sums = sums.reshape(hops.shape)
+    sums[hops == UNREACHABLE] = np.inf
+    return hops, sums
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +288,3 @@ def delta_exact(dist: np.ndarray) -> float:
     if NUMBA_ENABLED:
         return float(_delta_exact_nb(dist))
     return float(_delta_exact_np(dist))
-
-
-def path_sums(order: np.ndarray, parent: np.ndarray, step_len: np.ndarray) -> np.ndarray:
-    """Per-node accumulated BFS-tree path lengths (source gets 0)."""
-    if NUMBA_ENABLED:
-        return _path_sums_nb(order, parent, step_len)
-    return _path_sums_np(order, parent, step_len)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, manifold
+from . import _kernels
 
 log = logging.getLogger(__name__)
 
@@ -32,10 +32,6 @@ class DataError(ValueError):
         super().__init__(f"{loc}{message}")
         self.path = path
         self.line = line
-
-
-class DisconnectedError(ValueError):
-    """A node pair in different components was handed to a path query."""
 
 
 @dataclass
@@ -337,34 +333,6 @@ def hop_distance_matrix(g: Graph, nodes: np.ndarray | None = None) -> np.ndarray
         row[h < 0] = np.inf
         out[i] = row
     return out
-
-
-def path_distance_row(g: Graph, emb: np.ndarray, zeta, source: int):
-    """Embedded lengths of BFS shortest paths from source to every node.
-
-    Paths follow the BFS tree with the smallest-predecessor tie-break; the
-    length of a path is the sum of hyperbolic distances over consecutive
-    node pairs. Returns (lengths, hops); unreachable nodes carry +inf.
-    """
-    indptr, indices = g.csr()
-    hops, parent, order = _kernels.bfs_tree(indptr, indices, int(source))
-    has_parent = parent >= 0
-    step = np.zeros(g.n_nodes, dtype=np.float64)
-    if has_parent.any():
-        kids = np.flatnonzero(has_parent)
-        step[kids] = manifold.hyp_distance(emb[kids], emb[parent[kids]], zeta,
-                                           validate=False)
-    total = _kernels.path_sums(order, parent, step)
-    total[hops < 0] = np.inf
-    return total, hops
-
-
-def hyperbolic_graph_distance(g: Graph, emb: np.ndarray, i: int, j: int, zeta) -> float:
-    """Embedded length of the shortest hop path between nodes i and j."""
-    total, hops = path_distance_row(g, emb, zeta, i)
-    if hops[j] < 0:
-        raise DisconnectedError(f"nodes {i} and {j} are in different components")
-    return float(total[j])
 
 
 # ---------------------------------------------------------------------------

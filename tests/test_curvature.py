@@ -5,6 +5,8 @@ import pytest
 
 from curvgnn import curvature as C, graphs, manifold as M
 
+import path_oracle
+
 
 # ---------------------------------------------------------------------------
 # parallelogram deviation
@@ -78,8 +80,8 @@ def brute_force_distortion(g, emb, zeta):
             if i == j:
                 continue
             try:
-                gh = graphs.hyperbolic_graph_distance(g, emb, i, j, zeta)
-            except graphs.DisconnectedError:
+                gh = path_oracle.hyperbolic_graph_distance(g, emb, i, j, zeta)
+            except path_oracle.DisconnectedError:
                 continue
             dh = float(M.hyp_distance(emb[i], emb[j], zeta, validate=False))
             total += abs((dh / gh) ** 2 - 1.0)
@@ -135,6 +137,32 @@ def test_distortion_sampled_path_is_seed_deterministic(monkeypatch):
     monkeypatch.undo()
     full = C.embedding_distortion(g, emb, 1.0)
     assert abs(a.mean_distortion - full.mean_distortion) < 0.15
+
+
+def test_distortion_sampled_path_matches_redrawn_pairs(monkeypatch):
+    monkeypatch.setattr(C, "DISTORTION_EXACT_LIMIT", 10)
+    rng = np.random.default_rng(9)
+    n = 40
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.06]
+    g = graphs.Graph.from_edges(n, np.array(edges).reshape(-1, 2))
+    emb = M.to_hyperboloid(rng.standard_normal((n, 3)), 1.5)
+    rows = [path_oracle.path_distance_row(g, emb, 1.5, i) for i in range(n)]
+    for seed in (0, 4):
+        draw = np.random.default_rng(seed)
+        src = draw.integers(0, n, size=C.DISTORTION_SAMPLE_FACTOR * n)
+        dst = draw.integers(0, n, size=C.DISTORTION_SAMPLE_FACTOR * n)
+        total, used, excluded = 0.0, 0, 0
+        for i, j in zip(src, dst):
+            g_row, hops = rows[i]
+            if i == j or hops[j] < 0:
+                excluded += 1
+                continue
+            dh = float(M.hyp_distance(emb[i], emb[j], 1.5, validate=False))
+            total += abs((dh / g_row[j]) ** 2 - 1.0)
+            used += 1
+        rep = C.embedding_distortion(g, emb, 1.5, seed=seed)
+        assert (rep.pairs_used, rep.pairs_excluded) == (used, excluded)
+        assert rep.mean_distortion == pytest.approx(total / used, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The parity tests compare the loop and numpy fallbacks with each other;
 ``test_bfs_hops_backends_agree`` also compares the public dispatcher, which
-runs the jitted kernel only where numba can be imported.
+runs the jitted kernel only where numba can be imported. The numpy-only
+``bfs_path_sums`` is checked against one loop-built BFS tree per source.
 """
 
 import os
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 from curvgnn import _kernels, graphs
+
+import path_oracle
 
 
 def random_csr(rng, n, p):
@@ -60,14 +63,41 @@ def test_delta_backends_agree():
         assert _kernels._delta_exact_loop(dist) == _kernels._delta_exact_np(dist)
 
 
-def test_path_sums_backends_agree():
+def _tree_path_sums(indptr, indices, source, slot_len):
+    """Reference row pair: one ``_bfs_tree_loop`` tree, then a walk down it."""
+    hops, parent, order = _kernels._bfs_tree_loop(indptr, indices, source)
+    step = np.zeros(len(hops))
+    for v in np.flatnonzero(parent >= 0):
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        step[v] = slot_len[indptr[v] + np.flatnonzero(nbrs == parent[v])[0]]
+    sums = path_oracle.path_sums(order, parent, step)
+    sums[hops < 0] = np.inf
+    return hops, sums
+
+
+def test_bfs_path_sums_matches_per_source_trees():
     rng = np.random.default_rng(3)
-    indptr, indices = random_csr(rng, 25, 0.12)
-    hops, parent, order = _kernels.bfs_tree(indptr, indices, 0)
-    step = rng.random(25)
-    a = _kernels._path_sums_loop(order, parent, step)
-    b = _kernels._path_sums_np(order, parent, step)
-    assert np.array_equal(a, b)
+    cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]])).csr()]
+    for _ in range(8):
+        n_core = int(rng.integers(6, 30))
+        edges = [(i, j) for i in range(n_core) for j in range(i + 1, n_core)
+                 if rng.random() < 2.0 / n_core]  # sparse: several components
+        n_isolated = int(rng.integers(0, 4))  # isolated nodes take the highest ids
+        g = graphs.Graph.from_edges(n_core + n_isolated,
+                                    np.array(edges, dtype=np.int64).reshape(-1, 2))
+        cases.append(g.csr())
+    for indptr, indices in cases:
+        n = len(indptr) - 1
+        slot_len = rng.random(len(indices))  # one length per direction of each edge
+        sources = rng.permutation(n)
+        want = [_tree_path_sums(indptr, indices, int(s), slot_len) for s in sources]
+        for block in (1, 4, n):
+            for lo in range(0, n, block):
+                hops, sums = _kernels.bfs_path_sums(indptr, indices,
+                                                    sources[lo:lo + block], slot_len)
+                for row, (want_hops, want_sums) in enumerate(want[lo:lo + block]):
+                    assert np.array_equal(hops[row], want_hops)
+                    assert np.array_equal(sums[row], want_sums)
 
 
 def _numba_importable():
