@@ -381,9 +381,15 @@ def gather_rows(a, idx: np.ndarray) -> Tensor:
     out = a.data[idx]
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        # one bincount over flat (row, column) slots; like np.add.at it adds
+        # in index order starting from zero, so the sums are bit-identical.
+        # The modulo wraps negative rows as a.data[idx] did.
+        shape = a.data.shape
+        rows = idx.ravel() % max(shape[0], 1)
+        width = int(np.prod(shape[1:], dtype=np.int64))
+        flat = (rows[:, None] * width + np.arange(width)).ravel()
+        ga = np.bincount(flat, weights=g.reshape(-1), minlength=a.data.size)
+        return (ga.astype(np.float64, copy=False).reshape(shape),)  # int if empty
 
     return _make(out, (a,), vjp)
 

@@ -145,14 +145,37 @@ def distortion_sweep(g: graphs.Graph, emb: np.ndarray, zeta_base, grid,
 # curvature estimation and update
 # ---------------------------------------------------------------------------
 
+def sample_quadruples(g: graphs.Graph, n_s: int, rng: np.random.Generator):
+    """n_s quadruples (m, a, b, c) per node m of degree >= 2, grouped by m.
+
+    b, c are an ordered pair of distinct neighbours of m, uniform over all
+    d(d-1) such pairs, and a is uniform over the n - 3 nodes outside
+    {m, b, c}. Rows come node by node in ascending id, n_s rows each.
+    """
+    indptr, indices = g.csr()
+    deg = np.diff(indptr)
+    m = np.repeat(np.flatnonzero(deg >= 2), n_s)
+    d = deg[m]
+    i = rng.integers(0, d)
+    j = rng.integers(0, d - 1)
+    j += j >= i  # skip slot i: j is uniform over the other d - 1 slots
+    b = indices[indptr[m] + i]
+    c = indices[indptr[m] + j]
+    a = rng.integers(0, g.n_nodes - 3, size=m.size)
+    for taken in np.sort(np.stack([m, b, c]), axis=0):  # ascending, distinct
+        a += a >= taken
+    return m, a, b, c
+
+
 def estimate_kappa(g: graphs.Graph, emb: np.ndarray, zeta, n_s: int = 2,
                    seed: int = 0) -> CurvatureEstimate:
     """Average normalized parallelogram deviation over sampled quadruples.
 
     For every node m of degree >= 2, draw n_s quadruples: b, c distinct
-    neighbors of m, and a uniform outside {m, b, c}. Distances are taken
-    between current embeddings. Sampling is per-node seeded with
-    (seed, node_id), so estimates are reproducible and node-parallel.
+    neighbors of m, and a uniform outside {m, b, c} (``sample_quadruples``).
+    Distances are taken between current embeddings. All quadruples come
+    from one ``default_rng(seed)``, so an estimate is reproducible from
+    (graph, embeddings, zeta, n_s, seed).
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
@@ -160,27 +183,9 @@ def estimate_kappa(g: graphs.Graph, emb: np.ndarray, zeta, n_s: int = 2,
     if n < 4:
         raise ValueError("need at least 4 nodes to sample quadruples")
     manifold.check_on_manifold(emb, zeta)
-    deg = g.degrees()
-    eligible = np.flatnonzero(deg >= 2)
-    if eligible.size == 0:
+    m_idx, a_idx, b_idx, c_idx = sample_quadruples(g, n_s, np.random.default_rng(seed))
+    if m_idx.size == 0:
         raise ValueError("no node of degree >= 2; cannot estimate curvature")
-
-    quads = []
-    owner = []
-    for m in eligible:
-        rng = np.random.default_rng([seed, int(m)])
-        nbrs = g.neighbors[m]
-        for _ in range(n_s):
-            bc = rng.choice(len(nbrs), size=2, replace=False)
-            b, c = int(nbrs[bc[0]]), int(nbrs[bc[1]])
-            while True:
-                a = int(rng.integers(0, n))
-                if a not in (int(m), b, c):
-                    break
-            quads.append((int(m), a, b, c))
-            owner.append(int(m))
-    quads = np.array(quads, dtype=np.int64)
-    m_idx, a_idx, b_idx, c_idx = quads.T
 
     d_am = manifold.hyp_distance(emb[a_idx], emb[m_idx], zeta, validate=False)
     d_bc = manifold.hyp_distance(emb[b_idx], emb[c_idx], zeta, validate=False)
@@ -189,16 +194,16 @@ def estimate_kappa(g: graphs.Graph, emb: np.ndarray, zeta, n_s: int = 2,
     valid = d_am > 1e-12
     if not valid.any():
         raise ValueError("all sampled quadruples degenerate (d(a,m) = 0)")
-    xi = np.full(len(quads), np.nan)
+    xi = np.zeros(m_idx.size)
     xi[valid] = parallelogram_deviation_normalized(
         d_am[valid], d_bc[valid], d_ab[valid], d_ac[valid])
 
+    # per-node means over the valid samples of each node's n_s rows
+    counts = valid.reshape(-1, n_s).sum(axis=1)
+    sums = xi.reshape(-1, n_s).sum(axis=1)
+    has = counts > 0
     node_values = np.full(n, np.nan)
-    owners = np.asarray(owner)
-    for m in eligible:
-        vals = xi[(owners == m) & valid]
-        if vals.size:
-            node_values[m] = vals.mean()
+    node_values[m_idx[::n_s][has]] = sums[has] / counts[has]
     node_mean = node_values[~np.isnan(node_values)]
     return CurvatureEstimate(kappa=float(node_mean.mean()),
                              n_samples=int(valid.sum()),

@@ -80,8 +80,10 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """All undirected edges as (m, 2) rows with u < v, sorted."""
-        rows = [(u, v) for u in range(self.n_nodes) for v in self.neighbors[u] if u < v]
-        return np.array(rows, dtype=np.int64).reshape(-1, 2)
+        indptr, indices = self.csr()
+        owner = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(indptr))
+        upper = owner < indices
+        return np.stack([owner[upper], indices[upper]], axis=1)
 
     def degrees(self) -> np.ndarray:
         return np.array([len(a) for a in self.neighbors], dtype=np.int64)
@@ -96,11 +98,6 @@ class Graph:
                        else np.empty(0, dtype=np.int64))
             self._csr = (indptr, indices.astype(np.int64))
         return self._csr
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nu = self.neighbors[u]
-        i = np.searchsorted(nu, v)
-        return i < len(nu) and nu[i] == v
 
     def with_edges(self, edges: np.ndarray) -> "Graph":
         """Same nodes/features/labels, different edge set (e.g. train graph)."""
@@ -241,28 +238,41 @@ def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
 
 def sample_negative_edges(g: Graph, count: int, rng: np.random.Generator,
                           forbidden: set | None = None) -> np.ndarray:
-    """Uniform distinct non-edges via rejection; deterministic under rng state."""
+    """Uniform distinct non-edges via rejection; deterministic under rng state.
+
+    Pairs (u, v) are drawn as consecutive ``rng.integers(0, n)`` values and
+    rejected when u == v, when {u, v} is an edge or a ``forbidden`` key
+    (min*n + max), or when it repeats an accepted pair. The draws come in
+    rounds of exactly as many pairs as are still missing, so a round never
+    reads past the pair that completes the sample: output and generator end
+    state are those of drawing one scalar pair at a time.
+    """
     n = g.n_nodes
     max_pairs = n * (n - 1) // 2
     if max_pairs - g.n_edges < count:
         raise DataError(f"graph too dense to sample {count} negative edges")
-    pos = set(_edge_keys(g.edge_array(), n).tolist()) if g.n_edges else set()
+    blocked = _edge_keys(g.edge_array(), n)  # ascending: rows are sorted, u < v
     if forbidden:
-        pos |= forbidden
+        blocked = np.sort(np.concatenate(
+            [blocked, np.fromiter(forbidden, dtype=np.int64, count=len(forbidden))]))
     out = np.empty((count, 2), dtype=np.int64)
-    seen = set()
     k = 0
     while k < count:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        key = min(u, v) * n + max(u, v)
-        if key in pos or key in seen:
-            continue
-        seen.add(key)
-        out[k, 0], out[k, 1] = u, v
-        k += 1
+        pairs = rng.integers(0, n, size=2 * (count - k)).reshape(-1, 2)
+        keys = _edge_keys(pairs, n)
+        ok = pairs[:, 0] != pairs[:, 1]
+        if blocked.size:
+            at = np.minimum(np.searchsorted(blocked, keys), blocked.size - 1)
+            ok &= blocked[at] != keys
+        # first occurrence of each key within the round, by a stable sort
+        cand = np.flatnonzero(ok)
+        by_key = cand[np.argsort(keys[cand], kind="stable")]
+        first = np.ones(by_key.size, dtype=bool)
+        first[1:] = keys[by_key[1:]] != keys[by_key[:-1]]
+        take = np.sort(by_key[first])
+        out[k:k + take.size] = pairs[take]
+        k += take.size
+        blocked = np.sort(np.concatenate([blocked, keys[take]]))
     return out
 
 

@@ -155,18 +155,16 @@ def init_layer(rng: np.random.Generator, d_in: int, d_out: int, zeta: float,
 
 
 def message_edges(g: Graph):
-    """Flattened adjacency with self-loops: (src, dst, indptr by dst)."""
-    src, dst = [], []
-    counts = np.empty(g.n_nodes, dtype=np.int64)
-    for i in range(g.n_nodes):
-        nbrs = g.neighbors[i]
-        src.extend(nbrs)
-        src.append(i)
-        dst.extend([i] * (len(nbrs) + 1))
-        counts[i] = len(nbrs) + 1
-    indptr = np.zeros(g.n_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), indptr
+    """Flattened adjacency with self-loops: (src, dst, indptr by dst).
+
+    Each dst's block holds its sorted neighbours followed by itself.
+    """
+    nbr_ptr, nbrs = g.csr()
+    nodes = np.arange(g.n_nodes, dtype=np.int64)
+    # np.insert keeps equal positions in order, so isolated nodes stay sorted
+    src = np.insert(nbrs, nbr_ptr[1:], nodes)
+    dst = np.repeat(nodes, np.diff(nbr_ptr) + 1)
+    return src, dst, nbr_ptr + np.append(nodes, g.n_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,36 @@ def test_dropout_semantics():
     assert ad.dropout(t, 0.5, rng, training=False) is t
 
 
+def gather_vjp_reference(shape, idx, g):
+    ga = np.zeros(shape)
+    np.add.at(ga, idx, g)
+    return ga
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 3), (5, 2, 4), (1, 3), (6, 0)])
+def test_gather_rows_vjp_bit_equal_to_add_at(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    x = rng.standard_normal(shape)
+    n = shape[0]
+    cases = [
+        np.empty(0, dtype=np.int64),
+        np.arange(n),
+        np.arange(-n, 0),  # negative rows wrap as in x[idx]
+        rng.integers(-n, n, size=40),
+        np.full(300, n - 1),  # long runs: the order of additions shows
+        rng.integers(0, n, size=(4, 6)),  # 2-d index array
+    ]
+    for idx in cases:
+        t = Tensor(x, requires_grad=True)
+        out = ad.gather_rows(t, idx)
+        # magnitudes over 10 decades so a reordered sum rounds differently
+        w = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-5, 5, size=out.shape)
+        backward(ad.tsum(out * Tensor(w)))
+        want = gather_vjp_reference(shape, idx, w)
+        assert t.grad.dtype == want.dtype and t.grad.shape == want.shape
+        assert t.grad.tobytes() == want.tobytes()
+
+
 def test_segment_sum_shape_errors():
     with pytest.raises(ValueError):
         ad.segment_sum(Tensor(np.ones((3, 2))), np.array([0, 1, 1, 3]))

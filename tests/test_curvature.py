@@ -197,6 +197,91 @@ def test_estimate_near_zero_on_flat_configuration():
     assert abs(est.kappa) < 0.05
 
 
+def sampler_graph():
+    """Star of 4 leaves around node 0, then the path 4-5-6-7 and isolated 8."""
+    return graphs.Graph.from_edges(9, np.array(
+        [[0, 1], [0, 2], [0, 3], [0, 4], [4, 5], [5, 6], [6, 7]]))
+
+
+def test_quadruple_sampler_structure():
+    rng = np.random.default_rng(0)
+    for trial in range(20):
+        n = int(rng.integers(4, 40))
+        g = graphs.Graph.from_edges(n, rng.integers(0, n, size=(2 * n, 2)))
+        n_s = int(rng.integers(1, 6))
+        m, a, b, c = C.sample_quadruples(g, n_s, np.random.default_rng(trial))
+        eligible = np.flatnonzero(g.degrees() >= 2)
+        assert np.array_equal(m, np.repeat(eligible, n_s))
+        for mi, ai, bi, ci in zip(m, a, b, c):
+            assert bi != ci and bi in g.neighbors[mi] and ci in g.neighbors[mi]
+            assert 0 <= ai < n and ai not in (mi, bi, ci)
+
+
+def test_quadruple_sampler_frequencies_are_uniform():
+    # 60000 draws per node: a cell of the ordered (b, c) table expects
+    # 60000/12 = 5000 hits (sd ~68), a cell of a expects 60000/6 = 10000
+    # (sd ~91); 5% relative tolerance is over 3.5 sd for every cell
+    g = sampler_graph()
+    n_s = 60000
+    for seed in (1, 2):
+        m, a, b, c = C.sample_quadruples(g, n_s, np.random.default_rng(seed))
+        for node in (0, 4, 5, 6):
+            rows = m == node
+            nbrs = g.neighbors[node]
+            d = len(nbrs)
+            pair = np.searchsorted(nbrs, b[rows]) * d + np.searchsorted(nbrs, c[rows])
+            freq = np.bincount(pair, minlength=d * d).reshape(d, d)
+            assert np.all(np.diag(freq) == 0)
+            off = freq[~np.eye(d, dtype=bool)]
+            assert np.abs(off / (n_s / (d * (d - 1))) - 1.0).max() < 0.05
+            # a given (b, c) is uniform over the n - 3 other nodes
+            for bc in ((nbrs[0], nbrs[1]), (nbrs[-1], nbrs[0])):
+                sel = rows & (b == bc[0]) & (c == bc[1])
+                counts = np.bincount(a[sel], minlength=g.n_nodes)
+                assert counts[[node, *bc]].sum() == 0
+                assert np.count_nonzero(counts) == g.n_nodes - 3
+            counts = np.bincount(a[rows], minlength=g.n_nodes)
+            others = np.setdiff1d(np.arange(g.n_nodes), [node])
+            assert counts[node] == 0
+            # marginal of a: each node is excluded when it is b or c, so the
+            # expected count is n_s * (1 - P(x in {b, c})) / (n - 3)
+            p_bc = np.where(np.isin(others, nbrs), 2.0 / d, 0.0)
+            expect = n_s * (1.0 - p_bc) / (g.n_nodes - 3)
+            never = expect == 0.0  # both neighbours of a degree-2 node
+            assert np.all(counts[others][never] == 0)
+            assert np.abs(counts[others][~never] / expect[~never] - 1.0).max() < 0.05
+
+
+@pytest.mark.parametrize("n_s", [1, 2, 3, 9])
+def test_estimate_node_values_match_per_node_loop(n_s):
+    rng = np.random.default_rng(n_s)
+    g = graphs.Graph.from_edges(30, rng.integers(0, 30, size=(60, 2)))
+    pts = 0.7 * rng.standard_normal((30, 2))
+    pts[10:16] = pts[9]  # coincident points give degenerate d(a, m) = 0
+    emb = M.to_hyperboloid(pts, 1.3)
+    est = C.estimate_kappa(g, emb, 1.3, n_s=n_s, seed=5)
+    m, a, b, c = C.sample_quadruples(g, n_s, np.random.default_rng(5))
+    want = np.full(g.n_nodes, np.nan)
+    n_valid = 0
+    for node in np.unique(m):
+        vals = []
+        for k in np.flatnonzero(m == node):
+            d_am = M.hyp_distance(emb[a[k]], emb[m[k]], 1.3)
+            if d_am > 1e-12:
+                vals.append(C.parallelogram_deviation_normalized(
+                    d_am, M.hyp_distance(emb[b[k]], emb[c[k]], 1.3),
+                    M.hyp_distance(emb[a[k]], emb[b[k]], 1.3),
+                    M.hyp_distance(emb[a[k]], emb[c[k]], 1.3)))
+        n_valid += len(vals)
+        if vals:
+            want[node] = np.mean(vals)
+    assert np.array_equal(np.isnan(est.node_values), np.isnan(want))
+    ok = ~np.isnan(want)
+    np.testing.assert_allclose(est.node_values[ok], want[ok], rtol=1e-12, atol=0)
+    assert est.n_samples == n_valid
+    assert est.kappa == pytest.approx(want[ok].mean(), rel=1e-12)
+
+
 def test_estimate_error_cases():
     g = graphs.path_graph(3)  # only 3 nodes
     emb = M.to_hyperboloid(np.zeros((3, 2)), 1.0)

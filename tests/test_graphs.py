@@ -9,6 +9,7 @@ from curvgnn import graphs, manifold as M
 from curvgnn.graphs import DataError, Graph
 
 import path_oracle
+import sampling_oracle
 
 
 def write(tmp_path, name, text):
@@ -82,6 +83,24 @@ def test_self_loops_dropped():
     assert g.n_edges == 1
 
 
+def random_multigraph(rng, n, m):
+    """n nodes, up to m random edges; high ids often left isolated."""
+    hi = int(rng.integers(1, n + 1))
+    return Graph.from_edges(n, rng.integers(0, hi, size=(m, 2)))
+
+
+def test_edge_array_matches_loop_reference():
+    rng = np.random.default_rng(4)
+    for trial in range(60):
+        n = int(rng.integers(1, 30))
+        g = random_multigraph(rng, n, int(rng.integers(0, 3 * n)))
+        want = np.array([(u, v) for u in range(n) for v in g.neighbors[u] if u < v],
+                        dtype=np.int64).reshape(-1, 2)
+        got = g.edge_array()
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------
@@ -112,7 +131,7 @@ def test_lp_split_negatives_are_true_nonedges():
     for neg in (sp.val_neg, sp.test_neg):
         for u, v in neg:
             assert u != v
-            assert not g.has_edge(int(u), int(v))
+            assert not sampling_oracle.has_edge(g, int(u), int(v))
     # positive sets partition the edges
     all_pos = np.concatenate([sp.train_pos, sp.val_pos, sp.test_pos])
     keys = np.sort(np.minimum(all_pos[:, 0], all_pos[:, 1]) * g.n_nodes
@@ -120,6 +139,85 @@ def test_lp_split_negatives_are_true_nonedges():
     want = np.sort(np.minimum(g.edge_array()[:, 0], g.edge_array()[:, 1]) * g.n_nodes
                    + np.maximum(g.edge_array()[:, 0], g.edge_array()[:, 1]))
     assert np.array_equal(keys, want)
+
+
+class CountingRng:
+    """Delegates to a Generator and counts the calls to ``integers``."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.gen.integers(*args, **kwargs)
+
+
+def assert_sampler_matches_loop(g, count, seed, forbidden=None):
+    """Same pairs and same generator end state as the scalar loop; rounds."""
+    ref_rng = np.random.default_rng(seed)
+    want = sampling_oracle.sample_negative_edges_loop(g, count, ref_rng, forbidden)
+    rng = CountingRng(seed)
+    got = graphs.sample_negative_edges(g, count, rng, forbidden)
+    assert got.dtype == np.int64 and got.shape == (count, 2)
+    assert np.array_equal(got, want)
+    assert rng.gen.bit_generator.state == ref_rng.bit_generator.state
+    return rng.calls
+
+
+def test_negative_sampler_matches_scalar_loop_on_random_graphs():
+    rng = np.random.default_rng(8)
+    for trial in range(80):
+        n = int(rng.integers(2, 40))
+        g = random_multigraph(rng, n, int(rng.integers(0, 2 * n)))
+        free = n * (n - 1) // 2 - g.n_edges
+        assert_sampler_matches_loop(g, int(rng.integers(0, free + 1)), seed=trial)
+
+
+def test_negative_sampler_matches_scalar_loop_on_edgeless_graph():
+    g = Graph.from_edges(9, np.empty((0, 2), dtype=np.int64))
+    for count in (0, 1, 20, 36):
+        assert_sampler_matches_loop(g, count, seed=count)
+
+
+def test_negative_sampler_matches_scalar_loop_with_forbidden_keys():
+    rng = np.random.default_rng(2)
+    for trial in range(30):
+        n = int(rng.integers(5, 30))
+        g = random_multigraph(rng, n, n)
+        nonedges = [u * n + v for u in range(n) for v in range(u + 1, n)
+                    if not sampling_oracle.has_edge(g, u, v)]
+        k = int(rng.integers(1, len(nonedges)))
+        forbidden = set(rng.choice(nonedges, size=k, replace=False).tolist())
+        count = int(rng.integers(0, len(nonedges) - k + 1))
+        assert_sampler_matches_loop(g, count, seed=trial, forbidden=forbidden)
+    # the split's own use: test negatives avoid the val negatives
+    g = graphs.balanced_binary_tree(5)
+    val_neg = graphs.sample_negative_edges(g, 40, np.random.default_rng(1))
+    forbidden = set((val_neg.min(axis=1) * g.n_nodes + val_neg.max(axis=1)).tolist())
+    assert_sampler_matches_loop(g, 60, seed=3, forbidden=forbidden)
+
+
+def test_negative_sampler_matches_scalar_loop_on_near_dense_graphs():
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        n = int(rng.integers(6, 25))
+        pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+        holes = int(rng.integers(1, 6))
+        keep = rng.permutation(len(pairs))[holes:]
+        g = Graph.from_edges(n, pairs[keep])
+        assert g.n_edges == len(pairs) - holes
+        # every free pair (the last ones take many rounds), or all but one
+        for count in (holes, holes - 1):
+            calls = assert_sampler_matches_loop(g, count, seed=100 + trial)
+            if count >= 2:
+                assert calls > 1
+
+
+def test_negative_sampler_rejects_too_dense_request():
+    g = graphs.cycle_graph(5)  # 5 edges of 10 pairs
+    with pytest.raises(DataError, match="too dense"):
+        graphs.sample_negative_edges(g, 6, np.random.default_rng(0))
 
 
 def test_lp_split_too_few_edges():

@@ -194,6 +194,26 @@ def test_model_forward_constraint_residuals():
     assert np.max(M.manifold_residual(emb, 2.0)) < 1e-6
 
 
+def message_edges_reference(g):
+    src, dst, counts = [], [], []
+    for i in range(g.n_nodes):
+        src.extend(g.neighbors[i].tolist() + [i])
+        dst.extend([i] * (len(g.neighbors[i]) + 1))
+        counts.append(len(g.neighbors[i]) + 1)
+    return (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+            np.concatenate([[0], np.cumsum(counts)]).astype(np.int64))
+
+
+def test_message_edges_match_loop_reference():
+    rng = np.random.default_rng(6)
+    for trial in range(60):
+        n = int(rng.integers(1, 30))
+        hi = int(rng.integers(1, n + 1))  # ids >= hi stay isolated
+        g = graphs.Graph.from_edges(n, rng.integers(0, hi, size=(int(rng.integers(0, 3 * n)), 2)))
+        for got, want in zip(L.message_edges(g), message_edges_reference(g)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_permutation_equivariance_of_aggregation():
     g = graphs.balanced_binary_tree(3)
     g.features = graphs.random_plus_degree_features(g, 4, 2)
