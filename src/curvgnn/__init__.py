@@ -6,7 +6,6 @@ network, scored by link-prediction or node-classification quality.
 """
 
 from . import autodiff, curvature, graphs, layers, manifold, nashq, training
-from ._kernels import NUMBA_ENABLED
 from .manifold import CurvatureParam
 from .training import RunConfig, train
 
@@ -14,5 +13,5 @@ __version__ = "0.1.0"
 
 __all__ = [
     "autodiff", "curvature", "graphs", "layers", "manifold", "nashq",
-    "training", "CurvatureParam", "RunConfig", "train", "NUMBA_ENABLED",
+    "training", "CurvatureParam", "RunConfig", "train",
 ]

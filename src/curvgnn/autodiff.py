@@ -86,16 +86,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
-    """Trainable leaf. With rng set, data is interpreted as a shape tuple."""
-    if rng is not None:
-        shape = tuple(data)
-        fan_in = shape[-1] if shape else 1
-        s = scale if scale is not None else 1.0 / np.sqrt(max(fan_in, 1))
-        data = rng.uniform(-s, s, size=shape)
-    return Tensor(np.asarray(data, dtype=np.float64).copy(), requires_grad=True)
-
-
 def _make(data, parents, vjp) -> Tensor:
     tracked = tuple(p for p in parents if isinstance(p, Tensor) and p.requires_grad)
     out = Tensor(data)

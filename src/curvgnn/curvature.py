@@ -24,10 +24,6 @@ KAPPA_CEILING = -1e-4  # estimates are clamped below this before 1/sqrt(-kappa)
 
 DISTORTION_EXACT_LIMIT = 2000  # above this many nodes, pairs are sampled
 DISTORTION_SAMPLE_FACTOR = 100  # sampled pair count = factor * |V|
-# elements per (sources x CSR slots) temporary of one distortion block: large
-# enough that per-call numpy overhead stays small, small enough that the
-# block temporaries (~2.5 MB on a 1023-node tree) barely move peak RSS
-_DISTORTION_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
     indptr, indices = g.csr()
     owner = np.repeat(np.arange(n), np.diff(indptr))
     slot_len = manifold.hyp_distance(emb[owner], emb[indices], zeta, validate=False)
-    block = max(1, _DISTORTION_BLOCK_ELEMENTS // max(len(indices), n))
+    block = _kernels.block_sources(indptr)
     total = 0.0
     used = 0
     for lo in range(0, len(sources), block):

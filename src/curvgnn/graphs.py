@@ -89,7 +89,7 @@ class Graph:
         return np.array([len(a) for a in self.neighbors], dtype=np.int64)
 
     def csr(self):
-        """(indptr, indices) adjacency view for the jitted kernels."""
+        """(indptr, indices) CSR adjacency view, the input of the graph kernels."""
         if self._csr is None:
             counts = self.degrees()
             indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
@@ -329,7 +329,7 @@ def hop_distances(g: Graph, source: int) -> np.ndarray:
     if not (0 <= source < g.n_nodes):
         raise ValueError(f"source {source} out of range")
     indptr, indices = g.csr()
-    return _kernels.bfs_hops(indptr, indices, source)
+    return _kernels.bfs_hops(indptr, indices, [source])[0]
 
 
 def hop_distance_matrix(g: Graph, nodes: np.ndarray | None = None) -> np.ndarray:
@@ -337,11 +337,10 @@ def hop_distance_matrix(g: Graph, nodes: np.ndarray | None = None) -> np.ndarray
     indptr, indices = g.csr()
     srcs = np.arange(g.n_nodes) if nodes is None else np.asarray(nodes)
     out = np.empty((len(srcs), g.n_nodes), dtype=np.float64)
-    for i, s in enumerate(srcs):
-        h = _kernels.bfs_hops(indptr, indices, int(s))
-        row = h.astype(np.float64)
-        row[h < 0] = np.inf
-        out[i] = row
+    block = _kernels.block_sources(indptr)
+    for lo in range(0, len(srcs), block):
+        h = _kernels.bfs_hops(indptr, indices, srcs[lo:lo + block])
+        out[lo:lo + block] = np.where(h < 0, np.inf, h)
     return out
 
 
@@ -350,13 +349,10 @@ def hop_distance_matrix(g: Graph, nodes: np.ndarray | None = None) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def connected_components(g: Graph) -> list[np.ndarray]:
-    indptr, indices = g.csr()
     unassigned = np.ones(g.n_nodes, dtype=bool)
     comps = []
     while unassigned.any():
-        s = int(np.flatnonzero(unassigned)[0])
-        h = _kernels.bfs_hops(indptr, indices, s)
-        members = np.flatnonzero(h >= 0)
+        members = np.flatnonzero(hop_distances(g, int(np.argmax(unassigned))) >= 0)
         comps.append(members)
         unassigned[members] = False
     return comps
@@ -376,15 +372,10 @@ def _largest_component_subgraph(g: Graph) -> Graph:
     return Graph.from_edges(len(largest), relabel[edges[keep]])
 
 
-def _quadruple_delta(dist: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    a, b, c, d = quads.T
-    s = np.stack([
-        dist[a, b] + dist[c, d],
-        dist[a, c] + dist[b, d],
-        dist[a, d] + dist[b, c],
-    ])
-    s.sort(axis=0)
-    return 0.5 * (s[2] - s[1])
+# a quadruple's six pair distances (ab, cd, ac, bd, ad, bc) as (row, column)
+# positions in (a, b, c, d): the three pairings are consecutive column pairs,
+# and every row node is among the first three
+_QUAD_PAIRS = np.array([[0, 1], [2, 3], [0, 2], [1, 3], [0, 3], [1, 2]])
 
 
 def gromov_delta(g: Graph, mode: str = "exact", n_samples: int | None = None,
@@ -406,22 +397,22 @@ def gromov_delta(g: Graph, mode: str = "exact", n_samples: int | None = None,
     if not n_samples or n_samples < 1:
         raise ValueError("sampled mode needs n_samples >= 1")
     rng = np.random.default_rng(seed)
+    quads = np.array([rng.choice(sub.n_nodes, size=4, replace=False)
+                      for _ in range(n_samples)])
+    # BFS rows of the distinct row nodes, a block at a time, read into the
+    # (n_samples, 6) pair distances
+    srcs, row = np.unique(quads[:, _QUAD_PAIRS[:, 0]].ravel(), return_inverse=True)
+    row = row.reshape(n_samples, 6)
+    col = quads[:, _QUAD_PAIRS[:, 1]]
+    dist = np.empty((n_samples, 6), dtype=np.float64)
     indptr, indices = sub.csr()
-    best = 0.0
-    for _ in range(n_samples):
-        quad = rng.choice(sub.n_nodes, size=4, replace=False)
-        rows = {}
-        for s in quad[:3]:
-            rows[int(s)] = _kernels.bfs_hops(indptr, indices, int(s))
-        a, b, c, d = (int(q) for q in quad)
-        pairs = np.array([
-            rows[a][b] + rows[c][d],
-            rows[a][c] + rows[b][d],
-            rows[a][d] + rows[b][c],
-        ], dtype=np.float64)
-        pairs.sort()
-        best = max(best, 0.5 * (pairs[2] - pairs[1]))
-    return float(best)
+    block = _kernels.block_sources(indptr)
+    for lo in range(0, len(srcs), block):
+        hops = _kernels.bfs_hops(indptr, indices, srcs[lo:lo + block])
+        hit = (row >= lo) & (row < lo + block)
+        dist[hit] = hops[row[hit] - lo, col[hit]]
+    sums = np.sort(dist.reshape(n_samples, 3, 2).sum(axis=2), axis=1)
+    return float(0.5 * (sums[:, 2] - sums[:, 1]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -312,21 +312,6 @@ class HyperbolicGNN:
         return h
 
 
-def model_forward(g: Graph, layers: list, zetas, *, config: ModelConfig | None = None,
-                  training: bool = False, rng=None) -> Tensor:
-    """Functional forward over explicit layer params (layers own no zeta here)."""
-    cfg = config or ModelConfig()
-    h = exp_origin(Tensor(np.asarray(g.features, dtype=np.float64)), float(zetas[0]))
-    edges = message_edges(g)
-    for li, layer in enumerate(layers):
-        z_in = float(zetas[li])
-        z_out = float(zetas[li + 1]) if li + 1 < len(layers) else float(zetas[li])
-        h = layer_forward(h, g, layer, z_in, z_out, dropout=cfg.dropout,
-                          activation_fn=cfg.activation, training=training,
-                          rng=rng, edges=edges)
-    return h
-
-
 # ---------------------------------------------------------------------------
 # decoders and losses
 # ---------------------------------------------------------------------------

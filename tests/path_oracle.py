@@ -1,17 +1,60 @@
-"""Per-source reference for embedded path-sum distances.
+"""Per-source reference for BFS trees and embedded path-sum distances.
 
-One BFS tree per source (``_kernels.bfs_tree``) and one python-level walk
-down it: the definition that ``_kernels.bfs_path_sums`` and
-``curvature.embedding_distortion`` must reproduce bit for bit.
+One scalar queue BFS tree per source (``_bfs_tree_loop``) and one
+python-level walk down it: the definition that ``_kernels.bfs_tree``,
+``_kernels.bfs_path_sums`` and ``curvature.embedding_distortion`` must
+reproduce bit for bit.
 """
 
 import numpy as np
 
-from curvgnn import _kernels, manifold
+from curvgnn import manifold
 
 
 class DisconnectedError(ValueError):
     """A node pair in different components was handed to a path query."""
+
+
+def _bfs_tree_loop(indptr, indices, source):
+    """BFS hop counts plus shortest-path tree with deterministic tie-break.
+
+    parent[v] is the smallest-id neighbor of v one hop closer to source;
+    order lists reachable nodes by nondecreasing hop count (then the
+    unreachable ones, which downstream consumers skip via parent == -1).
+    """
+    n = indptr.shape[0] - 1
+    hops = np.full(n, -1, dtype=np.int64)
+    order = np.empty(n, dtype=np.int64)
+    hops[source] = 0
+    order[0] = source
+    head = 0
+    tail = 1
+    while head < tail:
+        u = order[head]
+        head += 1
+        du = hops[u]
+        for k in range(indptr[u], indptr[u + 1]):
+            v = indices[k]
+            if hops[v] < 0:
+                hops[v] = du + 1
+                order[tail] = v
+                tail += 1
+    parent = np.full(n, -1, dtype=np.int64)
+    for v in range(n):
+        if hops[v] <= 0:
+            continue
+        target = hops[v] - 1
+        for k in range(indptr[v], indptr[v + 1]):
+            u = indices[k]
+            if hops[u] == target:
+                parent[v] = u  # neighbor lists are sorted: first hit is smallest
+                break
+    if tail < n:
+        for v in range(n):
+            if hops[v] < 0:
+                order[tail] = v
+                tail += 1
+    return hops, parent, order
 
 
 def path_sums(order, parent, step_len):
@@ -37,7 +80,7 @@ def path_distance_row(g, emb, zeta, source):
     node pairs. Returns (lengths, hops); unreachable nodes carry +inf.
     """
     indptr, indices = g.csr()
-    hops, parent, order = _kernels.bfs_tree(indptr, indices, int(source))
+    hops, parent, order = _bfs_tree_loop(indptr, indices, int(source))
     has_parent = parent >= 0
     step = np.zeros(g.n_nodes, dtype=np.float64)
     if has_parent.any():

@@ -1,15 +1,11 @@
-"""Kernel backends must agree bit-for-bit, and the backend switch must hold.
+"""The blocked BFS kernels against scalar and brute-force references.
 
-The parity tests compare the loop and numpy fallbacks with each other;
-``test_bfs_hops_backends_agree`` also compares the public dispatcher, which
-runs the jitted kernel only where numba can be imported. The numpy-only
-``bfs_path_sums`` is checked against one loop-built BFS tree per source.
+Hop rows are checked against Floyd-Warshall, BFS trees and path sums
+against the scalar queue BFS of ``path_oracle._bfs_tree_loop``, exact delta
+against the enumeration of all quadruples, and sampled delta against a
+per-sample loop over the same draws. Graphs have several components and
+isolated nodes at the highest ids; blocks of sources are 1, 4 and n wide.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,55 +13,133 @@ import pytest
 from curvgnn import _kernels, graphs
 
 import path_oracle
+from test_graphs import brute_force_delta, floyd_warshall
 
 
-def random_csr(rng, n, p):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    g = graphs.Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
-    return g.csr()
+def multi_component_graph(rng, n_isolated=None):
+    """Sparse random graph (several components) plus isolated high-id nodes."""
+    n_core = int(rng.integers(6, 30))
+    edges = [(i, j) for i in range(n_core) for j in range(i + 1, n_core)
+             if rng.random() < 2.0 / n_core]
+    if n_isolated is None:
+        n_isolated = int(rng.integers(0, 4))
+    return graphs.Graph.from_edges(n_core + n_isolated,
+                                   np.array(edges, dtype=np.int64).reshape(-1, 2))
 
 
-def test_bfs_hops_backends_agree():
+def random_tree(rng, n):
+    parents = [int(rng.integers(0, v)) for v in range(1, n)]
+    return graphs.Graph.from_edges(n, np.array(list(zip(parents, range(1, n)))))
+
+
+def test_bfs_hops_match_floyd_warshall():
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        indptr, indices = random_csr(rng, 40, 0.08)
-        for s in (0, 7, 39):
-            loop = _kernels._bfs_hops_loop(indptr, indices, s)
-            vec = _kernels._bfs_hops_np(indptr, indices, s)
-            pub = _kernels.bfs_hops(indptr, indices, s)
-            assert np.array_equal(loop, vec)
-            assert np.array_equal(loop, pub)
+    cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]]))]
+    cases += [multi_component_graph(rng) for _ in range(8)]
+    for g in cases:
+        indptr, indices = g.csr()
+        n = g.n_nodes
+        fw = floyd_warshall(g)
+        sources = rng.permutation(n)
+        for block in (1, 4, n):
+            for lo in range(0, n, block):
+                hops = _kernels.bfs_hops(indptr, indices, sources[lo:lo + block])
+                want = fw[sources[lo:lo + block]]
+                assert hops.shape == want.shape
+                assert np.array_equal(np.where(hops < 0, np.inf, hops), want)
+                assert np.all((hops == _kernels.UNREACHABLE) == np.isinf(want))
 
 
-def test_bfs_tree_backends_agree():
+def test_bfs_hops_rejects_out_of_range_sources():
+    indptr, indices = graphs.path_graph(4).csr()
+    for bad in ([4], [0, -1]):
+        with pytest.raises(ValueError):
+            _kernels.bfs_hops(indptr, indices, bad)
+
+
+def test_bfs_tree_matches_loop_reference():
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        indptr, indices = random_csr(rng, 30, 0.1)
-        h1, p1, o1 = _kernels._bfs_tree_loop(indptr, indices, 0)
-        h2, p2, o2 = _kernels._bfs_tree_np(indptr, indices, 0)
-        assert np.array_equal(h1, h2)
-        assert np.array_equal(p1, p2)  # same smallest-predecessor rule
-        # orders may enumerate a hop level differently; both must be valid
-        for order, hops in ((o1, h1), (o2, h2)):
-            reach = [v for v in order if hops[v] >= 0]
-            assert all(hops[a] <= hops[b] for a, b in zip(reach, reach[1:]))
+    cases = [multi_component_graph(rng) for _ in range(6)]
+    cases += [random_tree(rng, 40), graphs.cycle_graph(9), graphs.balanced_binary_tree(4)]
+    for g in cases:
+        indptr, indices = g.csr()
+        for s in range(g.n_nodes):
+            hops, parent, order = _kernels.bfs_tree(indptr, indices, s)
+            want_hops, want_parent, _ = path_oracle._bfs_tree_loop(indptr, indices, s)
+            assert np.array_equal(hops, want_hops)
+            assert np.array_equal(parent, want_parent)  # smallest-predecessor rule
+            # the documented BFS order: by hop count (the source alone at 0),
+            # ties by id, the other components last; so parents precede children
+            level = np.where(hops == _kernels.UNREACHABLE, g.n_nodes, hops)
+            assert order.dtype == np.int64
+            assert np.array_equal(order, np.lexsort((np.arange(g.n_nodes), level)))
+            rank = np.argsort(order)
+            kids = np.flatnonzero(parent >= 0)
+            assert np.all(rank[parent[kids]] < rank[kids])
 
 
-def test_delta_backends_agree():
+def test_delta_exact_matches_brute_force():
     rng = np.random.default_rng(2)
-    for _ in range(3):
-        indptr, indices = random_csr(rng, 14, 0.25)
-        g = graphs.Graph(14, [indices[indptr[i]:indptr[i + 1]] for i in range(14)])
-        sub = graphs._largest_component_subgraph(g)
-        if sub.n_nodes < 4:
+    cases = [graphs.cycle_graph(4), graphs.cycle_graph(7), random_tree(rng, 12)]
+    while len(cases) < 8:
+        g = graphs._largest_component_subgraph(multi_component_graph(rng, 0))
+        if g.n_nodes >= 4:
+            cases.append(g)
+    for g in cases:
+        dist = graphs.hop_distance_matrix(g)
+        assert _kernels.delta_exact(dist) == brute_force_delta(g)
+
+
+def sampled_delta_loop(g, n_samples, seed):
+    """Sampled four-point delta, one quadruple and its BFS rows at a time."""
+    sub = graphs._largest_component_subgraph(g)
+    indptr, indices = sub.csr()
+    rng = np.random.default_rng(seed)
+    rows = {}
+    best = 0.0
+    for _ in range(n_samples):
+        quad = rng.choice(sub.n_nodes, size=4, replace=False)
+        for s in quad[:3]:
+            if int(s) not in rows:
+                rows[int(s)] = path_oracle._bfs_tree_loop(indptr, indices, int(s))[0]
+        a, b, c, d = (int(q) for q in quad)
+        pairs = sorted([rows[a][b] + rows[c][d], rows[a][c] + rows[b][d],
+                        rows[a][d] + rows[b][c]])
+        best = max(best, 0.5 * (pairs[2] - pairs[1]))
+    return float(best)
+
+
+@pytest.mark.parametrize("block_elements", [_kernels.BLOCK_ELEMENTS, 1, 200])
+def test_sampled_delta_matches_per_sample_loop(monkeypatch, block_elements):
+    # small BLOCK_ELEMENTS forces one BFS source per block, or a few
+    monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(3)
+    cases = [graphs.balanced_binary_tree(5), random_tree(rng, 50), graphs.cycle_graph(11)]
+    cases += [multi_component_graph(rng, 2) for _ in range(3)]
+    for g in cases:
+        if graphs._largest_component_subgraph(g).n_nodes < 4:
             continue
-        dist = graphs.hop_distance_matrix(sub)
-        assert _kernels._delta_exact_loop(dist) == _kernels._delta_exact_np(dist)
+        for seed in range(10):
+            for n_samples in (1, 300):
+                got = graphs.gromov_delta(g, "sampled", n_samples=n_samples, seed=seed)
+                assert got == sampled_delta_loop(g, n_samples, seed)
+
+
+@pytest.mark.parametrize("block_elements", [_kernels.BLOCK_ELEMENTS, 1, 100])
+def test_hop_distance_matrix_blocks_match_floyd_warshall(monkeypatch, block_elements):
+    monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(4)
+    for _ in range(4):
+        g = multi_component_graph(rng)
+        fw = floyd_warshall(g)
+        assert np.array_equal(graphs.hop_distance_matrix(g), fw)
+        nodes = rng.integers(0, g.n_nodes, size=7)
+        assert np.array_equal(graphs.hop_distance_matrix(g, nodes), fw[nodes])
 
 
 def _tree_path_sums(indptr, indices, source, slot_len):
     """Reference row pair: one ``_bfs_tree_loop`` tree, then a walk down it."""
-    hops, parent, order = _kernels._bfs_tree_loop(indptr, indices, source)
+    hops, parent, order = path_oracle._bfs_tree_loop(indptr, indices, source)
     step = np.zeros(len(hops))
     for v in np.flatnonzero(parent >= 0):
         nbrs = indices[indptr[v]:indptr[v + 1]]
@@ -78,14 +152,7 @@ def _tree_path_sums(indptr, indices, source, slot_len):
 def test_bfs_path_sums_matches_per_source_trees():
     rng = np.random.default_rng(3)
     cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]])).csr()]
-    for _ in range(8):
-        n_core = int(rng.integers(6, 30))
-        edges = [(i, j) for i in range(n_core) for j in range(i + 1, n_core)
-                 if rng.random() < 2.0 / n_core]  # sparse: several components
-        n_isolated = int(rng.integers(0, 4))  # isolated nodes take the highest ids
-        g = graphs.Graph.from_edges(n_core + n_isolated,
-                                    np.array(edges, dtype=np.int64).reshape(-1, 2))
-        cases.append(g.csr())
+    cases += [multi_component_graph(rng).csr() for _ in range(8)]
     for indptr, indices in cases:
         n = len(indptr) - 1
         slot_len = rng.random(len(indices))  # one length per direction of each edge
@@ -98,38 +165,3 @@ def test_bfs_path_sums_matches_per_source_trees():
                 for row, (want_hops, want_sums) in enumerate(want[lo:lo + block]):
                     assert np.array_equal(hops[row], want_hops)
                     assert np.array_equal(sums[row], want_sums)
-
-
-def _numba_importable():
-    try:
-        from numba import njit  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def _fresh_numba_enabled(flag):
-    """``NUMBA_ENABLED`` as a new interpreter sees it with ``CURVGNN_NUMBA=flag``."""
-    env = {k: v for k, v in os.environ.items() if k != "CURVGNN_NUMBA"}
-    if flag is not None:
-        env["CURVGNN_NUMBA"] = flag
-    src = str(Path(_kernels.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from curvgnn import _kernels; print(_kernels.NUMBA_ENABLED)"],
-        env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
-
-
-def test_numba_enabled_by_default():
-    # the env flag is the only sanctioned way to disable the jitted path;
-    # without numba the documented numpy/python fallbacks are selected
-    numba_importable = _numba_importable()
-    flag_on = os.environ.get("CURVGNN_NUMBA", "1").strip().lower() not in (
-        "0", "false", "no", "off")
-    assert _kernels.NUMBA_ENABLED == (numba_importable and flag_on)
-    # fresh interpreters, so this session's module state is left alone
-    for flag in ("0", " OFF ", "false", "no"):
-        assert _fresh_numba_enabled(flag) == "False", flag
-    assert _fresh_numba_enabled(None) == str(numba_importable)

@@ -231,16 +231,6 @@ def test_permutation_equivariance_of_aggregation():
     assert np.max(np.abs(emb2[perm] - emb)) < 1e-9
 
 
-def test_functional_model_forward_matches_class():
-    g = graphs.balanced_binary_tree(3)
-    g.features = graphs.random_plus_degree_features(g, 4, 5)
-    cfg = L.ModelConfig(n_layers=2, dim=4, dropout=0.0)
-    model = L.HyperbolicGNN(4, cfg, 1.0, np.random.default_rng(16))
-    a = model.forward(g).data
-    b = L.model_forward(g, model.layers, model.zetas, config=cfg).data
-    assert np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # decoders and losses
 # ---------------------------------------------------------------------------
