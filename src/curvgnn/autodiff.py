@@ -8,17 +8,21 @@ them. Nothing is recorded when no input requires a gradient, so
 forward-only evaluation has no tape overhead and produces identical
 values.
 
-Hyperbolic-specific conventions live here too: ``arccosh`` clamps its
-argument to [1, 1e8] in the forward pass and evaluates its derivative at
-max(z, 1 + 1e-7), keeping gradients finite when distances collapse to 0.
+Hyperbolic-specific conventions live here too: ``acosh1p(u)`` is
+arccosh(1 + u) in the log1p form, exact down to u ~ 0, with u clamped to
+[0, ACOSH_ARG_MAX] in the forward pass. Its derivative is evaluated at
+max(u, ACOSH_GRAD_EPS), keeping gradients finite when distances collapse
+to 0, and is 0 above the upper clamp. ``lorentz_inner`` is the Minkowski
+product that every formula in ``manifold`` is built on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ACOSH_CLAMP_LO = 1.0
-ACOSH_CLAMP_HI = 1e8
+# NaN guard for the arccosh(1 + u) argument; far beyond any distance the
+# package can meaningfully represent, it only keeps inf out of downstream math
+ACOSH_ARG_MAX = 1e120
 ACOSH_GRAD_EPS = 1e-7
 
 # keeps sqrt-of-sum-of-squares differentiable at exactly zero
@@ -40,12 +44,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -86,12 +84,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, vjp) -> Tensor:
-    tracked = tuple(p for p in parents if isinstance(p, Tensor) and p.requires_grad)
+def _make(data, parents: tuple, vjp) -> Tensor:
+    """Wrap a primitive's output; parents are Tensors, and the output joins the
+    tape only when one of them requires a gradient."""
     out = Tensor(data)
-    if tracked:
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(p for p in parents if isinstance(p, Tensor))
+        out._parents = parents
         out._vjp = vjp
     return out
 
@@ -248,21 +247,21 @@ def sinh(a) -> Tensor:
     return _make(np.sinh(a.data), (a,), lambda g: (g * np.cosh(a.data),))
 
 
-def arccosh(a) -> Tensor:
-    """arccosh with the forward argument clamped to [1, 1e8].
+def acosh1p(a) -> Tensor:
+    """arccosh(1 + u) as log1p(u + sqrt(u (u + 2))), u clamped to [0, ACOSH_ARG_MAX].
 
-    The derivative is evaluated at max(z, 1 + 1e-7) so that collapsing
-    distances keep a large but finite gradient instead of NaN.
+    The derivative 1 / sqrt(u (u + 2)) is evaluated at max(u, ACOSH_GRAD_EPS)
+    so that collapsing distances keep a large but finite gradient instead of
+    inf, and is 0 above the upper clamp.
     """
     a = as_tensor(a)
-    z = np.clip(a.data, ACOSH_CLAMP_LO, ACOSH_CLAMP_HI)
-    out = np.arccosh(z)
+    u = np.minimum(np.maximum(a.data, 0.0), ACOSH_ARG_MAX)
+    out = np.log1p(u + np.sqrt(u * (u + 2.0)))
 
     def vjp(g):
-        zc = np.maximum(z, 1.0 + ACOSH_GRAD_EPS)
-        d = 1.0 / np.sqrt(zc * zc - 1.0)
-        d = np.where(a.data >= ACOSH_CLAMP_HI, 0.0, d)
-        return (g * d,)
+        uc = np.maximum(u, ACOSH_GRAD_EPS)
+        d = 1.0 / np.sqrt(uc * (uc + 2.0))
+        return (g * np.where(a.data > ACOSH_ARG_MAX, 0.0, d),)
 
     return _make(out, (a,), vjp)
 
@@ -471,41 +470,6 @@ def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_of(f, x: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar-valued tensor function at x via the tape."""
-    leaf = Tensor(np.array(x, dtype=np.float64, copy=True), requires_grad=True)
-    out = f(leaf)
-    if out.data.size != 1:
-        raise ValueError("grad_of expects a scalar-valued function")
-    backward(out)
-    return np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
-
-
-def finite_diff_check(f, x: np.ndarray, h: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    The relative error denominator is max(|a|, |b|, 1e-8) elementwise.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    analytic = grad_of(f, x)
-    numeric = np.zeros_like(x)
-    flat = numeric.reshape(-1)
-    for i in range(x.size):
-        xp = x.copy().reshape(-1)
-        xm = x.copy().reshape(-1)
-        xp[i] += h
-        xm[i] -= h
-        fp = f(Tensor(xp.reshape(x.shape))).item()
-        fm = f(Tensor(xm.reshape(x.shape))).item()
-        flat[i] = (fp - fm) / (2.0 * h)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-# ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
 
@@ -540,15 +504,3 @@ class Adam:
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             p.data -= self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [m.tolist() for m in self.m],
-            "v": [v.tolist() for v in self.v],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
-        self.v = [np.array(v, dtype=np.float64) for v in state["v"]]

@@ -3,10 +3,9 @@
 Three ingredients: the embedding-distortion score comparing embedded
 distances against path-sum graph distances, a parallelogram-law deviation
 estimator for the sectional curvature of the embedded graph, and the
-blend rule that turns an estimate into the next curvature parameter.
-Polar-coordinate distance formulas (exact hyperbolic law of cosines and
-its large-radius approximation) are provided as analytic oracles for
-tests, plus a geodesic tree layout used by diagnostics.
+blend rule that turns an estimate into the next curvature parameter. A
+geodesic tree layout feeds the diagnostics. All distances come from
+``manifold``.
 """
 
 from __future__ import annotations
@@ -71,10 +70,12 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
     """Mean |d^2/g^2 - 1| over ordered connected node pairs (i != j).
 
     d is the hyperbolic distance between the endpoint embeddings; g is the
-    sum of hyperbolic edge lengths along the BFS shortest hop path. Pairs
-    in different components are excluded and the mean runs over the pairs
-    actually used. Graphs above DISTORTION_EXACT_LIMIT nodes are scored on
-    a seeded sample of pairs instead of all of them.
+    sum of hyperbolic edge lengths along the BFS shortest hop path. A pair
+    has no defined ratio when its endpoints lie in different components or
+    when g is 0 (every edge on the path has collapsed to one point); such
+    pairs are excluded and counted in ``pairs_excluded``, and the mean runs
+    over the pairs actually used. Graphs above DISTORTION_EXACT_LIMIT nodes
+    are scored on a seeded sample of pairs instead of all of them.
     """
     if g.n_edges == 0:
         raise ValueError("distortion is undefined on an edgeless graph")
@@ -115,10 +116,14 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
                 ok = hops[row, targets] > 0
                 excluded += int((~ok).sum())
                 targets = targets[ok]
+            g_row = g_rows[row, targets]
+            ok = g_row > 0
+            excluded += int((~ok).sum())
+            targets, g_row = targets[ok], g_row[ok]
             if not len(targets):
                 continue
             d_row = manifold.hyp_distance(emb[i], emb[targets], zeta, validate=False)
-            ratio = (d_row / g_rows[row, targets]) ** 2
+            ratio = (d_row / g_row) ** 2
             total += float(np.abs(ratio - 1.0).sum())
             used += len(targets)
     if used == 0:
@@ -233,46 +238,6 @@ def remap_embeddings(emb: np.ndarray, zeta_prev, zeta_new) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# polar-coordinate oracles
-# ---------------------------------------------------------------------------
-
-def polar_to_point(r: float, theta: float, zeta) -> np.ndarray:
-    """Point at geodesic radius r and angle theta on the 2-d hyperboloid."""
-    z = manifold.as_zeta(zeta)
-    return np.array([
-        z * np.cosh(r / z),
-        z * np.sinh(r / z) * np.cos(theta),
-        z * np.sinh(r / z) * np.sin(theta),
-    ])
-
-
-def polar_distance_exact(r: float, theta: float, r2: float, theta2: float,
-                         zeta) -> float:
-    """Hyperbolic law of cosines between (r, theta) and (r2, theta2)."""
-    z = manifold.as_zeta(zeta)
-    if r < 0 or r2 < 0:
-        raise ValueError("radii must be nonnegative")
-    arg = (np.cosh(r / z) * np.cosh(r2 / z)
-           - np.sinh(r / z) * np.sinh(r2 / z) * np.cos(theta - theta2))
-    return float(z * np.arccosh(np.clip(arg, 1.0, manifold.ACOSH_ARG_MAX)))
-
-
-def polar_distance_approx(r: float, theta: float, r2: float, theta2: float,
-                          zeta) -> float:
-    """Large-radius shortcut r + r2 + 2 zeta ln sin(dtheta/2).
-
-    Valid when both radii are large relative to zeta and the angle gap is
-    not too small; undefined at dtheta = 0.
-    """
-    z = manifold.as_zeta(zeta)
-    half = 0.5 * abs(theta - theta2)
-    s = np.sin(half)
-    if s <= 0.0:
-        raise ValueError("approximation undefined at zero angular separation")
-    return float(r + r2 + 2.0 * z * np.log(s))
-
-
-# ---------------------------------------------------------------------------
 # geodesic tree layout (diagnostics / synthetic benchmarks)
 # ---------------------------------------------------------------------------
 
@@ -297,23 +262,17 @@ def tree_layout_hyperbolic(g: graphs.Graph, zeta, edge_length: float = 1.0,
         if not children:
             continue
         x = pos[v]
+        k = len(children)
         if v == root:
-            k = len(children)
-            for i, c in enumerate(children):
-                ang = 2.0 * np.pi * i / k
-                direction = np.array([0.0, np.cos(ang), np.sin(ang)])
-                pos[c] = manifold.exp_map(x, edge_length * direction, z,
-                                          validate=False)
+            ang = 2.0 * np.pi * np.arange(k) / k
+            directions = np.stack([np.zeros(k), np.cos(ang), np.sin(ang)], axis=1)
         else:
             u = manifold.log_map(x, pos[parent[v]], z, validate=False)
             u_hat = u / max(manifold.lorentz_norm(u), 1e-300)
             u_perp = _tangent_perp(x, u_hat, z)
-            k = len(children)
-            for i, c in enumerate(children):
-                ang = 2.0 * np.pi * (i + 1) / (k + 1)
-                direction = np.cos(ang) * u_hat + np.sin(ang) * u_perp
-                pos[c] = manifold.exp_map(x, edge_length * direction, z,
-                                          validate=False)
+            ang = 2.0 * np.pi * np.arange(1, k + 1)[:, None] / (k + 1)
+            directions = np.cos(ang) * u_hat + np.sin(ang) * u_perp
+        pos[children] = manifold.exp_map(x, edge_length * directions, z, validate=False)
     return pos
 
 

@@ -426,11 +426,6 @@ def balanced_binary_tree(depth: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def path_graph(n: int) -> Graph:
-    edges = np.array([(i, i + 1) for i in range(n - 1)], dtype=np.int64)
-    return Graph.from_edges(n, edges)
-
-
 def cycle_graph(n: int) -> Graph:
     edges = np.array([(i, (i + 1) % n) for i in range(n)], dtype=np.int64)
     return Graph.from_edges(n, edges)

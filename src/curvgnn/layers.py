@@ -1,8 +1,9 @@
 """Hyperbolic GNN layers with per-layer curvature, decoders, and losses.
 
-The differentiable manifold operations here mirror the formulas in
-``manifold`` but are built from the autodiff primitives so gradients flow
-to the Euclidean parameters. Every trainable parameter (weights, biases,
+The geometry comes from the tape ops of ``manifold`` (exp and log at the
+origin, the exp and log maps, transport from the origin, the distance), so
+gradients flow to the Euclidean parameters and the decoder scores the same
+distances as the diagnostics. Every trainable parameter (weights, biases,
 attention) lives in tangent space at the origin; curvature parameters are
 plain floats managed outside gradient descent.
 
@@ -20,77 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .graphs import Graph
-
-
-# ---------------------------------------------------------------------------
-# differentiable manifold operations
-# ---------------------------------------------------------------------------
-
-def exp_origin(w, zeta: float) -> Tensor:
-    """Wrap spatial tangent coordinates (.., d) onto the hyperboloid (.., d+1)."""
-    w = ad.as_tensor(w)
-    r = ad.sqrt(ad.tsum(w * w, axis=-1, keepdims=True) + ad.NORM_GUARD)
-    t = ad.scale(r, 1.0 / zeta)
-    x0 = ad.scale(ad.cosh(t), zeta)
-    coef = ad.scale(ad.sinh(t), zeta) / r
-    return ad.concat([x0, coef * w], axis=-1)
-
-
-def log_origin(x, zeta: float) -> Tensor:
-    """Spatial tangent coordinates of a point, inverse of exp_origin.
-
-    The arccosh argument is formed as 1 + |x_s|^2 / (zeta (x0 + zeta)),
-    which stays accurate near the origin.
-    """
-    x = ad.as_tensor(x)
-    xs = ad.spatial(x)
-    x0 = ad.first_col(x)
-    sq = ad.tsum(xs * xs, axis=-1, keepdims=True)
-    u = sq / ad.scale(x0 + zeta, zeta)
-    d = ad.scale(ad.arccosh(u + 1.0), zeta)
-    s = ad.sqrt(sq + ad.NORM_GUARD)
-    return (d / s) * xs
-
-
-def hyp_dist(x, y, zeta: float) -> Tensor:
-    """Batched geodesic distance through the Minkowski difference form."""
-    x, y = ad.as_tensor(x), ad.as_tensor(y)
-    diff = x - y
-    q = ad.clamp_min(ad.lorentz_inner(diff, diff, keepdims=False), 0.0)
-    return ad.scale(ad.arccosh(ad.scale(q, 0.5 / (zeta * zeta)) + 1.0), zeta)
-
-
-def log_map(x, y, zeta: float) -> Tensor:
-    """Tangent vector at x pointing to y; zero when the points coincide."""
-    x, y = ad.as_tensor(x), ad.as_tensor(y)
-    diff = x - y
-    u = ad.scale(ad.clamp_min(ad.lorentz_inner(diff, diff), 0.0),
-                 0.5 / (zeta * zeta))
-    beta = u + 1.0
-    d = ad.scale(ad.arccosh(beta), zeta)
-    w = y - beta * x
-    # |w|_L = zeta * sqrt(u (u + 2)) identically, cancellation-free
-    wn = ad.scale(ad.sqrt(u * (u + 2.0) + ad.NORM_GUARD), zeta)
-    return (d / wn) * w
-
-
-def exp_map(x, v, zeta: float) -> Tensor:
-    """Geodesic step from x with velocity v (tangent at x)."""
-    x, v = ad.as_tensor(x), ad.as_tensor(v)
-    nv = ad.sqrt(ad.clamp_min(ad.lorentz_inner(v, v), 0.0) + ad.NORM_GUARD)
-    t = ad.scale(nv, 1.0 / zeta)
-    return ad.cosh(t) * x + (ad.scale(ad.sinh(t), zeta) / nv) * v
-
-
-def transport_from_origin(x, b, zeta: float) -> Tensor:
-    """Parallel-transport a tangent-at-origin vector (0, b) to T_x."""
-    x = ad.as_tensor(x)
-    bt = ad.pad_zero_column(ad.as_tensor(b))
-    num = ad.lorentz_inner(x, bt, keepdims=True)
-    den = ad.scale(ad.first_col(x) + zeta, zeta)  # zeta^2 - <o, x> = zeta (zeta + x0)
-    o = np.zeros(x.data.shape[-1])
-    o[0] = zeta
-    return bt + (num / den) * (x + Tensor(o))
+from .manifold import dist, exp_at, exp_origin, log_at, log_origin, transport_from_origin
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +112,7 @@ def linear_transform(h, W, b, zeta: float) -> Tensor:
     u = ad.matmul(log_origin(h, zeta), ad.as_tensor(W))
     point = exp_origin(u, zeta)
     carried = transport_from_origin(point, b, zeta)
-    return exp_map(point, carried, zeta)
+    return exp_at(point, carried, zeta)
 
 
 def _attention_scores(tang, src, dst, params: LayerParams) -> Tensor:
@@ -198,39 +129,6 @@ def _segment_softmax(scores: Tensor, dst: np.ndarray, indptr: np.ndarray) -> Ten
     return e / ad.gather_rows(denom, dst)
 
 
-def attention_weights(h_center, h_neighbors, params: LayerParams, zeta: float) -> np.ndarray:
-    """Softmax attention of one node over its neighbor list (sums to 1)."""
-    h_neighbors = np.atleast_2d(np.asarray(h_neighbors, dtype=np.float64))
-    k = h_neighbors.shape[0]
-    pts = np.concatenate([np.asarray(h_center, dtype=np.float64)[None, :], h_neighbors])
-    tang = log_origin(Tensor(pts), zeta)
-    src = np.arange(1, k + 1, dtype=np.int64)
-    dst = np.zeros(k, dtype=np.int64)
-    scores = _attention_scores(tang, src, dst, params)
-    return ad.softmax(scores, axis=0).data.reshape(-1)
-
-
-def aggregate(h_center, h_neighbors, weights, zeta: float) -> np.ndarray:
-    """Weighted tangent-space average around h_center, mapped back."""
-    h_neighbors = np.atleast_2d(np.asarray(h_neighbors, dtype=np.float64))
-    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
-    center = Tensor(np.asarray(h_center, dtype=np.float64)[None, :])
-    tang = log_map(center, Tensor(h_neighbors), zeta)
-    summed = ad.tsum(Tensor(w) * tang, axis=0, keepdims=True)
-    return exp_map(center, summed, zeta).data[0]
-
-
-def activation(h, zeta_from: float, zeta_to: float, fn: str = "relu") -> Tensor:
-    """Apply a Euclidean nonlinearity in the origin tangent space, then
-    re-wrap at the (possibly different) output curvature."""
-    tang = log_origin(ad.as_tensor(h), zeta_from)
-    if fn == "relu":
-        tang = ad.relu(tang)
-    elif fn != "identity":
-        raise ValueError(f"unknown activation {fn!r}")
-    return exp_origin(tang, zeta_to)
-
-
 def layer_forward(h, g: Graph, params: LayerParams, zeta_in: float, zeta_out: float,
                   *, dropout: float = 0.0, activation_fn: str = "relu",
                   training: bool = False, rng: np.random.Generator | None = None,
@@ -244,9 +142,9 @@ def layer_forward(h, g: Graph, params: LayerParams, zeta_in: float, zeta_out: fl
     h1 = linear_transform(h, params.W, params.b, zeta_in)
     tang0 = log_origin(h1, zeta_in)
     w = _segment_softmax(_attention_scores(tang0, src, dst, params), dst, indptr)
-    nbr_tang = log_map(ad.gather_rows(h1, dst), ad.gather_rows(h1, src), zeta_in)
+    nbr_tang = log_at(ad.gather_rows(h1, dst), ad.gather_rows(h1, src), zeta_in)
     pulled = ad.segment_sum(w * nbr_tang, indptr)
-    h2 = exp_map(h1, pulled, zeta_in)
+    h2 = exp_at(h1, pulled, zeta_in)
     tang = log_origin(h2, zeta_in)
     if training and dropout > 0.0:
         if rng is None:
@@ -316,20 +214,9 @@ class HyperbolicGNN:
 # decoders and losses
 # ---------------------------------------------------------------------------
 
-def fermi_dirac_score(d, r: float, t: float):
-    """Edge probability 1 / (exp((d^2 - r)/t) + 1); decreasing in d."""
-    if t <= 0:
-        raise ValueError("temperature t must be positive")
-    d = np.asarray(d, dtype=np.float64)
-    z = (r - d * d) / t
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
-                    np.exp(z) / (1.0 + np.exp(z)))
-
-
 def _edge_logits(emb: Tensor, edges: np.ndarray, zeta: float, r: float, t: float) -> Tensor:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    d = hyp_dist(ad.gather_rows(emb, edges[:, 0]),
-                 ad.gather_rows(emb, edges[:, 1]), zeta)
+    d = dist(ad.gather_rows(emb, edges[:, 0]), ad.gather_rows(emb, edges[:, 1]), zeta)
     return ad.scale(ad.neg(d * d) + r, 1.0 / t)
 
 

@@ -1,14 +1,30 @@
-"""Variable-curvature hyperboloid geometry kernel.
+"""Variable-curvature hyperboloid geometry: every formula, written once.
 
 Points live on the upper sheet of a two-sheeted hyperboloid embedded in
 Minkowski space R^{n,1}: ``<x, x>_L = -zeta^2`` with ``x0 >= zeta > 0``,
 where ``<.,.>_L`` is the Lorentzian scalar product of signature
 ``(-, +, ..., +)``. The sectional curvature is ``K = -1/zeta^2``, so larger
-``zeta`` means a flatter space.
+``zeta`` means a flatter space. Arrays of shape ``(..., n+1)`` are batches
+of ambient points or tangent vectors.
 
-Everything here is pure numpy over the last axis: arrays of shape
-``(..., n+1)`` are batches of ambient points or tangent vectors. Operations
-are pure functions, safe for concurrent use.
+Each formula is one function built from ``autodiff`` primitives, so the
+model's gradients and the numpy diagnostics evaluate the same numbers:
+
+=======================  ==========================  =====================
+formula                  tape op (-> Tensor)         numpy API (validated)
+=======================  ==========================  =====================
+exp at the origin        ``exp_origin``              ``to_hyperboloid``
+log at the origin        ``log_origin``              ``to_tangent_coords``
+geodesic distance        ``dist``                    ``hyp_distance``
+log map at x             ``log_at``                  ``log_map``
+exp map at x             ``exp_at``                  ``exp_map``
+transport from origin    ``transport_from_origin``
+Lorentz product          ``autodiff.lorentz_inner``  ``lorentz_inner``
+=======================  ==========================  =====================
+
+The numpy functions check their inputs, run the tape op on constants (no
+tape is recorded) and return its ``.data``. All functions are pure and safe
+for concurrent use.
 """
 
 from __future__ import annotations
@@ -18,10 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# NaN guard for the arccosh argument. The lower clamp at 1 absorbs float
-# drift; the upper clamp only exists to keep inf out of downstream math and
-# is far beyond any distance the package can meaningfully represent.
-ACOSH_ARG_MAX = 1e120
+from . import autodiff as ad
+from .autodiff import Tensor
 
 DEFAULT_ZETA_MIN = 0.1
 DEFAULT_ZETA_MAX = 10.0
@@ -74,10 +88,7 @@ def lorentz_inner(u: np.ndarray, v: np.ndarray, keepdims: bool = False) -> np.nd
         raise ManifoldError(f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}")
     if u.shape[-1] < 2:
         raise ManifoldError("ambient dimension must be at least 2")
-    prod = u * v
-    spatial = prod[..., 1:].sum(axis=-1, keepdims=keepdims)
-    time = prod[..., :1] if keepdims else prod[..., 0]
-    return spatial - time
+    return ad.lorentz_inner(u, v, keepdims=keepdims).data
 
 
 def lorentz_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
@@ -129,125 +140,124 @@ def check_tangent(v: np.ndarray, x: np.ndarray, tol: float = 1e-6) -> None:
         raise ManifoldError(f"vector not tangent: <x,v> = {float(np.max(np.abs(ip))):.3e}")
 
 
-def _acosh1p(u: np.ndarray) -> np.ndarray:
-    """arccosh(1 + u) for u >= 0, accurate down to u ~ 0 (log1p form)."""
-    u = np.minimum(np.maximum(u, 0.0), ACOSH_ARG_MAX)
-    return np.log1p(u + np.sqrt(u * (u + 2.0)))
+# ---------------------------------------------------------------------------
+# tape ops: the one implementation of each formula
+# ---------------------------------------------------------------------------
 
+def exp_origin(w, zeta: float) -> Tensor:
+    """Wrap spatial tangent coordinates (.., d) onto the hyperboloid (.., d+1)."""
+    w = ad.as_tensor(w)
+    r = ad.sqrt(ad.tsum(w * w, axis=-1, keepdims=True) + ad.NORM_GUARD)
+    t = ad.scale(r, 1.0 / zeta)
+    x0 = ad.scale(ad.cosh(t), zeta)
+    coef = ad.scale(ad.sinh(t), zeta) / r
+    return ad.concat([x0, coef * w], axis=-1)
+
+
+def log_origin(x, zeta: float) -> Tensor:
+    """Spatial tangent coordinates of a point, inverse of exp_origin.
+
+    The radius is zeta * arccosh(1 + u) with the cancellation-free
+    u = x0/zeta - 1 = |x_s|^2 / (zeta (x0 + zeta)).
+    """
+    x = ad.as_tensor(x)
+    xs = ad.spatial(x)
+    sq = ad.tsum(xs * xs, axis=-1, keepdims=True)
+    u = sq / ad.scale(ad.first_col(x) + zeta, zeta)
+    d = ad.scale(ad.acosh1p(u), zeta)
+    return (d / ad.sqrt(sq + ad.NORM_GUARD)) * xs
+
+
+def _acosh1p_arg(x: Tensor, y: Tensor, zeta: float, keepdims: bool) -> Tensor:
+    """u with d(x, y) = zeta * arccosh(1 + u), i.e. u = -<x,y>_L/zeta^2 - 1.
+
+    Formed from the Minkowski form of the difference, <x-y, x-y>_L / (2 zeta^2),
+    which avoids the cancellation of the large x0*y0 product for nearby points.
+    """
+    diff = x - y
+    q = ad.clamp_min(ad.lorentz_inner(diff, diff, keepdims=keepdims), 0.0)
+    return ad.scale(q, 0.5 / (zeta * zeta))
+
+
+def dist(x, y, zeta: float) -> Tensor:
+    """Batched geodesic distance zeta * arccosh(-<x,y>_L / zeta^2)."""
+    x, y = ad.as_tensor(x), ad.as_tensor(y)
+    return ad.scale(ad.acosh1p(_acosh1p_arg(x, y, zeta, keepdims=False)), zeta)
+
+
+def log_at(x, y, zeta: float) -> Tensor:
+    """Tangent vector at x pointing to y, with Lorentz norm d(x, y); zero
+    when the points coincide."""
+    x, y = ad.as_tensor(x), ad.as_tensor(y)
+    u = _acosh1p_arg(x, y, zeta, keepdims=True)
+    d = ad.scale(ad.acosh1p(u), zeta)
+    w = y - (u + 1.0) * x
+    # |w|_L = zeta * sqrt(u (u + 2)) identically; computing it from u avoids
+    # the cancellation of the huge components of w far from the base point
+    wn = ad.scale(ad.sqrt(u * (u + 2.0) + ad.NORM_GUARD), zeta)
+    return (d / wn) * w
+
+
+def exp_at(x, v, zeta: float) -> Tensor:
+    """Follow the geodesic from x with initial velocity v (tangent at x)."""
+    x, v = ad.as_tensor(x), ad.as_tensor(v)
+    nv = ad.sqrt(ad.clamp_min(ad.lorentz_inner(v, v), 0.0) + ad.NORM_GUARD)
+    t = ad.scale(nv, 1.0 / zeta)
+    return ad.cosh(t) * x + (ad.scale(ad.sinh(t), zeta) / nv) * v
+
+
+def transport_from_origin(x, b, zeta: float) -> Tensor:
+    """Parallel-transport a tangent-at-origin vector (0, b) to T_x.
+
+    P(v) = v + <x, v>_L / (zeta^2 - <o, x>_L) * (o + x); a linear isometry
+    of tangent spaces.
+    """
+    x = ad.as_tensor(x)
+    bt = ad.pad_zero_column(ad.as_tensor(b))
+    num = ad.lorentz_inner(x, bt, keepdims=True)
+    den = ad.scale(ad.first_col(x) + zeta, zeta)  # zeta^2 - <o, x> = zeta (zeta + x0)
+    return bt + (num / den) * (x + Tensor(origin(x.data.shape[-1] - 1, zeta)))
+
+
+# ---------------------------------------------------------------------------
+# numpy API: validate, then evaluate the tape op
+# ---------------------------------------------------------------------------
 
 def hyp_distance(x: np.ndarray, y: np.ndarray, zeta, validate: bool = True) -> np.ndarray:
-    """Geodesic distance zeta*arccosh(-<x,y>_L / zeta^2), batched.
-
-    Evaluated through the Minkowski form of the difference vector,
-    ``-<x,y> - zeta^2 = <x-y, x-y>_L / 2``, which is algebraically the same
-    argument but avoids the cancellation of the large x0*y0 product for
-    nearby points.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Geodesic distance between batches of points (``dist``)."""
     z = as_zeta(zeta)
     if validate:
         check_on_manifold(x, z)
         check_on_manifold(y, z)
-    diff = x - y
-    u = lorentz_inner(diff, diff) / (2.0 * z * z)
-    return z * _acosh1p(u)
+    return dist(x, y, z).data
 
 
 def log_map(x: np.ndarray, y: np.ndarray, zeta, validate: bool = True) -> np.ndarray:
-    """Tangent vector at x pointing to y, with Lorentz norm d(x, y).
-
-    x == y (distance below 1e-12) returns the zero vector rather than
-    raising; the direction is undefined there and zero is the limit.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Tangent vector at x pointing to y (``log_at``); zero where x == y."""
     z = as_zeta(zeta)
     if validate:
         check_on_manifold(x, z)
         check_on_manifold(y, z)
-    diff = x - y
-    u = np.maximum(lorentz_inner(diff, diff, keepdims=True) / (2.0 * z * z), 0.0)
-    beta = 1.0 + u  # equals -<x,y>/zeta^2
-    d = z * _acosh1p(u)
-    w = y - beta * x
-    # |w|_L = zeta * sqrt(beta^2 - 1) identically; computing it from u avoids
-    # the cancellation of the huge components of w far from the base point
-    wn = z * np.sqrt(u * (u + 2.0))
-    safe = np.maximum(wn, 1e-300)
-    v = np.where(d < 1e-12, 0.0, d * w / safe)
-    return v
+    return log_at(x, y, z).data
 
 
 def exp_map(x: np.ndarray, v: np.ndarray, zeta, validate: bool = True) -> np.ndarray:
-    """Follow the geodesic from x with initial velocity v for unit time."""
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    """Follow the geodesic from x with initial velocity v for unit time (``exp_at``)."""
     z = as_zeta(zeta)
     if validate:
         check_on_manifold(x, z)
         check_tangent(v, x)
-    nv = lorentz_norm(v, keepdims=True)
-    t = nv / z
-    safe = np.maximum(nv, 1e-300)
-    out = np.cosh(t) * x + z * np.sinh(t) * (v / safe)
-    return np.where(nv < 1e-300, x, out)
-
-
-def parallel_transport(
-    x: np.ndarray, y: np.ndarray, v: np.ndarray, zeta, validate: bool = True
-) -> np.ndarray:
-    """Move tangent vector v from T_x to T_y along the connecting geodesic.
-
-    P(v) = v + <y, v>_L / (zeta^2 - <x, y>_L) * (x + y); a linear isometry
-    of tangent spaces.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    z = as_zeta(zeta)
-    if validate:
-        check_on_manifold(x, z)
-        check_on_manifold(y, z)
-        check_tangent(v, x)
-    num = lorentz_inner(y, v, keepdims=True)
-    den = z * z - lorentz_inner(x, y, keepdims=True)  # >= 2*zeta^2 > 0
-    return v + (num / den) * (x + y)
-
-
-def tangent_from_euclidean(w: np.ndarray) -> np.ndarray:
-    """Lift a Euclidean vector w in R^n to (0, w), tangent at the origin."""
-    w = np.asarray(w, dtype=np.float64)
-    zeros = np.zeros(w.shape[:-1] + (1,), dtype=np.float64)
-    return np.concatenate([zeros, w], axis=-1)
+    return exp_at(x, v, z).data
 
 
 def to_hyperboloid(w: np.ndarray, zeta) -> np.ndarray:
     """Map Euclidean features to the manifold: exp at the origin of (0, w)."""
-    w = np.asarray(w, dtype=np.float64)
-    z = as_zeta(zeta)
-    r = np.linalg.norm(w, axis=-1, keepdims=True)
-    safe = np.maximum(r, 1e-300)
-    x0 = z * np.cosh(r / z)
-    xs = z * np.sinh(r / z) * (w / safe)
-    xs = np.where(r < 1e-300, 0.0, xs)
-    return np.concatenate([x0, xs], axis=-1)
+    return exp_origin(w, as_zeta(zeta)).data
 
 
 def to_tangent_coords(x: np.ndarray, zeta) -> np.ndarray:
-    """Spatial coordinates of log at the origin: the inverse of to_hyperboloid.
-
-    Uses the cancellation-free radius arccosh(x0/zeta) with
-    x0/zeta - 1 = |x_s|^2 / (zeta * (x0 + zeta)).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    z = as_zeta(zeta)
-    xs = x[..., 1:]
-    s = np.linalg.norm(xs, axis=-1, keepdims=True)
-    u = s * s / (z * (x[..., :1] + z))
-    d = z * _acosh1p(u)
-    safe = np.maximum(s, 1e-300)
-    return np.where(s < 1e-300, 0.0, d * xs / safe)
+    """Spatial coordinates of log at the origin: the inverse of to_hyperboloid."""
+    return log_origin(x, as_zeta(zeta)).data
 
 
 def transfer_curvature(x: np.ndarray, zeta_from, zeta_to) -> np.ndarray:
@@ -261,14 +271,3 @@ def transfer_curvature(x: np.ndarray, zeta_from, zeta_to) -> np.ndarray:
     if z0 == z1:
         return np.asarray(x, dtype=np.float64).copy()
     return to_hyperboloid(to_tangent_coords(x, z0), z1)
-
-
-def project_to_manifold(raw: np.ndarray, zeta) -> np.ndarray:
-    """Renormalize after float drift: recompute x0 from the spatial part."""
-    raw = np.asarray(raw, dtype=np.float64)
-    z = as_zeta(zeta)
-    xs = raw[..., 1:]
-    if not np.all(np.isfinite(xs)):
-        raise ManifoldError("non-finite spatial coordinates")
-    x0 = np.sqrt(z * z + (xs * xs).sum(axis=-1, keepdims=True))
-    return np.concatenate([x0, xs], axis=-1)

@@ -116,24 +116,6 @@ class QTables:
     def solve(self, state: tuple) -> NashSolution:
         return nash_equilibrium_2x2(*self.stage_game(state))
 
-    def states(self):
-        return set(self._tables[HGNN]) | set(self._tables[ACE])
-
-    def to_jsonable(self) -> dict:
-        return {
-            "hgnn": {",".join(map(str, s)): t.tolist() for s, t in self._tables[HGNN].items()},
-            "ace": {",".join(map(str, s)): t.tolist() for s, t in self._tables[ACE].items()},
-        }
-
-    @classmethod
-    def from_jsonable(cls, blob: dict) -> "QTables":
-        out = cls()
-        for agent, key in ((HGNN, "hgnn"), (ACE, "ace")):
-            for s, t in blob[key].items():
-                state = tuple(int(x) for x in s.split(","))
-                out._tables[agent][state] = np.asarray(t, dtype=np.float64)
-        return out
-
 
 def nash_value(tables: QTables, state: tuple, agent: int) -> float:
     """pi1' Q_agent pi2 at the state's equilibrium strategies."""

@@ -29,7 +29,7 @@ from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -273,15 +273,11 @@ def _restore_model(model: layers.HyperbolicGNN, blob: dict) -> None:
         model.b_cls.data = np.asarray(blob["b_cls"], dtype=np.float64)
 
 
-def build_checkpoint(config: RunConfig, model, optimizer, tables, rng_states,
-                     epoch: int, best_val: float) -> dict:
+def build_checkpoint(config: RunConfig, model, epoch: int, best_val: float) -> dict:
     return {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(config),
         "model": _snapshot_model(model),
-        "optimizer": optimizer.state_dict(),
-        "qtables": tables.to_jsonable(),
-        "rng_states": rng_states,
         "epoch": epoch,
         "best_val_metric": best_val,
     }
@@ -490,13 +486,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     final_distortion = curvature.embedding_distortion(
         msg_g, final_emb, model.zetas[-1]).mean_distortion
 
-    rng_states = {
-        "dropout": drop_rng.bit_generator.state,
-        "negatives": neg_rng.bit_generator.state,
-        "rl": rl_rng.bit_generator.state,
-    }
-    checkpoint = build_checkpoint(config, model, optimizer, tables, rng_states,
-                                  best_epoch, best_val)
+    checkpoint = build_checkpoint(config, model, best_epoch, best_val)
     result = TrainResult(records=records, trace=trace, best_val_metric=best_val,
                          best_epoch=best_epoch, test_metric=test_metric,
                          final_embeddings=final_emb,

@@ -1,0 +1,142 @@
+"""Reference geometry and per-node layer operations that only tests use.
+
+Closed forms the package does not need (parallel transport between two
+arbitrary points, the polar law of cosines and its large-radius shortcut,
+a drift projection) and one-node versions of what ``layers.layer_forward``
+does for every node at once (attention, aggregation, activation), plus
+the Fermi-Dirac score in numpy.
+"""
+
+import numpy as np
+
+from curvgnn import autodiff as ad, manifold
+from curvgnn.autodiff import Tensor
+from curvgnn.layers import _attention_scores
+
+
+# ---------------------------------------------------------------------------
+# hyperboloid closed forms
+# ---------------------------------------------------------------------------
+
+def parallel_transport(x, y, v, zeta, validate: bool = True) -> np.ndarray:
+    """Move tangent vector v from T_x to T_y along the connecting geodesic.
+
+    P(v) = v + <y, v>_L / (zeta^2 - <x, y>_L) * (x + y); a linear isometry
+    of tangent spaces.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    z = manifold.as_zeta(zeta)
+    if validate:
+        manifold.check_on_manifold(x, z)
+        manifold.check_on_manifold(y, z)
+        manifold.check_tangent(v, x)
+    num = manifold.lorentz_inner(y, v, keepdims=True)
+    den = z * z - manifold.lorentz_inner(x, y, keepdims=True)  # >= 2*zeta^2 > 0
+    return v + (num / den) * (x + y)
+
+
+def tangent_from_euclidean(w) -> np.ndarray:
+    """Lift a Euclidean vector w in R^n to (0, w), tangent at the origin."""
+    w = np.asarray(w, dtype=np.float64)
+    zeros = np.zeros(w.shape[:-1] + (1,), dtype=np.float64)
+    return np.concatenate([zeros, w], axis=-1)
+
+
+def project_to_manifold(raw, zeta) -> np.ndarray:
+    """Renormalize after float drift: recompute x0 from the spatial part."""
+    raw = np.asarray(raw, dtype=np.float64)
+    z = manifold.as_zeta(zeta)
+    xs = raw[..., 1:]
+    if not np.all(np.isfinite(xs)):
+        raise manifold.ManifoldError("non-finite spatial coordinates")
+    x0 = np.sqrt(z * z + (xs * xs).sum(axis=-1, keepdims=True))
+    return np.concatenate([x0, xs], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# polar coordinates on the 2-d hyperboloid
+# ---------------------------------------------------------------------------
+
+def polar_to_point(r: float, theta: float, zeta) -> np.ndarray:
+    """Point at geodesic radius r and angle theta on the 2-d hyperboloid."""
+    z = manifold.as_zeta(zeta)
+    return np.array([
+        z * np.cosh(r / z),
+        z * np.sinh(r / z) * np.cos(theta),
+        z * np.sinh(r / z) * np.sin(theta),
+    ])
+
+
+def polar_distance_exact(r: float, theta: float, r2: float, theta2: float,
+                         zeta) -> float:
+    """Hyperbolic law of cosines between (r, theta) and (r2, theta2)."""
+    z = manifold.as_zeta(zeta)
+    if r < 0 or r2 < 0:
+        raise ValueError("radii must be nonnegative")
+    arg = (np.cosh(r / z) * np.cosh(r2 / z)
+           - np.sinh(r / z) * np.sinh(r2 / z) * np.cos(theta - theta2))
+    return float(z * np.arccosh(np.clip(arg, 1.0, ad.ACOSH_ARG_MAX)))
+
+
+def polar_distance_approx(r: float, theta: float, r2: float, theta2: float,
+                          zeta) -> float:
+    """Large-radius shortcut r + r2 + 2 zeta ln sin(dtheta/2).
+
+    Valid when both radii are large relative to zeta and the angle gap is
+    not too small; undefined at dtheta = 0.
+    """
+    z = manifold.as_zeta(zeta)
+    half = 0.5 * abs(theta - theta2)
+    s = np.sin(half)
+    if s <= 0.0:
+        raise ValueError("approximation undefined at zero angular separation")
+    return float(r + r2 + 2.0 * z * np.log(s))
+
+
+# ---------------------------------------------------------------------------
+# one node of a layer
+# ---------------------------------------------------------------------------
+
+def attention_weights(h_center, h_neighbors, params, zeta: float) -> np.ndarray:
+    """Softmax attention of one node over its neighbor list (sums to 1)."""
+    h_neighbors = np.atleast_2d(np.asarray(h_neighbors, dtype=np.float64))
+    k = h_neighbors.shape[0]
+    pts = np.concatenate([np.asarray(h_center, dtype=np.float64)[None, :], h_neighbors])
+    tang = manifold.log_origin(Tensor(pts), zeta)
+    src = np.arange(1, k + 1, dtype=np.int64)
+    dst = np.zeros(k, dtype=np.int64)
+    scores = _attention_scores(tang, src, dst, params)
+    return ad.softmax(scores, axis=0).data.reshape(-1)
+
+
+def aggregate(h_center, h_neighbors, weights, zeta: float) -> np.ndarray:
+    """Weighted tangent-space average around h_center, mapped back."""
+    h_neighbors = np.atleast_2d(np.asarray(h_neighbors, dtype=np.float64))
+    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
+    center = np.asarray(h_center, dtype=np.float64)[None, :]
+    tang = manifold.log_map(center, h_neighbors, zeta, validate=False)
+    return manifold.exp_map(center, (w * tang).sum(axis=0, keepdims=True), zeta,
+                            validate=False)[0]
+
+
+def activation(h, zeta_from: float, zeta_to: float, fn: str = "relu") -> Tensor:
+    """Apply a Euclidean nonlinearity in the origin tangent space, then
+    re-wrap at the (possibly different) output curvature."""
+    tang = manifold.log_origin(ad.as_tensor(h), zeta_from)
+    if fn == "relu":
+        tang = ad.relu(tang)
+    elif fn != "identity":
+        raise ValueError(f"unknown activation {fn!r}")
+    return manifold.exp_origin(tang, zeta_to)
+
+
+def fermi_dirac_score(d, r: float, t: float):
+    """Edge probability 1 / (exp((d^2 - r)/t) + 1); decreasing in d."""
+    if t <= 0:
+        raise ValueError("temperature t must be positive")
+    d = np.asarray(d, dtype=np.float64)
+    z = (r - d * d) / t
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
+                    np.exp(z) / (1.0 + np.exp(z)))

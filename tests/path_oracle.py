@@ -3,12 +3,18 @@
 One scalar queue BFS tree per source (``_bfs_tree_loop``) and one
 python-level walk down it: the definition that ``_kernels.bfs_tree``,
 ``_kernels.bfs_path_sums`` and ``curvature.embedding_distortion`` must
-reproduce bit for bit.
+reproduce bit for bit. ``path_graph`` builds the simplest test input.
 """
 
 import numpy as np
 
-from curvgnn import manifold
+from curvgnn import graphs, manifold
+
+
+def path_graph(n: int) -> graphs.Graph:
+    """Nodes 0..n-1 joined in a line."""
+    edges = np.array([(i, i + 1) for i in range(n - 1)], dtype=np.int64)
+    return graphs.Graph.from_edges(n, edges)
 
 
 class DisconnectedError(ValueError):

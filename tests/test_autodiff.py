@@ -6,18 +6,20 @@ import pytest
 from curvgnn import autodiff as ad
 from curvgnn.autodiff import Adam, Tensor, backward
 
+from grad_oracle import finite_diff_check, grad_of
+
 
 def test_softmax_symmetry():
     assert ad.softmax(Tensor([0.0, 0.0])).data == pytest.approx([0.5, 0.5])
 
 
-def test_arccosh_derivative_closed_form():
-    g = ad.grad_of(lambda x: ad.tsum(ad.arccosh(x)), np.array([2.0]))
+def test_acosh1p_derivative_closed_form():
+    g = grad_of(lambda u: ad.tsum(ad.acosh1p(u)), np.array([1.0]))
     assert g[0] == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
 
 
 def test_quadratic_gradient():
-    g = ad.grad_of(lambda x: ad.tsum(x * x), np.array([1.0, 2.0, 3.0]))
+    g = grad_of(lambda x: ad.tsum(x * x), np.array([1.0, 2.0, 3.0]))
     assert g == pytest.approx([2.0, 4.0, 6.0])
 
 
@@ -74,7 +76,7 @@ def _scalarize(fn):
 RNG = np.random.default_rng(42)
 X_POS = np.abs(RNG.standard_normal((3, 4))) + 0.5
 X_ANY = RNG.standard_normal((3, 4))
-X_ACOSH = RNG.uniform(1.5, 4.0, (3, 4))
+X_ACOSH = RNG.uniform(0.5, 3.0, (3, 4))
 OTHER = RNG.standard_normal((3, 4))
 MAT = RNG.standard_normal((4, 5))
 IDX = np.array([0, 2, 1, 2])
@@ -93,7 +95,7 @@ PRIMITIVE_CASES = [
     ("log", ad.log, X_POS),
     ("cosh", ad.cosh, X_ANY),
     ("sinh", ad.sinh, X_ANY),
-    ("arccosh", ad.arccosh, X_ACOSH),
+    ("acosh1p", ad.acosh1p, X_ACOSH),
     ("sigmoid", ad.sigmoid, X_ANY),
     ("softplus", ad.softplus, X_ANY),
     ("relu", ad.relu, X_ANY + 0.1),  # keep away from the kink
@@ -116,33 +118,33 @@ PRIMITIVE_CASES = [
 
 @pytest.mark.parametrize("name,fn,x", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
 def test_primitive_vjp_matches_finite_differences(name, fn, x):
-    err = ad.finite_diff_check(_scalarize(fn), x)
+    err = finite_diff_check(_scalarize(fn), x)
     assert err < 1e-4, f"{name}: rel err {err}"
 
 
 def test_finite_diff_check_quadratic_is_exact():
-    err = ad.finite_diff_check(lambda t: ad.tsum(t * t), np.array([1.0, -2.0, 0.5]))
+    err = finite_diff_check(lambda t: ad.tsum(t * t), np.array([1.0, -2.0, 0.5]))
     assert err < 1e-9
 
 
 def test_finite_diff_through_hyperbolic_distance():
-    from curvgnn import layers
+    from curvgnn import manifold
 
     base = np.array([[0.4, -0.2, 0.7]])
 
     def f(t):
-        h = layers.exp_origin(t, 1.0)
-        o = layers.exp_origin(Tensor(np.zeros((1, 3))), 1.0)
-        return ad.tsum(layers.hyp_dist(o, h, 1.0))
+        h = manifold.exp_origin(t, 1.0)
+        o = manifold.exp_origin(Tensor(np.zeros((1, 3))), 1.0)
+        return ad.tsum(manifold.dist(o, h, 1.0))
 
-    assert ad.finite_diff_check(f, base) < 1e-4
+    assert finite_diff_check(f, base) < 1e-4
 
 
-def test_clamped_arccosh_near_boundary_stays_finite():
-    x = np.array([1.0 + 1e-9, 1.0 - 1e-9, 1.0])  # straddles the clamp
-    err = ad.finite_diff_check(_scalarize(ad.arccosh), x, h=1e-6)
+def test_clamped_acosh1p_near_boundary_stays_finite():
+    x = np.array([1e-9, -1e-9, 0.0])  # straddles the clamp
+    err = finite_diff_check(_scalarize(ad.acosh1p), x, h=1e-6)
     assert np.isfinite(err)
-    g = ad.grad_of(_scalarize(ad.arccosh), x)
+    g = grad_of(_scalarize(ad.acosh1p), x)
     assert np.all(np.isfinite(g))
 
 
@@ -214,22 +216,3 @@ def test_adam_weight_decay_shrinks_unused_weights():
         opt.zero_grad()
         opt.step()
     assert abs(w.data[0]) < 1.0
-
-
-def test_adam_state_roundtrip():
-    w1 = Tensor(np.array([2.0]), requires_grad=True)
-    opt1 = Adam([w1], lr=0.05)
-    for _ in range(5):
-        opt1.zero_grad()
-        backward(ad.tsum(w1 * w1))
-        opt1.step()
-    state = opt1.state_dict()
-
-    w2 = Tensor(w1.data.copy(), requires_grad=True)
-    opt2 = Adam([w2], lr=0.05)
-    opt2.load_state_dict(state)
-    for opt, w in ((opt1, w1), (opt2, w2)):
-        opt.zero_grad()
-        backward(ad.tsum(w * w))
-        opt.step()
-    assert w1.data == pytest.approx(w2.data, abs=0)

@@ -5,6 +5,7 @@ import pytest
 
 from curvgnn import curvature as C, graphs, manifold as M
 
+import geometry_oracle as geo
 import path_oracle
 
 
@@ -61,7 +62,7 @@ def test_deviation_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 def test_distortion_zero_on_single_edge():
-    g = graphs.path_graph(2)
+    g = path_oracle.path_graph(2)
     emb = M.to_hyperboloid(np.array([[0.0, 0.0], [1.0, 0.3]]), 1.0)
     rep = C.embedding_distortion(g, emb, 1.0)
     assert rep.mean_distortion == pytest.approx(0.0, abs=1e-12)
@@ -90,7 +91,7 @@ def brute_force_distortion(g, emb, zeta):
 
 
 def test_distortion_matches_brute_force_on_p4():
-    g = graphs.path_graph(4)
+    g = path_oracle.path_graph(4)
     rng = np.random.default_rng(3)
     emb = M.to_hyperboloid(rng.standard_normal((4, 3)), 1.0)
     rep = C.embedding_distortion(g, emb, 1.0)
@@ -105,6 +106,31 @@ def test_distortion_counts_excluded_pairs():
     rep = C.embedding_distortion(g, emb, 1.0)
     assert rep.pairs_used == 4      # the two edges, both directions
     assert rep.pairs_excluded == 8  # cross-component ordered pairs
+
+
+def test_distortion_excludes_zero_length_paths():
+    # adjacent nodes 1 and 3 share one embedding: their path sum is 0 and
+    # the pair has no ratio, so it is excluded in both orders
+    g = graphs.balanced_binary_tree(3)
+    emb = M.to_hyperboloid(np.random.default_rng(5).standard_normal((g.n_nodes, 3)), 1.0)
+    emb[3] = emb[1]
+    rep = C.embedding_distortion(g, emb, 1.0)
+    assert np.isfinite(rep.mean_distortion)
+    total, used, excluded = 0.0, 0, 0
+    for i in range(g.n_nodes):
+        g_row, hops = path_oracle.path_distance_row(g, emb, 1.0, i)
+        for j in range(g.n_nodes):
+            if i == j:
+                continue
+            if hops[j] < 0 or g_row[j] == 0.0:
+                excluded += 1
+                continue
+            dh = float(M.hyp_distance(emb[i], emb[j], 1.0, validate=False))
+            total += abs((dh / g_row[j]) ** 2 - 1.0)
+            used += 1
+    assert excluded == 2
+    assert (rep.pairs_used, rep.pairs_excluded) == (used, excluded)
+    assert rep.mean_distortion == pytest.approx(total / used, rel=1e-12)
 
 
 def test_distortion_requires_edges():
@@ -189,7 +215,7 @@ def test_estimate_near_zero_on_flat_configuration():
     # equally spaced collinear points: every interior node is the exact
     # midpoint of its two neighbors, so the deviation vanishes
     n = 40
-    g = graphs.path_graph(n)
+    g = path_oracle.path_graph(n)
     pts = np.zeros((n, 2))
     pts[:, 0] = np.arange(n) * 0.05
     emb = M.to_hyperboloid(pts, 1000.0)
@@ -283,7 +309,7 @@ def test_estimate_node_values_match_per_node_loop(n_s):
 
 
 def test_estimate_error_cases():
-    g = graphs.path_graph(3)  # only 3 nodes
+    g = path_oracle.path_graph(3)  # only 3 nodes
     emb = M.to_hyperboloid(np.zeros((3, 2)), 1.0)
     with pytest.raises(ValueError):
         C.estimate_kappa(g, emb, 1.0)
@@ -337,7 +363,7 @@ def test_remap_identity_roundtrip_origin():
 
 def test_polar_exact_antipodal_collapse():
     for zeta in (0.5, 1.0, 3.0):
-        d = C.polar_distance_exact(1.2, 0.0, 0.8, np.pi, zeta)
+        d = geo.polar_distance_exact(1.2, 0.0, 0.8, np.pi, zeta)
         assert d == pytest.approx(2.0, rel=1e-9)
 
 
@@ -347,15 +373,15 @@ def test_polar_exact_matches_manifold_distance():
         zeta = float(rng.uniform(0.3, 5.0))
         r1, r2 = rng.uniform(0, 3.0, 2)
         t1, t2 = rng.uniform(0, 2 * np.pi, 2)
-        want = float(M.hyp_distance(C.polar_to_point(r1, t1, zeta),
-                                    C.polar_to_point(r2, t2, zeta), zeta))
-        assert C.polar_distance_exact(r1, t1, r2, t2, zeta) == pytest.approx(
+        want = float(M.hyp_distance(geo.polar_to_point(r1, t1, zeta),
+                                    geo.polar_to_point(r2, t2, zeta), zeta))
+        assert geo.polar_distance_exact(r1, t1, r2, t2, zeta) == pytest.approx(
             want, rel=1e-9, abs=1e-9)
 
 
 def test_polar_approx_agrees_in_validity_regime():
-    exact = C.polar_distance_exact(5.0, 0.0, 5.0, np.pi / 2, 1.0)
-    approx = C.polar_distance_approx(5.0, 0.0, 5.0, np.pi / 2, 1.0)
+    exact = geo.polar_distance_exact(5.0, 0.0, 5.0, np.pi / 2, 1.0)
+    approx = geo.polar_distance_approx(5.0, 0.0, 5.0, np.pi / 2, 1.0)
     assert abs(exact - approx) / exact < 0.01
 
 
@@ -367,13 +393,13 @@ def test_polar_exact_euclidean_limit():
         planar = np.sqrt(r1**2 + r2**2 - 2 * r1 * r2 * np.cos(t1 - t2))
         if planar < 1e-2:
             continue
-        got = C.polar_distance_exact(r1, t1, r2, t2, 1000.0)
+        got = geo.polar_distance_exact(r1, t1, r2, t2, 1000.0)
         assert abs(got - planar) / planar < 1e-3
 
 
 def test_polar_approx_rejects_zero_angle():
     with pytest.raises(ValueError):
-        C.polar_distance_approx(1.0, 0.5, 2.0, 0.5, 1.0)
+        geo.polar_distance_approx(1.0, 0.5, 2.0, 0.5, 1.0)
 
 
 def test_tree_layout_is_on_manifold_with_unit_edges():

