@@ -6,12 +6,11 @@ network, scored by link-prediction or node-classification quality.
 """
 
 from . import autodiff, curvature, graphs, layers, manifold, nashq, training
-from .manifold import CurvatureParam
 from .training import RunConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "autodiff", "curvature", "graphs", "layers", "manifold", "nashq",
-    "training", "CurvatureParam", "RunConfig", "train",
+    "training", "RunConfig", "train",
 ]

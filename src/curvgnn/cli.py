@@ -87,13 +87,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-_TRAIN_FIELDS = (
-    "edge_path", "feature_path", "label_path", "synthetic_tree_depth", "task",
-    "seed", "epochs", "dim", "n_layers", "lr", "dropout", "zeta0", "gamma",
-    "alpha", "beta", "val_frac", "test_frac",
-)
-
-
 def _train_config(args) -> RunConfig:
     fields: dict = {}
     if args.config:

@@ -98,7 +98,7 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
         sources, first = np.unique(src, return_index=True)
         bounds = np.append(first, len(src))
 
-    indptr, indices = g.csr()
+    indptr, indices = g.indptr, g.indices
     owner = np.repeat(np.arange(n), np.diff(indptr))
     slot_len = manifold.hyp_distance(emb[owner], emb[indices], zeta, validate=False)
     block = _kernels.block_sources(indptr)
@@ -153,7 +153,7 @@ def sample_quadruples(g: graphs.Graph, n_s: int, rng: np.random.Generator):
     d(d-1) such pairs, and a is uniform over the n - 3 nodes outside
     {m, b, c}. Rows come node by node in ascending id, n_s rows each.
     """
-    indptr, indices = g.csr()
+    indptr, indices = g.indptr, g.indices
     deg = np.diff(indptr)
     m = np.repeat(np.flatnonzero(deg >= 2), n_s)
     d = deg[m]
@@ -251,15 +251,16 @@ def tree_layout_hyperbolic(g: graphs.Graph, zeta, edge_length: float = 1.0,
     """
     z = manifold.as_zeta(zeta)
     n = g.n_nodes
-    indptr, indices = g.csr()
+    indptr, indices = g.indptr, g.indices
     hops, parent, order = _kernels.bfs_tree(indptr, indices, root)
     if np.any(hops < 0):
         raise ValueError("tree layout requires a connected graph")
     pos = np.zeros((n, 3), dtype=np.float64)
     pos[root] = manifold.origin(2, z)
     for v in order:
-        children = [int(c) for c in g.neighbors[v] if parent[c] == v]
-        if not children:
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        children = nbrs[parent[nbrs] == v]
+        if not children.size:
             continue
         x = pos[v]
         k = len(children)

@@ -1,5 +1,9 @@
 """Graph data model, file ingestion, task splits, and hop-distance machinery.
 
+A graph is CSR adjacency (``indptr``, ``indices``) with each node's
+neighbours sorted; every reader (message passing, the kappa sampler, BFS
+kernels) takes those two arrays.
+
 File formats:
   * edge list  — UTF-8 text, one ``u<TAB>v`` pair of 0-based integer ids per
     line; ``#`` starts a comment; duplicate and reversed pairs collapse to a
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +40,18 @@ class DataError(ValueError):
 
 @dataclass
 class Graph:
-    """Undirected graph with dense node features and optional class labels."""
+    """Undirected graph as CSR adjacency, with optional features and labels.
+
+    Node v's neighbours are ``indices[indptr[v]:indptr[v + 1]]``, sorted
+    ascending (int64); every edge is stored in both directions and there
+    are no self-loops.
+    """
 
     n_nodes: int
-    neighbors: list  # per-node sorted int64 arrays, symmetric, no self-loops
+    indptr: np.ndarray
+    indices: np.ndarray
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
-    _csr: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges: np.ndarray,
@@ -51,16 +60,12 @@ class Graph:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
             raise DataError(f"edge endpoint out of range [0, {n_nodes})")
-        keep = edges[:, 0] != edges[:, 1]
-        edges = edges[keep]
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        und = np.unique(np.stack([lo, hi], axis=1), axis=0) if edges.size else edges
-        nbrs = [[] for _ in range(n_nodes)]
-        for u, v in und:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        neighbor_arrays = [np.array(sorted(a), dtype=np.int64) for a in nbrs]
+        u, v = edges[edges[:, 0] != edges[:, 1]].T
+        # each directed key once, in (owner, neighbour) order
+        keys = np.unique(np.concatenate([u * n_nodes + v, v * n_nodes + u]))
+        owner, indices = np.divmod(keys, n_nodes)
+        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=n_nodes), out=indptr[1:])
         if features is not None:
             features = np.asarray(features, dtype=np.float64)
             if features.shape[0] != n_nodes:
@@ -71,33 +76,21 @@ class Graph:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.shape[0] != n_nodes:
                 raise DataError(f"{labels.shape[0]} labels for {n_nodes} nodes")
-        return cls(n_nodes=n_nodes, neighbors=neighbor_arrays,
+        return cls(n_nodes=n_nodes, indptr=indptr, indices=indices,
                    features=features, labels=labels)
 
     @property
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.neighbors) // 2
+        return self.indices.size // 2
 
     def edge_array(self) -> np.ndarray:
         """All undirected edges as (m, 2) rows with u < v, sorted."""
-        indptr, indices = self.csr()
-        owner = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(indptr))
-        upper = owner < indices
-        return np.stack([owner[upper], indices[upper]], axis=1)
+        owner = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees())
+        upper = owner < self.indices
+        return np.stack([owner[upper], self.indices[upper]], axis=1)
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.neighbors], dtype=np.int64)
-
-    def csr(self):
-        """(indptr, indices) CSR adjacency view, the input of the graph kernels."""
-        if self._csr is None:
-            counts = self.degrees()
-            indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            indices = (np.concatenate(self.neighbors) if self.n_nodes and indptr[-1]
-                       else np.empty(0, dtype=np.int64))
-            self._csr = (indptr, indices.astype(np.int64))
-        return self._csr
+        return np.diff(self.indptr)
 
     def with_edges(self, edges: np.ndarray) -> "Graph":
         """Same nodes/features/labels, different edge set (e.g. train graph)."""
@@ -113,7 +106,6 @@ class EdgeSplit:
     test_pos: np.ndarray
     val_neg: np.ndarray
     test_neg: np.ndarray
-    rng_seed: int
 
 
 @dataclass
@@ -296,7 +288,7 @@ def make_lp_split(g: Graph, val_frac: float, test_frac: float, seed: int) -> Edg
     forbidden = set(_edge_keys(val_neg, g.n_nodes).tolist())
     test_neg = sample_negative_edges(g, n_test, rng, forbidden=forbidden)
     return EdgeSplit(train_pos=train_pos, val_pos=val_pos, test_pos=test_pos,
-                     val_neg=val_neg, test_neg=test_neg, rng_seed=seed)
+                     val_neg=val_neg, test_neg=test_neg)
 
 
 def make_nc_split(g: Graph, train_frac: float = 0.70, val_frac: float = 0.15,
@@ -328,13 +320,12 @@ def hop_distances(g: Graph, source: int) -> np.ndarray:
     """BFS hop counts from source; UNREACHABLE (-1) for other components."""
     if not (0 <= source < g.n_nodes):
         raise ValueError(f"source {source} out of range")
-    indptr, indices = g.csr()
-    return _kernels.bfs_hops(indptr, indices, [source])[0]
+    return _kernels.bfs_hops(g.indptr, g.indices, [source])[0]
 
 
 def hop_distance_matrix(g: Graph, nodes: np.ndarray | None = None) -> np.ndarray:
     """Stacked BFS rows (float64; unreachable mapped to +inf)."""
-    indptr, indices = g.csr()
+    indptr, indices = g.indptr, g.indices
     srcs = np.arange(g.n_nodes) if nodes is None else np.asarray(nodes)
     out = np.empty((len(srcs), g.n_nodes), dtype=np.float64)
     block = _kernels.block_sources(indptr)
@@ -405,7 +396,7 @@ def gromov_delta(g: Graph, mode: str = "exact", n_samples: int | None = None,
     row = row.reshape(n_samples, 6)
     col = quads[:, _QUAD_PAIRS[:, 1]]
     dist = np.empty((n_samples, 6), dtype=np.float64)
-    indptr, indices = sub.csr()
+    indptr, indices = sub.indptr, sub.indices
     block = _kernels.block_sources(indptr)
     for lo in range(0, len(srcs), block):
         hops = _kernels.bfs_hops(indptr, indices, srcs[lo:lo + block])

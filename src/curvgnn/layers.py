@@ -53,7 +53,6 @@ class ModelConfig:
     task: str = "lp"  # or "nc"
     fd_r: float = 2.0
     fd_t: float = 1.0
-    att_hidden: int | None = None
 
     def __post_init__(self):
         if self.n_layers < 1 or self.dim < 1:
@@ -71,15 +70,13 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_layer(rng: np.random.Generator, d_in: int, d_out: int, zeta: float,
-               att_hidden: int | None = None) -> LayerParams:
-    hid = att_hidden or d_out
+def init_layer(rng: np.random.Generator, d_in: int, d_out: int, zeta: float) -> LayerParams:
     return LayerParams(
         W=Tensor(_glorot(rng, d_in, d_out), requires_grad=True),
         b=Tensor(np.zeros(d_out), requires_grad=True),
-        att_w1=Tensor(_glorot(rng, 2 * d_out, hid), requires_grad=True),
-        att_b1=Tensor(np.zeros(hid), requires_grad=True),
-        att_w2=Tensor(_glorot(rng, hid, 1), requires_grad=True),
+        att_w1=Tensor(_glorot(rng, 2 * d_out, d_out), requires_grad=True),
+        att_b1=Tensor(np.zeros(d_out), requires_grad=True),
+        att_w2=Tensor(_glorot(rng, d_out, 1), requires_grad=True),
         att_b2=Tensor(np.zeros(1), requires_grad=True),
         zeta=zeta,
     )
@@ -90,7 +87,7 @@ def message_edges(g: Graph):
 
     Each dst's block holds its sorted neighbours followed by itself.
     """
-    nbr_ptr, nbrs = g.csr()
+    nbr_ptr, nbrs = g.indptr, g.indices
     nodes = np.arange(g.n_nodes, dtype=np.int64)
     # np.insert keeps equal positions in order, so isolated nodes stay sorted
     src = np.insert(nbrs, nbr_ptr[1:], nodes)
@@ -166,8 +163,7 @@ class HyperbolicGNN:
         self.layers: list[LayerParams] = []
         d_prev = in_dim
         for _ in range(config.n_layers):
-            self.layers.append(init_layer(rng, d_prev, config.dim, zeta0,
-                                          config.att_hidden))
+            self.layers.append(init_layer(rng, d_prev, config.dim, zeta0))
             d_prev = config.dim
         self.W_cls = None
         self.b_cls = None

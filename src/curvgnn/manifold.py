@@ -30,7 +30,6 @@ for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,34 +46,9 @@ class ManifoldError(ValueError):
     """Raised when inputs violate a manifold precondition."""
 
 
-@dataclass(frozen=True)
-class CurvatureParam:
-    """Positive curvature parameter zeta; the space has curvature -1/zeta^2."""
-
-    zeta: float
-    zeta_min: float = DEFAULT_ZETA_MIN
-    zeta_max: float = DEFAULT_ZETA_MAX
-
-    def __post_init__(self):
-        if not (self.zeta_min > 0 and self.zeta_min <= self.zeta_max):
-            raise ManifoldError(f"bad curvature bounds [{self.zeta_min}, {self.zeta_max}]")
-        if not (self.zeta_min <= self.zeta <= self.zeta_max):
-            raise ManifoldError(
-                f"zeta={self.zeta} outside [{self.zeta_min}, {self.zeta_max}]"
-            )
-
-    @property
-    def kappa(self) -> float:
-        return -1.0 / (self.zeta * self.zeta)
-
-    def clamped(self, zeta: float) -> "CurvatureParam":
-        z = min(max(zeta, self.zeta_min), self.zeta_max)
-        return CurvatureParam(z, self.zeta_min, self.zeta_max)
-
-
 def as_zeta(zeta) -> float:
-    """Accept a float or a CurvatureParam; return the positive scalar."""
-    z = zeta.zeta if isinstance(zeta, CurvatureParam) else float(zeta)
+    """Return zeta as a positive, finite float."""
+    z = float(zeta)
     if not (z > 0) or not math.isfinite(z):
         raise ManifoldError(f"curvature parameter must be positive and finite, got {z}")
     return z

@@ -16,8 +16,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-BEST_RESPONSE_TOL = 1e-9
-
 
 class HgnnAction(IntEnum):
     ADOPT = 0  # take the proposed curvatures for the next epoch

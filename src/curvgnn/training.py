@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,18 +161,17 @@ def roc_auc(scores, labels) -> float:
 
 
 def micro_f1(pred_classes, true_classes) -> float:
-    """Micro-averaged F1; equals accuracy for single-label classification."""
+    """Micro-averaged F1, returned as accuracy.
+
+    With one label per node every wrong prediction is one false positive and
+    one false negative, so micro precision = micro recall = accuracy, and so
+    is their harmonic mean.
+    """
     pred = np.asarray(pred_classes)
     true = np.asarray(true_classes)
     if pred.shape != true.shape or pred.size == 0:
         raise ValueError("predictions and targets must align and be nonempty")
-    tp = int((pred == true).sum())
-    fp = pred.size - tp  # every wrong prediction is one FP and one FN
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fp)
-    if precision + recall == 0:
-        return 0.0
-    return float(2 * precision * recall / (precision + recall))
+    return int((pred == true).sum()) / pred.size
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +307,7 @@ def _prepare(config: RunConfig):
     if g.features is None:
         raise graphs.DataError("training requires node features")
     if config.normalize_features:
-        g = graphs.Graph(g.n_nodes, g.neighbors,
-                         _cap_feature_norms(g.features), g.labels)
+        g = replace(g, features=_cap_feature_norms(g.features))
     task = _build_task(config, g)
     n_classes = None
     if config.task == "nc":

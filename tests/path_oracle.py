@@ -1,9 +1,11 @@
-"""Per-source reference for BFS trees and embedded path-sum distances.
+"""Loop references for the adjacency build, BFS trees and path-sum distances.
 
-One scalar queue BFS tree per source (``_bfs_tree_loop``) and one
-python-level walk down it: the definition that ``_kernels.bfs_tree``,
-``_kernels.bfs_path_sums`` and ``curvature.embedding_distortion`` must
-reproduce bit for bit. ``path_graph`` builds the simplest test input.
+``csr_loop`` builds sorted neighbour lists one edge at a time: the
+adjacency that ``graphs.Graph.from_edges`` must reproduce. One scalar queue
+BFS tree per source (``_bfs_tree_loop``) and one python-level walk down it
+are the definition that ``_kernels.bfs_tree``, ``_kernels.bfs_path_sums``
+and ``curvature.embedding_distortion`` must reproduce bit for bit.
+``path_graph`` builds the simplest test input.
 """
 
 import numpy as np
@@ -15,6 +17,29 @@ def path_graph(n: int) -> graphs.Graph:
     """Nodes 0..n-1 joined in a line."""
     edges = np.array([(i, i + 1) for i in range(n - 1)], dtype=np.int64)
     return graphs.Graph.from_edges(n, edges)
+
+
+def csr_loop(n_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the undirected graph on n_nodes, edge by edge.
+
+    Self-loops are dropped and each unordered pair is kept once; both
+    directions are stored and every node's neighbours come sorted.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = {(min(u, v), max(u, v)) for u, v in edges.tolist() if u != v}
+    nbrs = [[] for _ in range(n_nodes)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in nbrs], out=indptr[1:])
+    indices = np.array([v for a in nbrs for v in sorted(a)], dtype=np.int64)
+    return indptr, indices
+
+
+def adjacent(g: graphs.Graph, v: int) -> np.ndarray:
+    """Sorted neighbours of node v: its slice of the CSR arrays."""
+    return g.indices[g.indptr[v]:g.indptr[v + 1]]
 
 
 class DisconnectedError(ValueError):
@@ -85,7 +110,7 @@ def path_distance_row(g, emb, zeta, source):
     length of a path is the sum of hyperbolic distances over consecutive
     node pairs. Returns (lengths, hops); unreachable nodes carry +inf.
     """
-    indptr, indices = g.csr()
+    indptr, indices = g.indptr, g.indices
     hops, parent, order = _bfs_tree_loop(indptr, indices, int(source))
     has_parent = parent >= 0
     step = np.zeros(g.n_nodes, dtype=np.float64)

@@ -9,7 +9,7 @@ import numpy as np
 
 
 def has_edge(g, u: int, v: int) -> bool:
-    nu = g.neighbors[u]
+    nu = g.indices[g.indptr[u]:g.indptr[u + 1]]
     i = np.searchsorted(nu, v)
     return i < len(nu) and nu[i] == v
 

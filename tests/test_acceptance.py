@@ -22,6 +22,7 @@ from curvgnn.training import RunConfig, roc_auc, train
 import geometry_oracle as geo
 import path_oracle
 from grad_oracle import finite_diff_check
+from test_nashq import BEST_RESPONSE_TOL
 
 
 def report(num, ok, detail):
@@ -326,7 +327,7 @@ def test_criterion_5_nash_q_suite():
             hits += 1
 
     elapsed = time.perf_counter() - t0
-    ok = (worst_gap <= nashq.BEST_RESPONSE_TOL and pennies_exact and hits >= 95
+    ok = (worst_gap <= BEST_RESPONSE_TOL and pennies_exact and hits >= 95
           and elapsed < 60.0)
     report(5, ok, f"best-response gap {worst_gap:.2e}, pennies exact "
                   f"{pennies_exact}, bandit {hits}/100, {elapsed:.1f}s")

@@ -239,7 +239,8 @@ def test_quadruple_sampler_structure():
         eligible = np.flatnonzero(g.degrees() >= 2)
         assert np.array_equal(m, np.repeat(eligible, n_s))
         for mi, ai, bi, ci in zip(m, a, b, c):
-            assert bi != ci and bi in g.neighbors[mi] and ci in g.neighbors[mi]
+            nbrs = path_oracle.adjacent(g, mi)
+            assert bi != ci and bi in nbrs and ci in nbrs
             assert 0 <= ai < n and ai not in (mi, bi, ci)
 
 
@@ -253,7 +254,7 @@ def test_quadruple_sampler_frequencies_are_uniform():
         m, a, b, c = C.sample_quadruples(g, n_s, np.random.default_rng(seed))
         for node in (0, 4, 5, 6):
             rows = m == node
-            nbrs = g.neighbors[node]
+            nbrs = path_oracle.adjacent(g, node)
             d = len(nbrs)
             pair = np.searchsorted(nbrs, b[rows]) * d + np.searchsorted(nbrs, c[rows])
             freq = np.bincount(pair, minlength=d * d).reshape(d, d)

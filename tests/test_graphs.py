@@ -93,12 +93,50 @@ def test_edge_array_matches_loop_reference():
     rng = np.random.default_rng(4)
     for trial in range(60):
         n = int(rng.integers(1, 30))
-        g = random_multigraph(rng, n, int(rng.integers(0, 3 * n)))
-        want = np.array([(u, v) for u in range(n) for v in g.neighbors[u] if u < v],
-                        dtype=np.int64).reshape(-1, 2)
-        got = g.edge_array()
+        edges = messy_edges(rng, n, int(rng.integers(0, 3 * n)))
+        indptr, indices = path_oracle.csr_loop(n, edges)
+        want = np.array([(u, v) for u in range(n) for v in indices[indptr[u]:indptr[u + 1]]
+                         if u < v], dtype=np.int64).reshape(-1, 2)
+        got = Graph.from_edges(n, edges).edge_array()
         assert got.dtype == np.int64 and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def messy_edges(rng, n, m):
+    """m endpoint pairs below a random id cap (ids above it stay isolated),
+    with some pairs repeated, some reversed and some turned into self-loops."""
+    hi = int(rng.integers(1, n + 1))
+    edges = rng.integers(0, hi, size=(m, 2))
+    if m:
+        picks = rng.integers(0, m, size=(3, max(1, m // 4)))
+        edges = np.concatenate([edges, edges[picks[0]], edges[picks[1], ::-1]])
+        edges[picks[2], 1] = edges[picks[2], 0]
+    return edges[rng.permutation(len(edges))]
+
+
+def test_from_edges_matches_loop_reference():
+    rng = np.random.default_rng(8)
+    cases = [(1, np.empty((0, 2), dtype=np.int64)), (1, np.array([[0, 0]])),
+             (5, np.empty((0, 2), dtype=np.int64)), (4, np.array([[2, 1], [1, 2], [1, 1]]))]
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        cases.append((n, messy_edges(rng, n, int(rng.integers(0, 4 * n)))))
+    for n, edges in cases:
+        g = Graph.from_edges(n, edges)
+        want_ptr, want_idx = path_oracle.csr_loop(n, edges)
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        assert np.array_equal(g.indptr, want_ptr) and np.array_equal(g.indices, want_idx)
+        assert g.n_edges == len(want_idx) // 2
+        assert np.array_equal(g.degrees(), np.diff(want_ptr))
+        owner = np.repeat(np.arange(n), np.diff(want_ptr))
+        want_edges = np.stack([owner, want_idx], axis=1)[owner < want_idx]
+        assert np.array_equal(g.edge_array(), want_edges)
+
+
+def test_from_edges_rejects_out_of_range_endpoints():
+    for n, edges in ((3, [[0, 3]]), (3, [[-1, 2]]), (1, [[0, 1]])):
+        with pytest.raises(DataError, match="out of range"):
+            Graph.from_edges(n, np.array(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +286,7 @@ def floyd_warshall(g: Graph):
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
     for u in range(n):
-        for v in g.neighbors[u]:
+        for v in path_oracle.adjacent(g, u):
             d[u, v] = 1.0
     for k in range(n):
         d = np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :])
@@ -305,7 +343,7 @@ def brute_force_path_distance(g, emb, zeta, i, j):
             if best is None or len(path) < len(best):
                 best = path
             continue
-        for nxt in g.neighbors[node]:
+        for nxt in path_oracle.adjacent(g, node):
             if nxt not in path:
                 stack.append((int(nxt), path + [int(nxt)]))
     assert best is not None

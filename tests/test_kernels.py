@@ -37,7 +37,7 @@ def test_bfs_hops_match_floyd_warshall():
     cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]]))]
     cases += [multi_component_graph(rng) for _ in range(8)]
     for g in cases:
-        indptr, indices = g.csr()
+        indptr, indices = g.indptr, g.indices
         n = g.n_nodes
         fw = floyd_warshall(g)
         sources = rng.permutation(n)
@@ -51,7 +51,8 @@ def test_bfs_hops_match_floyd_warshall():
 
 
 def test_bfs_hops_rejects_out_of_range_sources():
-    indptr, indices = path_oracle.path_graph(4).csr()
+    g = path_oracle.path_graph(4)
+    indptr, indices = g.indptr, g.indices
     for bad in ([4], [0, -1]):
         with pytest.raises(ValueError):
             _kernels.bfs_hops(indptr, indices, bad)
@@ -62,7 +63,7 @@ def test_bfs_tree_matches_loop_reference():
     cases = [multi_component_graph(rng) for _ in range(6)]
     cases += [random_tree(rng, 40), graphs.cycle_graph(9), graphs.balanced_binary_tree(4)]
     for g in cases:
-        indptr, indices = g.csr()
+        indptr, indices = g.indptr, g.indices
         for s in range(g.n_nodes):
             hops, parent, order = _kernels.bfs_tree(indptr, indices, s)
             want_hops, want_parent, _ = path_oracle._bfs_tree_loop(indptr, indices, s)
@@ -93,7 +94,7 @@ def test_delta_exact_matches_brute_force():
 def sampled_delta_loop(g, n_samples, seed):
     """Sampled four-point delta, one quadruple and its BFS rows at a time."""
     sub = graphs._largest_component_subgraph(g)
-    indptr, indices = sub.csr()
+    indptr, indices = sub.indptr, sub.indices
     rng = np.random.default_rng(seed)
     rows = {}
     best = 0.0
@@ -151,9 +152,9 @@ def _tree_path_sums(indptr, indices, source, slot_len):
 
 def test_bfs_path_sums_matches_per_source_trees():
     rng = np.random.default_rng(3)
-    cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]])).csr()]
-    cases += [multi_component_graph(rng).csr() for _ in range(8)]
-    for indptr, indices in cases:
+    cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]]))]
+    cases += [multi_component_graph(rng) for _ in range(8)]
+    for indptr, indices in ((g.indptr, g.indices) for g in cases):
         n = len(indptr) - 1
         slot_len = rng.random(len(indices))  # one length per direction of each edge
         sources = rng.permutation(n)

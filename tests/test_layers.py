@@ -185,9 +185,10 @@ def test_model_forward_constraint_residuals():
 def message_edges_reference(g):
     src, dst, counts = [], [], []
     for i in range(g.n_nodes):
-        src.extend(g.neighbors[i].tolist() + [i])
-        dst.extend([i] * (len(g.neighbors[i]) + 1))
-        counts.append(len(g.neighbors[i]) + 1)
+        nbrs = path_oracle.adjacent(g, i).tolist()
+        src.extend(nbrs + [i])
+        dst.extend([i] * (len(nbrs) + 1))
+        counts.append(len(nbrs) + 1)
     return (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
             np.concatenate([[0], np.cumsum(counts)]).astype(np.int64))
 

@@ -332,16 +332,6 @@ def test_euclidean_limit_at_large_zeta():
     assert np.max(np.abs(d_h[keep] - d_e[keep]) / d_e[keep]) < 1e-3
 
 
-def test_curvature_param_invariants():
-    cp = M.CurvatureParam(2.0)
-    assert cp.kappa == -0.25
-    with pytest.raises(M.ManifoldError):
-        M.CurvatureParam(0.05)  # below default lower bound
-    with pytest.raises(M.ManifoldError):
-        M.CurvatureParam(-1.0, zeta_min=-2.0, zeta_max=5.0)
-    assert M.CurvatureParam(1.0).clamped(99.0).zeta == M.DEFAULT_ZETA_MAX
-
-
 def test_as_zeta_rejects_bad_values():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(M.ManifoldError):

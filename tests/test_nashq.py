@@ -25,6 +25,9 @@ def test_discretize_basics():
 # equilibrium solver
 # ---------------------------------------------------------------------------
 
+BEST_RESPONSE_TOL = 1e-9  # largest gain from a unilateral deviation at a solution
+
+
 def best_response_gap(q1, q2, pi1, pi2):
     """Max payoff an agent could gain by deviating unilaterally."""
     q1, q2 = np.asarray(q1, float), np.asarray(q2, float)
@@ -58,7 +61,7 @@ def test_random_games_produce_mutual_best_responses():
         q2 = rng.uniform(-1, 1, (2, 2))
         sol = nash_equilibrium_2x2(q1, q2)
         gap = best_response_gap(q1, q2, sol.pi_hgnn, sol.pi_ace)
-        assert gap <= nashq.BEST_RESPONSE_TOL
+        assert gap <= BEST_RESPONSE_TOL
 
 
 def test_pure_selection_prefers_highest_joint_payoff_then_index():
