@@ -176,7 +176,7 @@ def _cmd_distortion(args) -> int:
 
 def _cmd_estimate(args) -> int:
     g = graphs.load_graph(args.edges)
-    emb = np.load(args.embeddings)
+    emb = _load_embeddings(args, g)
     est = curvature.estimate_kappa(g, emb, args.zeta, n_s=args.samples,
                                    seed=args.seed)
     print(f"{est.kappa:.6g}")

@@ -23,6 +23,9 @@ KAPPA_CEILING = -1e-4  # estimates are clamped below this before 1/sqrt(-kappa)
 
 DISTORTION_EXACT_LIMIT = 2000  # above this many nodes, pairs are sampled
 DISTORTION_SAMPLE_FACTOR = 100  # sampled pair count = factor * |V|
+# coordinates per distance call in embedding_distortion: bounds the temporaries
+# of one call (~256 KB each), which are slower once they fall out of cache
+DISTANCE_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -102,30 +105,37 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
     owner = np.repeat(np.arange(n), np.diff(indptr))
     slot_len = manifold.hyp_distance(emb[owner], emb[indices], zeta, validate=False)
     block = _kernels.block_sources(indptr)
+    chunk = max(1, DISTANCE_CHUNK_ELEMENTS // emb.shape[1])
     total = 0.0
     used = 0
     for lo in range(0, len(sources), block):
         hops, g_rows = _kernels.bfs_path_sums(indptr, indices, sources[lo:lo + block],
                                               slot_len)
-        for row, i in enumerate(sources[lo:lo + block]):
-            if exact:
-                targets = np.flatnonzero(hops[row] > 0)
-                excluded += n - 1 - len(targets)
-            else:
-                targets = dst[bounds[lo + row]:bounds[lo + row + 1]]
-                ok = hops[row, targets] > 0
-                excluded += int((~ok).sum())
-                targets = targets[ok]
-            g_row = g_rows[row, targets]
-            ok = g_row > 0
+        if exact:
+            reach = hops > 0
+            excluded += (n - 1) * len(hops) - int(reach.sum())
+            rows, targets = np.nonzero(reach)
+        else:
+            per_row = np.diff(bounds[lo:lo + len(hops) + 1])
+            rows = np.repeat(np.arange(len(hops)), per_row)
+            targets = dst[bounds[lo]:bounds[lo + len(hops)]]
+            ok = hops[rows, targets] > 0
             excluded += int((~ok).sum())
-            targets, g_row = targets[ok], g_row[ok]
-            if not len(targets):
-                continue
-            d_row = manifold.hyp_distance(emb[i], emb[targets], zeta, validate=False)
-            ratio = (d_row / g_row) ** 2
-            total += float(np.abs(ratio - 1.0).sum())
-            used += len(targets)
+            rows, targets = rows[ok], targets[ok]
+        g_pair = g_rows[rows, targets]
+        ok = g_pair > 0
+        excluded += int((~ok).sum())
+        rows, targets, g_pair = rows[ok], targets[ok], g_pair[ok]
+        d = np.empty(len(rows))
+        for s in range(0, len(rows), chunk):
+            pairs = slice(s, s + chunk)
+            d[pairs] = manifold.hyp_distance(emb[sources[lo + rows[pairs]]],
+                                             emb[targets[pairs]], zeta, validate=False)
+        ratio = (d / g_pair) ** 2
+        # one sum per source row, in row order, as the per-row loop did
+        for part in np.split(np.abs(ratio - 1.0), np.flatnonzero(np.diff(rows)) + 1):
+            total += float(part.sum())
+        used += len(rows)
     if used == 0:
         raise ValueError("no connected node pairs" if exact
                          else "no connected node pairs in the sample")

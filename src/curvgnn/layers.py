@@ -1,15 +1,24 @@
 """Hyperbolic GNN layers with per-layer curvature, decoders, and losses.
 
 The geometry comes from the tape ops of ``manifold`` (exp and log at the
-origin, the exp and log maps, transport from the origin, the distance), so
-gradients flow to the Euclidean parameters and the decoder scores the same
-distances as the diagnostics. Every trainable parameter (weights, biases,
-attention) lives in tangent space at the origin; curvature parameters are
-plain floats managed outside gradient descent.
+origin, the exp map, the weighted sum of log maps, transport from the
+origin, the distance), so gradients flow to the Euclidean parameters and
+the decoder scores the same distances as the diagnostics. Every trainable
+parameter (weights, biases, attention) lives in tangent space at the
+origin; curvature parameters are plain floats managed outside gradient
+descent.
 
-Message passing is edge-vectorized: per-layer work is a handful of
-batched tensor ops over flattened adjacency (with injected self-loops),
-never a dense attention matrix.
+Message passing runs over flattened adjacency with injected self-loops,
+never a dense attention matrix, and keeps on the E message edges only what
+needs a pair of endpoints:
+
+* per node (n rows): the linear transform and bias, log at the origin,
+  both halves of the attention projection, the exp map of the aggregate,
+  the activation;
+* per edge (E rows): the sum of the two gathered projections, its relu and
+  output score, the segment softmax, and in ``manifold.sum_logs`` the
+  distance coefficient of each log map plus the weighted source rows. The
+  log map vectors themselves are never formed per edge.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .graphs import Graph
-from .manifold import dist, exp_at, exp_origin, log_at, log_origin, transport_from_origin
+from .manifold import (dist, exp_at, exp_origin, log_origin, sum_logs,
+                       transport_from_origin)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +123,17 @@ def linear_transform(h, W, b, zeta: float) -> Tensor:
 
 
 def _attention_scores(tang, src, dst, params: LayerParams) -> Tensor:
-    feat = ad.concat([ad.gather_rows(tang, dst), ad.gather_rows(tang, src)], axis=-1)
-    hidden = ad.relu(ad.matmul(feat, params.att_w1) + params.att_b1)
+    """MLP score of [tang_dst, tang_src] per edge, shape (E, 1).
+
+    The first layer is linear, so each half of att_w1 multiplies the n node
+    rows once; per edge only the sum of two gathered rows, the relu and the
+    (d, 1) output projection remain.
+    """
+    d = tang.data.shape[-1]
+    halves = np.arange(2 * d).reshape(2, d)
+    proj_dst = ad.matmul(tang, ad.gather_rows(params.att_w1, halves[0])) + params.att_b1
+    proj_src = ad.matmul(tang, ad.gather_rows(params.att_w1, halves[1]))
+    hidden = ad.relu(ad.gather_rows(proj_dst, dst) + ad.gather_rows(proj_src, src))
     return ad.matmul(hidden, params.att_w2) + params.att_b2
 
 
@@ -139,8 +158,7 @@ def layer_forward(h, g: Graph, params: LayerParams, zeta_in: float, zeta_out: fl
     h1 = linear_transform(h, params.W, params.b, zeta_in)
     tang0 = log_origin(h1, zeta_in)
     w = _segment_softmax(_attention_scores(tang0, src, dst, params), dst, indptr)
-    nbr_tang = log_at(ad.gather_rows(h1, dst), ad.gather_rows(h1, src), zeta_in)
-    pulled = ad.segment_sum(w * nbr_tang, indptr)
+    pulled = sum_logs(h1, src, dst, indptr, w, zeta_in)
     h2 = exp_at(h1, pulled, zeta_in)
     tang = log_origin(h2, zeta_in)
     if training and dropout > 0.0:

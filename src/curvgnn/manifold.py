@@ -17,6 +17,7 @@ exp at the origin        ``exp_origin``              ``to_hyperboloid``
 log at the origin        ``log_origin``              ``to_tangent_coords``
 geodesic distance        ``dist``                    ``hyp_distance``
 log map at x             ``log_at``                  ``log_map``
+weighted log-map sum     ``sum_logs``
 exp map at x             ``exp_at``                  ``exp_map``
 transport from origin    ``transport_from_origin``
 Lorentz product          ``autodiff.lorentz_inner``  ``lorentz_inner``
@@ -159,17 +160,43 @@ def dist(x, y, zeta: float) -> Tensor:
     return ad.scale(ad.acosh1p(_acosh1p_arg(x, y, zeta, keepdims=False)), zeta)
 
 
+def _log_coef(x: Tensor, y: Tensor, zeta: float):
+    """c and u with log_x(y) = c (y - (1 + u) x) and u as in _acosh1p_arg.
+
+    c = d(x, y) / |y - (1 + u) x|_L, where the norm is zeta * sqrt(u (u + 2))
+    identically; taking it from u avoids the cancellation of the huge
+    components far from the base point, and zeta cancels. c is 0 when the
+    points coincide.
+    """
+    u = _acosh1p_arg(x, y, zeta, keepdims=True)
+    return ad.acosh1p(u) / ad.sqrt(u * (u + 2.0) + ad.NORM_GUARD), u
+
+
 def log_at(x, y, zeta: float) -> Tensor:
     """Tangent vector at x pointing to y, with Lorentz norm d(x, y); zero
     when the points coincide."""
     x, y = ad.as_tensor(x), ad.as_tensor(y)
-    u = _acosh1p_arg(x, y, zeta, keepdims=True)
-    d = ad.scale(ad.acosh1p(u), zeta)
-    w = y - (u + 1.0) * x
-    # |w|_L = zeta * sqrt(u (u + 2)) identically; computing it from u avoids
-    # the cancellation of the huge components of w far from the base point
-    wn = ad.scale(ad.sqrt(u * (u + 2.0) + ad.NORM_GUARD), zeta)
-    return (d / wn) * w
+    c, u = _log_coef(x, y, zeta)
+    return c * (y - (u + 1.0) * x)
+
+
+def sum_logs(h, src: np.ndarray, dst: np.ndarray, indptr: np.ndarray, weights,
+             zeta: float) -> Tensor:
+    """Per node i, the weighted sum of log maps sum_e w_e log_{h_i}(h[src_e])
+    over the edges e with dst_e = i.
+
+    The edges are grouped by dst: segment i is ``indptr[i]:indptr[i+1]`` and
+    every segment is nonempty. Since log_x(y) = c (y - (1 + u) x), the sum is
+    sum_e a_e h[src_e] - (sum_e a_e (1 + u_e)) h_i with a = w c, so only
+    scalars and source rows are summed per edge and h_i is scaled once per
+    node. A self-loop contributes 0.
+    """
+    h = ad.as_tensor(h)
+    h_src = ad.gather_rows(h, src)
+    c, u = _log_coef(ad.gather_rows(h, dst), h_src, zeta)
+    a = ad.as_tensor(weights) * c
+    beta = ad.segment_sum(a * (u + 1.0), indptr)
+    return ad.segment_sum(a * h_src, indptr) - beta * h
 
 
 def exp_at(x, v, zeta: float) -> Tensor:

@@ -2,9 +2,9 @@
 
 Closed forms the package does not need (parallel transport between two
 arbitrary points, the polar law of cosines and its large-radius shortcut,
-a drift projection) and one-node versions of what ``layers.layer_forward``
-does for every node at once (attention, aggregation, activation), plus
-the Fermi-Dirac score in numpy.
+a drift projection), one-node versions of what ``layers.layer_forward``
+does for every node at once (attention, aggregation, activation), the
+per-edge form of the attention scores, and the Fermi-Dirac score in numpy.
 """
 
 import numpy as np
@@ -109,6 +109,15 @@ def attention_weights(h_center, h_neighbors, params, zeta: float) -> np.ndarray:
     dst = np.zeros(k, dtype=np.int64)
     scores = _attention_scores(tang, src, dst, params)
     return ad.softmax(scores, axis=0).data.reshape(-1)
+
+
+def attention_scores_concat(tang, src, dst, params) -> Tensor:
+    """Per-edge attention scores from the concatenated [tang_dst, tang_src]
+    rows: the (E, 2d) form that ``layers._attention_scores`` splits into
+    two node-side projections."""
+    feat = ad.concat([ad.gather_rows(tang, dst), ad.gather_rows(tang, src)], axis=-1)
+    hidden = ad.relu(ad.matmul(feat, params.att_w1) + params.att_b1)
+    return ad.matmul(hidden, params.att_w2) + params.att_b2
 
 
 def aggregate(h_center, h_neighbors, weights, zeta: float) -> np.ndarray:

@@ -88,6 +88,16 @@ def test_off_manifold_embeddings_are_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_estimate_wrong_row_count_is_data_error(tmp_path, capsys):
+    edges, g = write_tree_edges(tmp_path, depth=4)
+    emb = curvature.tree_layout_hyperbolic(g, 1.0, edge_length=1.0)[:10]
+    emb_path = tmp_path / "short.npy"
+    np.save(emb_path, emb)
+    assert main(["estimate-curvature", "--edges", str(edges),
+                 "--embeddings", str(emb_path), "--zeta", "1.0"]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_train_twice_identical_metrics(tmp_path, capsys):
     args = ["train", "--synthetic-tree", "4", "--task", "lp", "--seed", "7",
             "--epochs", "4", "--val-frac", "0.15", "--test-frac", "0.15"]

@@ -191,6 +191,20 @@ def test_distortion_sampled_path_matches_redrawn_pairs(monkeypatch):
         assert rep.mean_distortion == pytest.approx(total / used, rel=1e-12)
 
 
+def test_distortion_independent_of_distance_chunk(monkeypatch):
+    # chunks of a few pairs split source rows across distance calls; the
+    # report must equal the one-call-per-block result bit for bit
+    rng = np.random.default_rng(12)
+    g = graphs.Graph.from_edges(30, rng.integers(0, 26, size=(45, 2)))  # 26..29 isolated
+    emb = M.to_hyperboloid(rng.standard_normal((30, 4)), 0.7)
+    for limit in (2000, 10):  # exact, then sampled pairs
+        monkeypatch.setattr(C, "DISTORTION_EXACT_LIMIT", limit)
+        monkeypatch.setattr(C, "DISTANCE_CHUNK_ELEMENTS", 1 << 20)
+        whole = C.embedding_distortion(g, emb, 0.7, seed=3)
+        monkeypatch.setattr(C, "DISTANCE_CHUNK_ELEMENTS", 3 * 5)
+        assert C.embedding_distortion(g, emb, 0.7, seed=3) == whole
+
+
 # ---------------------------------------------------------------------------
 # curvature estimation
 # ---------------------------------------------------------------------------

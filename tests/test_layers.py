@@ -1,5 +1,6 @@
 """Layer tests: manifold-op composition oracle, attention, losses, gradients."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -109,6 +110,121 @@ def test_aggregate_symmetric_neighbors_cancel():
     minus = M.exp_map(center, -v, zeta)
     got = geo.aggregate(center, np.stack([plus, minus]), [0.5, 0.5], zeta)
     assert got == pytest.approx(center, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# node-side attention projection and log-map sum against per-edge forms
+# ---------------------------------------------------------------------------
+
+def random_message_graph(rng, n_max=25):
+    """Random multigraph whose highest ids stay isolated, plus its edges."""
+    n = int(rng.integers(2, n_max))
+    hi = int(rng.integers(1, n))  # ids >= hi have no edges
+    g = graphs.Graph.from_edges(n, rng.integers(0, hi, size=(int(rng.integers(0, 3 * n)), 2)))
+    return g, L.message_edges(g)
+
+
+def segment_weights(rng, indptr):
+    """Positive weights that sum to 1 over each node's message block."""
+    w = rng.uniform(0.1, 1.0, size=(indptr[-1], 1))
+    return w / np.repeat(np.add.reduceat(w, indptr[:-1]), np.diff(indptr), axis=0)
+
+
+def test_attention_scores_match_concat_reference():
+    rng = np.random.default_rng(30)
+    for trial in range(30):
+        g, (src, dst, _) = random_message_graph(rng)
+        d = int(rng.integers(1, 6))
+        params = small_layer(rng, d, d)
+        params.att_b1.data = rng.standard_normal(d)
+        params.att_b2.data = rng.standard_normal(1)
+        tang = Tensor(rng.standard_normal((g.n_nodes, d)), requires_grad=True)
+        probe = rng.standard_normal((len(src), 1))
+
+        leaves = [tang, params.att_w1, params.att_b1, params.att_w2, params.att_b2]
+
+        def run(scores_fn):
+            for t in leaves:
+                t.grad = None
+            scores = scores_fn(tang, src, dst, params)
+            backward(ad.tsum(scores * Tensor(probe)))
+            return [scores.data] + [t.grad for t in leaves]
+
+        want = run(geo.attention_scores_concat)
+        got = run(L._attention_scores)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
+
+
+def test_sum_logs_matches_summed_log_maps():
+    rng = np.random.default_rng(31)
+    for zeta in (0.1, 1.0, 10.0):
+        for trial in range(20):
+            g, (src, dst, indptr) = random_message_graph(rng)
+            h = rand_points(rng, g.n_nodes, 3, zeta, scale=zeta)
+            w = segment_weights(rng, indptr)
+            got = M.sum_logs(h, src, dst, indptr, w, zeta).data
+            per_edge = M.log_at(h[dst], h[src], zeta)
+            want = ad.segment_sum(Tensor(w) * per_edge, indptr).data
+            scale = np.max(np.abs(h), axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+            lonely = np.diff(g.indptr) == 0  # only the self-loop: sums to exactly 0
+            assert np.all(got[lonely] == 0.0)
+
+
+def mp_sum_logs(h, src, dst, weights, zeta):
+    """50-digit sum_e w_e log_{h_dst}(h_src) per node on the float inputs,
+    with u from the difference form that the tape op evaluates."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(zeta)
+        out = [[mpmath.mpf(0)] * h.shape[1] for _ in range(h.shape[0])]
+        for e, (j, i) in enumerate(zip(src, dst)):
+            x = [mpmath.mpf(c) for c in h[i]]
+            y = [mpmath.mpf(c) for c in h[j]]
+            diff = [a - b for a, b in zip(x, y)]
+            u = (-diff[0] ** 2 + mpmath.fsum(c * c for c in diff[1:])) / (2 * z * z)
+            if u == 0:
+                continue
+            c = mpmath.acosh(1 + u) / mpmath.sqrt(u * (u + 2))
+            a = mpmath.mpf(weights[e, 0]) * c
+            for k in range(h.shape[1]):
+                out[i][k] += a * (y[k] - (1 + u) * x[k])
+        return np.array([[float(v) for v in row] for row in out])
+
+
+def test_sum_logs_matches_mpmath():
+    rng = np.random.default_rng(32)
+    g = graphs.Graph.from_edges(7, [[0, 1], [1, 2], [1, 3], [3, 4], [2, 4]])  # 5, 6 isolated
+    src, dst, indptr = L.message_edges(g)
+    w = segment_weights(rng, indptr)
+    for zeta in (0.1, 1.0, 10.0):
+        h = rand_points(rng, g.n_nodes, 3, zeta, scale=1.5 * zeta)
+        h[6] = h[5]  # coinciding points far apart in id
+        got = M.sum_logs(h, src, dst, indptr, w, zeta).data
+        want = mp_sum_logs(h, src, dst, w, zeta)
+        norm = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(norm, 1e-300))
+        assert np.all(got[5:] == 0.0)
+
+
+def test_sum_logs_gradients_match_finite_differences():
+    rng = np.random.default_rng(33)
+    g = graphs.Graph.from_edges(6, [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4]])  # 5 isolated
+    src, dst, indptr = L.message_edges(g)
+    zeta = 1.3
+    h = rand_points(rng, g.n_nodes, 3, zeta)
+    w = segment_weights(rng, indptr)
+    probe = Tensor(rng.standard_normal(h.shape))
+
+    def wrt_h(t):
+        return ad.tsum(M.sum_logs(t, src, dst, indptr, w, zeta) * probe)
+
+    def wrt_w(t):
+        return ad.tsum(M.sum_logs(h, src, dst, indptr, t, zeta) * probe)
+
+    assert finite_diff_check(wrt_h, h) < 1e-5
+    assert finite_diff_check(wrt_w, w) < 1e-5
 
 
 # ---------------------------------------------------------------------------
