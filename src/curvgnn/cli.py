@@ -32,11 +32,12 @@ def _build_parser() -> _Parser:
                 description="Hyperbolic GNN with adaptive curvature search")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # every train option but --config and --out has a RunConfig field as dest
     tr = sub.add_parser("train", help="run the curvature-search training loop")
     tr.add_argument("--config", help="JSON file of RunConfig fields")
-    tr.add_argument("--edges")
-    tr.add_argument("--features")
-    tr.add_argument("--labels")
+    tr.add_argument("--edges", dest="edge_path")
+    tr.add_argument("--features", dest="feature_path")
+    tr.add_argument("--labels", dest="label_path")
     tr.add_argument("--synthetic-tree", type=int, dest="synthetic_tree_depth",
                     help="train on a balanced binary tree of this depth")
     tr.add_argument("--task", choices=["lp", "nc"])
@@ -52,7 +53,7 @@ def _build_parser() -> _Parser:
     tr.add_argument("--beta", type=float)
     tr.add_argument("--val-frac", type=float, dest="val_frac")
     tr.add_argument("--test-frac", type=float, dest="test_frac")
-    tr.add_argument("--no-rl", action="store_true",
+    tr.add_argument("--no-rl", action="store_const", const=False, dest="rl_enabled",
                     help="fixed-curvature control run (RL disabled)")
     tr.add_argument("--out", required=True, help="output directory")
 
@@ -95,19 +96,8 @@ def _train_config(args) -> RunConfig:
                 fields.update(json.load(fh))
             except json.JSONDecodeError as e:
                 raise graphs.DataError(f"bad config JSON: {e}", args.config, e.lineno)
-    overrides = {
-        "edge_path": args.edges, "feature_path": args.features,
-        "label_path": args.labels,
-        "synthetic_tree_depth": args.synthetic_tree_depth,
-        "task": args.task, "seed": args.seed, "epochs": args.epochs,
-        "dim": args.dim, "n_layers": args.n_layers, "lr": args.lr,
-        "dropout": args.dropout, "zeta0": args.zeta0, "gamma": args.gamma,
-        "alpha": args.alpha, "beta": args.beta,
-        "val_frac": args.val_frac, "test_frac": args.test_frac,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if args.no_rl:
-        fields["rl_enabled"] = False
+    fields.update({k: v for k, v in vars(args).items()
+                   if k not in ("command", "config", "out") and v is not None})
     unknown = set(fields) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise UsageError(f"unknown config fields: {sorted(unknown)}")

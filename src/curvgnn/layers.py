@@ -35,7 +35,7 @@ from .manifold import (dist, exp_at, exp_origin, log_origin, sum_logs,
 
 
 # ---------------------------------------------------------------------------
-# layer parameters and configuration
+# layer parameters
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -52,27 +52,6 @@ class LayerParams:
 
     def tensors(self) -> list:
         return [self.W, self.b, self.att_w1, self.att_b1, self.att_w2, self.att_b2]
-
-
-@dataclass
-class ModelConfig:
-    n_layers: int = 2
-    dim: int = 16
-    dropout: float = 0.5
-    activation: str = "relu"  # or "identity"
-    task: str = "lp"  # or "nc"
-    fd_r: float = 2.0
-    fd_t: float = 1.0
-
-    def __post_init__(self):
-        if self.n_layers < 1 or self.dim < 1:
-            raise ValueError("n_layers and dim must be positive")
-        if self.activation not in ("relu", "identity"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.task not in ("lp", "nc"):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.fd_t <= 0:
-            raise ValueError("Fermi-Dirac temperature must be positive")
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -146,10 +125,9 @@ def _segment_softmax(scores: Tensor, dst: np.ndarray, indptr: np.ndarray) -> Ten
 
 
 def layer_forward(h, g: Graph, params: LayerParams, zeta_in: float, zeta_out: float,
-                  *, dropout: float = 0.0, activation_fn: str = "relu",
-                  training: bool = False, rng: np.random.Generator | None = None,
+                  *, dropout: float = 0.0, training: bool = False, rng: np.random.Generator | None = None,
                   edges=None) -> Tensor:
-    """One message-passing layer: transform, attend, aggregate, activate.
+    """One message-passing layer: transform, attend, aggregate, relu.
 
     All inputs live at zeta_in; the activation re-wraps onto zeta_out.
     Dropout hits the tangent-space pre-activation and only while training.
@@ -165,30 +143,28 @@ def layer_forward(h, g: Graph, params: LayerParams, zeta_in: float, zeta_out: fl
         if rng is None:
             raise ValueError("training dropout requires an rng")
         tang = ad.dropout(tang, dropout, rng, training=True)
-    if activation_fn == "relu":
-        tang = ad.relu(tang)
-    elif activation_fn != "identity":
-        raise ValueError(f"unknown activation {activation_fn!r}")
-    return exp_origin(tang, zeta_out)
+    return exp_origin(ad.relu(tang), zeta_out)
 
 
 class HyperbolicGNN:
     """Stack of variable-curvature layers plus the task decoder parameters."""
 
-    def __init__(self, in_dim: int, config: ModelConfig, zeta0: float,
-                 rng: np.random.Generator, n_classes: int | None = None):
-        self.config = config
+    def __init__(self, in_dim: int, dim: int, n_layers: int, zeta0: float,
+                 rng: np.random.Generator, *, dropout: float = 0.0,
+                 n_classes: int | None = None):
+        """A classifier head is built iff n_classes is given (node classification)."""
+        self.dropout = dropout
         self.layers: list[LayerParams] = []
         d_prev = in_dim
-        for _ in range(config.n_layers):
-            self.layers.append(init_layer(rng, d_prev, config.dim, zeta0))
-            d_prev = config.dim
+        for _ in range(n_layers):
+            self.layers.append(init_layer(rng, d_prev, dim, zeta0))
+            d_prev = dim
         self.W_cls = None
         self.b_cls = None
-        if config.task == "nc":
-            if not n_classes or n_classes < 2:
+        if n_classes is not None:
+            if n_classes < 2:
                 raise ValueError("node classification needs >= 2 classes")
-            self.W_cls = Tensor(_glorot(rng, config.dim, n_classes), requires_grad=True)
+            self.W_cls = Tensor(_glorot(rng, dim, n_classes), requires_grad=True)
             self.b_cls = Tensor(np.zeros(n_classes), requires_grad=True)
 
     def parameters(self) -> list:
@@ -207,19 +183,16 @@ class HyperbolicGNN:
         for layer, z in zip(self.layers, zetas):
             layer.zeta = float(z)
 
-    def forward(self, g: Graph, features=None, *, training: bool = False,
+    def forward(self, g: Graph, *, training: bool = False,
                 rng: np.random.Generator | None = None, edges=None) -> Tensor:
         """Embeddings at the last layer's curvature, shape (n, dim+1)."""
-        feats = g.features if features is None else features
-        if feats is None:
+        if g.features is None:
             raise ValueError("graph has no features")
         edges = message_edges(g) if edges is None else edges
-        h = exp_origin(Tensor(np.asarray(feats, dtype=np.float64)), self.layers[0].zeta)
+        h = exp_origin(Tensor(np.asarray(g.features, dtype=np.float64)), self.layers[0].zeta)
         for li, layer in enumerate(self.layers):
             zeta_out = self.layers[li + 1].zeta if li + 1 < len(self.layers) else layer.zeta
-            h = layer_forward(h, g, layer, layer.zeta, zeta_out,
-                              dropout=self.config.dropout,
-                              activation_fn=self.config.activation,
+            h = layer_forward(h, g, layer, layer.zeta, zeta_out, dropout=self.dropout,
                               training=training, rng=rng, edges=edges)
         return h
 
@@ -234,12 +207,13 @@ def _edge_logits(emb: Tensor, edges: np.ndarray, zeta: float, r: float, t: float
     return ad.scale(ad.neg(d * d) + r, 1.0 / t)
 
 
-def lp_scores(emb, edges, zeta: float, r: float, t: float) -> np.ndarray:
+def lp_scores(emb, edges, zeta: float, r: float = 2.0, t: float = 1.0) -> np.ndarray:
     """Fermi-Dirac probabilities for the given node pairs."""
     return ad.sigmoid(_edge_logits(ad.as_tensor(emb), edges, zeta, r, t)).data
 
 
-def lp_loss(emb, pos_edges, neg_edges, zeta: float, r: float, t: float) -> Tensor:
+def lp_loss(emb, pos_edges, neg_edges, zeta: float, r: float = 2.0,
+            t: float = 1.0) -> Tensor:
     """Mean binary cross-entropy of the decoder over positives and negatives."""
     pos_edges = np.asarray(pos_edges).reshape(-1, 2)
     neg_edges = np.asarray(neg_edges).reshape(-1, 2)

@@ -4,8 +4,9 @@ Each epoch: read the discretized curvature state, pick a joint action by
 epsilon-greedy play, run one supervised step of the network, optionally
 re-estimate curvature and remap the previous embeddings, score both
 moves on the validation split, and apply a Nash-Q update. Once the two
-agents sit at a (KEEP, HOLD) equilibrium for `eq_patience` consecutive
-epochs the curvatures freeze and plain supervised training continues.
+agents sit at a (KEEP, HOLD) equilibrium for enough consecutive epochs
+(`nashq.equilibrium_reached`) the curvatures freeze and plain supervised
+training continues.
 
 Determinism: every random choice draws from a named stream spawned from
 the run seed, so a fixed seed reproduces splits, initialization, dropout,
@@ -29,7 +30,9 @@ from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+WEIGHT_DECAY = 5e-3
+EARLY_STOP_PATIENCE = 100  # epochs without a val improvement before stopping
 
 
 class TrainingDiverged(RuntimeError):
@@ -38,51 +41,49 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class RunConfig:
+    """The run settings a caller may set (CLI flags or a --config JSON).
+
+    Fixed choices live beside the code that uses them: the relu activation
+    (`layers.layer_forward`), the Fermi-Dirac r and t (`layers.lp_loss`),
+    the feature-norm cap (`_prepare`), WEIGHT_DECAY and EARLY_STOP_PATIENCE
+    here, the epsilon schedule (`nashq.EpsilonSchedule`), the kappa sample
+    count (`curvature.estimate_kappa`), the equilibrium patience
+    (`nashq.equilibrium_reached`), the state bin width
+    (`nashq.discretize_state`) and the node-classification split fractions
+    (`graphs.make_nc_split`).
+    """
+
     # data
     edge_path: str | None = None
     feature_path: str | None = None
     label_path: str | None = None
     synthetic_tree_depth: int | None = None  # alternative to file paths
     task: str = "lp"
-    # model
+    seed: int = 0
+    # model and optimization
+    epochs: int = 500
     dim: int = 16
     n_layers: int = 2
-    dropout: float = 0.5
-    activation: str = "relu"
-    fd_r: float = 2.0
-    fd_t: float = 1.0
-    normalize_features: bool = True
-    # optimization
     lr: float = 3e-4
-    weight_decay: float = 5e-3
-    epochs: int = 500
-    early_stop_patience: int = 100
+    dropout: float = 0.5
     # curvature search
     zeta0: float = 1.0
-    zeta_min: float = DEFAULT_ZETA_MIN
-    zeta_max: float = DEFAULT_ZETA_MAX
     gamma: float = 0.2
     alpha: float = 0.5
     beta: float = 0.9
-    eps_start: float = 0.9
-    eps_floor: float = 0.1
-    eps_decay: float = 0.99
-    kappa_samples: int = 2
-    eq_patience: int = 20
     rl_enabled: bool = True
-    state_bin_width: float = 0.1
-    # splits
+    zeta_min: float = DEFAULT_ZETA_MIN
+    zeta_max: float = DEFAULT_ZETA_MAX
+    # link-prediction splits and bookkeeping
     val_frac: float = 0.05
     test_frac: float = 0.10
-    nc_train_frac: float = 0.70
-    nc_val_frac: float = 0.15
-    # bookkeeping
-    seed: int = 0
     distortion_every: int = 10
 
     def validate(self) -> None:
         if self.task not in ("lp", "nc"):
             raise ValueError(f"unknown task {self.task!r}")
+        if self.n_layers < 1 or self.dim < 1:
+            raise ValueError("n_layers and dim must be >= 1")
         if not (1e-4 <= self.lr <= 5e-4):
             raise ValueError("lr must lie in [1e-4, 5e-4]")
         if not (0.2 <= self.alpha <= 0.9):
@@ -115,7 +116,6 @@ class EpochRecord:
 @dataclass
 class TrainResult:
     records: list
-    trace: list  # (epoch, layer, zeta, action_hgnn, action_ace, r_hgnn, r_ace)
     best_val_metric: float
     best_epoch: int
     test_metric: float
@@ -212,19 +212,26 @@ class _Task:
 
     def val_metric(self, emb: np.ndarray, zeta: float, model) -> float:
         if self.kind == "lp":
-            return self._lp_metric(emb, zeta, model,
-                                   self.edge_split.val_pos, self.edge_split.val_neg)
+            return self._lp_metric(emb, zeta, self.edge_split.val_pos,
+                                   self.edge_split.val_neg)
         return self._nc_metric(emb, zeta, model, self.node_split.val)
 
-    def test_metric(self, emb: np.ndarray, zeta: float, model) -> float:
+    def test_metric(self, model) -> float:
+        """Test-split score from an eval forward over `full_graph`.
+
+        `train` and `evaluate_checkpoint` both score through here. For link
+        prediction `full_graph` holds the test edges, so they pass messages
+        before they are scored.
+        """
+        emb = model.forward(self.full_graph, training=False).data
+        zeta = model.zetas[-1]
         if self.kind == "lp":
-            return self._lp_metric(emb, zeta, model,
-                                   self.edge_split.test_pos, self.edge_split.test_neg)
+            return self._lp_metric(emb, zeta, self.edge_split.test_pos,
+                                   self.edge_split.test_neg)
         return self._nc_metric(emb, zeta, model, self.node_split.test)
 
-    def _lp_metric(self, emb, zeta, model, pos, neg) -> float:
-        scores = layers.lp_scores(emb, np.concatenate([pos, neg]), zeta,
-                                  model.config.fd_r, model.config.fd_t)
+    def _lp_metric(self, emb, zeta, pos, neg) -> float:
+        scores = layers.lp_scores(emb, np.concatenate([pos, neg]), zeta)
         labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
         return roc_auc(scores, labels)
 
@@ -239,8 +246,7 @@ def _build_task(config: RunConfig, g: graphs.Graph) -> _Task:
         split = graphs.make_lp_split(g, config.val_frac, config.test_frac, config.seed)
         return _Task("lp", msg_graph=g.with_edges(split.train_pos), full_graph=g,
                      edge_split=split)
-    split = graphs.make_nc_split(g, config.nc_train_frac, config.nc_val_frac,
-                                 seed=config.seed)
+    split = graphs.make_nc_split(g, seed=config.seed)
     return _Task("nc", msg_graph=g, full_graph=g, node_split=split)
 
 
@@ -306,20 +312,17 @@ def _prepare(config: RunConfig):
     g = _load_dataset(config)
     if g.features is None:
         raise graphs.DataError("training requires node features")
-    if config.normalize_features:
-        g = replace(g, features=_cap_feature_norms(g.features))
+    g = replace(g, features=_cap_feature_norms(g.features))
     task = _build_task(config, g)
     n_classes = None
     if config.task == "nc":
         if g.labels is None:
             raise graphs.DataError("node classification requires labels")
         n_classes = int(g.labels.max()) + 1
-    mcfg = layers.ModelConfig(n_layers=config.n_layers, dim=config.dim,
-                              dropout=config.dropout, activation=config.activation,
-                              task=config.task, fd_r=config.fd_r, fd_t=config.fd_t)
     init_rng = np.random.default_rng([config.seed, 1])
-    model = layers.HyperbolicGNN(g.features.shape[1], mcfg, config.zeta0,
-                                 init_rng, n_classes=n_classes)
+    model = layers.HyperbolicGNN(g.features.shape[1], config.dim, config.n_layers,
+                                 config.zeta0, init_rng, dropout=config.dropout,
+                                 n_classes=n_classes)
     return model, task, g
 
 
@@ -331,11 +334,9 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     model, task, g = _prepare(config)
     msg_g = task.msg_graph
     edges = layers.message_edges(msg_g)
-    optimizer = Adam(model.parameters(), lr=config.lr,
-                     weight_decay=config.weight_decay)
+    optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=WEIGHT_DECAY)
     tables = nashq.QTables()
-    schedule = nashq.EpsilonSchedule(config.eps_start, config.eps_floor,
-                                     config.eps_decay)
+    schedule = nashq.EpsilonSchedule()
 
     drop_rng = np.random.default_rng([config.seed, 2])
     neg_rng = np.random.default_rng([config.seed, 3])
@@ -350,8 +351,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         if config.task == "lp":
             pos = task.edge_split.train_pos
             neg = graphs.sample_negative_edges(task.full_graph, len(pos), neg_rng)
-            loss = layers.lp_loss(emb, pos, neg, zeta_out,
-                                  config.fd_r, config.fd_t)
+            loss = layers.lp_loss(emb, pos, neg, zeta_out)
         else:
             logits = layers.nc_logits(emb, zeta_out, model.W_cls, model.b_cls)
             loss = layers.nc_loss(logits, task.full_graph.labels,
@@ -362,11 +362,9 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         return float(loss.data)
 
     def discretize(zs):
-        return nashq.discretize_state(zs, config.zeta_min, config.zeta_max,
-                                      config.state_bin_width)
+        return nashq.discretize_state(zs, config.zeta_min, config.zeta_max)
 
     records: list[EpochRecord] = []
-    trace: list[tuple] = []
     eq_history: list[tuple] = []
     frozen = not config.rl_enabled
     freeze_epoch: int | None = None
@@ -410,7 +408,6 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         r_hgnn, r_ace = metric_curr - metric_prev, 0.0
         if action is not None and action[1] == nashq.AceAction.EXPLORE:
             est = curvature.estimate_kappa(msg_g, emb_prev, zeta_prev_out,
-                                           n_s=config.kappa_samples,
                                            seed=config.seed * 100003 + epoch)
             zeta_ace = [curvature.update_curvature(z, est.kappa, config.gamma,
                                                    config.zeta_min, config.zeta_max)
@@ -435,7 +432,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
             if sol.pure is not None:
                 greedy = (nashq.HgnnAction(sol.pure[0]), nashq.AceAction(sol.pure[1]))
             eq_history.append((next_state, greedy))
-            if nashq.equilibrium_reached(eq_history, config.eq_patience):
+            if nashq.equilibrium_reached(eq_history):
                 frozen = True
                 freeze_epoch = epoch
                 log.info("Nash equilibrium reached at epoch %d; curvature frozen "
@@ -454,38 +451,25 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
             action_ace=action[1].name if action else None,
             r_hgnn=r_hgnn, r_ace=r_ace, distortion=distortion_val,
             wall_ms=wall_ms))
-        for li, z in enumerate(model.zetas):
-            trace.append((epoch, li, float(z),
-                          action[0].name if action else "",
-                          action[1].name if action else "",
-                          r_hgnn, r_ace))
 
         metric_prev = metric_curr
         emb_prev = emb_curr
         zeta_prev_out = zeta_curr_out
 
-        if since_best >= config.early_stop_patience:
+        if since_best >= EARLY_STOP_PATIENCE:
             log.info("early stop at epoch %d (no val improvement for %d epochs)",
-                     epoch, config.early_stop_patience)
+                     epoch, EARLY_STOP_PATIENCE)
             break
 
     if best_blob is not None:
         _restore_model(model, best_blob)
     final_emb = eval_embeddings()
-    # Final eval is the only place test-split edges are read. For link
-    # prediction the test pairs are scored on embeddings recomputed over the
-    # full observed graph; training, rewards, and model selection only ever
-    # saw the train graph.
-    if task.kind == "lp":
-        eval_emb = model.forward(task.full_graph, training=False).data
-    else:
-        eval_emb = final_emb
-    test_metric = task.test_metric(eval_emb, model.zetas[-1], model)
+    test_metric = task.test_metric(model)
     final_distortion = curvature.embedding_distortion(
         msg_g, final_emb, model.zetas[-1]).mean_distortion
 
     checkpoint = build_checkpoint(config, model, best_epoch, best_val)
-    result = TrainResult(records=records, trace=trace, best_val_metric=best_val,
+    result = TrainResult(records=records, best_val_metric=best_val,
                          best_epoch=best_epoch, test_metric=test_metric,
                          final_embeddings=final_emb,
                          final_zetas=[float(z) for z in model.zetas],
@@ -523,8 +507,11 @@ def write_outputs(result: TrainResult, out_dir) -> None:
             fh.write(json.dumps(asdict(rec)) + "\n")
     with open(path / "trace.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,layer,zeta,action_hgnn,action_ace,r_hgnn,r_ace\n")
-        for row in result.trace:
-            fh.write(",".join(str(x) for x in row) + "\n")
+        for rec in result.records:
+            for layer, zeta in enumerate(rec.zetas):
+                row = (rec.epoch, layer, zeta, rec.action_hgnn or "",
+                       rec.action_ace or "", rec.r_hgnn, rec.r_ace)
+                fh.write(",".join(str(x) for x in row) + "\n")
     save_checkpoint(result.checkpoint, path / "checkpoint.json")
     np.save(path / "embeddings.npy", result.final_embeddings)
     summary = {
@@ -543,8 +530,6 @@ def evaluate_checkpoint(path) -> dict:
     """Reload a checkpoint and score the test split it was trained against."""
     blob = load_checkpoint(path)
     config, model, task = model_from_checkpoint(blob)
-    graph = task.full_graph if task.kind == "lp" else task.msg_graph
-    emb = model.forward(graph, training=False).data
-    test = task.test_metric(emb, model.zetas[-1], model)
+    test = task.test_metric(model)
     return {"test_metric": test, "zetas": model.zetas,
             "best_val_metric": blob["best_val_metric"], "task": config.task}

@@ -127,8 +127,8 @@ def _fd_model_loss(task):
     rng = np.random.default_rng(2)
     g.features = 0.5 * rng.standard_normal((g.n_nodes, 4))
     g.labels = rng.integers(0, 3, g.n_nodes)
-    cfg = layers.ModelConfig(n_layers=2, dim=4, dropout=0.0, task=task)
-    model = layers.HyperbolicGNN(4, cfg, 1.0, rng, n_classes=3)
+    model = layers.HyperbolicGNN(4, 4, 2, 1.0, rng,
+                                 n_classes=3 if task == "nc" else None)
     model.set_zetas([0.8, 1.4])
     pos = np.array([[0, 1], [1, 3], [2, 5], [6, 13]])
     neg = np.array([[7, 2], [4, 9], [8, 1], [14, 3]])
@@ -371,16 +371,12 @@ def test_criterion_7_curvature_trace_behavior(desk_scale_runs):
     ok_all, details = True, []
     for seed in (0, 1, 2):
         ace = desk_scale_runs[seed][0]
-        zetas = np.array([row[2] for row in ace.trace])
+        zetas = np.array([rec.zetas for rec in ace.records])  # (epoch, layer)
         span = float(zetas.max() - zetas.min())
         # final 20 pre-freeze epochs (or the last 20 RL epochs if no freeze)
         end = ace.freeze_epoch if ace.freeze_epoch is not None else len(ace.records)
-        window = [row[2] for row in ace.trace if end - 20 < row[0] <= end]
-        per_layer = {}
-        for row in ace.trace:
-            if end - 20 < row[0] <= end:
-                per_layer.setdefault(row[1], []).append(row[2])
-        stds = [float(np.std(v)) for v in per_layer.values()]
+        window = zetas[max(end - 20, 0):end]
+        stds = [float(np.std(window[:, layer])) for layer in range(zetas.shape[1])]
         ok = span >= 0.3 and all(s < 0.05 for s in stds)
         ok_all &= ok
         details.append(f"seed{seed}: span={span:.2f} stds={[f'{s:.3f}' for s in stds]}")

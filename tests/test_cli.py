@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from curvgnn import curvature, graphs
-from curvgnn.cli import main
+from curvgnn.cli import _build_parser, _train_config, main
+from curvgnn.training import RunConfig
 
 
 def write_tree_edges(tmp_path, depth=4, name="tree.tsv"):
@@ -128,7 +129,7 @@ def test_train_then_eval_checkpoint(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(out / "checkpoint.json")]) == 0
     payload = json.loads(capsys.readouterr().out)
     summary = json.loads((out / "result.json").read_text())
-    assert payload["test_metric"] == pytest.approx(summary["test_metric"])
+    assert payload["test_metric"] == summary["test_metric"]
 
 
 def test_train_config_file_with_flag_override(tmp_path, capsys):
@@ -147,6 +148,49 @@ def test_train_unknown_config_field(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"no_such_field": 1}))
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+
+def _train_options():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return [a for a in sub.choices["train"]._actions
+            if a.option_strings and a.dest not in ("help", "config", "out")]
+
+
+def test_every_train_option_sets_its_config_field():
+    defaults = RunConfig()
+    options = _train_options()
+    assert len(options) == 18
+    for action in options:
+        assert action.dest in RunConfig.__dataclass_fields__, action.option_strings
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # --no-rl
+            argv, want = [flag], action.const
+        elif action.choices:
+            want = next(c for c in action.choices if c != getattr(defaults, action.dest))
+            argv = [flag, want]
+        else:
+            want = {int: 3, float: 0.25, None: "file.tsv"}[action.type]
+            argv = [flag, str(want)]
+        assert want != getattr(defaults, action.dest), flag
+        args = _build_parser().parse_args(["train", *argv, "--out", "o"])
+        assert getattr(_train_config(args), action.dest) == want, flag
+
+
+@pytest.mark.parametrize("field", [
+    "activation", "fd_r", "fd_t", "normalize_features", "weight_decay",
+    "early_stop_patience", "eps_start", "eps_floor", "eps_decay", "kappa_samples",
+    "eq_patience", "state_bin_width", "nc_train_frac", "nc_val_frac"])
+def test_config_naming_a_fixed_setting_is_usage_error(tmp_path, capsys, field):
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({"synthetic_tree_depth": 3, field: 1}))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert "unknown config fields" in capsys.readouterr().err
+
+
+def test_zero_layers_is_usage_error(tmp_path, capsys):
+    assert main(["train", "--synthetic-tree", "3", "--layers", "0",
+                 "--out", str(tmp_path)]) == 1
+    assert "n_layers" in capsys.readouterr().err
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch, capsys):

@@ -263,7 +263,7 @@ def test_single_node_identity_layer_preserves_lift():
     params.W.data = np.eye(3)
     params.b.data = np.zeros(3)
     h0 = M.exp_origin(Tensor(g.features), 1.0)
-    out = L.layer_forward(h0, g, params, 1.0, 1.0, activation_fn="relu")
+    out = L.layer_forward(h0, g, params, 1.0, 1.0)
     assert out.data[0] == pytest.approx(M.to_hyperboloid(g.features, 1.0)[0], abs=1e-9)
 
 
@@ -271,7 +271,7 @@ def test_eval_forward_is_deterministic():
     g = graphs.balanced_binary_tree(3)
     g.features = graphs.random_plus_degree_features(g, 4, 0)
     rng = np.random.default_rng(13)
-    model = L.HyperbolicGNN(4, L.ModelConfig(n_layers=2, dim=4, dropout=0.5), 1.0, rng)
+    model = L.HyperbolicGNN(4, 4, 2, 1.0, rng, dropout=0.5)
     a = model.forward(g, training=False).data
     b = model.forward(g, training=False).data
     assert np.array_equal(a, b)
@@ -280,8 +280,7 @@ def test_eval_forward_is_deterministic():
 def test_training_dropout_changes_outputs():
     g = graphs.balanced_binary_tree(3)
     g.features = graphs.random_plus_degree_features(g, 4, 0)
-    model = L.HyperbolicGNN(4, L.ModelConfig(n_layers=2, dim=4, dropout=0.5), 1.0,
-                            np.random.default_rng(13))
+    model = L.HyperbolicGNN(4, 4, 2, 1.0, np.random.default_rng(13), dropout=0.5)
     rng = np.random.default_rng(1)
     a = model.forward(g, training=True, rng=rng).data
     b = model.forward(g, training=True, rng=rng).data
@@ -291,8 +290,7 @@ def test_training_dropout_changes_outputs():
 def test_model_forward_constraint_residuals():
     g = graphs.balanced_binary_tree(4)
     g.features = graphs.random_plus_degree_features(g, 6, 1)
-    model = L.HyperbolicGNN(6, L.ModelConfig(n_layers=3, dim=5), 1.2,
-                            np.random.default_rng(14))
+    model = L.HyperbolicGNN(6, 5, 3, 1.2, np.random.default_rng(14))
     model.set_zetas([1.2, 0.6, 2.0])
     emb = model.forward(g).data
     assert np.max(M.manifold_residual(emb, 2.0)) < 1e-6
@@ -322,16 +320,14 @@ def test_message_edges_match_loop_reference():
 def test_permutation_equivariance_of_aggregation():
     g = graphs.balanced_binary_tree(3)
     g.features = graphs.random_plus_degree_features(g, 4, 2)
-    model = L.HyperbolicGNN(4, L.ModelConfig(n_layers=2, dim=4), 1.0,
-                            np.random.default_rng(15))
+    model = L.HyperbolicGNN(4, 4, 2, 1.0, np.random.default_rng(15))
     emb = model.forward(g).data
 
     perm = np.random.default_rng(3).permutation(g.n_nodes)
     inv = np.argsort(perm)
     edges = perm[g.edge_array()]
     g2 = graphs.Graph.from_edges(g.n_nodes, edges, features=g.features[inv])
-    model2 = L.HyperbolicGNN(4, L.ModelConfig(n_layers=2, dim=4), 1.0,
-                             np.random.default_rng(15))
+    model2 = L.HyperbolicGNN(4, 4, 2, 1.0, np.random.default_rng(15))
     emb2 = model2.forward(g2).data
     assert np.max(np.abs(emb2[perm] - emb)) < 1e-9
 
@@ -413,8 +409,7 @@ def model_loss_fd_check(task, n_nodes=12, rel_tol=1e-4):
     rng = np.random.default_rng(20)
     g.features = 0.5 * rng.standard_normal((n_nodes, 4))
     g.labels = rng.integers(0, 3, n_nodes)
-    cfg = L.ModelConfig(n_layers=2, dim=4, dropout=0.0, task=task)
-    model = L.HyperbolicGNN(4, cfg, 1.0, rng, n_classes=3)
+    model = L.HyperbolicGNN(4, 4, 2, 1.0, rng, n_classes=3 if task == "nc" else None)
     pos = np.array([[0, 1], [1, 3], [2, 5]])
     neg = np.array([[7, 2], [4, 9], [8, 1]])
     nodes = np.arange(n_nodes)
