@@ -125,8 +125,8 @@ def _segment_softmax(scores: Tensor, dst: np.ndarray, indptr: np.ndarray) -> Ten
 
 
 def layer_forward(h, g: Graph, params: LayerParams, zeta_in: float, zeta_out: float,
-                  *, dropout: float = 0.0, training: bool = False, rng: np.random.Generator | None = None,
-                  edges=None) -> Tensor:
+                  *, dropout: float = 0.0, training: bool = False,
+                  rng: np.random.Generator | None = None, edges=None) -> Tensor:
     """One message-passing layer: transform, attend, aggregate, relu.
 
     All inputs live at zeta_in; the activation re-wraps onto zeta_out.

@@ -115,13 +115,6 @@ class QTables:
         return nash_equilibrium_2x2(*self.stage_game(state))
 
 
-def nash_value(tables: QTables, state: tuple, agent: int) -> float:
-    """pi1' Q_agent pi2 at the state's equilibrium strategies."""
-    sol = tables.solve(state)
-    q = tables.table(agent, state)
-    return float(sol.pi_hgnn @ q @ sol.pi_ace)
-
-
 def epsilon_greedy_joint(tables: QTables, state: tuple, eps: float,
                          rng: np.random.Generator):
     """Uniform joint action with probability eps, else the equilibrium play.
@@ -144,14 +137,20 @@ def epsilon_greedy_joint(tables: QTables, state: tuple, eps: float,
 
 def q_update(tables: QTables, state: tuple, action, rewards, next_state: tuple,
              alpha: float, beta: float) -> None:
-    """Nash-Q Bellman step for both agents at the taken joint action."""
+    """Nash-Q Bellman step for both agents at the taken joint action.
+
+    Both targets bootstrap on the stage game at next_state as it stood before
+    this step, also when next_state is state itself (Hu & Wellman).
+    """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     if not (0.0 <= beta < 1.0):
         raise ValueError("beta must lie in [0, 1)")
     i, j = int(action[0]), int(action[1])
-    for agent, reward in ((HGNN, rewards[0]), (ACE, rewards[1])):
-        target = reward + beta * nash_value(tables, next_state, agent)
+    sol = tables.solve(next_state)
+    for agent, reward, value in ((HGNN, rewards[0], sol.value_hgnn),
+                                 (ACE, rewards[1], sol.value_ace)):
+        target = reward + beta * value
         tbl = tables.table(agent, state)
         tbl[i, j] += alpha * (target - tbl[i, j])
 

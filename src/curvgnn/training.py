@@ -59,24 +59,26 @@ class RunConfig:
     label_path: str | None = None
     synthetic_tree_depth: int | None = None  # alternative to file paths
     task: str = "lp"
-    seed: int = 0
-    # model and optimization
-    epochs: int = 500
+    # model
     dim: int = 16
     n_layers: int = 2
-    lr: float = 3e-4
     dropout: float = 0.5
+    # optimization
+    lr: float = 3e-4
+    epochs: int = 500
     # curvature search
     zeta0: float = 1.0
+    zeta_min: float = DEFAULT_ZETA_MIN
+    zeta_max: float = DEFAULT_ZETA_MAX
     gamma: float = 0.2
     alpha: float = 0.5
     beta: float = 0.9
     rl_enabled: bool = True
-    zeta_min: float = DEFAULT_ZETA_MIN
-    zeta_max: float = DEFAULT_ZETA_MAX
-    # link-prediction splits and bookkeeping
+    # splits
     val_frac: float = 0.05
     test_frac: float = 0.10
+    # bookkeeping
+    seed: int = 0
     distortion_every: int = 10
 
     def validate(self) -> None:

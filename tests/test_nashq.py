@@ -6,8 +6,7 @@ import pytest
 from curvgnn import nashq
 from curvgnn.nashq import (ACE, HGNN, AceAction, EpsilonSchedule, HgnnAction,
                            QTables, discretize_state, epsilon_greedy_joint,
-                           equilibrium_reached, nash_equilibrium_2x2,
-                           nash_value, q_update)
+                           equilibrium_reached, nash_equilibrium_2x2, q_update)
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +94,15 @@ def test_solver_rejects_nonfinite():
 
 def test_nash_value_zero_table():
     t = QTables()
-    assert nash_value(t, (0,), HGNN) == 0.0
+    assert t.solve((0,)).value_hgnn == 0.0
 
 
 def test_nash_value_pure_case():
     t = QTables()
     t.table(HGNN, (1,))[:] = [[2.0, 0.0], [0.0, 1.0]]
     t.table(ACE, (1,))[:] = [[1.0, 0.0], [0.0, 0.5]]
-    assert nash_value(t, (1,), HGNN) == 2.0
-    assert nash_value(t, (1,), ACE) == 1.0
+    sol = t.solve((1,))
+    assert (sol.value_hgnn, sol.value_ace) == (2.0, 1.0)
 
 
 def test_nash_value_mixed_matches_bilinear_form():
@@ -113,7 +112,7 @@ def test_nash_value_mixed_matches_bilinear_form():
     t.table(ACE, (2,))[:] = -q1
     sol = t.solve((2,))
     want = float(sol.pi_hgnn @ q1 @ sol.pi_ace)
-    assert nash_value(t, (2,), HGNN) == pytest.approx(want)
+    assert sol.value_hgnn == pytest.approx(want)
 
 
 def test_q_update_full_overwrite():
@@ -150,6 +149,20 @@ def test_q_update_two_step_hand_computed():
     assert t.table(HGNN, (0,))[0, 0] == pytest.approx(0.62)
     # ACE side: 0.5 + 0.5*(0.2 + 0.9*0.4 - 0.5) = 0.53
     assert t.table(ACE, (0,))[0, 0] == pytest.approx(0.53)
+
+
+def test_q_update_targets_use_tables_before_the_step():
+    # next_state == state: writing the HGNN entry first flips the stage
+    # game's equilibrium from (0, 0) to (1, 1); ACE's target must still be
+    # the value of the game as it stood before the step
+    t = QTables()
+    t.table(HGNN, (0,))[:] = [[3.0, 0.0], [0.0, 1.0]]
+    t.table(ACE, (0,))[:] = [[3.0, 0.0], [0.0, 1.0]]
+    q_update(t, (0,), (HgnnAction.ADOPT, AceAction.EXPLORE), (-10.0, 0.0), (0,),
+             alpha=1.0, beta=0.9)
+    assert t.solve((0,)).pure == (1, 1)
+    assert t.table(HGNN, (0,))[0, 0] == pytest.approx(-10.0 + 0.9 * 3.0)
+    assert t.table(ACE, (0,))[0, 0] == pytest.approx(0.9 * 3.0)
 
 
 def test_q_update_validates_rates():
