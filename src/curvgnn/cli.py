@@ -83,7 +83,8 @@ def _build_parser() -> _Parser:
     ec.add_argument("--edges", required=True)
     ec.add_argument("--embeddings", required=True)
     ec.add_argument("--zeta", type=float, default=1.0)
-    ec.add_argument("--samples", type=int, default=2, help="quadruples per node")
+    ec.add_argument("--samples", type=int, dest="n_s",
+                    help="quadruples per node (default: estimate_kappa's)")
     ec.add_argument("--seed", type=int, default=0)
     return p
 
@@ -167,8 +168,8 @@ def _cmd_distortion(args) -> int:
 def _cmd_estimate(args) -> int:
     g = graphs.load_graph(args.edges)
     emb = _load_embeddings(args, g)
-    est = curvature.estimate_kappa(g, emb, args.zeta, n_s=args.samples,
-                                   seed=args.seed)
+    n_s = {} if args.n_s is None else {"n_s": args.n_s}
+    est = curvature.estimate_kappa(g, emb, args.zeta, seed=args.seed, **n_s)
     print(f"{est.kappa:.6g}")
     return 0
 

@@ -14,6 +14,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
+
 log = logging.getLogger(__name__)
 
 
@@ -34,8 +36,8 @@ HGNN = 0
 ACE = 1
 
 
-def discretize_state(zetas, zeta_min: float = 0.1, zeta_max: float = 10.0,
-                     bin_width: float = 0.1) -> tuple:
+def discretize_state(zetas, zeta_min: float = DEFAULT_ZETA_MIN,
+                     zeta_max: float = DEFAULT_ZETA_MAX, bin_width: float = 0.1) -> tuple:
     """Clamp each per-layer curvature into bounds and bin it for table keys."""
     bins = []
     for z in zetas:

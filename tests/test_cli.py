@@ -67,10 +67,14 @@ def test_estimate_curvature_prints_number(tmp_path, capsys):
     emb = curvature.tree_layout_hyperbolic(g, 1.0, edge_length=1.0)
     emb_path = tmp_path / "emb.npy"
     np.save(emb_path, emb)
-    assert main(["estimate-curvature", "--edges", str(edges), "--embeddings",
-                 str(emb_path), "--zeta", "1.0", "--seed", "0"]) == 0
+    argv = ["estimate-curvature", "--edges", str(edges), "--embeddings",
+            str(emb_path), "--zeta", "1.0", "--seed", "0"]
+    assert main(argv) == 0
     val = float(capsys.readouterr().out.strip())
     assert val < 0.0  # hyperbolic tree layout
+    assert main(argv + ["--samples", "5"]) == 0
+    want = curvature.estimate_kappa(g, emb, 1.0, n_s=5, seed=0).kappa
+    assert capsys.readouterr().out.strip() == f"{want:.6g}"
 
 
 def test_bad_grid_is_usage_error(tmp_path, capsys):
@@ -146,19 +150,20 @@ def test_train_config_file_with_flag_override(tmp_path, capsys):
 
 def test_train_unknown_config_field(tmp_path):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"no_such_field": 1}))
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
-
-
-def _train_options():
-    sub = next(a for a in _build_parser()._actions if a.dest == "command")
-    return [a for a in sub.choices["train"]._actions
-            if a.option_strings and a.dest not in ("help", "config", "out")]
+    # the last 14 were RunConfig fields before they became fixed settings
+    for field in ("no_such_field", "activation", "fd_r", "fd_t", "normalize_features",
+                  "weight_decay", "early_stop_patience", "eps_start", "eps_floor",
+                  "eps_decay", "kappa_samples", "eq_patience", "state_bin_width",
+                  "nc_train_frac", "nc_val_frac"):
+        cfg_path.write_text(json.dumps({field: 1}))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
 
 def test_every_train_option_sets_its_config_field():
     defaults = RunConfig()
-    options = _train_options()
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    options = [a for a in sub.choices["train"]._actions
+               if a.option_strings and a.dest not in ("help", "config", "out")]
     assert len(options) == 18
     for action in options:
         assert action.dest in RunConfig.__dataclass_fields__, action.option_strings
@@ -174,23 +179,6 @@ def test_every_train_option_sets_its_config_field():
         assert want != getattr(defaults, action.dest), flag
         args = _build_parser().parse_args(["train", *argv, "--out", "o"])
         assert getattr(_train_config(args), action.dest) == want, flag
-
-
-@pytest.mark.parametrize("field", [
-    "activation", "fd_r", "fd_t", "normalize_features", "weight_decay",
-    "early_stop_patience", "eps_start", "eps_floor", "eps_decay", "kappa_samples",
-    "eq_patience", "state_bin_width", "nc_train_frac", "nc_val_frac"])
-def test_config_naming_a_fixed_setting_is_usage_error(tmp_path, capsys, field):
-    cfg_path = tmp_path / "old.json"
-    cfg_path.write_text(json.dumps({"synthetic_tree_depth": 3, field: 1}))
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
-    assert "unknown config fields" in capsys.readouterr().err
-
-
-def test_zero_layers_is_usage_error(tmp_path, capsys):
-    assert main(["train", "--synthetic-tree", "3", "--layers", "0",
-                 "--out", str(tmp_path)]) == 1
-    assert "n_layers" in capsys.readouterr().err
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch, capsys):

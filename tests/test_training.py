@@ -82,6 +82,10 @@ def test_config_rejects_out_of_range_values():
         quick_config(task="qa").validate()
     with pytest.raises(ValueError):
         quick_config(zeta0=0.01).validate()
+    with pytest.raises(ValueError):
+        quick_config(n_layers=0).validate()
+    with pytest.raises(ValueError):
+        quick_config(dim=0).validate()
 
 
 # ---------------------------------------------------------------------------
