@@ -242,11 +242,6 @@ def update_curvature(zeta_prev: float, kappa: float, gamma: float,
     return float(min(max(z, zeta_min), zeta_max))
 
 
-def remap_embeddings(emb: np.ndarray, zeta_prev, zeta_new) -> np.ndarray:
-    """Carry every embedding to the new curvature through the shared origin."""
-    return manifold.transfer_curvature(emb, zeta_prev, zeta_new)
-
-
 # ---------------------------------------------------------------------------
 # geodesic tree layout (diagnostics / synthetic benchmarks)
 # ---------------------------------------------------------------------------
@@ -258,44 +253,46 @@ def tree_layout_hyperbolic(g: graphs.Graph, zeta, edge_length: float = 1.0,
     Children fan out around the direction back to the parent, each placed
     at geodesic distance edge_length (a Sarkar-style construction). Only
     meaningful for trees; cycles reuse whatever BFS tree is found first.
+    Each BFS level is placed in one batch of rows, one row per child.
     """
     z = manifold.as_zeta(zeta)
-    n = g.n_nodes
-    indptr, indices = g.indptr, g.indices
-    hops, parent, order = _kernels.bfs_tree(indptr, indices, root)
+    hops, parent, _ = _kernels.bfs_tree(g.indptr, g.indices, root)
     if np.any(hops < 0):
         raise ValueError("tree layout requires a connected graph")
-    pos = np.zeros((n, 3), dtype=np.float64)
+    pos = np.zeros((g.n_nodes, 3), dtype=np.float64)
     pos[root] = manifold.origin(2, z)
-    for v in order:
-        nbrs = indices[indptr[v]:indptr[v + 1]]
-        children = nbrs[parent[nbrs] == v]
-        if not children.size:
-            continue
-        x = pos[v]
-        k = len(children)
-        if v == root:
-            ang = 2.0 * np.pi * np.arange(k) / k
-            directions = np.stack([np.zeros(k), np.cos(ang), np.sin(ang)], axis=1)
+    for level in range(1, int(hops.max()) + 1):
+        kids = np.flatnonzero(hops == level)
+        kids = kids[np.argsort(parent[kids], kind="stable")]  # by parent, then id
+        up = parent[kids]
+        start = np.searchsorted(up, up)  # each sibling group's first row
+        k = (np.searchsorted(up, up, side="right") - start)[:, None]
+        rank = (np.arange(len(kids)) - start)[:, None]
+        x = pos[up]
+        if level == 1:
+            ang = 2.0 * np.pi * rank / k
+            directions = np.hstack([np.zeros_like(ang), np.cos(ang), np.sin(ang)])
         else:
-            u = manifold.log_map(x, pos[parent[v]], z, validate=False)
-            u_hat = u / max(manifold.lorentz_norm(u), 1e-300)
-            u_perp = _tangent_perp(x, u_hat, z)
-            ang = 2.0 * np.pi * np.arange(1, k + 1)[:, None] / (k + 1)
-            directions = np.cos(ang) * u_hat + np.sin(ang) * u_perp
-        pos[children] = manifold.exp_map(x, edge_length * directions, z, validate=False)
+            u = manifold.log_map(x, pos[parent[up]], z, validate=False)
+            u_hat = u / np.maximum(manifold.lorentz_norm(u, keepdims=True), 1e-300)
+            ang = 2.0 * np.pi * (rank + 1) / (k + 1)
+            directions = np.cos(ang) * u_hat + np.sin(ang) * _tangent_perp(x, u_hat, z)
+        pos[kids] = manifold.exp_map(x, edge_length * directions, z, validate=False)
     return pos
 
 
 def _tangent_perp(x: np.ndarray, u_hat: np.ndarray, zeta: float) -> np.ndarray:
-    """Unit tangent vector at x orthogonal to u_hat (2-d hyperboloid)."""
-    z = zeta
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        w = e + (manifold.lorentz_inner(x, e) / (z * z)) * x  # project onto T_x
-        w = w - manifold.lorentz_inner(w, u_hat) * u_hat
-        nw = manifold.lorentz_norm(w)
-        if nw > 1e-8:
-            return w / nw
-    raise RuntimeError("failed to build an orthogonal tangent direction")
+    """Unit tangent vectors at the rows of x orthogonal to u_hat (2-d
+    hyperboloid), each from the first axis whose projection keeps norm > 1e-8."""
+    perp = np.empty_like(x)
+    todo = np.ones(len(x), dtype=bool)
+    for e in np.eye(3):
+        w = e + (manifold.lorentz_inner(x, e, keepdims=True) / (zeta * zeta)) * x  # onto T_x
+        w = w - manifold.lorentz_inner(w, u_hat, keepdims=True) * u_hat
+        nw = manifold.lorentz_norm(w, keepdims=True)
+        take = todo & (nw[:, 0] > 1e-8)
+        perp[take] = w[take] / nw[take]
+        todo &= ~take
+    if todo.any():
+        raise RuntimeError("failed to build an orthogonal tangent direction")
+    return perp

@@ -8,6 +8,10 @@ parameter (weights, biases, attention) lives in tangent space at the
 origin; curvature parameters are plain floats managed outside gradient
 descent.
 
+Layers exchange origin-tangent coordinates, and the model lifts onto the
+hyperboloid once, at its output: HGCN's wrap of each activation onto the
+next layer's hyperboloid is undone by that layer's first step, log_o.
+
 Message passing runs over flattened adjacency with injected self-loops,
 never a dense attention matrix, and keeps on the E message edges only what
 needs a pair of endpoints:
@@ -88,15 +92,14 @@ def message_edges(g: Graph):
 # layer operations
 # ---------------------------------------------------------------------------
 
-def linear_transform(h, W, b, zeta: float) -> Tensor:
-    """Hyperboloid matrix multiply then bias: exp_o(log_o(h) W), offset by b.
+def linear_transform(t, W, b, zeta: float) -> Tensor:
+    """Hyperboloid matrix multiply of tangent coordinates t then bias:
+    exp_o(t W), offset by b.
 
     The bias is parallel-transported from the origin's tangent space to the
     transformed point and applied with an exponential step there.
     """
-    h = ad.as_tensor(h)
-    u = ad.matmul(log_origin(h, zeta), ad.as_tensor(W))
-    point = exp_origin(u, zeta)
+    point = exp_origin(ad.matmul(ad.as_tensor(t), ad.as_tensor(W)), zeta)
     carried = transport_from_origin(point, b, zeta)
     return exp_at(point, carried, zeta)
 
@@ -124,26 +127,27 @@ def _segment_softmax(scores: Tensor, dst: np.ndarray, indptr: np.ndarray) -> Ten
     return e / ad.gather_rows(denom, dst)
 
 
-def layer_forward(h, g: Graph, params: LayerParams, zeta_in: float, zeta_out: float,
+def layer_forward(t, g: Graph, params: LayerParams, zeta: float,
                   *, dropout: float = 0.0, training: bool = False,
                   rng: np.random.Generator | None = None, edges=None) -> Tensor:
     """One message-passing layer: transform, attend, aggregate, relu.
 
-    All inputs live at zeta_in; the activation re-wraps onto zeta_out.
+    Takes and returns origin-tangent coordinates, (n, d_in) -> (n, d_out);
+    in between, the points live on the hyperboloid at this layer's zeta.
     Dropout hits the tangent-space pre-activation and only while training.
     """
     src, dst, indptr = message_edges(g) if edges is None else edges
-    h1 = linear_transform(h, params.W, params.b, zeta_in)
-    tang0 = log_origin(h1, zeta_in)
+    h1 = linear_transform(t, params.W, params.b, zeta)
+    tang0 = log_origin(h1, zeta)
     w = _segment_softmax(_attention_scores(tang0, src, dst, params), dst, indptr)
-    pulled = sum_logs(h1, src, dst, indptr, w, zeta_in)
-    h2 = exp_at(h1, pulled, zeta_in)
-    tang = log_origin(h2, zeta_in)
+    pulled = sum_logs(h1, src, dst, indptr, w, zeta)
+    h2 = exp_at(h1, pulled, zeta)
+    tang = log_origin(h2, zeta)
     if training and dropout > 0.0:
         if rng is None:
             raise ValueError("training dropout requires an rng")
         tang = ad.dropout(tang, dropout, rng, training=True)
-    return exp_origin(ad.relu(tang), zeta_out)
+    return ad.relu(tang)
 
 
 class HyperbolicGNN:
@@ -185,16 +189,16 @@ class HyperbolicGNN:
 
     def forward(self, g: Graph, *, training: bool = False,
                 rng: np.random.Generator | None = None, edges=None) -> Tensor:
-        """Embeddings at the last layer's curvature, shape (n, dim+1)."""
+        """Embeddings at the last layer's curvature, shape (n, dim+1); the
+        features enter as tangent coordinates, and only the output is lifted."""
         if g.features is None:
             raise ValueError("graph has no features")
         edges = message_edges(g) if edges is None else edges
-        h = exp_origin(Tensor(np.asarray(g.features, dtype=np.float64)), self.layers[0].zeta)
-        for li, layer in enumerate(self.layers):
-            zeta_out = self.layers[li + 1].zeta if li + 1 < len(self.layers) else layer.zeta
-            h = layer_forward(h, g, layer, layer.zeta, zeta_out, dropout=self.dropout,
+        t = Tensor(np.asarray(g.features, dtype=np.float64))
+        for layer in self.layers:
+            t = layer_forward(t, g, layer, layer.zeta, dropout=self.dropout,
                               training=training, rng=rng, edges=edges)
-        return h
+        return exp_origin(t, self.layers[-1].zeta)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import curvature, graphs, layers, nashq
+from . import curvature, graphs, layers, manifold, nashq
 from .autodiff import Adam, backward
 from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
 
@@ -94,6 +94,8 @@ class RunConfig:
             raise ValueError("beta must lie in [0, 1)")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must lie in [0, 1]")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ValueError("dropout must lie in [0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not (0 < self.zeta_min <= self.zeta0 <= self.zeta_max):
@@ -105,7 +107,6 @@ class EpochRecord:
     epoch: int
     train_loss: float
     val_metric: float
-    test_metric: float | None
     zetas: list
     action_hgnn: str | None
     action_ace: str | None
@@ -146,18 +147,8 @@ def roc_auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    ranks[order] = np.arange(1, scores.size + 1)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, tie_group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[tie_group]
     pos_rank_sum = ranks[labels].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -414,8 +405,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
             zeta_ace = [curvature.update_curvature(z, est.kappa, config.gamma,
                                                    config.zeta_min, config.zeta_max)
                         for z in model.zetas]
-            remapped = curvature.remap_embeddings(emb_prev, zeta_prev_out,
-                                                  zeta_ace[-1])
+            remapped = manifold.transfer_curvature(emb_prev, zeta_prev_out, zeta_ace[-1])
             metric_remap = task.val_metric(remapped, zeta_ace[-1], model)
             r_hgnn, r_ace = nashq.compute_rewards(metric_curr, metric_prev,
                                                   metric_remap, metric_prev)
@@ -448,7 +438,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         records.append(EpochRecord(
             epoch=epoch, train_loss=loss, val_metric=metric_curr,
-            test_metric=None, zetas=[float(z) for z in model.zetas],
+            zetas=[float(z) for z in model.zetas],
             action_hgnn=action[0].name if action else None,
             action_ace=action[1].name if action else None,
             r_hgnn=r_hgnn, r_ace=r_ace, distortion=distortion_val,

@@ -4,14 +4,16 @@ Closed forms the package does not need (parallel transport between two
 arbitrary points, the polar law of cosines and its large-radius shortcut,
 a drift projection), one-node versions of what ``layers.layer_forward``
 does for every node at once (attention, aggregation, activation), the
-per-edge form of the attention scores, and the Fermi-Dirac score in numpy.
+per-edge form of the attention scores, the model forward with a
+hyperboloid point at every layer boundary, the node-by-node tree layout,
+and the Fermi-Dirac score in numpy.
 """
 
 import numpy as np
 
-from curvgnn import autodiff as ad, manifold
+from curvgnn import _kernels, autodiff as ad, manifold
 from curvgnn.autodiff import Tensor
-from curvgnn.layers import _attention_scores
+from curvgnn.layers import _attention_scores, layer_forward
 
 
 # ---------------------------------------------------------------------------
@@ -149,3 +151,69 @@ def fermi_dirac_score(d, r: float, t: float):
     z = (r - d * d) / t
     return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
                     np.exp(z) / (1.0 + np.exp(z)))
+
+
+# ---------------------------------------------------------------------------
+# model forward with HGCN's layer boundaries
+# ---------------------------------------------------------------------------
+
+def forward_with_boundary_round_trips(model, g) -> Tensor:
+    """``HyperbolicGNN.forward`` (eval) with every layer boundary on a
+    hyperboloid: the features are lifted at the first layer's curvature,
+    each activation is wrapped onto the next layer's curvature (the last
+    layer's own for the output), and each layer starts with log at the
+    origin at its curvature (HGCN's boundary, Chami et al. 2019)."""
+    zetas = model.zetas
+    h = manifold.exp_origin(Tensor(np.asarray(g.features, dtype=np.float64)), zetas[0])
+    for li, layer in enumerate(model.layers):
+        t = layer_forward(manifold.log_origin(h, zetas[li]), g, layer, zetas[li])
+        h = manifold.exp_origin(t, zetas[min(li + 1, len(zetas) - 1)])
+    return h
+
+
+# ---------------------------------------------------------------------------
+# tree layout, one node at a time
+# ---------------------------------------------------------------------------
+
+def tree_layout_per_node(g, zeta, edge_length: float = 1.0, root: int = 0) -> np.ndarray:
+    """``curvature.tree_layout_hyperbolic`` placing one parent's children per
+    step: children fan out around the direction back to the grandparent."""
+    z = manifold.as_zeta(zeta)
+    indptr, indices = g.indptr, g.indices
+    hops, parent, order = _kernels.bfs_tree(indptr, indices, root)
+    if np.any(hops < 0):
+        raise ValueError("tree layout requires a connected graph")
+    pos = np.zeros((g.n_nodes, 3), dtype=np.float64)
+    pos[root] = manifold.origin(2, z)
+    for v in order:
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        children = nbrs[parent[nbrs] == v]
+        if not children.size:
+            continue
+        x = pos[v]
+        k = len(children)
+        if v == root:
+            ang = 2.0 * np.pi * np.arange(k) / k
+            directions = np.stack([np.zeros(k), np.cos(ang), np.sin(ang)], axis=1)
+        else:
+            u = manifold.log_map(x, pos[parent[v]], z, validate=False)
+            u_hat = u / max(manifold.lorentz_norm(u), 1e-300)
+            u_perp = _tangent_perp_one(x, u_hat, z)
+            ang = 2.0 * np.pi * np.arange(1, k + 1)[:, None] / (k + 1)
+            directions = np.cos(ang) * u_hat + np.sin(ang) * u_perp
+        pos[children] = manifold.exp_map(x, edge_length * directions, z, validate=False)
+    return pos
+
+
+def _tangent_perp_one(x: np.ndarray, u_hat: np.ndarray, zeta: float) -> np.ndarray:
+    """Unit tangent vector at x orthogonal to u_hat (2-d hyperboloid)."""
+    z = zeta
+    for axis in range(3):
+        e = np.zeros(3)
+        e[axis] = 1.0
+        w = e + (manifold.lorentz_inner(x, e) / (z * z)) * x  # project onto T_x
+        w = w - manifold.lorentz_inner(w, u_hat) * u_hat
+        nw = manifold.lorentz_norm(w)
+        if nw > 1e-8:
+            return w / nw
+    raise RuntimeError("failed to build an orthogonal tangent direction")

@@ -159,6 +159,12 @@ def test_train_unknown_config_field(tmp_path):
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
 
+def test_train_dropout_of_one_is_rejected(tmp_path, capsys):
+    assert main(["train", "--synthetic-tree", "4", "--dropout", "1.0",
+                 "--out", str(tmp_path)]) == 1
+    assert "dropout" in capsys.readouterr().err
+
+
 def test_every_train_option_sets_its_config_field():
     defaults = RunConfig()
     sub = next(a for a in _build_parser()._actions if a.dest == "command")

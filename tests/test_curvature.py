@@ -335,7 +335,7 @@ def test_estimate_error_cases():
 
 
 # ---------------------------------------------------------------------------
-# curvature update and remap
+# curvature update
 # ---------------------------------------------------------------------------
 
 def test_update_fixed_point():
@@ -359,17 +359,6 @@ def test_update_respects_bounds_and_monotonicity():
         assert M.DEFAULT_ZETA_MIN <= z <= M.DEFAULT_ZETA_MAX
     with pytest.raises(ValueError):
         C.update_curvature(1.0, -1.0, 1.5)
-
-
-def test_remap_identity_roundtrip_origin():
-    rng = np.random.default_rng(4)
-    emb = M.to_hyperboloid(rng.standard_normal((10, 3)), 1.5)
-    same = C.remap_embeddings(emb, 1.5, 1.5)
-    assert same == pytest.approx(emb, abs=1e-12)
-    back = C.remap_embeddings(C.remap_embeddings(emb, 1.5, 0.4), 0.4, 1.5)
-    assert np.max(np.abs(back - emb)) < 1e-8
-    o = M.origin(3, 1.5)
-    assert C.remap_embeddings(o, 1.5, 7.0) == pytest.approx(M.origin(3, 7.0))
 
 
 # ---------------------------------------------------------------------------
@@ -424,3 +413,17 @@ def test_tree_layout_is_on_manifold_with_unit_edges():
     for u, v in g.edge_array():
         d = float(M.hyp_distance(emb[u], emb[v], 1.0))
         assert d == pytest.approx(1.0, rel=1e-9)
+
+
+def test_tree_layout_matches_per_node_reference():
+    rng = np.random.default_rng(8)
+    n = 300
+    label = rng.permutation(n)  # relabel so that the root is not node 0
+    tree = np.stack([label[rng.integers(0, np.arange(1, n))], label[1:]], axis=1)
+    g = graphs.Graph.from_edges(n, tree)
+    root = int(label[0])
+    assert root != 0
+    for zeta, edge_length in ((1.0, 1.0), (1.0, 0.5), (0.7, 1.3)):
+        got = C.tree_layout_hyperbolic(g, zeta, edge_length, root=root)
+        want = geo.tree_layout_per_node(g, zeta, edge_length, root=root)
+        assert np.array_equal(got, want)

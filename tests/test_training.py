@@ -31,17 +31,26 @@ def test_roc_auc_all_ties():
 
 
 def test_roc_auc_matches_pair_counting():
+    def pair_counting(scores, labels):
+        wins = ties = 0
+        for i in np.flatnonzero(labels == 1):
+            for j in np.flatnonzero(labels == 0):
+                if scores[i] > scores[j]:
+                    wins += 1
+                elif scores[i] == scores[j]:
+                    ties += 1
+        return (wins + 0.5 * ties) / (labels.sum() * (len(labels) - labels.sum()))
+
     scores = np.array([0.1, 0.4, 0.35, 0.8, 0.35])
     labels = np.array([0, 1, 0, 1, 1])
-    wins = ties = 0
-    for i in np.flatnonzero(labels == 1):
-        for j in np.flatnonzero(labels == 0):
-            if scores[i] > scores[j]:
-                wins += 1
-            elif scores[i] == scores[j]:
-                ties += 1
-    want = (wins + 0.5 * ties) / (labels.sum() * (len(labels) - labels.sum()))
-    assert roc_auc(scores, labels) == pytest.approx(want)
+    assert roc_auc(scores, labels) == pytest.approx(pair_counting(scores, labels))
+    rng = np.random.default_rng(4)
+    for trial in range(200):
+        n = int(rng.integers(2, 40))
+        scores = np.round(rng.random(n), int(rng.integers(0, 4)))  # many ties
+        labels = rng.integers(0, 2, n)
+        labels[0], labels[1] = 1, 0  # both classes present
+        assert roc_auc(scores, labels) == pytest.approx(pair_counting(scores, labels))
 
 
 def test_roc_auc_label_swap_complement():
@@ -86,6 +95,9 @@ def test_config_rejects_out_of_range_values():
         quick_config(n_layers=0).validate()
     with pytest.raises(ValueError):
         quick_config(dim=0).validate()
+    for p in (1.0, 1.5, -0.1):
+        with pytest.raises(ValueError):
+            quick_config(dropout=p).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +137,7 @@ def test_smoke_val_improves_over_first_twenty_epochs():
 
 def test_test_metric_isolated_until_final_eval():
     res = train(quick_config(epochs=6))
-    assert all(r.test_metric is None for r in res.records)
+    assert all("test_metric" not in dataclasses.asdict(r) for r in res.records)
     assert 0.0 <= res.test_metric <= 1.0
 
 
@@ -227,10 +239,8 @@ def test_output_files_written(tmp_path):
     lines = (tmp_path / "metrics.jsonl").read_text().strip().splitlines()
     assert len(lines) == 3
     rec = json.loads(lines[0])
-    for key in ("epoch", "train_loss", "val_metric", "test_metric", "zetas",
-                "action_hgnn", "action_ace", "r_hgnn", "r_ace", "distortion",
-                "wall_ms"):
-        assert key in rec
+    assert set(rec) == {"epoch", "train_loss", "val_metric", "zetas", "action_hgnn",
+                        "action_ace", "r_hgnn", "r_ace", "distortion", "wall_ms"}
     header = (tmp_path / "trace.csv").read_text().splitlines()[0]
     assert header == "epoch,layer,zeta,action_hgnn,action_ace,r_hgnn,r_ace"
     emb = np.load(tmp_path / "embeddings.npy")
