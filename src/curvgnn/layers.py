@@ -99,7 +99,7 @@ def linear_transform(t, W, b, zeta: float) -> Tensor:
     The bias is parallel-transported from the origin's tangent space to the
     transformed point and applied with an exponential step there.
     """
-    point = exp_origin(ad.matmul(ad.as_tensor(t), ad.as_tensor(W)), zeta)
+    point = exp_origin(ad.matmul(t, W), zeta)
     carried = transport_from_origin(point, b, zeta)
     return exp_at(point, carried, zeta)
 
