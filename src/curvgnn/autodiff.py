@@ -257,13 +257,14 @@ def acosh1p(a) -> Tensor:
     a = as_tensor(a)
     u = np.minimum(np.maximum(a.data, 0.0), ACOSH_ARG_MAX)
     out = np.log1p(u + np.sqrt(u * (u + 2.0)))
+    return _make(out, (a,), lambda g: (g * acosh1p_slope(a.data),))
 
-    def vjp(g):
-        uc = np.maximum(u, ACOSH_GRAD_EPS)
-        d = 1.0 / np.sqrt(uc * (uc + 2.0))
-        return (g * np.where(a.data > ACOSH_ARG_MAX, 0.0, d),)
 
-    return _make(out, (a,), vjp)
+def acosh1p_slope(u: np.ndarray) -> np.ndarray:
+    """The derivative acosh1p uses: 1 / sqrt(u (u + 2)) at max(u, ACOSH_GRAD_EPS),
+    and 0 above ACOSH_ARG_MAX."""
+    uc = np.minimum(np.maximum(u, ACOSH_GRAD_EPS), ACOSH_ARG_MAX)
+    return np.where(u > ACOSH_ARG_MAX, 0.0, 1.0 / np.sqrt(uc * (uc + 2.0)))
 
 
 def sigmoid(a) -> Tensor:
@@ -364,42 +365,40 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 def gather_rows(a, idx: np.ndarray) -> Tensor:
-    """Select rows a[idx] along axis 0 (repeats allowed)."""
+    """Select rows a[idx] along axis 0 (repeats allowed, negative rows wrap)."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-    out = a.data[idx]
-
-    def vjp(g):
-        # one bincount over flat (row, column) slots; like np.add.at it adds
-        # in index order starting from zero, so the sums are bit-identical.
-        # The modulo wraps negative rows as a.data[idx] did.
-        shape = a.data.shape
-        rows = idx.ravel() % max(shape[0], 1)
-        width = int(np.prod(shape[1:], dtype=np.int64))
-        flat = (rows[:, None] * width + np.arange(width)).ravel()
-        ga = np.bincount(flat, weights=g.reshape(-1), minlength=a.data.size)
-        return (ga.astype(np.float64, copy=False).reshape(shape),)  # int if empty
-
-    return _make(out, (a,), vjp)
+    out = np.take(a.data, idx, axis=0)
+    return _make(out, (a,), lambda g: (scatter_rows(g, idx, a.data.shape[0]),))
 
 
-def segment_sum(a, indptr: np.ndarray) -> Tensor:
-    """Sum contiguous row blocks: out[k] = sum of a[indptr[k]:indptr[k+1]].
+def scatter_rows(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum the rows of g into n_rows rows at idx: the adjoint of a[idx].
 
-    Every segment must be nonempty (callers inject self-loops to ensure it).
+    One bincount over flat (row, column) slots; like np.add.at it adds in
+    index order starting from zero, so the sums are bit-identical. The
+    modulo wraps negative rows as a[idx] does.
     """
-    a = as_tensor(a)
+    shape = (n_rows,) + g.shape[idx.ndim:]
+    rows = idx.ravel() % max(n_rows, 1)
+    width = int(np.prod(shape[1:], dtype=np.int64))
+    flat = (rows[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=g.reshape(-1), minlength=n_rows * width)
+    return out.astype(np.float64, copy=False).reshape(shape)  # int if empty
+
+
+def segment_counts(indptr: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row counts of the contiguous blocks indptr[k]:indptr[k+1] of n_rows rows.
+
+    Every block must be nonempty (callers inject self-loops to ensure it),
+    which segment reductions such as np.add.reduceat rely on.
+    """
     counts = np.diff(indptr)
     if np.any(counts <= 0):
-        raise ValueError("segment_sum requires nonempty segments")
-    if indptr[-1] != a.data.shape[0]:
+        raise ValueError("segments must be nonempty")
+    if indptr[-1] != n_rows:
         raise ValueError("segment index does not cover all rows")
-    out = np.add.reduceat(a.data, indptr[:-1], axis=0)
-
-    def vjp(g):
-        return (np.repeat(g, counts, axis=0),)
-
-    return _make(out, (a,), vjp)
+    return counts
 
 
 def lorentz_inner(u, v, keepdims: bool = True) -> Tensor:

@@ -19,10 +19,11 @@ needs a pair of endpoints:
 * per node (n rows): the linear transform and bias, log at the origin,
   both halves of the attention projection, the exp map of the aggregate,
   the activation;
-* per edge (E rows): the sum of the two gathered projections, its relu and
-  output score, the segment softmax, and in ``manifold.sum_logs`` the
-  distance coefficient of each log map plus the weighted source rows. The
-  log map vectors themselves are never formed per edge.
+* per edge (E rows): two tape ops with closed-form VJPs. ``attention_weights``
+  sums the two gathered projections and takes their relu, output score and
+  segment softmax; ``manifold.sum_logs`` forms the distance coefficient of
+  each log map and sums the weighted source rows. The log map vectors
+  themselves are never formed per edge.
 """
 
 from __future__ import annotations
@@ -51,11 +52,10 @@ class LayerParams:
     att_w1: Tensor
     att_b1: Tensor
     att_w2: Tensor
-    att_b2: Tensor
     zeta: float
 
     def tensors(self) -> list:
-        return [self.W, self.b, self.att_w1, self.att_b1, self.att_w2, self.att_b2]
+        return [self.W, self.b, self.att_w1, self.att_b1, self.att_w2]
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -70,7 +70,6 @@ def init_layer(rng: np.random.Generator, d_in: int, d_out: int, zeta: float) -> 
         att_w1=Tensor(_glorot(rng, 2 * d_out, d_out), requires_grad=True),
         att_b1=Tensor(np.zeros(d_out), requires_grad=True),
         att_w2=Tensor(_glorot(rng, d_out, 1), requires_grad=True),
-        att_b2=Tensor(np.zeros(1), requires_grad=True),
         zeta=zeta,
     )
 
@@ -104,42 +103,57 @@ def linear_transform(t, W, b, zeta: float) -> Tensor:
     return exp_at(point, carried, zeta)
 
 
-def _attention_scores(tang, src, dst, params: LayerParams) -> Tensor:
-    """MLP score of [tang_dst, tang_src] per edge, shape (E, 1).
+def attention_weights(tang, params: LayerParams, src, dst, indptr) -> Tensor:
+    """Softmax over each dst segment of the MLP score of [tang_dst, tang_src],
+    shape (E, 1); one tape node with inputs tang, att_w1, att_b1 and att_w2.
 
     The first layer is linear, so each half of att_w1 multiplies the n node
-    rows once; per edge only the sum of two gathered rows, the relu and the
-    (d, 1) output projection remain.
+    rows once; per edge only the sum of two gathered rows, the relu, the
+    (d, 1) output projection and the softmax remain. The softmax ignores a
+    shift shared by a segment, so the output projection has no bias.
     """
-    d = tang.data.shape[-1]
-    halves = np.arange(2 * d).reshape(2, d)
-    proj_dst = ad.matmul(tang, ad.gather_rows(params.att_w1, halves[0])) + params.att_b1
-    proj_src = ad.matmul(tang, ad.gather_rows(params.att_w1, halves[1]))
-    hidden = ad.relu(ad.gather_rows(proj_dst, dst) + ad.gather_rows(proj_src, src))
-    return ad.matmul(hidden, params.att_w2) + params.att_b2
+    tang = ad.as_tensor(tang)
+    w1, b1, w2 = params.att_w1, params.att_b1, params.att_w2
+    t = tang.data
+    n, d = t.shape
+    counts = ad.segment_counts(indptr, len(src))
+    starts = indptr[:-1]
+    proj_dst = t @ w1.data[:d] + b1.data
+    proj_src = t @ w1.data[d:]
+    hidden = np.maximum(np.repeat(proj_dst, counts, axis=0)
+                        + np.take(proj_src, src, axis=0), 0.0)
+    scores = hidden @ w2.data
+    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts, axis=0),
+                                  counts, axis=0))
+    weights = e / np.repeat(np.add.reduceat(e, starts, axis=0), counts, axis=0)
+
+    def vjp(g):
+        g_scores = weights * (g - np.repeat(np.add.reduceat(g * weights, starts, axis=0),
+                                            counts, axis=0))
+        g_hidden = (g_scores @ w2.data.T) * (hidden > 0.0)
+        g_dst = ad.scatter_rows(g_hidden, dst, n)
+        g_src = ad.scatter_rows(g_hidden, src, n)
+        return (g_dst @ w1.data[:d].T + g_src @ w1.data[d:].T,
+                np.concatenate([t.T @ g_dst, t.T @ g_src]),
+                g_dst.sum(axis=0),
+                hidden.T @ g_scores)
+
+    return ad._make(weights, (tang, w1, b1, w2), vjp)
 
 
-def _segment_softmax(scores: Tensor, dst: np.ndarray, indptr: np.ndarray) -> Tensor:
-    seg_max = np.maximum.reduceat(scores.data, indptr[:-1], axis=0)
-    shifted = scores - Tensor(seg_max[dst])  # constant shift, exact in gradient
-    e = ad.exp(shifted)
-    denom = ad.segment_sum(e, indptr)
-    return e / ad.gather_rows(denom, dst)
-
-
-def layer_forward(t, g: Graph, params: LayerParams, zeta: float,
-                  *, dropout: float = 0.0, training: bool = False,
-                  rng: np.random.Generator | None = None, edges=None) -> Tensor:
+def layer_forward(t, g: Graph, params: LayerParams, *, dropout: float = 0.0,
+                  training: bool = False, rng: np.random.Generator | None = None,
+                  edges=None) -> Tensor:
     """One message-passing layer: transform, attend, aggregate, relu.
 
     Takes and returns origin-tangent coordinates, (n, d_in) -> (n, d_out);
-    in between, the points live on the hyperboloid at this layer's zeta.
+    in between, the points live on the hyperboloid at params.zeta.
     Dropout hits the tangent-space pre-activation and only while training.
     """
     src, dst, indptr = message_edges(g) if edges is None else edges
+    zeta = params.zeta
     h1 = linear_transform(t, params.W, params.b, zeta)
-    tang0 = log_origin(h1, zeta)
-    w = _segment_softmax(_attention_scores(tang0, src, dst, params), dst, indptr)
+    w = attention_weights(log_origin(h1, zeta), params, src, dst, indptr)
     pulled = sum_logs(h1, src, dst, indptr, w, zeta)
     h2 = exp_at(h1, pulled, zeta)
     tang = log_origin(h2, zeta)
@@ -196,7 +210,7 @@ class HyperbolicGNN:
         edges = message_edges(g) if edges is None else edges
         t = Tensor(np.asarray(g.features, dtype=np.float64))
         for layer in self.layers:
-            t = layer_forward(t, g, layer, layer.zeta, dropout=self.dropout,
+            t = layer_forward(t, g, layer, dropout=self.dropout,
                               training=training, rng=rng, edges=edges)
         return exp_origin(t, self.layers[-1].zeta)
 

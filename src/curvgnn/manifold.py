@@ -8,7 +8,9 @@ where ``<.,.>_L`` is the Lorentzian scalar product of signature
 of ambient points or tangent vectors.
 
 Each formula is one function built from ``autodiff`` primitives, so the
-model's gradients and the numpy diagnostics evaluate the same numbers:
+model's gradients and the numpy diagnostics evaluate the same numbers.
+``sum_logs``, the per-edge stage of a layer, is instead one tape node with a
+closed-form VJP, so its (E, d+1) intermediates are not kept per op:
 
 =======================  ==========================  =====================
 formula                  tape op (-> Tensor)         numpy API (validated)
@@ -17,7 +19,7 @@ exp at the origin        ``exp_origin``              ``to_hyperboloid``
 log at the origin        ``log_origin``              ``to_tangent_coords``
 geodesic distance        ``dist``                    ``hyp_distance``
 log map at x             ``log_at``                  ``log_map``
-weighted log-map sum     ``sum_logs``
+weighted log-map sum     ``sum_logs`` (one node)
 exp map at x             ``exp_at``                  ``exp_map``
 transport from origin    ``transport_from_origin``
 Lorentz product          ``autodiff.lorentz_inner``  ``lorentz_inner``
@@ -183,20 +185,48 @@ def log_at(x, y, zeta: float) -> Tensor:
 def sum_logs(h, src: np.ndarray, dst: np.ndarray, indptr: np.ndarray, weights,
              zeta: float) -> Tensor:
     """Per node i, the weighted sum of log maps sum_e w_e log_{h_i}(h[src_e])
-    over the edges e with dst_e = i.
+    over the edges e with dst_e = i; one tape node with inputs h and weights.
 
     The edges are grouped by dst: segment i is ``indptr[i]:indptr[i+1]`` and
-    every segment is nonempty. Since log_x(y) = c (y - (1 + u) x), the sum is
-    sum_e a_e h[src_e] - (sum_e a_e (1 + u_e)) h_i with a = w c, so only
-    scalars and source rows are summed per edge and h_i is scaled once per
-    node. A self-loop contributes 0.
+    every segment is nonempty. Since log_x(y) = c (y - (1 + u) x) with c and
+    u as in ``_log_coef``, the sum is sum_e a_e h[src_e] - beta_i h_i with
+    a = w c and beta_i = sum_e a_e (1 + u_e), so only scalars and source rows
+    are summed per edge and h_i is scaled once per node. A self-loop
+    contributes 0. The forward evaluates ``_log_coef``'s arithmetic in the
+    same order, so the values equal the composition of tape ops exactly; the
+    VJP is its closed form, and scatters to the dst and src rows with
+    ``autodiff.scatter_rows``.
     """
-    h = ad.as_tensor(h)
-    h_src = ad.gather_rows(h, src)
-    c, u = _log_coef(ad.gather_rows(h, dst), h_src, zeta)
-    a = ad.as_tensor(weights) * c
-    beta = ad.segment_sum(a * (u + 1.0), indptr)
-    return ad.segment_sum(a * h_src, indptr) - beta * h
+    h, weights = ad.as_tensor(h), ad.as_tensor(weights)
+    counts = ad.segment_counts(indptr, len(src))
+    starts = indptr[:-1]
+    x, w = h.data, weights.data
+    n = x.shape[0]
+    h_src = np.take(x, src, axis=0)
+    diff = np.repeat(x, counts, axis=0) - h_src  # h[dst] - h[src]
+    prod = diff * diff
+    q = prod[:, 1:].sum(axis=-1, keepdims=True) - prod[:, :1]
+    k = float(0.5 / (zeta * zeta))
+    u = np.maximum(q, 0.0) * k
+    s = np.sqrt(u * (u + 2.0) + ad.NORM_GUARD)
+    c = ad.acosh1p(u).data / s
+    a = w * c
+    beta = np.add.reduceat(a * (u + 1.0), starts, axis=0)
+    out = np.add.reduceat(a * h_src, starts, axis=0) - beta * x
+
+    def vjp(g):
+        g_dst = np.repeat(g, counts, axis=0)
+        g_beta = np.repeat(-np.einsum("ij,ij->i", g, x)[:, None], counts, axis=0)
+        g_a = np.einsum("ij,ij->i", g_dst, h_src)[:, None] + g_beta * (u + 1.0)
+        # c = acosh1p(u) / s with ds/du = (u + 1) / s
+        g_u = g_beta * a + g_a * w * (ad.acosh1p_slope(u) - c * (u + 1.0) / s) / s
+        # u = k max(<diff, diff>_L, 0)
+        g_diff = ((2.0 * k) * g_u * (u > 0.0)) * diff
+        g_diff[:, 0] = -g_diff[:, 0]
+        g_h = ad.scatter_rows(g_diff, dst, n) + ad.scatter_rows(a * g_dst - g_diff, src, n)
+        return g_h - beta * g, g_a * c
+
+    return ad._make(out, (h, weights), vjp)
 
 
 def exp_at(x, v, zeta: float) -> Tensor:

@@ -30,7 +30,7 @@ from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 WEIGHT_DECAY = 5e-3
 EARLY_STOP_PATIENCE = 100  # epochs without a val improvement before stopping
 
@@ -253,7 +253,7 @@ def _snapshot_model(model: layers.HyperbolicGNN) -> dict:
         blob["layers"].append({
             "W": lp.W.data.tolist(), "b": lp.b.data.tolist(),
             "att_w1": lp.att_w1.data.tolist(), "att_b1": lp.att_b1.data.tolist(),
-            "att_w2": lp.att_w2.data.tolist(), "att_b2": lp.att_b2.data.tolist(),
+            "att_w2": lp.att_w2.data.tolist(),
         })
     if model.W_cls is not None:
         blob["W_cls"] = model.W_cls.data.tolist()
@@ -263,7 +263,7 @@ def _snapshot_model(model: layers.HyperbolicGNN) -> dict:
 
 def _restore_model(model: layers.HyperbolicGNN, blob: dict) -> None:
     for lp, saved in zip(model.layers, blob["layers"]):
-        for name in ("W", "b", "att_w1", "att_b1", "att_w2", "att_b2"):
+        for name in ("W", "b", "att_w1", "att_b1", "att_w2"):
             getattr(lp, name).data = np.asarray(saved[name], dtype=np.float64)
     model.set_zetas(blob["zetas"])
     if model.W_cls is not None:

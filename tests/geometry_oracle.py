@@ -3,17 +3,18 @@
 Closed forms the package does not need (parallel transport between two
 arbitrary points, the polar law of cosines and its large-radius shortcut,
 a drift projection), one-node versions of what ``layers.layer_forward``
-does for every node at once (attention, aggregation, activation), the
-per-edge form of the attention scores, the model forward with a
-hyperboloid point at every layer boundary, the node-by-node tree layout,
-and the Fermi-Dirac score in numpy.
-"""
+does for every node at once (attention, aggregation), the composed tape
+forms of the two fused per-edge ops (``layers.attention_weights`` and
+``manifold.sum_logs``) with the ``segment_sum`` primitive they use, the
+per-edge form of the attention scores, the model forward with a hyperboloid
+point at every layer boundary, the node-by-node tree layout, and the
+Fermi-Dirac score in numpy."""
 
 import numpy as np
 
 from curvgnn import _kernels, autodiff as ad, manifold
 from curvgnn.autodiff import Tensor
-from curvgnn.layers import _attention_scores, layer_forward
+from curvgnn.layers import layer_forward
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,58 @@ def polar_distance_approx(r: float, theta: float, r2: float, theta2: float,
 
 
 # ---------------------------------------------------------------------------
+# the per-edge stage of a layer, composed from tape primitives
+# ---------------------------------------------------------------------------
+
+def segment_sum(a, indptr: np.ndarray) -> Tensor:
+    """Sum contiguous row blocks: out[k] = sum of a[indptr[k]:indptr[k+1]].
+
+    Every segment must be nonempty.
+    """
+    a = ad.as_tensor(a)
+    counts = ad.segment_counts(indptr, a.data.shape[0])
+    out = np.add.reduceat(a.data, indptr[:-1], axis=0)
+    return ad._make(out, (a,), lambda g: (np.repeat(g, counts, axis=0),))
+
+
+def attention_scores(tang, src, dst, params) -> Tensor:
+    """MLP score of [tang_dst, tang_src] per edge, shape (E, 1), with each
+    half of att_w1 applied to the n node rows: the scores inside
+    ``layers.attention_weights``."""
+    d = tang.data.shape[-1]
+    halves = np.arange(2 * d).reshape(2, d)
+    proj_dst = ad.matmul(tang, ad.gather_rows(params.att_w1, halves[0])) + params.att_b1
+    proj_src = ad.matmul(tang, ad.gather_rows(params.att_w1, halves[1]))
+    hidden = ad.relu(ad.gather_rows(proj_dst, dst) + ad.gather_rows(proj_src, src))
+    return ad.matmul(hidden, params.att_w2)
+
+
+def segment_softmax(scores: Tensor, dst: np.ndarray, indptr: np.ndarray) -> Tensor:
+    """Softmax of the scores over each dst segment."""
+    seg_max = np.maximum.reduceat(scores.data, indptr[:-1], axis=0)
+    shifted = scores - Tensor(seg_max[dst])  # constant shift, exact in gradient
+    e = ad.exp(shifted)
+    denom = segment_sum(e, indptr)
+    return e / ad.gather_rows(denom, dst)
+
+
+def attention_weights_composed(tang, params, src, dst, indptr) -> Tensor:
+    """``layers.attention_weights`` as a chain of tape primitives."""
+    return segment_softmax(attention_scores(tang, src, dst, params), dst, indptr)
+
+
+def sum_logs_composed(h, src, dst, indptr, weights, zeta: float) -> Tensor:
+    """``manifold.sum_logs`` as a chain of tape primitives: sum_e a_e h[src_e]
+    - (sum_e a_e (1 + u_e)) h_i with a = w c, c and u from ``_log_coef``."""
+    h = ad.as_tensor(h)
+    h_src = ad.gather_rows(h, src)
+    c, u = manifold._log_coef(ad.gather_rows(h, dst), h_src, zeta)
+    a = ad.as_tensor(weights) * c
+    beta = segment_sum(a * (u + 1.0), indptr)
+    return segment_sum(a * h_src, indptr) - beta * h
+
+
+# ---------------------------------------------------------------------------
 # one node of a layer
 # ---------------------------------------------------------------------------
 
@@ -109,17 +162,17 @@ def attention_weights(h_center, h_neighbors, params, zeta: float) -> np.ndarray:
     tang = manifold.log_origin(Tensor(pts), zeta)
     src = np.arange(1, k + 1, dtype=np.int64)
     dst = np.zeros(k, dtype=np.int64)
-    scores = _attention_scores(tang, src, dst, params)
+    scores = attention_scores(tang, src, dst, params)
     return ad.softmax(scores, axis=0).data.reshape(-1)
 
 
 def attention_scores_concat(tang, src, dst, params) -> Tensor:
     """Per-edge attention scores from the concatenated [tang_dst, tang_src]
-    rows: the (E, 2d) form that ``layers._attention_scores`` splits into
-    two node-side projections."""
+    rows: the (E, 2d) form that ``attention_scores`` splits into two
+    node-side projections."""
     feat = ad.concat([ad.gather_rows(tang, dst), ad.gather_rows(tang, src)], axis=-1)
     hidden = ad.relu(ad.matmul(feat, params.att_w1) + params.att_b1)
-    return ad.matmul(hidden, params.att_w2) + params.att_b2
+    return ad.matmul(hidden, params.att_w2)
 
 
 def aggregate(h_center, h_neighbors, weights, zeta: float) -> np.ndarray:
@@ -130,17 +183,6 @@ def aggregate(h_center, h_neighbors, weights, zeta: float) -> np.ndarray:
     tang = manifold.log_map(center, h_neighbors, zeta, validate=False)
     return manifold.exp_map(center, (w * tang).sum(axis=0, keepdims=True), zeta,
                             validate=False)[0]
-
-
-def activation(h, zeta_from: float, zeta_to: float, fn: str = "relu") -> Tensor:
-    """Apply a Euclidean nonlinearity in the origin tangent space, then
-    re-wrap at the (possibly different) output curvature."""
-    tang = manifold.log_origin(ad.as_tensor(h), zeta_from)
-    if fn == "relu":
-        tang = ad.relu(tang)
-    elif fn != "identity":
-        raise ValueError(f"unknown activation {fn!r}")
-    return manifold.exp_origin(tang, zeta_to)
 
 
 def fermi_dirac_score(d, r: float, t: float):
@@ -166,7 +208,7 @@ def forward_with_boundary_round_trips(model, g) -> Tensor:
     zetas = model.zetas
     h = manifold.exp_origin(Tensor(np.asarray(g.features, dtype=np.float64)), zetas[0])
     for li, layer in enumerate(model.layers):
-        t = layer_forward(manifold.log_origin(h, zetas[li]), g, layer, zetas[li])
+        t = layer_forward(manifold.log_origin(h, zetas[li]), g, layer)
         h = manifold.exp_origin(t, zetas[min(li + 1, len(zetas) - 1)])
     return h
 

@@ -182,7 +182,7 @@ def test_criterion_2_gradient_suite():
         lambda t: ad.concat([t, ad.scale(t, 2.0)], axis=-1),
         lambda t: ad.tsum(t, axis=0), lambda t: ad.tmean(t, axis=1),
         lambda t: ad.gather_rows(t, np.array([0, 2, 2])),
-        lambda t: ad.segment_sum(t, np.array([0, 1, 3])),
+        lambda t: geo.segment_sum(t, np.array([0, 1, 3])),
         lambda t: ad.lorentz_inner(t, Tensor(other)),
         ad.spatial, ad.first_col, ad.pad_zero_column,
     ]

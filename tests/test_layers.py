@@ -1,5 +1,7 @@
 """Layer tests: manifold-op composition oracle, attention, losses, gradients."""
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -128,31 +130,95 @@ def segment_weights(rng, indptr):
     return w / np.repeat(np.add.reduceat(w, indptr[:-1]), np.diff(indptr), axis=0)
 
 
+def edge_op_case(rng, d):
+    """Random multigraph with isolated nodes, a layer with a nonzero att_b1,
+    and origin-tangent rows."""
+    g, edges = random_message_graph(rng)
+    params = small_layer(rng, d, d)
+    params.att_b1.data = rng.standard_normal(d)
+    return g, edges, params, rng.standard_normal((g.n_nodes, d))
+
+
+def run_probed(op, leaves, probe):
+    """Values of op() and the gradients of sum(op() * probe) on the leaves."""
+    for t in leaves:
+        t.grad = None
+    out = op()
+    backward(ad.tsum(out * Tensor(probe)))
+    return [out.data] + [t.grad for t in leaves]
+
+
+def assert_close_to_max(got, want, rel=1e-12):
+    """Each array within rel of the largest magnitude in want: a gradient that
+    is 0 in exact arithmetic (att_b1 when no relu clips) is rounding alone."""
+    top = max(np.max(np.abs(b), initial=1e-300) for b in want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b), initial=0.0) <= rel * top
+
+
 def test_attention_scores_match_concat_reference():
+    """The fused attention weights agree with the softmax of the (E, 2d)
+    concatenated-row scores, in value and in every gradient."""
     rng = np.random.default_rng(30)
     for trial in range(30):
-        g, (src, dst, _) = random_message_graph(rng)
-        d = int(rng.integers(1, 6))
-        params = small_layer(rng, d, d)
-        params.att_b1.data = rng.standard_normal(d)
-        params.att_b2.data = rng.standard_normal(1)
-        tang = Tensor(rng.standard_normal((g.n_nodes, d)), requires_grad=True)
+        g, (src, dst, indptr), params, tang0 = edge_op_case(rng, int(rng.integers(1, 6)))
+        tang = Tensor(tang0, requires_grad=True)
+        leaves = [tang, params.att_w1, params.att_b1, params.att_w2]
         probe = rng.standard_normal((len(src), 1))
+        want = run_probed(lambda: geo.segment_softmax(
+            geo.attention_scores_concat(tang, src, dst, params), dst, indptr), leaves, probe)
+        got = run_probed(lambda: L.attention_weights(tang, params, src, dst, indptr),
+                         leaves, probe)
+        assert_close_to_max(got[:1], want[:1])
+        assert_close_to_max(got[1:], want[1:])
 
-        leaves = [tang, params.att_w1, params.att_b1, params.att_w2, params.att_b2]
 
-        def run(scores_fn):
-            for t in leaves:
-                t.grad = None
-            scores = scores_fn(tang, src, dst, params)
-            backward(ad.tsum(scores * Tensor(probe)))
-            return [scores.data] + [t.grad for t in leaves]
+def test_fused_edge_ops_equal_composed_oracles():
+    """Both per-edge tape ops compute exactly what their compositions of tape
+    primitives compute; their closed-form VJPs agree up to rounding."""
+    rng = np.random.default_rng(34)
+    for trial in range(30):
+        g, (src, dst, indptr), params, tang0 = edge_op_case(rng, int(rng.integers(1, 6)))
+        tang = Tensor(tang0, requires_grad=True)
+        leaves = [tang, params.att_w1, params.att_b1, params.att_w2]
+        probe = rng.standard_normal((len(src), 1))
+        want = run_probed(lambda: geo.attention_weights_composed(
+            tang, params, src, dst, indptr), leaves, probe)
+        got = run_probed(lambda: L.attention_weights(tang, params, src, dst, indptr),
+                         leaves, probe)
+        assert np.array_equal(got[0], want[0])
+        assert_close_to_max(got[1:], want[1:])
 
-        want = run(geo.attention_scores_concat)
-        got = run(L._attention_scores)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape
-            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
+        zeta = float(rng.choice([0.1, 1.0, 10.0]))
+        h = Tensor(rand_points(rng, g.n_nodes, 3, zeta, scale=zeta), requires_grad=True)
+        w = Tensor(segment_weights(rng, indptr), requires_grad=True)
+        probe = rng.standard_normal(h.shape)
+        want = run_probed(lambda: geo.sum_logs_composed(h, src, dst, indptr, w, zeta),
+                          [h, w], probe)
+        got = run_probed(lambda: M.sum_logs(h, src, dst, indptr, w, zeta), [h, w], probe)
+        assert np.array_equal(got[0], want[0])
+        assert_close_to_max(got[1:], want[1:])
+
+
+def test_attention_weights_gradients_match_finite_differences():
+    rng = np.random.default_rng(35)
+    g = graphs.Graph.from_edges(6, [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4]])  # 5 isolated
+    src, dst, indptr = L.message_edges(g)
+    params = small_layer(rng, 3, 3)
+    params.att_b1.data = rng.standard_normal(3)
+    tang = rng.standard_normal((g.n_nodes, 3))
+    probe = Tensor(rng.standard_normal((len(src), 1)))
+
+    def weighted(t, p):
+        return ad.tsum(L.attention_weights(t, p, src, dst, indptr) * probe)
+
+    assert finite_diff_check(lambda t: weighted(t, params), tang) < 1e-5
+    for name in ("att_w1", "att_b1", "att_w2"):
+        err = finite_diff_check(
+            lambda t: weighted(tang, dataclasses.replace(params, **{name: t})),
+            getattr(params, name).data)
+        assert err < 1e-5, f"{name}: rel err {err}"
 
 
 def test_sum_logs_matches_summed_log_maps():
@@ -164,7 +230,7 @@ def test_sum_logs_matches_summed_log_maps():
             w = segment_weights(rng, indptr)
             got = M.sum_logs(h, src, dst, indptr, w, zeta).data
             per_edge = M.log_at(h[dst], h[src], zeta)
-            want = ad.segment_sum(Tensor(w) * per_edge, indptr).data
+            want = geo.segment_sum(Tensor(w) * per_edge, indptr).data
             scale = np.max(np.abs(h), axis=-1, keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
             lonely = np.diff(g.indptr) == 0  # only the self-loop: sums to exactly 0
@@ -226,30 +292,6 @@ def test_sum_logs_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# activation
-# ---------------------------------------------------------------------------
-
-def test_activation_identity_same_curvature():
-    rng = np.random.default_rng(9)
-    h = rand_points(rng, 5, 3, 1.0)
-    out = geo.activation(h, 1.0, 1.0, fn="identity")
-    assert np.max(np.abs(out.data - h)) < 1e-10
-
-
-def test_activation_relu_noop_on_nonnegative_tangent():
-    h = M.to_hyperboloid(np.abs(np.random.default_rng(10).standard_normal((4, 3))), 1.0)
-    out = geo.activation(h, 1.0, 1.0, fn="relu")
-    assert np.max(np.abs(out.data - h)) < 1e-10
-
-
-def test_activation_constraint_across_curvatures():
-    rng = np.random.default_rng(11)
-    h = rand_points(rng, 6, 3, 0.7)
-    out = geo.activation(h, 0.7, 2.5, fn="relu").data
-    assert np.max(M.manifold_residual(out, 2.5)) < 1e-8
-
-
-# ---------------------------------------------------------------------------
 # layer / model forward
 # ---------------------------------------------------------------------------
 
@@ -263,7 +305,7 @@ def test_single_node_identity_layer_preserves_lift():
     params = small_layer(rng, 3, 3)
     params.W.data = np.eye(3)
     params.b.data = np.zeros(3)
-    out = L.layer_forward(g.features, g, params, 1.0)
+    out = L.layer_forward(g.features, g, params)
     assert out.data[0] == pytest.approx(g.features[0], abs=1e-9)
 
 
@@ -472,7 +514,7 @@ def test_layer_forward_gradient_wrt_inputs():
     feats = 0.4 * rng.standard_normal((5, 3))
 
     def f(t):
-        out = M.exp_origin(L.layer_forward(t, g, params, 1.0), 1.4)
+        out = M.exp_origin(L.layer_forward(t, g, params), 1.4)
         o = np.broadcast_to(M.origin(3, 1.4), out.data.shape)
         return ad.tsum(M.dist(Tensor(np.ascontiguousarray(o)), out, 1.4))
 

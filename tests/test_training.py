@@ -272,7 +272,8 @@ def test_best_checkpoint_scores_its_recorded_val_metric(tmp_path):
 
 def test_checkpoint_version_guard(tmp_path):
     path = tmp_path / "ck.json"
-    for version in (2, 999):  # 2: the format before the fixed settings left the config
+    # 2: the format before the fixed settings left the config; 3: with att_b2
+    for version in (2, 3, 999):
         path.write_text(json.dumps({"format_version": version}))
         with pytest.raises(ValueError):
             training.load_checkpoint(path)
