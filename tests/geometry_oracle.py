@@ -8,7 +8,8 @@ forms of the two fused per-edge ops (``layers.attention_weights`` and
 ``manifold.sum_logs``) with the ``segment_sum`` primitive they use, the
 per-edge form of the attention scores, the model forward with a hyperboloid
 point at every layer boundary, the node-by-node tree layout, and the
-Fermi-Dirac score in numpy."""
+Fermi-Dirac score in numpy.
+"""
 
 import numpy as np
 
