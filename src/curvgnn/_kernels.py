@@ -1,15 +1,22 @@
-"""Graph kernels on CSR adjacency, all built on one blocked push BFS.
+"""Graph kernels on CSR adjacency, all built on one bit-parallel BFS.
 
-``_bfs_levels`` runs a level-synchronous BFS from a block of sources at
-once and ``_parent_slots`` picks each node's BFS-tree parent; hop rows
-(``bfs_hops``), single-source trees (``bfs_tree``) and tree path sums
-(``bfs_path_sums``) are thin layers over those two. ``delta_exact`` scans
-the quadruples of a hop-distance matrix. Everything is numpy.
+``_bfs_bits`` runs a level-synchronous pull BFS from many sources at
+once, one bit per source in words of ``WORD_BITS`` (the multi-source BFS
+of Then et al., "The More the Merrier", PVLDB 2014): each level is one
+gather of the frontier words over the CSR slots and one OR per node.
+Hop rows (``bfs_hops``), single-source trees (``bfs_tree``) and tree path
+sums (``bfs_path_sums``) are thin layers over it. A BFS-tree parent is the
+first CSR slot one hop closer to the source, picked for whole trees by
+``_parent_slots`` and along the paths to requested nodes only by
+``_path_parents``.
+``delta_exact`` scans the quadruples of a hop-distance matrix.
+Everything is numpy.
 
 All kernels take CSR adjacency (``indptr``, ``indices``, both int64, each
 neighbour list sorted) and are deterministic: hop counts are integers and
-floating-point sums run in a fixed order. Their temporaries grow with the
-number of sources in a call; ``block_sources`` sizes the blocks.
+floating-point sums run in a fixed order. Their (sources, n) outputs grow
+with the number of sources in a call, so callers pass sources
+``WORD_BITS`` at a time.
 """
 
 from __future__ import annotations
@@ -17,50 +24,86 @@ from __future__ import annotations
 import numpy as np
 
 UNREACHABLE = -1  # hop-count sentinel for nodes in another component
-
-# elements per (sources x CSR slots) temporary of one block of sources: large
-# enough that per-call numpy overhead stays small, small enough that the
-# block temporaries (~2.5 MB on a 1023-node tree) barely move peak RSS
-BLOCK_ELEMENTS = 1 << 16
+WORD_BITS = 64  # sources per uint64 word of the bit-parallel BFS
 
 
-def block_sources(indptr: np.ndarray) -> int:
-    """Sources per kernel call for this graph, from ``BLOCK_ELEMENTS``."""
-    n = indptr.shape[0] - 1
-    return max(1, BLOCK_ELEMENTS // max(int(indptr[-1]), n))
+def _dedupe_sorted(a):
+    """Sorted distinct values of a: numpy 2's hash-based np.unique was ~10x
+    slower on these few-thousand-element arrays than a sort."""
+    a = np.sort(a)
+    first = np.ones(a.shape, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
 
 
-def _bfs_levels(indptr, indices, sources):
-    """Push BFS from a block of sources: (B, n) hop rows and the frontiers.
+def _bfs_bits(indptr, indices, sources):
+    """Bit-parallel pull BFS from a block of sources, as (n, words) bit arrays.
 
-    Row b of the hop rows belongs to ``sources[b]`` (UNREACHABLE for other
-    components). ``levels[k]`` holds the flat positions ``b * n + v`` of
-    the nodes first reached at hop k + 1, ascending.
+    Bit j % 64 of word j // 64 in node v's row stands for ``sources[j]``.
+    Returns ``seen``, the nodes each source reaches, and the hop counts as
+    bit planes: ``planes[i]`` holds bit i of every count.
     """
     sources = np.asarray(sources, dtype=np.int64)
     n = indptr.shape[0] - 1
     if sources.size and (sources.min() < 0 or sources.max() >= n):
         raise ValueError(f"BFS source out of range [0, {n})")
-    deg = np.diff(indptr)
-    hops = np.full(sources.shape[0] * n, UNREACHABLE, dtype=np.int64)
-    # push BFS on flat (row * n + node) positions, all rows at once
-    frontier = np.arange(sources.shape[0], dtype=np.int64) * n + sources
-    hops[frontier] = 0
-    levels = []
-    while True:
-        node = frontier % n
-        d = deg[node]
-        slot = np.repeat(indptr[node] - (np.cumsum(d) - d), d) + np.arange(d.sum())
-        reach = np.repeat(frontier - node, d) + indices[slot]
-        new = np.sort(reach[hops[reach] == UNREACHABLE])
-        if new.size == 0:
+    j = np.arange(sources.shape[0])
+    seen = np.zeros((n, max(1, -(-j.shape[0] // WORD_BITS))), dtype=np.uint64)
+    np.bitwise_or.at(seen, (sources, j // WORD_BITS),
+                     np.left_shift(np.uint64(1), (j % WORD_BITS).astype(np.uint64)))
+    # each level ORs the frontier words over a node's slots; the reduceat
+    # segments start only at nodes that own slots, so an empty adjacency list
+    # neither clips nor shifts a neighbour's segment (such a node is reached
+    # only as a source)
+    has_slots = np.diff(indptr) > 0
+    starts = indptr[:-1][has_slots]
+    front = seen
+    planes = []
+    level = 0
+    while starts.size:
+        new = np.zeros_like(seen)
+        new[has_slots] = np.bitwise_or.reduceat(front[indices], starts, axis=0)
+        new &= ~seen
+        if not new.any():
             break
-        # dedupe by sort: numpy 2's hash-based np.unique was ~10x slower on
-        # these few-thousand-element frontiers
-        frontier = new[np.concatenate(([True], new[1:] != new[:-1]))]
-        hops[frontier] = len(levels) + 1
-        levels.append(frontier)
-    return hops.reshape(sources.shape[0], n), levels
+        level += 1
+        seen = seen | new
+        front = new
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros_like(seen))
+        for i, plane in enumerate(planes):
+            if level >> i & 1:
+                plane |= new
+    return seen, planes
+
+
+def _unpack(words):
+    """(n, 64 * words) 0/1 bytes of an (n, words) bit array, column j = bit j."""
+    # "<u8" pins the byte order, so byte k of a word holds bits 8k..8k+7
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+
+
+def _hop_rows(seen, planes, n_src):
+    """(n_src, n) hop rows from the BFS bits; UNREACHABLE elsewhere.
+
+    The rows come in the smallest signed integer type that holds -1 and
+    every count below 2 ** len(planes) (int8 up to depth 127), which keeps
+    the (sources, slots) temporaries of the parent search small. Unpacking
+    costs one pass per bit plane rather than one per level.
+    """
+    dtype = np.min_scalar_type(-(1 << len(planes)))
+    hops = -_unpack(~seen).astype(dtype)  # 0 at reached nodes, -1 elsewhere
+    for i, plane in enumerate(planes):
+        hops += _unpack(plane).astype(dtype) << i
+    return np.ascontiguousarray(hops[:, :n_src].T)
+
+
+def _split_by_hop(pos, hop):
+    """``pos`` grouped by ``hop``: entry k >= 1 holds the positions at hop
+    k in their given order, entry 0 those at hop 0 or UNREACHABLE."""
+    order = np.argsort(hop, kind="stable")  # a radix sort on int8 hops
+    return np.split(pos[order], np.searchsorted(hop[order],
+                                                np.arange(1, hop.max(initial=0) + 1)))
 
 
 def _parent_slots(indptr, indices, hops):
@@ -74,22 +117,21 @@ def _parent_slots(indptr, indices, hops):
     deg = np.diff(indptr)
     # the reduceat segments start only at nodes that own slots, so an empty
     # adjacency list (e.g. isolated nodes at the highest ids) neither clips
-    # nor shifts a neighbour's segment. Hop counts and slot ids are held as
-    # int32 here to halve the (B, slots) temporaries.
+    # nor shifts a neighbour's segment. Slot ids are held as int32 to halve
+    # the (B, slots) temporaries.
     owner = np.repeat(np.arange(n), deg)
-    h = hops.astype(np.int32)
-    closer = h[:, indices] == h[:, owner] - 1
+    closer = hops[:, indices] == hops[:, owner] - 1
     cand = np.where(closer, np.arange(indices.shape[0], dtype=np.int32),
                     indices.shape[0])
     has_slots = deg > 0
-    slots = np.zeros(hops.shape, dtype=np.int64)
+    slots = np.zeros(hops.shape, dtype=np.int32)
     slots[:, has_slots] = np.minimum.reduceat(cand, indptr[:-1][has_slots], axis=1)
     return slots
 
 
 def bfs_hops(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarray:
     """(B, n) hop counts from each of ``sources``; UNREACHABLE (-1) elsewhere."""
-    return _bfs_levels(indptr, indices, sources)[0]
+    return _hop_rows(*_bfs_bits(indptr, indices, sources), len(sources)).astype(np.int64)
 
 
 def bfs_tree(indptr: np.ndarray, indices: np.ndarray, source: int):
@@ -99,39 +141,75 @@ def bfs_tree(indptr: np.ndarray, indices: np.ndarray, source: int):
     -1 at the source and in other components. order lists the source, then
     each hop level in ascending id, then the unreachable nodes by id.
     """
-    hops, levels = _bfs_levels(indptr, indices, [source])
-    hops = hops[0]
+    hops = _hop_rows(*_bfs_bits(indptr, indices, [source]), 1)[0]
     parent = np.full(hops.shape[0], -1, dtype=np.int64)
-    if levels:
-        reached = hops > 0
+    reached = hops > 0
+    if reached.any():
         parent[reached] = indices[_parent_slots(indptr, indices, hops[None])[0, reached]]
-    order = np.concatenate([np.array([source], dtype=np.int64), *levels,
-                            np.flatnonzero(hops == UNREACHABLE)])
-    return hops, parent, order
+    order = np.argsort(hops, kind="stable")  # UNREACHABLE (-1) first: rotate it last
+    unreached = np.count_nonzero(hops == UNREACHABLE)
+    order = np.concatenate((order[unreached:], order[:unreached]))
+    return hops.astype(np.int64), parent, order
+
+
+def _path_parents(indptr, indices, hops, pos):
+    """Parent slots along the BFS-tree paths to flat positions ``pos`` only.
+
+    Walks the union of the paths bottom-up, one hop level at a time, and
+    picks each node's parent by the rule of ``_parent_slots``. Returns
+    (positions, parent slots) pairs, one per level, from hop 1 downwards.
+    """
+    n = hops.shape[1]
+    flat = hops.ravel()
+    deg = np.diff(indptr)
+    todo = _dedupe_sorted(pos[flat[pos] > 0])
+    levels = _split_by_hop(todo, flat[todo])
+    steps = []
+    cur = levels[-1]
+    for level in range(len(levels) - 1, 0, -1):
+        base = cur - cur % n
+        d = deg[cur - base]
+        first = np.cumsum(d) - d
+        slot = np.repeat(indptr[cur - base] - first, d) + np.arange(first[-1] + d[-1])
+        closer = flat[np.repeat(base, d) + indices[slot]] == level - 1
+        k = np.minimum.reduceat(np.where(closer, slot, indices.shape[0]), first)
+        steps.append((cur, k))
+        cur = _dedupe_sorted(np.concatenate((base + indices[k], levels[level - 1])))
+    return steps[::-1]
 
 
 def bfs_path_sums(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray,
-                  slot_len: np.ndarray):
-    """Hop rows and BFS-tree path sums from a block of sources, shape (B, n).
+                  slot_len: np.ndarray, pairs=None):
+    """Hop rows and BFS-tree path sums from a block of sources.
 
-    Row b belongs to ``sources[b]``: ``hops[b]`` is ``bfs_hops`` from it
-    and ``sums[b, v]`` adds ``slot_len`` along the ``bfs_tree`` path to v
-    (0 at the source, +inf where unreachable). ``slot_len[k]`` is the
+    Row b belongs to ``sources[b]``: ``hops[b]`` is ``bfs_hops`` from it,
+    and the sum at (b, v) adds ``slot_len`` along the ``bfs_tree`` path to
+    v (0 at the source, +inf where unreachable). ``slot_len[k]`` is the
     length of CSR slot k, the edge from the node owning slot k to
-    ``indices[k]``. Sums grow from the root one level at a time, so every
-    entry is bit-identical to walking each source's tree alone.
+    ``indices[k]``. Without ``pairs``, sums has the shape (B, n) of the hop
+    rows; with ``pairs = (rows, nodes)``, only the paths to those entries
+    are resolved and sums holds one value per pair. Sums grow from the root
+    one level at a time, so every entry is bit-identical to walking each
+    source's tree alone.
     """
-    hops, levels = _bfs_levels(indptr, indices, sources)
+    hops = _hop_rows(*_bfs_bits(indptr, indices, sources), len(sources))
     n = hops.shape[1]
-    sums = np.zeros(hops.size, dtype=np.float64)
-    if levels:
+    if pairs is None:
+        pos = None
         parent_slot = _parent_slots(indptr, indices, hops).ravel()
-        for pos in levels:
-            k = parent_slot[pos]
-            sums[pos] = sums[pos - pos % n + indices[k]] + slot_len[k]
-    sums = sums.reshape(hops.shape)
-    sums[hops == UNREACHABLE] = np.inf
-    return hops, sums
+        levels = _split_by_hop(np.arange(hops.size), hops.ravel())[1:]
+        steps = [(at, parent_slot[at]) for at in levels]
+    else:
+        pos = np.asarray(pairs[0], dtype=np.int64) * n + pairs[1]
+        steps = _path_parents(indptr, indices, hops, pos)
+    sums = np.zeros(hops.size, dtype=np.float64)
+    for at, k in steps:
+        sums[at] = sums[at - at % n + indices[k]] + slot_len[k]
+    sums[hops.ravel() == UNREACHABLE] = np.inf
+    hops = hops.astype(np.int64)
+    if pos is None:
+        return hops, sums.reshape(hops.shape)
+    return hops, sums[pos]
 
 
 def delta_exact(dist: np.ndarray) -> float:

@@ -104,36 +104,43 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
     indptr, indices = g.indptr, g.indices
     owner = np.repeat(np.arange(n), np.diff(indptr))
     slot_len = manifold.hyp_distance(emb[owner], emb[indices], zeta, validate=False)
-    block = _kernels.block_sources(indptr)
+    block = _kernels.WORD_BITS
     chunk = max(1, DISTANCE_CHUNK_ELEMENTS // emb.shape[1])
     total = 0.0
     used = 0
     for lo in range(0, len(sources), block):
-        hops, g_rows = _kernels.bfs_path_sums(indptr, indices, sources[lo:lo + block],
-                                              slot_len)
+        # a pair counts when its target is reached (hops > 0) along a path
+        # of positive length
         if exact:
-            reach = hops > 0
-            excluded += (n - 1) * len(hops) - int(reach.sum())
-            rows, targets = np.nonzero(reach)
+            hops, g_pair = _kernels.bfs_path_sums(indptr, indices,
+                                                  sources[lo:lo + block], slot_len)
+            rows, targets = np.nonzero((hops > 0) & (g_pair > 0))
+            excluded += (n - 1) * len(hops) - len(rows)
+            g_pair = g_pair[rows, targets]
         else:
-            per_row = np.diff(bounds[lo:lo + len(hops) + 1])
-            rows = np.repeat(np.arange(len(hops)), per_row)
-            targets = dst[bounds[lo]:bounds[lo + len(hops)]]
-            ok = hops[rows, targets] > 0
+            # only the tree paths to the sampled targets are resolved
+            block_src = sources[lo:lo + block]
+            per_row = np.diff(bounds[lo:lo + len(block_src) + 1])
+            rows = np.repeat(np.arange(len(block_src)), per_row)
+            targets = dst[bounds[lo]:bounds[lo + len(block_src)]]
+            hops, g_pair = _kernels.bfs_path_sums(indptr, indices, block_src, slot_len,
+                                                  (rows, targets))
+            ok = (hops[rows, targets] > 0) & (g_pair > 0)
             excluded += int((~ok).sum())
-            rows, targets = rows[ok], targets[ok]
-        g_pair = g_rows[rows, targets]
-        ok = g_pair > 0
-        excluded += int((~ok).sum())
-        rows, targets, g_pair = rows[ok], targets[ok], g_pair[ok]
+            rows, targets, g_pair = rows[ok], targets[ok], g_pair[ok]
+        del hops
         d = np.empty(len(rows))
         for s in range(0, len(rows), chunk):
             pairs = slice(s, s + chunk)
             d[pairs] = manifold.hyp_distance(emb[sources[lo + rows[pairs]]],
                                              emb[targets[pairs]], zeta, validate=False)
-        ratio = (d / g_pair) ** 2
+        # |(d / g)^2 - 1|, in place: the block's pair arrays bound peak memory
+        d /= g_pair
+        d **= 2
+        d -= 1.0
+        np.abs(d, out=d)
         # one sum per source row, in row order, as the per-row loop did
-        for part in np.split(np.abs(ratio - 1.0), np.flatnonzero(np.diff(rows)) + 1):
+        for part in np.split(d, np.flatnonzero(np.diff(rows)) + 1):
             total += float(part.sum())
         used += len(rows)
     if used == 0:

@@ -117,19 +117,18 @@ class QTables:
         return nash_equilibrium_2x2(*self.stage_game(state))
 
 
-def epsilon_greedy_joint(tables: QTables, state: tuple, eps: float,
-                         rng: np.random.Generator):
+def epsilon_greedy_joint(sol: NashSolution, eps: float, rng: np.random.Generator):
     """Uniform joint action with probability eps, else the equilibrium play.
 
-    A pure equilibrium is returned as-is; a mixed one is sampled from the
-    product of the two strategies.
+    ``sol`` is the stage game's solution at the current state. A pure
+    equilibrium is returned as-is; a mixed one is sampled from the product
+    of the two strategies.
     """
     if not (0.0 <= eps <= 1.0):
         raise ValueError("eps must lie in [0, 1]")
     if rng.random() < eps:
         h, a = JOINT_ACTIONS[int(rng.integers(0, 4))]
         return HgnnAction(h), AceAction(a)
-    sol = tables.solve(state)
     if sol.pure is not None:
         return HgnnAction(sol.pure[0]), AceAction(sol.pure[1])
     i = 0 if rng.random() < sol.pi_hgnn[0] else 1

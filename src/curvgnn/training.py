@@ -372,13 +372,17 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     best_blob: dict | None = None
     since_best = 0
 
+    # the stage game at the current state; after the first epoch it is the
+    # solution taken right after q_update, since nothing changes the tables
+    # or the state before the next epoch's greedy play
+    sol = None if frozen else tables.solve(discretize(model.zetas))
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         state = discretize(model.zetas)
         action = None
         if not frozen:
             eps_t = schedule.value(epoch - 1)
-            action = nashq.epsilon_greedy_joint(tables, state, eps_t, rl_rng)
+            action = nashq.epsilon_greedy_joint(sol, eps_t, rl_rng)
 
         loss = train_step()
         if not np.isfinite(loss):

@@ -320,7 +320,7 @@ def test_criterion_5_nash_q_suite():
         s = (0,)
         for ep in range(500):
             eps = max(0.1, 0.9 * 0.995 ** ep)
-            a = nashq.epsilon_greedy_joint(tables, s, eps, trng)
+            a = nashq.epsilon_greedy_joint(tables.solve(s), eps, trng)
             r = float(payoff[int(a[0]), int(a[1])])
             nashq.q_update(tables, s, a, (r, r), s, alpha=0.5, beta=0.0)
         if tables.solve(s).pure == (0, 1):

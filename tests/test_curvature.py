@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from curvgnn import curvature as C, graphs, manifold as M
+from curvgnn import _kernels, curvature as C, graphs, manifold as M
 
 import geometry_oracle as geo
 import path_oracle
+from test_kernels import word_boundary_graph
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,49 @@ def test_distortion_sampled_path_matches_redrawn_pairs(monkeypatch):
         rep = C.embedding_distortion(g, emb, 1.5, seed=seed)
         assert (rep.pairs_used, rep.pairs_excluded) == (used, excluded)
         assert rep.mean_distortion == pytest.approx(total / used, rel=1e-12)
+
+
+def sampled_report_from_whole_trees(g, emb, zeta, seed):
+    """The sampled distortion report scored on whole BFS-tree rows.
+
+    Same draws and exclusions as ``embedding_distortion``; each drawn source
+    takes its full ``bfs_path_sums`` row, and its pairs are summed in draw
+    order, source by source in ascending id.
+    """
+    n = g.n_nodes
+    draw = np.random.default_rng(seed)
+    src = draw.integers(0, n, size=C.DISTORTION_SAMPLE_FACTOR * n)
+    dst = draw.integers(0, n, size=C.DISTORTION_SAMPLE_FACTOR * n)
+    excluded = int((src == dst).sum())
+    owner = np.repeat(np.arange(n), np.diff(g.indptr))
+    slot_len = M.hyp_distance(emb[owner], emb[g.indices], zeta, validate=False)
+    total, used = 0.0, 0
+    for s in np.unique(src):
+        hops, sums = _kernels.bfs_path_sums(g.indptr, g.indices, [s], slot_len)
+        t = dst[(src == s) & (dst != s)]
+        ok = (hops[0, t] > 0) & (sums[0, t] > 0)
+        excluded += int((~ok).sum())
+        t = t[ok]
+        d = M.hyp_distance(emb[np.full(len(t), s)], emb[t], zeta, validate=False)
+        total += float(np.abs((d / sums[0, t]) ** 2 - 1.0).sum())
+        used += len(t)
+    return C.DistortionReport(total / used, used, excluded)
+
+
+def test_distortion_sampled_report_equals_whole_tree_report(monkeypatch):
+    # the sampled branch resolves only the sampled tree paths, across three
+    # 64-source blocks; unreachable pairs, zero-length paths and every tie
+    # between shortest paths must come out exactly as on whole-tree rows
+    monkeypatch.setattr(C, "DISTORTION_EXACT_LIMIT", 10)
+    rng = np.random.default_rng(21)
+    for _ in range(2):
+        g = word_boundary_graph(rng)
+        emb = M.to_hyperboloid(rng.standard_normal((g.n_nodes, 3)), 0.8)
+        u = int(np.flatnonzero(np.diff(g.indptr))[0])
+        emb[g.indices[g.indptr[u]]] = emb[u]  # one edge of length 0
+        for seed in (0, 1, 2):
+            rep = C.embedding_distortion(g, emb, 0.8, seed=seed)
+            assert rep == sampled_report_from_whole_trees(g, emb, 0.8, seed)
 
 
 def test_distortion_independent_of_distance_chunk(monkeypatch):

@@ -1,10 +1,13 @@
-"""The blocked BFS kernels against scalar and brute-force references.
+"""The bit-parallel BFS kernels against scalar and brute-force references.
 
 Hop rows are checked against Floyd-Warshall, BFS trees and path sums
 against the scalar queue BFS of ``path_oracle._bfs_tree_loop``, exact delta
 against the enumeration of all quadruples, and sampled delta against a
 per-sample loop over the same draws. Graphs have several components and
-isolated nodes at the highest ids; blocks of sources are 1, 4 and n wide.
+isolated nodes at the highest ids. Calls pass 1 to 130 sources, so they
+fill one uint64 word of BFS bits, end one bit before or after a word
+boundary, or span three words; tie-rich graphs (triangles, preferential
+attachment) make the smallest-id parent rule decide between shortest paths.
 """
 
 import numpy as np
@@ -32,22 +35,68 @@ def random_tree(rng, n):
     return graphs.Graph.from_edges(n, np.array(list(zip(parents, range(1, n)))))
 
 
+def tie_rich_edges(rng, n):
+    """Preferential attachment in which each new node closes a triangle.
+
+    Node v links to an endpoint u drawn by degree and to one of u's
+    neighbours, so many nodes have several shortest paths from a source.
+    """
+    edges = [(0, 1), (1, 2), (0, 2)]
+    nbrs = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
+    ends = [0, 1, 1, 2, 0, 2]
+    for v in range(3, n):
+        u = ends[int(rng.integers(len(ends)))]
+        w = nbrs[u][int(rng.integers(len(nbrs[u])))]
+        edges += [(u, v), (w, v)]
+        nbrs[v] = [u, w]
+        nbrs[u].append(v)
+        nbrs[w].append(v)
+        ends += [u, v, w, v]
+    return edges
+
+
+def word_boundary_graph(rng):
+    """130 connected nodes in four components, then 5 isolated high ids.
+
+    The components (tie-rich, a tree, a cycle, a sparse random graph) are
+    interleaved by a random relabelling of ids 0..129.
+    """
+    parts = [tie_rich_edges(rng, 60),
+             [(int(rng.integers(0, v)), v) for v in range(1, 35)],
+             [(v, (v + 1) % 15) for v in range(15)],
+             [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.15]]
+    edges, offset = [], 0
+    for part, size in zip(parts, (60, 35, 15, 20)):
+        edges += [(a + offset, b + offset) for a, b in part]
+        offset += size
+    relabel = rng.permutation(offset)
+    return graphs.Graph.from_edges(offset + 5, relabel[np.array(edges)])
+
+
+def source_calls(rng, n):
+    """Source arrays of one kernel call each: 1, 63, 64, 65 and 130 sources
+    (drawn with repeats where n is smaller), and one call in which every
+    source appears three times, across word boundaries."""
+    calls = [rng.choice(n, size=k, replace=k > n) for k in (1, 63, 64, 65, 130)]
+    tripled = np.repeat(rng.permutation(n)[:40], 3)
+    calls.append(tripled[rng.permutation(len(tripled))])
+    return calls
+
+
 def test_bfs_hops_match_floyd_warshall():
     rng = np.random.default_rng(0)
     cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]]))]
-    cases += [multi_component_graph(rng) for _ in range(8)]
+    cases += [multi_component_graph(rng) for _ in range(6)]
+    cases += [word_boundary_graph(rng) for _ in range(3)]
+    cases.append(path_oracle.path_graph(200))  # hops beyond int8 (depth 199)
     for g in cases:
-        indptr, indices = g.indptr, g.indices
-        n = g.n_nodes
         fw = floyd_warshall(g)
-        sources = rng.permutation(n)
-        for block in (1, 4, n):
-            for lo in range(0, n, block):
-                hops = _kernels.bfs_hops(indptr, indices, sources[lo:lo + block])
-                want = fw[sources[lo:lo + block]]
-                assert hops.shape == want.shape
-                assert np.array_equal(np.where(hops < 0, np.inf, hops), want)
-                assert np.all((hops == _kernels.UNREACHABLE) == np.isinf(want))
+        for sources in source_calls(rng, g.n_nodes):
+            hops = _kernels.bfs_hops(g.indptr, g.indices, sources)
+            want = fw[sources]
+            assert hops.shape == want.shape and hops.dtype == np.int64
+            assert np.array_equal(np.where(hops < 0, np.inf, hops), want)
+            assert np.all((hops == _kernels.UNREACHABLE) == np.isinf(want))
 
 
 def test_bfs_hops_rejects_out_of_range_sources():
@@ -61,7 +110,8 @@ def test_bfs_hops_rejects_out_of_range_sources():
 def test_bfs_tree_matches_loop_reference():
     rng = np.random.default_rng(1)
     cases = [multi_component_graph(rng) for _ in range(6)]
-    cases += [random_tree(rng, 40), graphs.cycle_graph(9), graphs.balanced_binary_tree(4)]
+    cases += [random_tree(rng, 40), graphs.cycle_graph(9), graphs.balanced_binary_tree(4),
+              graphs.Graph.from_edges(70, np.array(tie_rich_edges(rng, 70)))]
     for g in cases:
         indptr, indices = g.indptr, g.indices
         for s in range(g.n_nodes):
@@ -110,12 +160,24 @@ def sampled_delta_loop(g, n_samples, seed):
     return float(best)
 
 
-@pytest.mark.parametrize("block_elements", [_kernels.BLOCK_ELEMENTS, 1, 200])
-def test_sampled_delta_matches_per_sample_loop(monkeypatch, block_elements):
-    # small BLOCK_ELEMENTS forces one BFS source per block, or a few
-    monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block_elements)
+def spy_call_sizes(monkeypatch):
+    """Record the number of sources of every ``bfs_hops`` call."""
+    sizes = []
+    bfs_hops = _kernels.bfs_hops
+
+    def spy(indptr, indices, sources):
+        sizes.append(len(sources))
+        return bfs_hops(indptr, indices, sources)
+
+    monkeypatch.setattr(_kernels, "bfs_hops", spy)
+    return sizes
+
+
+def test_sampled_delta_matches_per_sample_loop(monkeypatch):
+    sizes = spy_call_sizes(monkeypatch)
     rng = np.random.default_rng(3)
-    cases = [graphs.balanced_binary_tree(5), random_tree(rng, 50), graphs.cycle_graph(11)]
+    cases = [graphs.balanced_binary_tree(5), random_tree(rng, 50), graphs.cycle_graph(11),
+             random_tree(rng, 65), graphs.balanced_binary_tree(7)]
     cases += [multi_component_graph(rng, 2) for _ in range(3)]
     for g in cases:
         if graphs._largest_component_subgraph(g).n_nodes < 4:
@@ -124,18 +186,25 @@ def test_sampled_delta_matches_per_sample_loop(monkeypatch, block_elements):
             for n_samples in (1, 300):
                 got = graphs.gromov_delta(g, "sampled", n_samples=n_samples, seed=seed)
                 assert got == sampled_delta_loop(g, n_samples, seed)
+    # one sample has three row nodes; 300 samples on the larger graphs fill
+    # whole 64-source blocks and leave a partial one
+    assert 3 in sizes and _kernels.WORD_BITS in sizes
+    assert any(1 < k < _kernels.WORD_BITS and k != 3 for k in sizes)
 
 
-@pytest.mark.parametrize("block_elements", [_kernels.BLOCK_ELEMENTS, 1, 100])
-def test_hop_distance_matrix_blocks_match_floyd_warshall(monkeypatch, block_elements):
-    monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block_elements)
+def test_hop_distance_matrix_blocks_match_floyd_warshall(monkeypatch):
+    sizes = spy_call_sizes(monkeypatch)
     rng = np.random.default_rng(4)
-    for _ in range(4):
-        g = multi_component_graph(rng)
+    cases = [multi_component_graph(rng) for _ in range(3)]
+    cases += [word_boundary_graph(rng), random_tree(rng, 65)]
+    for g in cases:
         fw = floyd_warshall(g)
         assert np.array_equal(graphs.hop_distance_matrix(g), fw)
-        nodes = rng.integers(0, g.n_nodes, size=7)
-        assert np.array_equal(graphs.hop_distance_matrix(g, nodes), fw[nodes])
+        for k in (1, 7, 130):
+            nodes = rng.integers(0, g.n_nodes, size=k)
+            assert np.array_equal(graphs.hop_distance_matrix(g, nodes), fw[nodes])
+    # 65 and 135 nodes end in a 1- and a 7-source block after whole ones
+    assert {1, 7, _kernels.WORD_BITS} <= set(sizes)
 
 
 def _tree_path_sums(indptr, indices, source, slot_len):
@@ -151,18 +220,31 @@ def _tree_path_sums(indptr, indices, source, slot_len):
 
 
 def test_bfs_path_sums_matches_per_source_trees():
+    # whole trees, and the paths to requested (row, node) pairs only: both
+    # must equal the per-source reference bit for bit
     rng = np.random.default_rng(3)
     cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]]))]
-    cases += [multi_component_graph(rng) for _ in range(8)]
+    cases += [multi_component_graph(rng) for _ in range(4)]
+    cases += [word_boundary_graph(rng) for _ in range(2)]
+    cases += [graphs.Graph.from_edges(150, np.array(tie_rich_edges(rng, 150))),
+              path_oracle.path_graph(140)]
     for indptr, indices in ((g.indptr, g.indices) for g in cases):
         n = len(indptr) - 1
         slot_len = rng.random(len(indices))  # one length per direction of each edge
-        sources = rng.permutation(n)
-        want = [_tree_path_sums(indptr, indices, int(s), slot_len) for s in sources]
-        for block in (1, 4, n):
-            for lo in range(0, n, block):
-                hops, sums = _kernels.bfs_path_sums(indptr, indices,
-                                                    sources[lo:lo + block], slot_len)
-                for row, (want_hops, want_sums) in enumerate(want[lo:lo + block]):
-                    assert np.array_equal(hops[row], want_hops)
-                    assert np.array_equal(sums[row], want_sums)
+        rows = {}
+        for sources in source_calls(rng, n):
+            want = [rows.setdefault(int(s), _tree_path_sums(indptr, indices, int(s), slot_len))
+                    for s in sources]
+            want_hops = np.array([w[0] for w in want])
+            want_sums = np.array([w[1] for w in want])
+            hops, sums = _kernels.bfs_path_sums(indptr, indices, sources, slot_len)
+            assert np.array_equal(hops, want_hops)
+            assert np.array_equal(sums, want_sums)
+            for n_pairs in (0, 1, 5 * n):
+                row = rng.integers(0, len(sources), size=n_pairs)
+                node = rng.integers(0, n, size=n_pairs)
+                hops, sums = _kernels.bfs_path_sums(indptr, indices, sources, slot_len,
+                                                    (row, node))
+                assert np.array_equal(hops, want_hops)
+                assert sums.shape == (n_pairs,)
+                assert np.array_equal(sums, want_sums[row, node])

@@ -196,7 +196,7 @@ def test_epsilon_one_is_uniform_chi_square():
     counts = np.zeros(4)
     n = 10000
     for _ in range(n):
-        h, a = epsilon_greedy_joint(t, (0,), 1.0, rng)
+        h, a = epsilon_greedy_joint(t.solve((0,)), 1.0, rng)
         counts[2 * int(h) + int(a)] += 1
     chi2 = float(((counts - n / 4) ** 2 / (n / 4)).sum())
     assert chi2 < 16.27  # df=3 at p=0.001
@@ -209,7 +209,7 @@ def test_epsilon_zero_returns_unique_maximum():
     t.table(HGNN, (0,))[:] = q
     t.table(ACE, (0,))[:] = q
     rng = np.random.default_rng(0)
-    assert epsilon_greedy_joint(t, (0,), 0.0, rng) == (HgnnAction.ADOPT,
+    assert epsilon_greedy_joint(t.solve((0,)), 0.0, rng) == (HgnnAction.ADOPT,
                                                        AceAction.EXPLORE)
 
 
@@ -219,14 +219,14 @@ def test_epsilon_greedy_deterministic_under_seed():
     t.table(ACE, (0,))[:] = [[-1.0, 1.0], [1.0, -1.0]]
     rng_a = np.random.default_rng(4)
     rng_b = np.random.default_rng(4)
-    seq_a = [epsilon_greedy_joint(t, (0,), 0.5, rng_a) for _ in range(50)]
-    seq_b = [epsilon_greedy_joint(t, (0,), 0.5, rng_b) for _ in range(50)]
+    seq_a = [epsilon_greedy_joint(t.solve((0,)), 0.5, rng_a) for _ in range(50)]
+    seq_b = [epsilon_greedy_joint(t.solve((0,)), 0.5, rng_b) for _ in range(50)]
     assert seq_a == seq_b
 
 
 def test_epsilon_validation():
     with pytest.raises(ValueError):
-        epsilon_greedy_joint(QTables(), (0,), 1.5, np.random.default_rng(0))
+        epsilon_greedy_joint(QTables().solve((0,)), 1.5, np.random.default_rng(0))
 
 
 def test_epsilon_schedule():
@@ -273,7 +273,7 @@ def test_bandit_convergence_on_common_payoff_game():
         s = (0,)
         for ep in range(500):
             eps = max(0.1, 0.9 * 0.995 ** ep)
-            a = epsilon_greedy_joint(t, s, eps, rng)
+            a = epsilon_greedy_joint(t.solve(s), eps, rng)
             r = float(payoff[int(a[0]), int(a[1])])
             q_update(t, s, a, (r, r), s, alpha=0.5, beta=0.0)
         sol = t.solve(s)

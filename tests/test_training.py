@@ -159,7 +159,7 @@ def test_adopt_action_installs_proposed_curvatures(monkeypatch):
 
     monkeypatch.setattr(
         nashq, "epsilon_greedy_joint",
-        lambda tables, s, eps, rng: (nashq.HgnnAction.ADOPT, nashq.AceAction.EXPLORE))
+        lambda sol, eps, rng: (nashq.HgnnAction.ADOPT, nashq.AceAction.EXPLORE))
     res = train(quick_config(epochs=3))
     # every epoch explored and adopted; zetas must track the proposals,
     # which leave the initial value once the estimator reports
@@ -173,9 +173,46 @@ def test_keep_action_leaves_curvatures_alone(monkeypatch):
 
     monkeypatch.setattr(
         nashq, "epsilon_greedy_joint",
-        lambda tables, s, eps, rng: (nashq.HgnnAction.KEEP, nashq.AceAction.EXPLORE))
+        lambda sol, eps, rng: (nashq.HgnnAction.KEEP, nashq.AceAction.EXPLORE))
     res = train(quick_config(epochs=3))
     assert all(r.zetas == [1.0, 1.0] for r in res.records)
+
+
+def test_greedy_play_reuses_the_post_update_solution(monkeypatch):
+    # one solve before the loop, then two per epoch (inside q_update and
+    # after it); greedy play gets the latest one, which a fresh solve of the
+    # same state on the tables as they stand must reproduce
+    from curvgnn import nashq
+
+    solve, greedy = nashq.QTables.solve, nashq.epsilon_greedy_joint
+    solved, states = [], []
+
+    def counting_solve(tables, state):
+        sol = solve(tables, state)
+        solved.append((tables, state, sol))
+        return sol
+
+    def checked_greedy(sol, eps, rng):
+        tables, state, last = solved[-1]
+        fresh = solve(tables, state)
+        assert sol is last
+        assert (fresh.pure, fresh.value_hgnn, fresh.value_ace) == (
+            sol.pure, sol.value_hgnn, sol.value_ace)
+        assert np.array_equal(fresh.pi_hgnn, sol.pi_hgnn)
+        assert np.array_equal(fresh.pi_ace, sol.pi_ace)
+        states.append(state)
+        return greedy(sol, eps, rng)
+
+    monkeypatch.setattr(nashq.QTables, "solve", counting_solve)
+    monkeypatch.setattr(nashq, "epsilon_greedy_joint", checked_greedy)
+    cfg = quick_config(epochs=8)
+    res = train(cfg)
+    assert all(r.action_hgnn is not None for r in res.records)
+    assert len(solved) == 1 + 2 * len(res.records)
+    # the solved state is the one each epoch starts in
+    starts = [[cfg.zeta0] * cfg.n_layers] + [r.zetas for r in res.records[:-1]]
+    assert states == [nashq.discretize_state(z, cfg.zeta_min, cfg.zeta_max)
+                      for z in starts]
 
 
 def test_frozen_curvatures_stay_constant(monkeypatch):
