@@ -109,17 +109,16 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
     total = 0.0
     used = 0
     for lo in range(0, len(sources), block):
+        block_src = sources[lo:lo + block]
         # a pair counts when its target is reached (hops > 0) along a path
         # of positive length
         if exact:
-            hops, g_pair = _kernels.bfs_path_sums(indptr, indices,
-                                                  sources[lo:lo + block], slot_len)
+            hops, g_pair = _kernels.bfs_path_sums(indptr, indices, block_src, slot_len)
             rows, targets = np.nonzero((hops > 0) & (g_pair > 0))
-            excluded += (n - 1) * len(hops) - len(rows)
+            excluded += (n - 1) * len(block_src) - len(rows)
             g_pair = g_pair[rows, targets]
         else:
             # only the tree paths to the sampled targets are resolved
-            block_src = sources[lo:lo + block]
             per_row = np.diff(bounds[lo:lo + len(block_src) + 1])
             rows = np.repeat(np.arange(len(block_src)), per_row)
             targets = dst[bounds[lo]:bounds[lo + len(block_src)]]
@@ -128,13 +127,13 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
             ok = (hops[rows, targets] > 0) & (g_pair > 0)
             excluded += int((~ok).sum())
             rows, targets, g_pair = rows[ok], targets[ok], g_pair[ok]
-        del hops
+        del hops  # with the in-place ratio below, this bounds a block's peak memory
         d = np.empty(len(rows))
         for s in range(0, len(rows), chunk):
             pairs = slice(s, s + chunk)
             d[pairs] = manifold.hyp_distance(emb[sources[lo + rows[pairs]]],
                                              emb[targets[pairs]], zeta, validate=False)
-        # |(d / g)^2 - 1|, in place: the block's pair arrays bound peak memory
+        # |(d / g)^2 - 1|, in place
         d /= g_pair
         d **= 2
         d -= 1.0
