@@ -16,7 +16,7 @@ All kernels take CSR adjacency (``indptr``, ``indices``, both int64, each
 neighbour list sorted) and are deterministic: hop counts are integers and
 floating-point sums run in a fixed order. Their (sources, n) outputs grow
 with the number of sources in a call, so callers pass sources
-``WORD_BITS`` at a time.
+``BLOCK_SOURCES`` at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 UNREACHABLE = -1  # hop-count sentinel for nodes in another component
 WORD_BITS = 64  # sources per uint64 word of the bit-parallel BFS
+BLOCK_SOURCES = WORD_BITS  # sources per kernel call from the callers: one word
 
 
 def _dedupe_sorted(a):

@@ -104,7 +104,7 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
     indptr, indices = g.indptr, g.indices
     owner = np.repeat(np.arange(n), np.diff(indptr))
     slot_len = manifold.hyp_distance(emb[owner], emb[indices], zeta, validate=False)
-    block = _kernels.WORD_BITS
+    block = _kernels.BLOCK_SOURCES
     chunk = max(1, DISTANCE_CHUNK_ELEMENTS // emb.shape[1])
     total = 0.0
     used = 0

@@ -328,7 +328,7 @@ def hop_distance_matrix(g: Graph, nodes: np.ndarray | None = None) -> np.ndarray
     indptr, indices = g.indptr, g.indices
     srcs = np.arange(g.n_nodes) if nodes is None else np.asarray(nodes)
     out = np.empty((len(srcs), g.n_nodes), dtype=np.float64)
-    block = _kernels.WORD_BITS
+    block = _kernels.BLOCK_SOURCES
     for lo in range(0, len(srcs), block):
         h = _kernels.bfs_hops(indptr, indices, srcs[lo:lo + block])
         out[lo:lo + block] = np.where(h < 0, np.inf, h)
@@ -397,7 +397,7 @@ def gromov_delta(g: Graph, mode: str = "exact", n_samples: int | None = None,
     col = quads[:, _QUAD_PAIRS[:, 1]]
     dist = np.empty((n_samples, 6), dtype=np.float64)
     indptr, indices = sub.indptr, sub.indices
-    block = _kernels.WORD_BITS
+    block = _kernels.BLOCK_SOURCES
     for lo in range(0, len(srcs), block):
         hops = _kernels.bfs_hops(indptr, indices, srcs[lo:lo + block])
         hit = (row >= lo) & (row < lo + block)

@@ -6,7 +6,8 @@ against the enumeration of all quadruples, and sampled delta against a
 per-sample loop over the same draws. Graphs have several components and
 isolated nodes at the highest ids. Calls pass 1 to 130 sources, so they
 fill one uint64 word of BFS bits, end one bit before or after a word
-boundary, or span three words; tie-rich graphs (triangles, preferential
+boundary, or span three words; callers' blocks are 1 source, one word, a
+few words, or every source; tie-rich graphs (triangles, preferential
 attachment) make the smallest-id parent rule decide between shortest paths.
 """
 
@@ -173,7 +174,16 @@ def spy_call_sizes(monkeypatch):
     return sizes
 
 
-def test_sampled_delta_matches_per_sample_loop(monkeypatch):
+def assert_blocked(call, block):
+    """One caller's ``bfs_hops`` calls: whole blocks, then one partial or whole."""
+    assert call[:-1] == [block] * (len(call) - 1) and 0 < call[-1] <= block
+
+
+# sources per kernel call: one word (the default), one source, a few words
+# (100 and 200 sources span two and four words), and every source at once
+@pytest.mark.parametrize("block_sources", [1 << 16, 1, 200, _kernels.WORD_BITS])
+def test_sampled_delta_matches_per_sample_loop(monkeypatch, block_sources):
+    monkeypatch.setattr(_kernels, "BLOCK_SOURCES", block_sources)
     sizes = spy_call_sizes(monkeypatch)
     rng = np.random.default_rng(3)
     cases = [graphs.balanced_binary_tree(5), random_tree(rng, 50), graphs.cycle_graph(11),
@@ -182,29 +192,43 @@ def test_sampled_delta_matches_per_sample_loop(monkeypatch):
     for g in cases:
         if graphs._largest_component_subgraph(g).n_nodes < 4:
             continue
+        n_comps = len(graphs.connected_components(g))  # one 1-source call each
         for seed in range(10):
             for n_samples in (1, 300):
+                start = len(sizes)
                 got = graphs.gromov_delta(g, "sampled", n_samples=n_samples, seed=seed)
+                assert sizes[start:start + n_comps] == [1] * n_comps
+                assert_blocked(sizes[start + n_comps:], block_sources)
                 assert got == sampled_delta_loop(g, n_samples, seed)
     # one sample has three row nodes; 300 samples on the larger graphs fill
-    # whole 64-source blocks and leave a partial one
-    assert 3 in sizes and _kernels.WORD_BITS in sizes
-    assert any(1 < k < _kernels.WORD_BITS and k != 3 for k in sizes)
+    # whole blocks (over 200 distinct row nodes on the 255-node tree) and
+    # leave partial ones
+    assert min(block_sources, 3) in sizes
+    assert block_sources in sizes if block_sources < 1 << 16 else max(sizes) > 200
+    assert block_sources == 1 or any(3 < k < block_sources for k in sizes)
 
 
-def test_hop_distance_matrix_blocks_match_floyd_warshall(monkeypatch):
+@pytest.mark.parametrize("block_sources", [1 << 16, 1, 100, _kernels.WORD_BITS])
+def test_hop_distance_matrix_blocks_match_floyd_warshall(monkeypatch, block_sources):
+    monkeypatch.setattr(_kernels, "BLOCK_SOURCES", block_sources)
     sizes = spy_call_sizes(monkeypatch)
     rng = np.random.default_rng(4)
     cases = [multi_component_graph(rng) for _ in range(3)]
     cases += [word_boundary_graph(rng), random_tree(rng, 65)]
     for g in cases:
         fw = floyd_warshall(g)
+        start = len(sizes)
         assert np.array_equal(graphs.hop_distance_matrix(g), fw)
+        assert_blocked(sizes[start:], block_sources)
         for k in (1, 7, 130):
             nodes = rng.integers(0, g.n_nodes, size=k)
+            start = len(sizes)
             assert np.array_equal(graphs.hop_distance_matrix(g, nodes), fw[nodes])
-    # 65 and 135 nodes end in a 1- and a 7-source block after whole ones
-    assert {1, 7, _kernels.WORD_BITS} <= set(sizes)
+            assert_blocked(sizes[start:], block_sources)
+    # with one-word blocks, 65 and 135 nodes end in a 1- and a 7-source
+    # block after whole ones
+    if block_sources == _kernels.WORD_BITS:
+        assert {1, 7, _kernels.WORD_BITS} <= set(sizes)
 
 
 def _tree_path_sums(indptr, indices, source, slot_len):
