@@ -3,12 +3,17 @@
 Subcommands: train, eval, delta, distortion, estimate-curvature.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
 Options may come from a JSON config file (--config); explicit flags win.
+--log-level (before the subcommand) sends the package's log records at or
+above that level to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
+import logging
 import sys
 
 import numpy as np
@@ -22,6 +27,57 @@ class UsageError(Exception):
     pass
 
 
+# glibc mallopt parameters (malloc.h). A training step builds tens of MB of
+# tape temporaries and frees them; by default glibc hands the freed top of the
+# heap back to the OS, so every forward pass faults the same pages in again.
+# Serving requests below glibc's 64-bit mmap ceiling (32 MB) from the heap,
+# and trimming only beyond 64 MB of free top, keeps those pages for the next
+# step. Allocation never changes a value, so outputs are unaffected.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_heap() -> bool:
+    """Tell glibc to keep the process's freed heap; False where there is no mallopt.
+
+    The CLI owns its process, so it sets this allocator policy once; the
+    library itself leaves the allocator alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    return True
+
+
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """Send the package's log records at ``level`` and above to stderr.
+
+    The handler and level are undone on exit, so repeated in-process calls
+    of ``main`` do not stack handlers.
+    """
+    logger = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map usage to 1
         raise UsageError(message)
@@ -30,6 +86,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="curvgnn",
                 description="Hyperbolic GNN with adaptive curvature search")
+    p.add_argument("--log-level", choices=_LOG_LEVELS, default="warning",
+                   help="log records at this level and above go to stderr")
     sub = p.add_subparsers(dest="command", required=True)
 
     # every train option but --config and --out has a RunConfig field as dest
@@ -98,7 +156,7 @@ def _train_config(args) -> RunConfig:
             except json.JSONDecodeError as e:
                 raise graphs.DataError(f"bad config JSON: {e}", args.config, e.lineno)
     fields.update({k: v for k, v in vars(args).items()
-                   if k not in ("command", "config", "out") and v is not None})
+                   if k not in ("command", "config", "out", "log_level") and v is not None})
     unknown = set(fields) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise UsageError(f"unknown config fields: {sorted(unknown)}")
@@ -184,10 +242,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with _log_to_stderr(args.log_level):
+            return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

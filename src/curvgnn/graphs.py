@@ -316,13 +316,6 @@ def make_nc_split(g: Graph, train_frac: float = 0.70, val_frac: float = 0.15,
 # distances
 # ---------------------------------------------------------------------------
 
-def hop_distances(g: Graph, source: int) -> np.ndarray:
-    """BFS hop counts from source; UNREACHABLE (-1) for other components."""
-    if not (0 <= source < g.n_nodes):
-        raise ValueError(f"source {source} out of range")
-    return _kernels.bfs_hops(g.indptr, g.indices, [source])[0]
-
-
 def hop_distance_matrix(g: Graph, nodes: np.ndarray | None = None) -> np.ndarray:
     """Stacked BFS rows (float64; unreachable mapped to +inf)."""
     indptr, indices = g.indptr, g.indices
@@ -340,12 +333,26 @@ def hop_distance_matrix(g: Graph, nodes: np.ndarray | None = None) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def connected_components(g: Graph) -> list[np.ndarray]:
+    """Sorted member ids of each component, in ascending order of smallest id.
+
+    BFS runs from blocks of the smallest unassigned ids. A block holds every
+    unassigned id below its last one, so a source not yet covered when its
+    turn comes is the smallest id of a new component. Blocks start at one
+    source, which covers a connected graph, and double up to
+    ``BLOCK_SOURCES``.
+    """
     unassigned = np.ones(g.n_nodes, dtype=bool)
     comps = []
+    block = 1
     while unassigned.any():
-        members = np.flatnonzero(hop_distances(g, int(np.argmax(unassigned))) >= 0)
-        comps.append(members)
-        unassigned[members] = False
+        srcs = np.flatnonzero(unassigned)[:block]
+        hops = _kernels.bfs_hops(g.indptr, g.indices, srcs)
+        for s, row in zip(srcs, hops):
+            if unassigned[s]:
+                members = np.flatnonzero(row >= 0)
+                comps.append(members)
+                unassigned[members] = False
+        block = min(2 * block, _kernels.BLOCK_SOURCES)
     return comps
 
 

@@ -5,12 +5,14 @@ adjacency that ``graphs.Graph.from_edges`` must reproduce. One scalar queue
 BFS tree per source (``_bfs_tree_loop``) and one python-level walk down it
 are the definition that ``_kernels.bfs_tree``, ``_kernels.bfs_path_sums``
 and ``curvature.embedding_distortion`` must reproduce bit for bit.
+``connected_components_loop`` finds components one single-source BFS at a
+time: the order and members ``graphs.connected_components`` must reproduce.
 ``path_graph`` builds the simplest test input.
 """
 
 import numpy as np
 
-from curvgnn import graphs, manifold
+from curvgnn import _kernels, graphs, manifold
 
 
 def path_graph(n: int) -> graphs.Graph:
@@ -129,3 +131,15 @@ def hyperbolic_graph_distance(g, emb, i, j, zeta):
     if hops[j] < 0:
         raise DisconnectedError(f"nodes {i} and {j} are in different components")
     return float(total[j])
+
+
+def connected_components_loop(g):
+    """Components as one single-source BFS from each smallest unassigned id."""
+    unassigned = np.ones(g.n_nodes, dtype=bool)
+    comps = []
+    while unassigned.any():
+        source = int(np.argmax(unassigned))
+        members = np.flatnonzero(_kernels.bfs_hops(g.indptr, g.indices, [source])[0] >= 0)
+        comps.append(members)
+        unassigned[members] = False
+    return comps

@@ -1,11 +1,18 @@
-"""CLI tests: subcommands, exit codes, reproducible outputs."""
+"""CLI tests: subcommands, exit codes, logging, reproducible outputs, the
+allocator policy."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curvgnn import curvature, graphs
+import curvgnn
+from curvgnn import cli, curvature, graphs
 from curvgnn.cli import _build_parser, _train_config, main
 from curvgnn.training import RunConfig
 
@@ -30,6 +37,19 @@ def test_delta_sampled_reports_bound(tmp_path, capsys):
                  "--samples", "50", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "lower bound" in out
+
+
+def test_log_level_info_prints_component_line(tmp_path, capsys):
+    # a path 0-1-2-3-4 and an edge 5-6: delta runs on the largest component
+    p = tmp_path / "two.tsv"
+    p.write_text("0\t1\n1\t2\n2\t3\n3\t4\n5\t6\n")
+    assert main(["--log-level", "info", "delta", "--edges", str(p)]) == 0
+    out = capsys.readouterr()
+    assert out.out.strip() == "0"
+    assert "graph not connected; using largest component (5 of 7 nodes)" in out.err
+    assert main(["delta", "--edges", str(p)]) == 0  # default level: warning
+    out = capsys.readouterr()
+    assert out.out.strip() == "0" and out.err == ""
 
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
@@ -196,3 +216,54 @@ def test_divergence_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(training, "train", blow_up)
     assert main(["train", "--synthetic-tree", "4", "--out", str(tmp_path)]) == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_keep_freed_heap_without_mallopt_does_nothing(monkeypatch):
+    # a C library handle without mallopt, as outside glibc
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert cli._keep_freed_heap() is False
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+    assert cli._keep_freed_heap() is False
+
+
+# one train through cli.main in a fresh interpreter; prints the run's exit code
+# and the minor page faults taken during the cli.main call
+_FAULT_RUN = """
+import json, resource, sys
+from curvgnn import cli
+if sys.argv[1] == "off":
+    cli._keep_freed_heap = lambda: None
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rc = cli.main(["train", "--synthetic-tree", "7", "--seed", "7", "--epochs", "60",
+               "--out", sys.argv[2]])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({"rc": rc, "minflt": after - before}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is glibc's")
+def test_kept_heap_halves_page_faults_with_identical_outputs(tmp_path):
+    src = str(Path(curvgnn.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = {}
+    for mode in ("on", "off"):
+        proc = subprocess.run([sys.executable, "-c", _FAULT_RUN, mode, str(tmp_path / mode)],
+                              env=env, capture_output=True, text=True, check=True)
+        runs[mode] = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert runs["on"]["rc"] == runs["off"]["rc"] == 0
+    assert runs["on"]["minflt"] <= runs["off"]["minflt"] / 2, runs
+
+    def records(mode):
+        lines = (tmp_path / mode / "metrics.jsonl").read_text().splitlines()
+        return [{k: v for k, v in json.loads(line).items() if k != "wall_ms"}
+                for line in lines]
+
+    assert records("on") == records("off")
+    for name in ("result.json", "embeddings.npy"):
+        assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()

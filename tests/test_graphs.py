@@ -300,7 +300,7 @@ def random_graph(rng, n, p):
 
 def test_hop_distance_basics():
     g = path_oracle.path_graph(3)
-    h = graphs.hop_distances(g, 0)
+    h = graphs.hop_distance_matrix(g, [0])[0]
     assert h[0] == 0 and h[2] == 2
 
 
@@ -310,14 +310,12 @@ def test_hop_distances_match_floyd_warshall():
         g = random_graph(rng, 60, 0.06)
         fw = floyd_warshall(g)
         for s in range(0, 60, 7):
-            h = graphs.hop_distances(g, s).astype(float)
-            h[h < 0] = np.inf
-            assert np.array_equal(h, fw[s])
+            assert np.array_equal(graphs.hop_distance_matrix(g, [s])[0], fw[s])
 
 
 def test_hop_distance_source_out_of_range():
     with pytest.raises(ValueError):
-        graphs.hop_distances(path_oracle.path_graph(3), 5)
+        graphs.hop_distance_matrix(path_oracle.path_graph(3), [5])
 
 
 # ---------------------------------------------------------------------------

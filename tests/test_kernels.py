@@ -2,9 +2,10 @@
 
 Hop rows are checked against Floyd-Warshall, BFS trees and path sums
 against the scalar queue BFS of ``path_oracle._bfs_tree_loop``, exact delta
-against the enumeration of all quadruples, and sampled delta against a
-per-sample loop over the same draws. Graphs have several components and
-isolated nodes at the highest ids. Calls pass 1 to 130 sources, so they
+against the enumeration of all quadruples, sampled delta against a
+per-sample loop over the same draws, and components against one
+single-source BFS per component (``path_oracle.connected_components_loop``).
+Graphs have several components and isolated nodes at the highest ids. Calls pass 1 to 130 sources, so they
 fill one uint64 word of BFS bits, end one bit before or after a word
 boundary, or span three words; callers' blocks are 1 source, one word, a
 few words, or every source; tie-rich graphs (triangles, preferential
@@ -179,6 +180,44 @@ def assert_blocked(call, block):
     assert call[:-1] == [block] * (len(call) - 1) and 0 < call[-1] <= block
 
 
+def assert_doubling(call, block):
+    """``connected_components``' calls: 1, 2, 4, ... sources up to whole blocks,
+    the last one partial or whole."""
+    want = [min(1 << i, block) for i in range(len(call))]
+    assert call[:-1] == want[:-1] and 0 < call[-1] <= want[-1]
+
+
+def many_component_graph(rng):
+    """A word-boundary graph, then 300 isolated ids and a few small paths, so
+    the component search passes several whole blocks."""
+    g = word_boundary_graph(rng)
+    n = g.n_nodes + 300
+    paths = [(v, v + 1) for v in range(n, n + 30) if v % 4]
+    return graphs.Graph.from_edges(n + 31, np.concatenate((g.edge_array(), paths)))
+
+
+@pytest.mark.parametrize("block_sources", [1 << 16, 1, 3, 100, _kernels.WORD_BITS])
+def test_connected_components_match_loop_reference(monkeypatch, block_sources):
+    monkeypatch.setattr(_kernels, "BLOCK_SOURCES", block_sources)
+    sizes = spy_call_sizes(monkeypatch)
+    rng = np.random.default_rng(6)
+    cases = [multi_component_graph(rng) for _ in range(6)]
+    cases += [word_boundary_graph(rng), many_component_graph(rng), random_tree(rng, 40),
+              graphs.Graph.from_edges(3, np.empty((0, 2), dtype=np.int64))]
+    calls = []
+    for g in cases:
+        want = path_oracle.connected_components_loop(g)
+        start = len(sizes)
+        got = graphs.connected_components(g)
+        calls.append(sizes[start:])
+        assert_doubling(calls[-1], block_sources)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    # a tree takes one single-source call; over 300 components fill whole blocks
+    assert [1] in calls and min(block_sources, 128) in sum(calls, [])
+
+
 # sources per kernel call: one word (the default), one source, a few words
 # (100 and 200 sources span two and four words), and every source at once
 @pytest.mark.parametrize("block_sources", [1 << 16, 1, 200, _kernels.WORD_BITS])
@@ -192,13 +231,16 @@ def test_sampled_delta_matches_per_sample_loop(monkeypatch, block_sources):
     for g in cases:
         if graphs._largest_component_subgraph(g).n_nodes < 4:
             continue
-        n_comps = len(graphs.connected_components(g))  # one 1-source call each
+        start = len(sizes)
+        graphs.connected_components(g)  # its own doubling blocks, then the rows'
+        comp_calls = sizes[start:]
+        assert_doubling(comp_calls, block_sources)
         for seed in range(10):
             for n_samples in (1, 300):
                 start = len(sizes)
                 got = graphs.gromov_delta(g, "sampled", n_samples=n_samples, seed=seed)
-                assert sizes[start:start + n_comps] == [1] * n_comps
-                assert_blocked(sizes[start + n_comps:], block_sources)
+                assert sizes[start:start + len(comp_calls)] == comp_calls
+                assert_blocked(sizes[start + len(comp_calls):], block_sources)
                 assert got == sampled_delta_loop(g, n_samples, seed)
     # one sample has three row nodes; 300 samples on the larger graphs fill
     # whole blocks (over 200 distinct row nodes on the 255-node tree) and
