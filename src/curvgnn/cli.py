@@ -50,6 +50,7 @@ def _keep_freed_heap() -> bool:
     except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
     return True

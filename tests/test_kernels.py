@@ -5,11 +5,12 @@ against the scalar queue BFS of ``path_oracle._bfs_tree_loop``, exact delta
 against the enumeration of all quadruples, sampled delta against a
 per-sample loop over the same draws, and components against one
 single-source BFS per component (``path_oracle.connected_components_loop``).
-Graphs have several components and isolated nodes at the highest ids. Calls pass 1 to 130 sources, so they
-fill one uint64 word of BFS bits, end one bit before or after a word
-boundary, or span three words; callers' blocks are 1 source, one word, a
-few words, or every source; tie-rich graphs (triangles, preferential
-attachment) make the smallest-id parent rule decide between shortest paths.
+Graphs have several components and isolated nodes at the highest ids.
+Calls pass 1 to 130 sources, so they fill one uint64 word of BFS bits, end
+one bit before or after a word boundary, or span three words; callers'
+blocks are 1 source, one word, a few words, or every source; tie-rich
+graphs (triangles, preferential attachment) make the smallest-id parent
+rule decide between shortest paths.
 """
 
 import numpy as np
