@@ -13,7 +13,8 @@ arccosh(1 + u) in the log1p form, exact down to u ~ 0, with u clamped to
 [0, ACOSH_ARG_MAX] in the forward pass. Its derivative is evaluated at
 max(u, ACOSH_GRAD_EPS), keeping gradients finite when distances collapse
 to 0, and is 0 above the upper clamp. ``lorentz_inner`` is the Minkowski
-product that every formula in ``manifold`` is built on.
+product, and ``minkowski`` its value on plain arrays, which the one-node
+ops of ``manifold`` evaluate inside their forwards.
 """
 
 from __future__ import annotations
@@ -226,27 +227,6 @@ def sqrt(a) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def cosh(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.cosh(a.data), (a,), lambda g: (g * np.sinh(a.data),))
-
-
-def sinh(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.sinh(a.data), (a,), lambda g: (g * np.cosh(a.data),))
-
-
 def acosh1p(a) -> Tensor:
     """arccosh(1 + u) as log1p(u + sqrt(u (u + 2))), u clamped to [0, ACOSH_ARG_MAX].
 
@@ -302,18 +282,6 @@ def clamp_min(a, floor: float) -> Tensor:
     floor = float(floor)
     out = np.maximum(a.data, floor)
     return _make(out, (a,), lambda g: (g * (a.data > floor),))
-
-
-def concat(parts, axis: int = -1) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(out, tuple(parts), vjp)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -406,9 +374,7 @@ def lorentz_inner(u, v, keepdims: bool = True) -> Tensor:
     u, v = as_tensor(u), as_tensor(v)
     if u.data.shape[-1] != v.data.shape[-1]:
         raise ValueError("dimension mismatch in lorentz_inner")
-    prod = u.data * v.data
-    out = prod[..., 1:].sum(axis=-1, keepdims=keepdims)
-    out = out - (prod[..., :1] if keepdims else prod[..., 0])
+    out = minkowski(u.data, v.data, keepdims=keepdims)
 
     def vjp(g):
         gg = g if keepdims else np.expand_dims(g, -1)
@@ -420,43 +386,17 @@ def lorentz_inner(u, v, keepdims: bool = True) -> Tensor:
     return _make(out, (u, v), vjp)
 
 
+def minkowski(u: np.ndarray, v: np.ndarray, keepdims: bool = True) -> np.ndarray:
+    """The value of ``lorentz_inner`` on arrays, for the fused ops of ``manifold``."""
+    prod = u * v
+    out = prod[..., 1:].sum(axis=-1, keepdims=keepdims)
+    return out - (prod[..., :1] if keepdims else prod[..., 0])
+
+
 def _mink_flip(x: np.ndarray) -> np.ndarray:
     flipped = x.copy()
     flipped[..., 0] = -flipped[..., 0]
     return flipped
-
-
-def pad_zero_column(a) -> Tensor:
-    """Prefix a zero time-component: w in R^n -> (0, w), tangent at the origin."""
-    a = as_tensor(a)
-    zeros = Tensor(np.zeros(a.data.shape[:-1] + (1,)))
-    return concat([zeros, a], axis=-1)
-
-
-def spatial(a) -> Tensor:
-    """Drop the time component: (x0, xs) -> xs."""
-    a = as_tensor(a)
-    out = a.data[..., 1:]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[..., 1:] = g
-        return (ga,)
-
-    return _make(out, (a,), vjp)
-
-
-def first_col(a) -> Tensor:
-    """Keep only the time component as a (..., 1) slice."""
-    a = as_tensor(a)
-    out = a.data[..., :1]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[..., :1] = g
-        return (ga,)
-
-    return _make(out, (a,), vjp)
 
 
 def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:

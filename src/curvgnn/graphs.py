@@ -25,8 +25,6 @@ from . import _kernels
 
 log = logging.getLogger(__name__)
 
-UNREACHABLE = _kernels.UNREACHABLE  # hop-count sentinel (-1) for "infinite"
-
 
 class DataError(ValueError):
     """Malformed input data; carries the offending file line when known."""

@@ -16,9 +16,11 @@ Message passing runs over flattened adjacency with injected self-loops,
 never a dense attention matrix, and keeps on the E message edges only what
 needs a pair of endpoints:
 
-* per node (n rows): the linear transform and bias, log at the origin,
-  both halves of the attention projection, the exp map of the aggregate,
-  the activation;
+* per node (n rows): one tape node each for the linear transform's matmul,
+  exp at the origin, bias transport and exp step, for both logs at the
+  origin, for the exp map of the aggregate and for the activation (the
+  geometry ops are ``manifold``'s one-node maps); both halves of the
+  attention projection run inside ``attention_weights``;
 * per edge (E rows): two tape ops with closed-form VJPs. ``attention_weights``
   sums the two gathered projections and takes their relu, output score and
   segment softmax; ``manifold.sum_logs`` forms the distance coefficient of

@@ -7,23 +7,26 @@ where ``<.,.>_L`` is the Lorentzian scalar product of signature
 ``zeta`` means a flatter space. Arrays of shape ``(..., n+1)`` are batches
 of ambient points or tangent vectors.
 
-Each formula is one function built from ``autodiff`` primitives, so the
-model's gradients and the numpy diagnostics evaluate the same numbers.
-``sum_logs``, the per-edge stage of a layer, is instead one tape node with a
-closed-form VJP, so its (E, d+1) intermediates are not kept per op:
+Each formula is one function, so the model's gradients and the numpy
+diagnostics evaluate the same numbers. Every tape op but ``log_at`` is one
+tape node with a closed-form VJP: a map over n rows adds one node to the
+tape, not the ten or so of its composition of autodiff primitives. Each
+forward evaluates that composition's arithmetic in the same order, so its
+values equal the composition's exactly. ``log_at``, which the model does
+not use, is built from primitives:
 
-=======================  ==========================  =====================
-formula                  tape op (-> Tensor)         numpy API (validated)
-=======================  ==========================  =====================
-exp at the origin        ``exp_origin``              ``to_hyperboloid``
-log at the origin        ``log_origin``              ``to_tangent_coords``
-geodesic distance        ``dist``                    ``hyp_distance``
-log map at x             ``log_at``                  ``log_map``
+=======================  =====================================  =====================
+formula                  tape op (-> Tensor)                    numpy API (validated)
+=======================  =====================================  =====================
+exp at the origin        ``exp_origin`` (one node)              ``to_hyperboloid``
+log at the origin        ``log_origin`` (one node)              ``to_tangent_coords``
+geodesic distance        ``dist`` (one node)                    ``hyp_distance``
+log map at x             ``log_at``                             ``log_map``
 weighted log-map sum     ``sum_logs`` (one node)
-exp map at x             ``exp_at``                  ``exp_map``
-transport from origin    ``transport_from_origin``
-Lorentz product          ``autodiff.lorentz_inner``  ``lorentz_inner``
-=======================  ==========================  =====================
+exp map at x             ``exp_at`` (one node)                  ``exp_map``
+transport from origin    ``transport_from_origin`` (one node)
+Lorentz product          ``autodiff.lorentz_inner``             ``lorentz_inner``
+=======================  =====================================  =====================
 
 The numpy functions check their inputs, run the tape op on constants (no
 tape is recorded) and return its ``.data``. All functions are pure and safe
@@ -122,27 +125,52 @@ def check_tangent(v: np.ndarray, x: np.ndarray, tol: float = 1e-6) -> None:
 # ---------------------------------------------------------------------------
 
 def exp_origin(w, zeta: float) -> Tensor:
-    """Wrap spatial tangent coordinates (.., d) onto the hyperboloid (.., d+1)."""
+    """Wrap spatial tangent coordinates (.., d) onto the hyperboloid (.., d+1):
+    (zeta cosh(r/zeta), zeta sinh(r/zeta) w/r) with r = |w|; one tape node."""
     w = ad.as_tensor(w)
-    r = ad.sqrt(ad.tsum(w * w, axis=-1, keepdims=True) + ad.NORM_GUARD)
-    t = ad.scale(r, 1.0 / zeta)
-    x0 = ad.scale(ad.cosh(t), zeta)
-    coef = ad.scale(ad.sinh(t), zeta) / r
-    return ad.concat([x0, coef * w], axis=-1)
+    wd = w.data
+    r = np.sqrt((wd * wd).sum(axis=-1, keepdims=True) + ad.NORM_GUARD)
+    t = r * (1.0 / zeta)
+    ch, sh = np.cosh(t), np.sinh(t)
+    coef = (sh * zeta) / r
+    out = np.concatenate([ch * zeta, coef * wd], axis=-1)
+
+    def vjp(g):
+        g_coef = (g[..., 1:] * wd).sum(axis=-1, keepdims=True)
+        # x0 = zeta cosh(r/zeta) and coef have r-slopes sinh(r/zeta) and (cosh - coef)/r
+        g_r = g[..., :1] * sh + g_coef * (ch - coef) / r
+        return (coef * g[..., 1:] + (g_r / np.maximum(r, 1e-150)) * wd,)
+
+    return ad._make(out, (w,), vjp)
 
 
 def log_origin(x, zeta: float) -> Tensor:
-    """Spatial tangent coordinates of a point, inverse of exp_origin.
+    """Spatial tangent coordinates of a point, inverse of exp_origin; one tape node.
 
     The radius is zeta * arccosh(1 + u) with the cancellation-free
     u = x0/zeta - 1 = |x_s|^2 / (zeta (x0 + zeta)).
     """
     x = ad.as_tensor(x)
-    xs = ad.spatial(x)
-    sq = ad.tsum(xs * xs, axis=-1, keepdims=True)
-    u = sq / ad.scale(ad.first_col(x) + zeta, zeta)
-    d = ad.scale(ad.acosh1p(u), zeta)
-    return (d / ad.sqrt(sq + ad.NORM_GUARD)) * xs
+    xd = x.data
+    xs = xd[..., 1:]
+    sq = (xs * xs).sum(axis=-1, keepdims=True)
+    den = (xd[..., :1] + zeta) * zeta
+    u = sq / den
+    nrm = np.sqrt(sq + ad.NORM_GUARD)
+    c = (ad.acosh1p(u).data * zeta) / nrm
+    out = c * xs
+
+    def vjp(g):
+        g_c = (g * xs).sum(axis=-1, keepdims=True)
+        # c = zeta acosh1p(u) / nrm with u = sq / den and nrm = sqrt(sq + guard)
+        g_u = (g_c / nrm) * zeta * ad.acosh1p_slope(u)
+        g_sq = g_u / den - (g_c * c / nrm) * 0.5 / np.maximum(nrm, 1e-150)
+        gx = np.empty_like(xd)
+        gx[..., :1] = -(g_u * u / den) * zeta
+        gx[..., 1:] = c * g + (2.0 * g_sq) * xs
+        return (gx,)
+
+    return ad._make(out, (x,), vjp)
 
 
 def _acosh1p_arg(x: Tensor, y: Tensor, zeta: float, keepdims: bool) -> Tensor:
@@ -150,6 +178,7 @@ def _acosh1p_arg(x: Tensor, y: Tensor, zeta: float, keepdims: bool) -> Tensor:
 
     Formed from the Minkowski form of the difference, <x-y, x-y>_L / (2 zeta^2),
     which avoids the cancellation of the large x0*y0 product for nearby points.
+    ``dist`` and ``sum_logs`` evaluate the same arithmetic on arrays.
     """
     diff = x - y
     q = ad.clamp_min(ad.lorentz_inner(diff, diff, keepdims=keepdims), 0.0)
@@ -157,9 +186,24 @@ def _acosh1p_arg(x: Tensor, y: Tensor, zeta: float, keepdims: bool) -> Tensor:
 
 
 def dist(x, y, zeta: float) -> Tensor:
-    """Batched geodesic distance zeta * arccosh(-<x,y>_L / zeta^2)."""
+    """Batched geodesic distance zeta * arccosh(-<x,y>_L / zeta^2), with the
+    argument of ``_acosh1p_arg``; one tape node."""
     x, y = ad.as_tensor(x), ad.as_tensor(y)
-    return ad.scale(ad.acosh1p(_acosh1p_arg(x, y, zeta, keepdims=False)), zeta)
+    diff = x.data - y.data
+    q = ad.minkowski(diff, diff, keepdims=False)
+    k = float(0.5 / (zeta * zeta))
+    u = np.maximum(q, 0.0) * k
+    out = ad.acosh1p(u).data * zeta
+
+    def vjp(g):
+        # u = k max(<diff, diff>_L, 0)
+        g_q = (g * zeta) * ad.acosh1p_slope(u) * k * (q > 0.0)
+        g_diff = (2.0 * g_q)[..., None] * diff
+        g_diff[..., 0] = -g_diff[..., 0]
+        return (ad._unbroadcast(g_diff, x.data.shape),
+                ad._unbroadcast(-g_diff, y.data.shape))
+
+    return ad._make(out, (x, y), vjp)
 
 
 def _log_coef(x: Tensor, y: Tensor, zeta: float):
@@ -204,8 +248,7 @@ def sum_logs(h, src: np.ndarray, dst: np.ndarray, indptr: np.ndarray, weights,
     n = x.shape[0]
     h_src = np.take(x, src, axis=0)
     diff = np.repeat(x, counts, axis=0) - h_src  # h[dst] - h[src]
-    prod = diff * diff
-    q = prod[:, 1:].sum(axis=-1, keepdims=True) - prod[:, :1]
+    q = ad.minkowski(diff, diff)
     k = float(0.5 / (zeta * zeta))
     u = np.maximum(q, 0.0) * k
     s = np.sqrt(u * (u + 2.0) + ad.NORM_GUARD)
@@ -230,24 +273,55 @@ def sum_logs(h, src: np.ndarray, dst: np.ndarray, indptr: np.ndarray, weights,
 
 
 def exp_at(x, v, zeta: float) -> Tensor:
-    """Follow the geodesic from x with initial velocity v (tangent at x)."""
+    """Follow the geodesic from x with initial velocity v (tangent at x):
+    cosh(|v|/zeta) x + zeta sinh(|v|/zeta) v/|v|; one tape node."""
     x, v = ad.as_tensor(x), ad.as_tensor(v)
-    nv = ad.sqrt(ad.clamp_min(ad.lorentz_inner(v, v), 0.0) + ad.NORM_GUARD)
-    t = ad.scale(nv, 1.0 / zeta)
-    return ad.cosh(t) * x + (ad.scale(ad.sinh(t), zeta) / nv) * v
+    xd, vd = x.data, v.data
+    q = ad.minkowski(vd, vd)
+    nv = np.sqrt(np.maximum(q, 0.0) + ad.NORM_GUARD)
+    t = nv * (1.0 / zeta)
+    ch, sh = np.cosh(t), np.sinh(t)
+    coef = (sh * zeta) / nv
+    out = ch * xd + coef * vd
+
+    def vjp(g):
+        g_ch = (g * xd).sum(axis=-1, keepdims=True)
+        g_coef = (g * vd).sum(axis=-1, keepdims=True)
+        # cosh(nv/zeta) and coef have nv-slopes sinh(nv/zeta)/zeta and (cosh - coef)/nv
+        g_nv = g_ch * sh / zeta + g_coef * (ch - coef) / nv
+        g_q = g_nv * 0.5 / np.maximum(nv, 1e-150) * (q > 0.0)
+        g_vv = (2.0 * g_q) * vd  # through <v, v>_L
+        g_vv[..., 0] = -g_vv[..., 0]
+        return (ad._unbroadcast(ch * g, xd.shape), ad._unbroadcast(coef * g + g_vv, vd.shape))
+
+    return ad._make(out, (x, v), vjp)
 
 
 def transport_from_origin(x, b, zeta: float) -> Tensor:
-    """Parallel-transport a tangent-at-origin vector (0, b) to T_x.
+    """Parallel-transport a tangent-at-origin vector (0, b) to T_x; one tape node.
 
     P(v) = v + <x, v>_L / (zeta^2 - <o, x>_L) * (o + x); a linear isometry
     of tangent spaces.
     """
-    x = ad.as_tensor(x)
-    bt = ad.pad_zero_column(ad.as_tensor(b))
-    num = ad.lorentz_inner(x, bt, keepdims=True)
-    den = ad.scale(ad.first_col(x) + zeta, zeta)  # zeta^2 - <o, x> = zeta (zeta + x0)
-    return bt + (num / den) * (x + Tensor(origin(x.data.shape[-1] - 1, zeta)))
+    x, b = ad.as_tensor(x), ad.as_tensor(b)
+    xd, bd = x.data, b.data
+    bt = np.concatenate([np.zeros(bd.shape[:-1] + (1,)), bd], axis=-1)
+    num = ad.minkowski(xd, bt)
+    den = (xd[..., :1] + zeta) * zeta  # zeta^2 - <o, x> = zeta (zeta + x0)
+    m = num / den
+    xo = xd + origin(xd.shape[-1] - 1, zeta)
+    out = bt + m * xo
+
+    def vjp(g):
+        g_m = (g * xo).sum(axis=-1, keepdims=True)
+        g_num = g_m / den
+        # num = <x, (0, b)>_L and den = zeta (x0 + zeta)
+        g_x = m * g + g_num * bt
+        g_x[..., :1] -= (g_m * m / den) * zeta
+        g_b = g[..., 1:] + g_num * xd[..., 1:]
+        return ad._unbroadcast(g_x, xd.shape), ad._unbroadcast(g_b, bd.shape)
+
+    return ad._make(out, (x, b), vjp)
 
 
 # ---------------------------------------------------------------------------

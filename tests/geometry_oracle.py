@@ -2,13 +2,16 @@
 
 Closed forms the package does not need (parallel transport between two
 arbitrary points, the polar law of cosines and its large-radius shortcut,
-a drift projection), one-node versions of what ``layers.layer_forward``
-does for every node at once (attention, aggregation), the composed tape
-forms of the two fused per-edge ops (``layers.attention_weights`` and
-``manifold.sum_logs``) with the ``segment_sum`` primitive they use, the
-per-edge form of the attention scores, the model forward with a hyperboloid
-point at every layer boundary, the node-by-node tree layout, and the
-Fermi-Dirac score in numpy.
+a drift projection), the tape primitives that only these references use
+(``exp``, ``log``, ``cosh``, ``sinh``, ``concat``, ``pad_zero_column``,
+``spatial``, ``first_col``, ``segment_sum``), the composed tape forms of the
+one-node ops of ``manifold`` (exp and log at the origin, the distance, the
+exp map, transport from the origin, the weighted sum of log maps) and of
+``layers.attention_weights``, one-node versions of what
+``layers.layer_forward`` does for every node at once (attention,
+aggregation), the per-edge form of the attention scores, the model forward
+with a hyperboloid point at every layer boundary, the node-by-node tree
+layout, and the Fermi-Dirac score in numpy.
 """
 
 import numpy as np
@@ -100,8 +103,63 @@ def polar_distance_approx(r: float, theta: float, r2: float, theta2: float,
 
 
 # ---------------------------------------------------------------------------
-# the per-edge stage of a layer, composed from tape primitives
+# tape primitives that only the composed references use
 # ---------------------------------------------------------------------------
+
+def exp(a) -> Tensor:
+    a = ad.as_tensor(a)
+    out = np.exp(a.data)
+    return ad._make(out, (a,), lambda g: (g * out,))
+
+
+def log(a) -> Tensor:
+    a = ad.as_tensor(a)
+    return ad._make(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def cosh(a) -> Tensor:
+    a = ad.as_tensor(a)
+    return ad._make(np.cosh(a.data), (a,), lambda g: (g * np.sinh(a.data),))
+
+
+def sinh(a) -> Tensor:
+    a = ad.as_tensor(a)
+    return ad._make(np.sinh(a.data), (a,), lambda g: (g * np.cosh(a.data),))
+
+
+def concat(parts, axis: int = -1) -> Tensor:
+    parts = [ad.as_tensor(p) for p in parts]
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return ad._make(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
+
+
+def pad_zero_column(a) -> Tensor:
+    """Prefix a zero time-component: w in R^n -> (0, w), tangent at the origin."""
+    a = ad.as_tensor(a)
+    return concat([Tensor(np.zeros(a.data.shape[:-1] + (1,))), a], axis=-1)
+
+
+def _column_slice(a, cols: slice) -> Tensor:
+    a = ad.as_tensor(a)
+
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        ga[..., cols] = g
+        return (ga,)
+
+    return ad._make(a.data[..., cols], (a,), vjp)
+
+
+def spatial(a) -> Tensor:
+    """Drop the time component: (x0, xs) -> xs."""
+    return _column_slice(a, slice(1, None))
+
+
+def first_col(a) -> Tensor:
+    """Keep only the time component as a (..., 1) slice."""
+    return _column_slice(a, slice(None, 1))
+
 
 def segment_sum(a, indptr: np.ndarray) -> Tensor:
     """Sum contiguous row blocks: out[k] = sum of a[indptr[k]:indptr[k+1]].
@@ -126,11 +184,62 @@ def attention_scores(tang, src, dst, params) -> Tensor:
     return ad.matmul(hidden, params.att_w2)
 
 
+# ---------------------------------------------------------------------------
+# the one-node ops of manifold, composed from tape primitives
+# ---------------------------------------------------------------------------
+
+def exp_origin_composed(w, zeta: float) -> Tensor:
+    """``manifold.exp_origin`` as a chain of tape primitives."""
+    w = ad.as_tensor(w)
+    r = ad.sqrt(ad.tsum(w * w, axis=-1, keepdims=True) + ad.NORM_GUARD)
+    t = ad.scale(r, 1.0 / zeta)
+    x0 = ad.scale(cosh(t), zeta)
+    coef = ad.scale(sinh(t), zeta) / r
+    return concat([x0, coef * w], axis=-1)
+
+
+def log_origin_composed(x, zeta: float) -> Tensor:
+    """``manifold.log_origin`` as a chain of tape primitives."""
+    x = ad.as_tensor(x)
+    xs = spatial(x)
+    sq = ad.tsum(xs * xs, axis=-1, keepdims=True)
+    u = sq / ad.scale(first_col(x) + zeta, zeta)
+    d = ad.scale(ad.acosh1p(u), zeta)
+    return (d / ad.sqrt(sq + ad.NORM_GUARD)) * xs
+
+
+def dist_composed(x, y, zeta: float) -> Tensor:
+    """``manifold.dist`` as a chain of tape primitives."""
+    x, y = ad.as_tensor(x), ad.as_tensor(y)
+    return ad.scale(ad.acosh1p(manifold._acosh1p_arg(x, y, zeta, keepdims=False)), zeta)
+
+
+def exp_at_composed(x, v, zeta: float) -> Tensor:
+    """``manifold.exp_at`` as a chain of tape primitives."""
+    x, v = ad.as_tensor(x), ad.as_tensor(v)
+    nv = ad.sqrt(ad.clamp_min(ad.lorentz_inner(v, v), 0.0) + ad.NORM_GUARD)
+    t = ad.scale(nv, 1.0 / zeta)
+    return cosh(t) * x + (ad.scale(sinh(t), zeta) / nv) * v
+
+
+def transport_from_origin_composed(x, b, zeta: float) -> Tensor:
+    """``manifold.transport_from_origin`` as a chain of tape primitives."""
+    x = ad.as_tensor(x)
+    bt = pad_zero_column(ad.as_tensor(b))
+    num = ad.lorentz_inner(x, bt, keepdims=True)
+    den = ad.scale(first_col(x) + zeta, zeta)
+    return bt + (num / den) * (x + Tensor(manifold.origin(x.data.shape[-1] - 1, zeta)))
+
+
+# ---------------------------------------------------------------------------
+# the per-edge stage of a layer, composed from tape primitives
+# ---------------------------------------------------------------------------
+
 def segment_softmax(scores: Tensor, dst: np.ndarray, indptr: np.ndarray) -> Tensor:
     """Softmax of the scores over each dst segment."""
     seg_max = np.maximum.reduceat(scores.data, indptr[:-1], axis=0)
     shifted = scores - Tensor(seg_max[dst])  # constant shift, exact in gradient
-    e = ad.exp(shifted)
+    e = exp(shifted)
     denom = segment_sum(e, indptr)
     return e / ad.gather_rows(denom, dst)
 
@@ -171,7 +280,7 @@ def attention_scores_concat(tang, src, dst, params) -> Tensor:
     """Per-edge attention scores from the concatenated [tang_dst, tang_src]
     rows: the (E, 2d) form that ``attention_scores`` splits into two
     node-side projections."""
-    feat = ad.concat([ad.gather_rows(tang, dst), ad.gather_rows(tang, src)], axis=-1)
+    feat = concat([ad.gather_rows(tang, dst), ad.gather_rows(tang, src)], axis=-1)
     hidden = ad.relu(ad.matmul(feat, params.att_w1) + params.att_b1)
     return ad.matmul(hidden, params.att_w2)
 

@@ -4,9 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from curvgnn import manifold as M
+from curvgnn import autodiff as ad, manifold as M
+from curvgnn.autodiff import Tensor, backward
 
 import geometry_oracle as geo
+from grad_oracle import finite_diff_check
 
 
 def rand_point(rng, dim, zeta, radius=1.0):
@@ -336,3 +338,126 @@ def test_as_zeta_rejects_bad_values():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(M.ManifoldError):
             M.as_zeta(bad)
+
+
+# ---------------------------------------------------------------------------
+# the one-node tape ops against their compositions of tape primitives
+# ---------------------------------------------------------------------------
+
+FUSED = {  # one-node op, its composed reference
+    "exp_origin": (M.exp_origin, geo.exp_origin_composed),
+    "log_origin": (M.log_origin, geo.log_origin_composed),
+    "dist": (M.dist, geo.dist_composed),
+    "exp_at": (M.exp_at, geo.exp_at_composed),
+    "transport_from_origin": (M.transport_from_origin, geo.transport_from_origin_composed),
+}
+
+
+def origin_tangents(rng, n, dim, zeta, t_max):
+    """(n, dim) tangent coordinates at the origin with |w| / zeta spread over
+    [0, t_max]; the first row is zero."""
+    w = rng.standard_normal((n, dim))
+    w *= zeta * rng.uniform(0.0, t_max, (n, 1)) / np.linalg.norm(w, axis=1, keepdims=True)
+    w[0] = 0.0
+    return w
+
+
+def fused_inputs(rng, name, zeta, t_max, n=8, dim=3):
+    """Arrays for one call of a one-node op: points at geodesic radius up to
+    zeta * t_max, vectors of Lorentz norm up to zeta * t_max, and a zero row 0
+    (w = 0, the origin, coinciding points, v = 0, b = 0)."""
+    def points():
+        return M.to_hyperboloid(origin_tangents(rng, n, dim, zeta, t_max), zeta)
+
+    if name == "exp_origin":
+        return [origin_tangents(rng, n, dim, zeta, t_max)]
+    if name == "log_origin":
+        return [points()]
+    if name == "dist":
+        x, y = points(), points()
+        y[0] = x[0]
+        return [x, y]
+    if name == "exp_at":
+        x = points()
+        v = geo.parallel_transport(np.broadcast_to(M.origin(dim, zeta), x.shape), x,
+                                   geo.tangent_from_euclidean(
+                                       origin_tangents(rng, n, dim, zeta, t_max)),
+                                   zeta, validate=False)
+        return [x, v]
+    b = origin_tangents(rng, n, dim, zeta, t_max)
+    return [points(), b if rng.random() < 0.5 else b[1]]  # per row, or one bias
+
+
+def away_from_zero_row(arrays):
+    """Drop row 0: at the origin, log_origin's guarded radius has slope 0
+    where the map has slope 1, in this op and in its composition alike."""
+    return [a[1:] if a.ndim == 2 else a for a in arrays]
+
+
+def probed(op, arrays, zeta, probe):
+    """Value of op and the gradients of sum(op * probe) on each input."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*leaves, zeta)
+    backward(ad.tsum(out * Tensor(probe)))
+    return out, leaves
+
+
+@pytest.mark.parametrize("name", list(FUSED))
+def test_fused_op_forward_equals_composition(name):
+    """The same arithmetic in the same order: equal values from the origin out
+    to radius 20 zeta, where cosh still fits in a float64 many times over."""
+    fused, composed = FUSED[name]
+    rng = np.random.default_rng(60)
+    for zeta in (0.1, 1.0, 10.0):
+        for t_max in (1e-9, 1e-3, 1.0, 5.0, 20.0):
+            for _ in range(5):
+                arrays = fused_inputs(rng, name, zeta, t_max)
+                got = fused(*arrays, zeta).data
+                want = composed(*arrays, zeta).data
+                assert np.array_equal(got, want), (zeta, t_max)
+
+
+@pytest.mark.parametrize("name", list(FUSED))
+def test_fused_op_gradients_match_composition(name):
+    """Where the maps are well conditioned the closed-form VJP and the chain of
+    primitive VJPs differ by rounding only. Far out (t >~ 5 at small zeta)
+    both are dominated by rounding and need not agree."""
+    fused, composed = FUSED[name]
+    rng = np.random.default_rng(61)
+    for zeta in (0.1, 1.0, 10.0):
+        for t_max in (1e-3, 0.5, 2.0):
+            for _ in range(5):
+                arrays = fused_inputs(rng, name, zeta, t_max)
+                probe = rng.standard_normal(fused(*arrays, zeta).shape)
+                _, got = probed(fused, arrays, zeta, probe)
+                _, want = probed(composed, arrays, zeta, probe)
+                for a, b in zip(got, want):
+                    assert a.grad.shape == b.grad.shape
+                    top = np.max(np.abs(b.grad))
+                    assert np.max(np.abs(a.grad - b.grad)) <= 1e-10 * top, (zeta, t_max)
+
+
+@pytest.mark.parametrize("name", list(FUSED))
+def test_fused_op_gradients_match_finite_differences(name):
+    fused, _ = FUSED[name]
+    rng = np.random.default_rng(62)
+    for zeta in (0.3, 1.0, 2.5):
+        arrays = away_from_zero_row(fused_inputs(rng, name, zeta, 1.5, n=4))
+        probe = Tensor(rng.standard_normal(fused(*arrays, zeta).shape))
+        for i in range(len(arrays)):
+            def f(t, i=i):
+                args = arrays[:i] + [t] + arrays[i + 1:]
+                return ad.tsum(fused(*args, zeta) * probe)
+
+            err = finite_diff_check(f, arrays[i])
+            assert err < 1e-5, f"{name} input {i} at zeta={zeta}: rel err {err}"
+
+
+@pytest.mark.parametrize("name", list(FUSED))
+def test_fused_op_is_one_tape_node(name):
+    fused, _ = FUSED[name]
+    arrays = fused_inputs(np.random.default_rng(63), name, 1.0, 1.0)
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fused(*leaves, 1.0)
+    assert len(out._parents) == len(leaves)
+    assert all(p is leaf for p, leaf in zip(out._parents, leaves))
