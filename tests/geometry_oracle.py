@@ -2,9 +2,10 @@
 
 Closed forms the package does not need (parallel transport between two
 arbitrary points, the polar law of cosines and its large-radius shortcut,
-a drift projection), the tape primitives that only these references use
+a drift projection), the tape primitives that the package no longer calls
 (``exp``, ``log``, ``cosh``, ``sinh``, ``concat``, ``pad_zero_column``,
-``spatial``, ``first_col``, ``segment_sum``), the composed tape forms of the
+``spatial``, ``first_col``, ``segment_sum``; the references below and the
+primitive checks use them), the composed tape forms of the
 one-node ops of ``manifold`` (exp and log at the origin, the distance, the
 exp map, transport from the origin, the weighted sum of log maps) and of
 ``layers.attention_weights``, one-node versions of what
@@ -103,7 +104,7 @@ def polar_distance_approx(r: float, theta: float, r2: float, theta2: float,
 
 
 # ---------------------------------------------------------------------------
-# tape primitives that only the composed references use
+# tape primitives that the package no longer calls
 # ---------------------------------------------------------------------------
 
 def exp(a) -> Tensor:
