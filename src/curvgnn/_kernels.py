@@ -136,21 +136,17 @@ def bfs_hops(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarray:
 
 
 def bfs_tree(indptr: np.ndarray, indices: np.ndarray, source: int):
-    """(hops, parent, order) of the BFS tree from one source.
+    """(hops, parent) of the BFS tree from one source.
 
     parent[v] is the smallest-id neighbour of v one hop closer to source,
-    -1 at the source and in other components. order lists the source, then
-    each hop level in ascending id, then the unreachable nodes by id.
+    -1 at the source and in other components.
     """
     hops = _hop_rows(*_bfs_bits(indptr, indices, [source]), 1)[0]
     parent = np.full(hops.shape[0], -1, dtype=np.int64)
     reached = hops > 0
     if reached.any():
         parent[reached] = indices[_parent_slots(indptr, indices, hops[None])[0, reached]]
-    order = np.argsort(hops, kind="stable")  # UNREACHABLE (-1) first: rotate it last
-    unreached = np.count_nonzero(hops == UNREACHABLE)
-    order = np.concatenate((order[unreached:], order[:unreached]))
-    return hops.astype(np.int64), parent, order
+    return hops.astype(np.int64), parent
 
 
 def _path_parents(indptr, indices, hops, pos):

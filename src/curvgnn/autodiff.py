@@ -8,26 +8,15 @@ them. Nothing is recorded when no input requires a gradient, so
 forward-only evaluation has no tape overhead and produces identical
 values.
 
-Hyperbolic-specific conventions live here too: ``acosh1p(u)`` is
-arccosh(1 + u) in the log1p form, exact down to u ~ 0, with u clamped to
-[0, ACOSH_ARG_MAX] in the forward pass. Its derivative is evaluated at
-max(u, ACOSH_GRAD_EPS), keeping gradients finite when distances collapse
-to 0, and is 0 above the upper clamp. ``lorentz_inner`` is the Minkowski
-product, and ``minkowski`` its value on plain arrays, which the one-node
-ops of ``manifold`` evaluate inside their forwards.
+The module knows no geometry. Other modules (``manifold``, ``layers``)
+add their own one-node ops with closed-form VJPs through ``_make``;
+``scatter_rows`` and ``segment_counts`` are the row reductions those VJPs
+share.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# NaN guard for the arccosh(1 + u) argument; far beyond any distance the
-# package can meaningfully represent, it only keeps inf out of downstream math
-ACOSH_ARG_MAX = 1e120
-ACOSH_GRAD_EPS = 1e-7
-
-# keeps sqrt-of-sum-of-squares differentiable at exactly zero
-NORM_GUARD = 1e-30
 
 
 class Tensor:
@@ -217,36 +206,6 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * 0.5 / np.maximum(out, 1e-150),)
-
-    return _make(out, (a,), vjp)
-
-
-def acosh1p(a) -> Tensor:
-    """arccosh(1 + u) as log1p(u + sqrt(u (u + 2))), u clamped to [0, ACOSH_ARG_MAX].
-
-    The derivative 1 / sqrt(u (u + 2)) is evaluated at max(u, ACOSH_GRAD_EPS)
-    so that collapsing distances keep a large but finite gradient instead of
-    inf, and is 0 above the upper clamp.
-    """
-    a = as_tensor(a)
-    u = np.minimum(np.maximum(a.data, 0.0), ACOSH_ARG_MAX)
-    out = np.log1p(u + np.sqrt(u * (u + 2.0)))
-    return _make(out, (a,), lambda g: (g * acosh1p_slope(a.data),))
-
-
-def acosh1p_slope(u: np.ndarray) -> np.ndarray:
-    """The derivative acosh1p uses: 1 / sqrt(u (u + 2)) at max(u, ACOSH_GRAD_EPS),
-    and 0 above ACOSH_ARG_MAX."""
-    uc = np.minimum(np.maximum(u, ACOSH_GRAD_EPS), ACOSH_ARG_MAX)
-    return np.where(u > ACOSH_ARG_MAX, 0.0, 1.0 / np.sqrt(uc * (uc + 2.0)))
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
@@ -277,13 +236,6 @@ def relu(a) -> Tensor:
     return _make(out, (a,), lambda g: (g * (a.data > 0.0),))
 
 
-def clamp_min(a, floor: float) -> Tensor:
-    a = as_tensor(a)
-    floor = float(floor)
-    out = np.maximum(a.data, floor)
-    return _make(out, (a,), lambda g: (g * (a.data > floor),))
-
-
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
@@ -301,19 +253,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - inner) * out,)
-
-    return _make(out, (a,), vjp)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -369,41 +308,11 @@ def segment_counts(indptr: np.ndarray, n_rows: int) -> np.ndarray:
     return counts
 
 
-def lorentz_inner(u, v, keepdims: bool = True) -> Tensor:
-    """Batched Minkowski product -u0*v0 + sum_i ui*vi over the last axis."""
-    u, v = as_tensor(u), as_tensor(v)
-    if u.data.shape[-1] != v.data.shape[-1]:
-        raise ValueError("dimension mismatch in lorentz_inner")
-    out = minkowski(u.data, v.data, keepdims=keepdims)
-
-    def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, -1)
-        return (
-            _unbroadcast(gg * _mink_flip(v.data), u.data.shape),
-            _unbroadcast(gg * _mink_flip(u.data), v.data.shape),
-        )
-
-    return _make(out, (u, v), vjp)
-
-
-def minkowski(u: np.ndarray, v: np.ndarray, keepdims: bool = True) -> np.ndarray:
-    """The value of ``lorentz_inner`` on arrays, for the fused ops of ``manifold``."""
-    prod = u * v
-    out = prod[..., 1:].sum(axis=-1, keepdims=keepdims)
-    return out - (prod[..., :1] if keepdims else prod[..., 0])
-
-
-def _mink_flip(x: np.ndarray) -> np.ndarray:
-    flipped = x.copy()
-    flipped[..., 0] = -flipped[..., 0]
-    return flipped
-
-
-def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not training or p <= 0.0:
-        return as_tensor(a)
+def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout; identity when p == 0."""
     a = as_tensor(a)
+    if p <= 0.0:
+        return a
     mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
     return mul(a, Tensor(mask))
 

@@ -262,7 +262,7 @@ def tree_layout_hyperbolic(g: graphs.Graph, zeta, edge_length: float = 1.0,
     Each BFS level is placed in one batch of rows, one row per child.
     """
     z = manifold.as_zeta(zeta)
-    hops, parent, _ = _kernels.bfs_tree(g.indptr, g.indices, root)
+    hops, parent = _kernels.bfs_tree(g.indptr, g.indices, root)
     if np.any(hops < 0):
         raise ValueError("tree layout requires a connected graph")
     pos = np.zeros((g.n_nodes, 3), dtype=np.float64)

@@ -422,11 +422,6 @@ def balanced_binary_tree(depth: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def cycle_graph(n: int) -> Graph:
-    edges = np.array([(i, (i + 1) % n) for i in range(n)], dtype=np.int64)
-    return Graph.from_edges(n, edges)
-
-
 def random_plus_degree_features(g: Graph, dim: int, seed: int,
                                 noise: float = 0.2) -> np.ndarray:
     """Gaussian features plus a clean normalized-degree channel in column 0."""

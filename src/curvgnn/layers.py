@@ -162,7 +162,7 @@ def layer_forward(t, g: Graph, params: LayerParams, *, dropout: float = 0.0,
     if training and dropout > 0.0:
         if rng is None:
             raise ValueError("training dropout requires an rng")
-        tang = ad.dropout(tang, dropout, rng, training=True)
+        tang = ad.dropout(tang, dropout, rng)
     return ad.relu(tang)
 
 

@@ -8,29 +8,36 @@ where ``<.,.>_L`` is the Lorentzian scalar product of signature
 of ambient points or tangent vectors.
 
 Each formula is one function, so the model's gradients and the numpy
-diagnostics evaluate the same numbers. Every tape op but ``log_at`` is one
-tape node with a closed-form VJP: a map over n rows adds one node to the
-tape, not the ten or so of its composition of autodiff primitives. Each
-forward evaluates that composition's arithmetic in the same order, so its
-values equal the composition's exactly. ``log_at``, which the model does
-not use, is built from primitives:
+diagnostics evaluate the same numbers. The array helpers are shared by
+the maps: ``acosh1p(u)`` is arccosh(1 + u) in the log1p form, exact down
+to u ~ 0, with u clamped to [0, ACOSH_ARG_MAX]; ``acosh1p_slope`` is its
+derivative, evaluated at max(u, ACOSH_GRAD_EPS) so that gradients stay
+finite when distances collapse to 0, and 0 above the upper clamp;
+``_dist_arg`` forms the u of d(x, y) = zeta arccosh(1 + u), and
+``_log_coef`` the c of the log map c (y - (1 + u) x). Each tape op is one
+node of the ``autodiff`` tape with a closed-form VJP whose parents are
+exactly its inputs. The numpy API (``lorentz_inner`` to ``exp_map``)
+checks its inputs; ``log_map`` evaluates its formula on arrays, the
+others run their tape op on constants (no tape is recorded) and return
+its ``.data``:
 
-=======================  =====================================  =====================
-formula                  tape op (-> Tensor)                    numpy API (validated)
-=======================  =====================================  =====================
-exp at the origin        ``exp_origin`` (one node)              ``to_hyperboloid``
-log at the origin        ``log_origin`` (one node)              ``to_tangent_coords``
-geodesic distance        ``dist`` (one node)                    ``hyp_distance``
-log map at x             ``log_at``                             ``log_map``
-weighted log-map sum     ``sum_logs`` (one node)
-exp map at x             ``exp_at`` (one node)                  ``exp_map``
-transport from origin    ``transport_from_origin`` (one node)
-Lorentz product          ``autodiff.lorentz_inner``             ``lorentz_inner``
-=======================  =====================================  =====================
+=====================  =========================  ================================
+formula                tape op (-> Tensor)        array function
+=====================  =========================  ================================
+Lorentz product                                   ``minkowski``, ``lorentz_inner``
+arccosh(1 + u)                                    ``acosh1p``, ``acosh1p_slope``
+distance argument u                               ``_dist_arg``
+log-map coefficient c                             ``_log_coef``
+exp at the origin      ``exp_origin``             ``to_hyperboloid``
+log at the origin      ``log_origin``             ``to_tangent_coords``
+geodesic distance      ``dist``                   ``hyp_distance``
+log map at x                                      ``log_map``
+weighted log-map sum   ``sum_logs``
+exp map at x           ``exp_at``                 ``exp_map``
+transport from origin  ``transport_from_origin``
+=====================  =========================  ================================
 
-The numpy functions check their inputs, run the tape op on constants (no
-tape is recorded) and return its ``.data``. All functions are pure and safe
-for concurrent use.
+All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -44,6 +51,14 @@ from .autodiff import Tensor
 
 DEFAULT_ZETA_MIN = 0.1
 DEFAULT_ZETA_MAX = 10.0
+
+# NaN guard for the arccosh(1 + u) argument; far beyond any distance the
+# package can meaningfully represent, it only keeps inf out of downstream math
+ACOSH_ARG_MAX = 1e120
+ACOSH_GRAD_EPS = 1e-7
+
+# keeps sqrt-of-sum-of-squares differentiable at exactly zero
+NORM_GUARD = 1e-30
 
 _EPS = np.finfo(np.float64).eps
 
@@ -68,7 +83,7 @@ def lorentz_inner(u: np.ndarray, v: np.ndarray, keepdims: bool = False) -> np.nd
         raise ManifoldError(f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}")
     if u.shape[-1] < 2:
         raise ManifoldError("ambient dimension must be at least 2")
-    return ad.lorentz_inner(u, v, keepdims=keepdims).data
+    return minkowski(u, v, keepdims=keepdims)
 
 
 def lorentz_norm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
@@ -121,7 +136,55 @@ def check_tangent(v: np.ndarray, x: np.ndarray, tol: float = 1e-6) -> None:
 
 
 # ---------------------------------------------------------------------------
-# tape ops: the one implementation of each formula
+# array helpers shared by the maps
+# ---------------------------------------------------------------------------
+
+def minkowski(u: np.ndarray, v: np.ndarray, keepdims: bool = True) -> np.ndarray:
+    """-u0*v0 + sum_i u_i*v_i over the last axis of two arrays."""
+    prod = u * v
+    out = prod[..., 1:].sum(axis=-1, keepdims=keepdims)
+    return out - (prod[..., :1] if keepdims else prod[..., 0])
+
+
+def acosh1p(u: np.ndarray) -> np.ndarray:
+    """arccosh(1 + u) as log1p(u + sqrt(u (u + 2))), u clamped to [0, ACOSH_ARG_MAX]."""
+    u = np.minimum(np.maximum(u, 0.0), ACOSH_ARG_MAX)
+    return np.log1p(u + np.sqrt(u * (u + 2.0)))
+
+
+def acosh1p_slope(u: np.ndarray) -> np.ndarray:
+    """The derivative of acosh1p: 1 / sqrt(u (u + 2)) at max(u, ACOSH_GRAD_EPS),
+    and 0 above ACOSH_ARG_MAX."""
+    uc = np.minimum(np.maximum(u, ACOSH_GRAD_EPS), ACOSH_ARG_MAX)
+    return np.where(u > ACOSH_ARG_MAX, 0.0, 1.0 / np.sqrt(uc * (uc + 2.0)))
+
+
+def _dist_arg(diff: np.ndarray, zeta: float, keepdims: bool = True):
+    """(q, k, u) with d(x, y) = zeta * arccosh(1 + u) for diff = x - y.
+
+    u = k max(q, 0) with q = <x-y, x-y>_L and k = 1 / (2 zeta^2): on the
+    manifold it equals -<x,y>_L/zeta^2 - 1, without the cancellation of the
+    large x0*y0 product for nearby points.
+    """
+    q = minkowski(diff, diff, keepdims=keepdims)
+    k = float(0.5 / (zeta * zeta))
+    return q, k, np.maximum(q, 0.0) * k
+
+
+def _log_coef(u: np.ndarray):
+    """(s, c) with log_x(y) = c (y - (1 + u) x) for u from ``_dist_arg``.
+
+    c = d(x, y) / |y - (1 + u) x|_L, where the norm is zeta * s with
+    s = sqrt(u (u + 2)) identically; taking it from u avoids the
+    cancellation of the huge components far from the base point, and zeta
+    cancels. c is 0 when the points coincide.
+    """
+    s = np.sqrt(u * (u + 2.0) + NORM_GUARD)
+    return s, acosh1p(u) / s
+
+
+# ---------------------------------------------------------------------------
+# tape ops: one node each
 # ---------------------------------------------------------------------------
 
 def exp_origin(w, zeta: float) -> Tensor:
@@ -129,7 +192,7 @@ def exp_origin(w, zeta: float) -> Tensor:
     (zeta cosh(r/zeta), zeta sinh(r/zeta) w/r) with r = |w|; one tape node."""
     w = ad.as_tensor(w)
     wd = w.data
-    r = np.sqrt((wd * wd).sum(axis=-1, keepdims=True) + ad.NORM_GUARD)
+    r = np.sqrt((wd * wd).sum(axis=-1, keepdims=True) + NORM_GUARD)
     t = r * (1.0 / zeta)
     ch, sh = np.cosh(t), np.sinh(t)
     coef = (sh * zeta) / r
@@ -156,14 +219,14 @@ def log_origin(x, zeta: float) -> Tensor:
     sq = (xs * xs).sum(axis=-1, keepdims=True)
     den = (xd[..., :1] + zeta) * zeta
     u = sq / den
-    nrm = np.sqrt(sq + ad.NORM_GUARD)
-    c = (ad.acosh1p(u).data * zeta) / nrm
+    nrm = np.sqrt(sq + NORM_GUARD)
+    c = (acosh1p(u) * zeta) / nrm
     out = c * xs
 
     def vjp(g):
         g_c = (g * xs).sum(axis=-1, keepdims=True)
         # c = zeta acosh1p(u) / nrm with u = sq / den and nrm = sqrt(sq + guard)
-        g_u = (g_c / nrm) * zeta * ad.acosh1p_slope(u)
+        g_u = (g_c / nrm) * zeta * acosh1p_slope(u)
         g_sq = g_u / den - (g_c * c / nrm) * 0.5 / np.maximum(nrm, 1e-150)
         gx = np.empty_like(xd)
         gx[..., :1] = -(g_u * u / den) * zeta
@@ -173,31 +236,17 @@ def log_origin(x, zeta: float) -> Tensor:
     return ad._make(out, (x,), vjp)
 
 
-def _acosh1p_arg(x: Tensor, y: Tensor, zeta: float, keepdims: bool) -> Tensor:
-    """u with d(x, y) = zeta * arccosh(1 + u), i.e. u = -<x,y>_L/zeta^2 - 1.
-
-    Formed from the Minkowski form of the difference, <x-y, x-y>_L / (2 zeta^2),
-    which avoids the cancellation of the large x0*y0 product for nearby points.
-    ``dist`` and ``sum_logs`` evaluate the same arithmetic on arrays.
-    """
-    diff = x - y
-    q = ad.clamp_min(ad.lorentz_inner(diff, diff, keepdims=keepdims), 0.0)
-    return ad.scale(q, 0.5 / (zeta * zeta))
-
-
 def dist(x, y, zeta: float) -> Tensor:
     """Batched geodesic distance zeta * arccosh(-<x,y>_L / zeta^2), with the
-    argument of ``_acosh1p_arg``; one tape node."""
+    argument of ``_dist_arg``; one tape node."""
     x, y = ad.as_tensor(x), ad.as_tensor(y)
     diff = x.data - y.data
-    q = ad.minkowski(diff, diff, keepdims=False)
-    k = float(0.5 / (zeta * zeta))
-    u = np.maximum(q, 0.0) * k
-    out = ad.acosh1p(u).data * zeta
+    q, k, u = _dist_arg(diff, zeta, keepdims=False)
+    out = acosh1p(u) * zeta
 
     def vjp(g):
         # u = k max(<diff, diff>_L, 0)
-        g_q = (g * zeta) * ad.acosh1p_slope(u) * k * (q > 0.0)
+        g_q = (g * zeta) * acosh1p_slope(u) * k * (q > 0.0)
         g_diff = (2.0 * g_q)[..., None] * diff
         g_diff[..., 0] = -g_diff[..., 0]
         return (ad._unbroadcast(g_diff, x.data.shape),
@@ -206,40 +255,18 @@ def dist(x, y, zeta: float) -> Tensor:
     return ad._make(out, (x, y), vjp)
 
 
-def _log_coef(x: Tensor, y: Tensor, zeta: float):
-    """c and u with log_x(y) = c (y - (1 + u) x) and u as in _acosh1p_arg.
-
-    c = d(x, y) / |y - (1 + u) x|_L, where the norm is zeta * sqrt(u (u + 2))
-    identically; taking it from u avoids the cancellation of the huge
-    components far from the base point, and zeta cancels. c is 0 when the
-    points coincide.
-    """
-    u = _acosh1p_arg(x, y, zeta, keepdims=True)
-    return ad.acosh1p(u) / ad.sqrt(u * (u + 2.0) + ad.NORM_GUARD), u
-
-
-def log_at(x, y, zeta: float) -> Tensor:
-    """Tangent vector at x pointing to y, with Lorentz norm d(x, y); zero
-    when the points coincide."""
-    x, y = ad.as_tensor(x), ad.as_tensor(y)
-    c, u = _log_coef(x, y, zeta)
-    return c * (y - (u + 1.0) * x)
-
-
 def sum_logs(h, src: np.ndarray, dst: np.ndarray, indptr: np.ndarray, weights,
              zeta: float) -> Tensor:
     """Per node i, the weighted sum of log maps sum_e w_e log_{h_i}(h[src_e])
     over the edges e with dst_e = i; one tape node with inputs h and weights.
 
     The edges are grouped by dst: segment i is ``indptr[i]:indptr[i+1]`` and
-    every segment is nonempty. Since log_x(y) = c (y - (1 + u) x) with c and
-    u as in ``_log_coef``, the sum is sum_e a_e h[src_e] - beta_i h_i with
-    a = w c and beta_i = sum_e a_e (1 + u_e), so only scalars and source rows
-    are summed per edge and h_i is scaled once per node. A self-loop
-    contributes 0. The forward evaluates ``_log_coef``'s arithmetic in the
-    same order, so the values equal the composition of tape ops exactly; the
-    VJP is its closed form, and scatters to the dst and src rows with
-    ``autodiff.scatter_rows``.
+    every segment is nonempty. Since log_x(y) = c (y - (1 + u) x) with u from
+    ``_dist_arg`` and c from ``_log_coef``, the sum is sum_e a_e h[src_e] -
+    beta_i h_i with a = w c and beta_i = sum_e a_e (1 + u_e), so only scalars
+    and source rows are summed per edge and h_i is scaled once per node. A
+    self-loop contributes 0. The VJP is the closed form, and scatters to the
+    dst and src rows with ``autodiff.scatter_rows``.
     """
     h, weights = ad.as_tensor(h), ad.as_tensor(weights)
     counts = ad.segment_counts(indptr, len(src))
@@ -248,11 +275,8 @@ def sum_logs(h, src: np.ndarray, dst: np.ndarray, indptr: np.ndarray, weights,
     n = x.shape[0]
     h_src = np.take(x, src, axis=0)
     diff = np.repeat(x, counts, axis=0) - h_src  # h[dst] - h[src]
-    q = ad.minkowski(diff, diff)
-    k = float(0.5 / (zeta * zeta))
-    u = np.maximum(q, 0.0) * k
-    s = np.sqrt(u * (u + 2.0) + ad.NORM_GUARD)
-    c = ad.acosh1p(u).data / s
+    _, k, u = _dist_arg(diff, zeta)
+    s, c = _log_coef(u)
     a = w * c
     beta = np.add.reduceat(a * (u + 1.0), starts, axis=0)
     out = np.add.reduceat(a * h_src, starts, axis=0) - beta * x
@@ -262,7 +286,7 @@ def sum_logs(h, src: np.ndarray, dst: np.ndarray, indptr: np.ndarray, weights,
         g_beta = np.repeat(-np.einsum("ij,ij->i", g, x)[:, None], counts, axis=0)
         g_a = np.einsum("ij,ij->i", g_dst, h_src)[:, None] + g_beta * (u + 1.0)
         # c = acosh1p(u) / s with ds/du = (u + 1) / s
-        g_u = g_beta * a + g_a * w * (ad.acosh1p_slope(u) - c * (u + 1.0) / s) / s
+        g_u = g_beta * a + g_a * w * (acosh1p_slope(u) - c * (u + 1.0) / s) / s
         # u = k max(<diff, diff>_L, 0)
         g_diff = ((2.0 * k) * g_u * (u > 0.0)) * diff
         g_diff[:, 0] = -g_diff[:, 0]
@@ -277,8 +301,8 @@ def exp_at(x, v, zeta: float) -> Tensor:
     cosh(|v|/zeta) x + zeta sinh(|v|/zeta) v/|v|; one tape node."""
     x, v = ad.as_tensor(x), ad.as_tensor(v)
     xd, vd = x.data, v.data
-    q = ad.minkowski(vd, vd)
-    nv = np.sqrt(np.maximum(q, 0.0) + ad.NORM_GUARD)
+    q = minkowski(vd, vd)
+    nv = np.sqrt(np.maximum(q, 0.0) + NORM_GUARD)
     t = nv * (1.0 / zeta)
     ch, sh = np.cosh(t), np.sinh(t)
     coef = (sh * zeta) / nv
@@ -306,7 +330,7 @@ def transport_from_origin(x, b, zeta: float) -> Tensor:
     x, b = ad.as_tensor(x), ad.as_tensor(b)
     xd, bd = x.data, b.data
     bt = np.concatenate([np.zeros(bd.shape[:-1] + (1,)), bd], axis=-1)
-    num = ad.minkowski(xd, bt)
+    num = minkowski(xd, bt)
     den = (xd[..., :1] + zeta) * zeta  # zeta^2 - <o, x> = zeta (zeta + x0)
     m = num / den
     xo = xd + origin(xd.shape[-1] - 1, zeta)
@@ -325,7 +349,7 @@ def transport_from_origin(x, b, zeta: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# numpy API: validate, then evaluate the tape op
+# numpy API: validate, then evaluate
 # ---------------------------------------------------------------------------
 
 def hyp_distance(x: np.ndarray, y: np.ndarray, zeta, validate: bool = True) -> np.ndarray:
@@ -338,12 +362,18 @@ def hyp_distance(x: np.ndarray, y: np.ndarray, zeta, validate: bool = True) -> n
 
 
 def log_map(x: np.ndarray, y: np.ndarray, zeta, validate: bool = True) -> np.ndarray:
-    """Tangent vector at x pointing to y (``log_at``); zero where x == y."""
+    """Tangent vector at x pointing to y, with Lorentz norm d(x, y); zero where
+    x == y. It is c (y - (1 + u) x) with u from ``_dist_arg`` and c from
+    ``_log_coef``."""
     z = as_zeta(zeta)
     if validate:
         check_on_manifold(x, z)
         check_on_manifold(y, z)
-    return log_at(x, y, z).data
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    _, _, u = _dist_arg(x - y, z)
+    _, c = _log_coef(u)
+    return c * (y - (u + 1.0) * x)
 
 
 def exp_map(x: np.ndarray, v: np.ndarray, zeta, validate: bool = True) -> np.ndarray:

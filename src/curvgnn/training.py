@@ -527,5 +527,5 @@ def evaluate_checkpoint(path) -> dict:
     blob = load_checkpoint(path)
     config, model, task = model_from_checkpoint(blob)
     test = task.test_metric(model)
-    return {"test_metric": test, "zetas": model.zetas,
+    return {"test_metric": test, "zetas": model.zetas, "best_epoch": blob["epoch"],
             "best_val_metric": blob["best_val_metric"], "task": config.task}

@@ -2,12 +2,14 @@
 
 Closed forms the package does not need (parallel transport between two
 arbitrary points, the polar law of cosines and its large-radius shortcut,
-a drift projection), the tape primitives that the package no longer calls
-(``exp``, ``log``, ``cosh``, ``sinh``, ``concat``, ``pad_zero_column``,
-``spatial``, ``first_col``, ``segment_sum``; the references below and the
-primitive checks use them), the composed tape forms of the
-one-node ops of ``manifold`` (exp and log at the origin, the distance, the
-exp map, transport from the origin, the weighted sum of log maps) and of
+a drift projection), the tape primitives that the package does not call
+(``exp``, ``log``, ``cosh``, ``sinh``, ``sqrt``, ``acosh1p``,
+``clamp_min``, ``softmax``, ``lorentz_inner``, ``concat``,
+``pad_zero_column``, ``spatial``, ``first_col``, ``segment_sum``; the
+references below and the primitive checks use them), the composed tape
+forms of the one-node ops of ``manifold`` (exp and log at the origin, the
+distance, the exp map, transport from the origin, the weighted sum of log
+maps), of the array ``manifold.log_map`` (``log_at``) and of
 ``layers.attention_weights``, one-node versions of what
 ``layers.layer_forward`` does for every node at once (attention,
 aggregation), the per-edge form of the attention scores, the model forward
@@ -85,7 +87,7 @@ def polar_distance_exact(r: float, theta: float, r2: float, theta2: float,
         raise ValueError("radii must be nonnegative")
     arg = (np.cosh(r / z) * np.cosh(r2 / z)
            - np.sinh(r / z) * np.sinh(r2 / z) * np.cos(theta - theta2))
-    return float(z * np.arccosh(np.clip(arg, 1.0, ad.ACOSH_ARG_MAX)))
+    return float(z * np.arccosh(np.clip(arg, 1.0, manifold.ACOSH_ARG_MAX)))
 
 
 def polar_distance_approx(r: float, theta: float, r2: float, theta2: float,
@@ -126,6 +128,67 @@ def cosh(a) -> Tensor:
 def sinh(a) -> Tensor:
     a = ad.as_tensor(a)
     return ad._make(np.sinh(a.data), (a,), lambda g: (g * np.cosh(a.data),))
+
+
+def sqrt(a) -> Tensor:
+    a = ad.as_tensor(a)
+    out = np.sqrt(a.data)
+
+    def vjp(g):
+        return (g * 0.5 / np.maximum(out, 1e-150),)
+
+    return ad._make(out, (a,), vjp)
+
+
+def acosh1p(a) -> Tensor:
+    """``manifold.acosh1p`` with the derivative ``manifold.acosh1p_slope``."""
+    a = ad.as_tensor(a)
+    return ad._make(manifold.acosh1p(a.data), (a,),
+                    lambda g: (g * manifold.acosh1p_slope(a.data),))
+
+
+def clamp_min(a, floor: float) -> Tensor:
+    a = ad.as_tensor(a)
+    floor = float(floor)
+    out = np.maximum(a.data, floor)
+    return ad._make(out, (a,), lambda g: (g * (a.data > floor),))
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    a = ad.as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return ((g - inner) * out,)
+
+    return ad._make(out, (a,), vjp)
+
+
+def lorentz_inner(u, v, keepdims: bool = True) -> Tensor:
+    """Batched Minkowski product -u0*v0 + sum_i ui*vi over the last axis
+    (``manifold.minkowski``)."""
+    u, v = ad.as_tensor(u), ad.as_tensor(v)
+    if u.data.shape[-1] != v.data.shape[-1]:
+        raise ValueError("dimension mismatch in lorentz_inner")
+    out = manifold.minkowski(u.data, v.data, keepdims=keepdims)
+
+    def vjp(g):
+        gg = g if keepdims else np.expand_dims(g, -1)
+        return (
+            ad._unbroadcast(gg * _mink_flip(v.data), u.data.shape),
+            ad._unbroadcast(gg * _mink_flip(u.data), v.data.shape),
+        )
+
+    return ad._make(out, (u, v), vjp)
+
+
+def _mink_flip(x: np.ndarray) -> np.ndarray:
+    flipped = x.copy()
+    flipped[..., 0] = -flipped[..., 0]
+    return flipped
 
 
 def concat(parts, axis: int = -1) -> Tensor:
@@ -186,13 +249,34 @@ def attention_scores(tang, src, dst, params) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the one-node ops of manifold, composed from tape primitives
+# the maps of manifold, composed from tape primitives
 # ---------------------------------------------------------------------------
+
+def _acosh1p_arg(x: Tensor, y: Tensor, zeta: float, keepdims: bool) -> Tensor:
+    """u with d(x, y) = zeta * arccosh(1 + u): ``manifold._dist_arg`` of x - y."""
+    diff = x - y
+    q = clamp_min(lorentz_inner(diff, diff, keepdims=keepdims), 0.0)
+    return ad.scale(q, 0.5 / (zeta * zeta))
+
+
+def _log_coef(x: Tensor, y: Tensor, zeta: float):
+    """c and u with log_x(y) = c (y - (1 + u) x): ``manifold._log_coef`` of
+    the u of ``_acosh1p_arg``."""
+    u = _acosh1p_arg(x, y, zeta, keepdims=True)
+    return acosh1p(u) / sqrt(u * (u + 2.0) + manifold.NORM_GUARD), u
+
+
+def log_at(x, y, zeta: float) -> Tensor:
+    """``manifold.log_map`` as a chain of tape primitives."""
+    x, y = ad.as_tensor(x), ad.as_tensor(y)
+    c, u = _log_coef(x, y, zeta)
+    return c * (y - (u + 1.0) * x)
+
 
 def exp_origin_composed(w, zeta: float) -> Tensor:
     """``manifold.exp_origin`` as a chain of tape primitives."""
     w = ad.as_tensor(w)
-    r = ad.sqrt(ad.tsum(w * w, axis=-1, keepdims=True) + ad.NORM_GUARD)
+    r = sqrt(ad.tsum(w * w, axis=-1, keepdims=True) + manifold.NORM_GUARD)
     t = ad.scale(r, 1.0 / zeta)
     x0 = ad.scale(cosh(t), zeta)
     coef = ad.scale(sinh(t), zeta) / r
@@ -205,20 +289,20 @@ def log_origin_composed(x, zeta: float) -> Tensor:
     xs = spatial(x)
     sq = ad.tsum(xs * xs, axis=-1, keepdims=True)
     u = sq / ad.scale(first_col(x) + zeta, zeta)
-    d = ad.scale(ad.acosh1p(u), zeta)
-    return (d / ad.sqrt(sq + ad.NORM_GUARD)) * xs
+    d = ad.scale(acosh1p(u), zeta)
+    return (d / sqrt(sq + manifold.NORM_GUARD)) * xs
 
 
 def dist_composed(x, y, zeta: float) -> Tensor:
     """``manifold.dist`` as a chain of tape primitives."""
     x, y = ad.as_tensor(x), ad.as_tensor(y)
-    return ad.scale(ad.acosh1p(manifold._acosh1p_arg(x, y, zeta, keepdims=False)), zeta)
+    return ad.scale(acosh1p(_acosh1p_arg(x, y, zeta, keepdims=False)), zeta)
 
 
 def exp_at_composed(x, v, zeta: float) -> Tensor:
     """``manifold.exp_at`` as a chain of tape primitives."""
     x, v = ad.as_tensor(x), ad.as_tensor(v)
-    nv = ad.sqrt(ad.clamp_min(ad.lorentz_inner(v, v), 0.0) + ad.NORM_GUARD)
+    nv = sqrt(clamp_min(lorentz_inner(v, v), 0.0) + manifold.NORM_GUARD)
     t = ad.scale(nv, 1.0 / zeta)
     return cosh(t) * x + (ad.scale(sinh(t), zeta) / nv) * v
 
@@ -227,7 +311,7 @@ def transport_from_origin_composed(x, b, zeta: float) -> Tensor:
     """``manifold.transport_from_origin`` as a chain of tape primitives."""
     x = ad.as_tensor(x)
     bt = pad_zero_column(ad.as_tensor(b))
-    num = ad.lorentz_inner(x, bt, keepdims=True)
+    num = lorentz_inner(x, bt, keepdims=True)
     den = ad.scale(first_col(x) + zeta, zeta)
     return bt + (num / den) * (x + Tensor(manifold.origin(x.data.shape[-1] - 1, zeta)))
 
@@ -255,7 +339,7 @@ def sum_logs_composed(h, src, dst, indptr, weights, zeta: float) -> Tensor:
     - (sum_e a_e (1 + u_e)) h_i with a = w c, c and u from ``_log_coef``."""
     h = ad.as_tensor(h)
     h_src = ad.gather_rows(h, src)
-    c, u = manifold._log_coef(ad.gather_rows(h, dst), h_src, zeta)
+    c, u = _log_coef(ad.gather_rows(h, dst), h_src, zeta)
     a = ad.as_tensor(weights) * c
     beta = segment_sum(a * (u + 1.0), indptr)
     return segment_sum(a * h_src, indptr) - beta * h
@@ -274,7 +358,7 @@ def attention_weights(h_center, h_neighbors, params, zeta: float) -> np.ndarray:
     src = np.arange(1, k + 1, dtype=np.int64)
     dst = np.zeros(k, dtype=np.int64)
     scores = attention_scores(tang, src, dst, params)
-    return ad.softmax(scores, axis=0).data.reshape(-1)
+    return softmax(scores, axis=0).data.reshape(-1)
 
 
 def attention_scores_concat(tang, src, dst, params) -> Tensor:
@@ -333,9 +417,10 @@ def tree_layout_per_node(g, zeta, edge_length: float = 1.0, root: int = 0) -> np
     step: children fan out around the direction back to the grandparent."""
     z = manifold.as_zeta(zeta)
     indptr, indices = g.indptr, g.indices
-    hops, parent, order = _kernels.bfs_tree(indptr, indices, root)
+    hops, parent = _kernels.bfs_tree(indptr, indices, root)
     if np.any(hops < 0):
         raise ValueError("tree layout requires a connected graph")
+    order = np.argsort(hops, kind="stable")  # parents before their children
     pos = np.zeros((g.n_nodes, 3), dtype=np.float64)
     pos[root] = manifold.origin(2, z)
     for v in order:

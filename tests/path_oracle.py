@@ -7,7 +7,7 @@ are the definition that ``_kernels.bfs_tree``, ``_kernels.bfs_path_sums``
 and ``curvature.embedding_distortion`` must reproduce bit for bit.
 ``connected_components_loop`` finds components one single-source BFS at a
 time: the order and members ``graphs.connected_components`` must reproduce.
-``path_graph`` builds the simplest test input.
+``path_graph`` and ``cycle_graph`` build the simplest test inputs.
 """
 
 import numpy as np
@@ -18,6 +18,12 @@ from curvgnn import _kernels, graphs, manifold
 def path_graph(n: int) -> graphs.Graph:
     """Nodes 0..n-1 joined in a line."""
     edges = np.array([(i, i + 1) for i in range(n - 1)], dtype=np.int64)
+    return graphs.Graph.from_edges(n, edges)
+
+
+def cycle_graph(n: int) -> graphs.Graph:
+    """Nodes 0..n-1 joined in a ring."""
+    edges = np.array([(i, (i + 1) % n) for i in range(n)], dtype=np.int64)
     return graphs.Graph.from_edges(n, edges)
 
 

@@ -11,11 +11,11 @@ from grad_oracle import finite_diff_check, grad_of
 
 
 def test_softmax_symmetry():
-    assert ad.softmax(Tensor([0.0, 0.0])).data == pytest.approx([0.5, 0.5])
+    assert geo.softmax(Tensor([0.0, 0.0])).data == pytest.approx([0.5, 0.5])
 
 
 def test_acosh1p_derivative_closed_form():
-    g = grad_of(lambda u: ad.tsum(ad.acosh1p(u)), np.array([1.0]))
+    g = grad_of(lambda u: ad.tsum(geo.acosh1p(u)), np.array([1.0]))
     assert g[0] == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
 
 
@@ -59,7 +59,7 @@ def test_forward_values_independent_of_grad_tracking():
     data = rng.standard_normal((4, 4))
 
     def pipeline(t):
-        return ad.softmax(ad.matmul(ad.relu(t), ad.sigmoid(t)), axis=-1)
+        return geo.softmax(ad.matmul(ad.relu(t), ad.sigmoid(t)), axis=-1)
 
     plain = pipeline(Tensor(data)).data
     tracked = pipeline(Tensor(data, requires_grad=True)).data
@@ -91,26 +91,26 @@ PRIMITIVE_CASES = [
     ("neg", lambda t: -t, X_ANY),
     ("scale", lambda t: ad.scale(t, 2.5), X_ANY),
     ("matmul", lambda t: ad.matmul(t, Tensor(MAT)), X_ANY),
-    ("sqrt", ad.sqrt, X_POS),
+    ("sqrt", geo.sqrt, X_POS),
     ("exp", geo.exp, X_ANY),
     ("log", geo.log, X_POS),
     ("cosh", geo.cosh, X_ANY),
     ("sinh", geo.sinh, X_ANY),
-    ("acosh1p", ad.acosh1p, X_ACOSH),
+    ("acosh1p", geo.acosh1p, X_ACOSH),
     ("sigmoid", ad.sigmoid, X_ANY),
     ("softplus", ad.softplus, X_ANY),
     ("relu", ad.relu, X_ANY + 0.1),  # keep away from the kink
-    ("clamp_min", lambda t: ad.clamp_min(t, -0.5), X_ANY + 2.0),
+    ("clamp_min", lambda t: geo.clamp_min(t, -0.5), X_ANY + 2.0),
     ("concat", lambda t: geo.concat([t, t * 2.0], axis=-1), X_ANY),
     ("sum_axis", lambda t: ad.tsum(t, axis=0), X_ANY),
     ("mean_axis", lambda t: ad.tmean(t, axis=1, keepdims=True), X_ANY),
     # plain sum of a softmax is constant; weight it to get a live gradient
-    ("softmax", lambda t: ad.softmax(t, axis=-1) * Tensor(OTHER), X_ANY),
+    ("softmax", lambda t: geo.softmax(t, axis=-1) * Tensor(OTHER), X_ANY),
     ("logsumexp", lambda t: ad.logsumexp(t, axis=-1), X_ANY),
     ("gather_rows", lambda t: ad.gather_rows(t, IDX), X_ANY),
     ("segment_sum", lambda t: geo.segment_sum(t, SEG_PTR), X_ANY[:3]),
-    ("lorentz_inner", lambda t: ad.lorentz_inner(t, Tensor(OTHER)), X_ANY),
-    ("lorentz_inner_self", lambda t: ad.lorentz_inner(t, t), X_ANY),
+    ("lorentz_inner", lambda t: geo.lorentz_inner(t, Tensor(OTHER)), X_ANY),
+    ("lorentz_inner_self", lambda t: geo.lorentz_inner(t, t), X_ANY),
     ("spatial", geo.spatial, X_ANY),
     ("first_col", geo.first_col, X_ANY),
     ("pad_zero_column", geo.pad_zero_column, X_ANY),
@@ -143,19 +143,19 @@ def test_finite_diff_through_hyperbolic_distance():
 
 def test_clamped_acosh1p_near_boundary_stays_finite():
     x = np.array([1e-9, -1e-9, 0.0])  # straddles the clamp
-    err = finite_diff_check(_scalarize(ad.acosh1p), x, h=1e-6)
+    err = finite_diff_check(_scalarize(geo.acosh1p), x, h=1e-6)
     assert np.isfinite(err)
-    g = grad_of(_scalarize(ad.acosh1p), x)
+    g = grad_of(_scalarize(geo.acosh1p), x)
     assert np.all(np.isfinite(g))
 
 
 def test_dropout_semantics():
     rng = np.random.default_rng(0)
     t = Tensor(np.ones((100, 10)))
-    out = ad.dropout(t, 0.5, rng, training=True)
+    out = ad.dropout(t, 0.5, rng)
     kept = out.data[out.data > 0]
     assert np.allclose(kept, 2.0)  # inverted scaling
-    assert ad.dropout(t, 0.5, rng, training=False) is t
+    assert ad.dropout(t, 0.0, rng) is t
 
 
 def gather_vjp_reference(shape, idx, g):

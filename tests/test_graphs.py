@@ -144,7 +144,7 @@ def test_from_edges_rejects_out_of_range_endpoints():
 # ---------------------------------------------------------------------------
 
 def big_ring(n=1000):
-    return graphs.cycle_graph(n)
+    return path_oracle.cycle_graph(n)
 
 
 def test_lp_split_deterministic():
@@ -253,7 +253,7 @@ def test_negative_sampler_matches_scalar_loop_on_near_dense_graphs():
 
 
 def test_negative_sampler_rejects_too_dense_request():
-    g = graphs.cycle_graph(5)  # 5 edges of 10 pairs
+    g = path_oracle.cycle_graph(5)  # 5 edges of 10 pairs
     with pytest.raises(DataError, match="too dense"):
         graphs.sample_negative_edges(g, 6, np.random.default_rng(0))
 
@@ -267,7 +267,7 @@ def test_lp_split_too_few_edges():
 
 
 def test_nc_split_stratified_disjoint():
-    g = graphs.cycle_graph(60)
+    g = path_oracle.cycle_graph(60)
     g.labels = np.arange(60) % 3
     sp = graphs.make_nc_split(g, seed=1)
     ids = np.concatenate([sp.train, sp.val, sp.test])
@@ -412,7 +412,7 @@ def test_delta_zero_on_trees():
 
 
 def test_delta_one_on_four_cycle():
-    assert graphs.gromov_delta(graphs.cycle_graph(4), "exact") == 1.0
+    assert graphs.gromov_delta(path_oracle.cycle_graph(4), "exact") == 1.0
 
 
 def test_delta_matches_brute_force_on_random_graphs():
@@ -426,7 +426,7 @@ def test_delta_matches_brute_force_on_random_graphs():
 
 
 def test_delta_sampled_is_lower_bound():
-    g = graphs.cycle_graph(14)
+    g = path_oracle.cycle_graph(14)
     exact = graphs.gromov_delta(g, "exact")
     for seed in range(3):
         sampled = graphs.gromov_delta(g, "sampled", n_samples=60, seed=seed)
@@ -443,5 +443,5 @@ def test_delta_uses_largest_component():
     tri = [[0, 1], [1, 2], [0, 2]]
     hexa = [[3 + i, 3 + (i + 1) % 6] for i in range(6)]
     g = Graph.from_edges(9, np.array(tri + hexa))
-    want = graphs.gromov_delta(graphs.cycle_graph(6), "exact")
+    want = graphs.gromov_delta(path_oracle.cycle_graph(6), "exact")
     assert graphs.gromov_delta(g, "exact") == want

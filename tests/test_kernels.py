@@ -113,20 +113,22 @@ def test_bfs_hops_rejects_out_of_range_sources():
 def test_bfs_tree_matches_loop_reference():
     rng = np.random.default_rng(1)
     cases = [multi_component_graph(rng) for _ in range(6)]
-    cases += [random_tree(rng, 40), graphs.cycle_graph(9), graphs.balanced_binary_tree(4),
+    cases += [random_tree(rng, 40), path_oracle.cycle_graph(9), graphs.balanced_binary_tree(4),
               graphs.Graph.from_edges(70, np.array(tie_rich_edges(rng, 70)))]
     for g in cases:
         indptr, indices = g.indptr, g.indices
         for s in range(g.n_nodes):
-            hops, parent, order = _kernels.bfs_tree(indptr, indices, s)
-            want_hops, want_parent, _ = path_oracle._bfs_tree_loop(indptr, indices, s)
+            hops, parent = _kernels.bfs_tree(indptr, indices, s)
+            want_hops, want_parent, order = path_oracle._bfs_tree_loop(indptr, indices, s)
             assert np.array_equal(hops, want_hops)
             assert np.array_equal(parent, want_parent)  # smallest-predecessor rule
-            # the documented BFS order: by hop count (the source alone at 0),
-            # ties by id, the other components last; so parents precede children
+            # the reference's queue order, which its path sums walk: the
+            # source first, nondecreasing hop count, the other components
+            # last; so parents precede children
             level = np.where(hops == _kernels.UNREACHABLE, g.n_nodes, hops)
-            assert order.dtype == np.int64
-            assert np.array_equal(order, np.lexsort((np.arange(g.n_nodes), level)))
+            assert order.dtype == np.int64 and order[0] == s
+            assert np.array_equal(np.sort(order), np.arange(g.n_nodes))
+            assert np.all(np.diff(level[order]) >= 0)
             rank = np.argsort(order)
             kids = np.flatnonzero(parent >= 0)
             assert np.all(rank[parent[kids]] < rank[kids])
@@ -134,7 +136,7 @@ def test_bfs_tree_matches_loop_reference():
 
 def test_delta_exact_matches_brute_force():
     rng = np.random.default_rng(2)
-    cases = [graphs.cycle_graph(4), graphs.cycle_graph(7), random_tree(rng, 12)]
+    cases = [path_oracle.cycle_graph(4), path_oracle.cycle_graph(7), random_tree(rng, 12)]
     while len(cases) < 8:
         g = graphs._largest_component_subgraph(multi_component_graph(rng, 0))
         if g.n_nodes >= 4:
@@ -226,7 +228,7 @@ def test_sampled_delta_matches_per_sample_loop(monkeypatch, block_sources):
     monkeypatch.setattr(_kernels, "BLOCK_SOURCES", block_sources)
     sizes = spy_call_sizes(monkeypatch)
     rng = np.random.default_rng(3)
-    cases = [graphs.balanced_binary_tree(5), random_tree(rng, 50), graphs.cycle_graph(11),
+    cases = [graphs.balanced_binary_tree(5), random_tree(rng, 50), path_oracle.cycle_graph(11),
              random_tree(rng, 65), graphs.balanced_binary_tree(7)]
     cases += [multi_component_graph(rng, 2) for _ in range(3)]
     for g in cases:

@@ -229,7 +229,7 @@ def test_sum_logs_matches_summed_log_maps():
             h = rand_points(rng, g.n_nodes, 3, zeta, scale=zeta)
             w = segment_weights(rng, indptr)
             got = M.sum_logs(h, src, dst, indptr, w, zeta).data
-            per_edge = M.log_at(h[dst], h[src], zeta)
+            per_edge = geo.log_at(h[dst], h[src], zeta)
             want = geo.segment_sum(Tensor(w) * per_edge, indptr).data
             scale = np.max(np.abs(h), axis=-1, keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -439,7 +439,7 @@ def test_nc_logits_zero_weights_uniform():
     rng = np.random.default_rng(18)
     emb = rand_points(rng, 4, 3, 1.0)
     logits = L.nc_logits(emb, 1.0, np.zeros((3, 5)), np.zeros(5))
-    probs = ad.softmax(logits, axis=-1).data
+    probs = geo.softmax(logits, axis=-1).data
     assert probs == pytest.approx(np.full((4, 5), 0.2))
 
 

@@ -352,6 +352,11 @@ FUSED = {  # one-node op, its composed reference
     "transport_from_origin": (M.transport_from_origin, geo.transport_from_origin_composed),
 }
 
+FORWARDS = {  # the one-node ops, and the array log map, with their compositions
+    **FUSED,
+    "log_map": (lambda x, y, zeta: Tensor(M.log_map(x, y, zeta)), geo.log_at),
+}
+
 
 def origin_tangents(rng, n, dim, zeta, t_max):
     """(n, dim) tangent coordinates at the origin with |w| / zeta spread over
@@ -373,7 +378,7 @@ def fused_inputs(rng, name, zeta, t_max, n=8, dim=3):
         return [origin_tangents(rng, n, dim, zeta, t_max)]
     if name == "log_origin":
         return [points()]
-    if name == "dist":
+    if name in ("dist", "log_map"):
         x, y = points(), points()
         y[0] = x[0]
         return [x, y]
@@ -402,11 +407,11 @@ def probed(op, arrays, zeta, probe):
     return out, leaves
 
 
-@pytest.mark.parametrize("name", list(FUSED))
+@pytest.mark.parametrize("name", list(FORWARDS))
 def test_fused_op_forward_equals_composition(name):
     """The same arithmetic in the same order: equal values from the origin out
     to radius 20 zeta, where cosh still fits in a float64 many times over."""
-    fused, composed = FUSED[name]
+    fused, composed = FORWARDS[name]
     rng = np.random.default_rng(60)
     for zeta in (0.1, 1.0, 10.0):
         for t_max in (1e-9, 1e-3, 1.0, 5.0, 20.0):

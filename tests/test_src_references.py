@@ -22,8 +22,6 @@ SRC = Path(curvgnn.__file__).parent
 
 ALLOWED = {
     "cli._Parser.error": "argparse calls it on a usage error",
-    "graphs.cycle_graph": "input for the curvature-follows-graph experiment (ROADMAP item 3)",
-    "autodiff.softmax": "tape primitive beside logsumexp; its VJP is checked with the others",
 }
 
 

@@ -289,6 +289,7 @@ def test_checkpoint_roundtrip(tmp_path):
     out = training.evaluate_checkpoint(tmp_path / "checkpoint.json")
     assert out["test_metric"] == res.test_metric
     assert out["zetas"] == res.final_zetas
+    assert out["best_epoch"] == res.best_epoch
 
 
 def test_best_checkpoint_scores_its_recorded_val_metric(tmp_path):
