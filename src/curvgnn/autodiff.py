@@ -35,9 +35,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -206,10 +203,13 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _sigmoid(a.data)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -224,8 +224,7 @@ def softplus(a) -> Tensor:
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def vjp(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return (g * s,)
+        return (g * _sigmoid(x),)
 
     return _make(out, (a,), vjp)
 

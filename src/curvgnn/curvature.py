@@ -300,5 +300,7 @@ def _tangent_perp(x: np.ndarray, u_hat: np.ndarray, zeta: float) -> np.ndarray:
         perp[take] = w[take] / nw[take]
         todo &= ~take
     if todo.any():
-        raise RuntimeError("failed to build an orthogonal tangent direction")
+        raise manifold.ManifoldError(
+            f"tree layout too far out for float64 at zeta={zeta}: no tangent "
+            "direction orthogonal to the parent's")
     return perp

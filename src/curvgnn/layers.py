@@ -56,8 +56,10 @@ class LayerParams:
     att_w2: Tensor
     zeta: float
 
+    TENSORS = ("W", "b", "att_w1", "att_b1", "att_w2")  # the tensor fields above, in order
+
     def tensors(self) -> list:
-        return [self.W, self.b, self.att_w1, self.att_b1, self.att_w2]
+        return [getattr(self, name) for name in self.TENSORS]
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -202,6 +204,29 @@ class HyperbolicGNN:
             raise ValueError("one curvature per layer")
         for layer, z in zip(self.layers, zetas):
             layer.zeta = float(z)
+
+    def snapshot(self) -> dict:
+        """Parameters and curvatures as JSON-ready lists: the checkpoint's
+        "model" value, which `restore` reads back exactly."""
+        blob = {"layers": [{name: getattr(layer, name).data.tolist()
+                            for name in LayerParams.TENSORS} for layer in self.layers],
+                "zetas": [float(z) for z in self.zetas]}
+        if self.W_cls is not None:
+            blob["W_cls"] = self.W_cls.data.tolist()
+            blob["b_cls"] = self.b_cls.data.tolist()
+        return blob
+
+    def restore(self, blob: dict) -> None:
+        if len(blob["layers"]) != len(self.layers):
+            raise ValueError(f"snapshot has {len(blob['layers'])} layers, "
+                             f"the model {len(self.layers)}")
+        for layer, saved in zip(self.layers, blob["layers"]):
+            for name in LayerParams.TENSORS:
+                getattr(layer, name).data = np.asarray(saved[name], dtype=np.float64)
+        self.set_zetas(blob["zetas"])
+        if self.W_cls is not None:
+            self.W_cls.data = np.asarray(blob["W_cls"], dtype=np.float64)
+            self.b_cls.data = np.asarray(blob["b_cls"], dtype=np.float64)
 
     def forward(self, g: Graph, *, training: bool = False,
                 rng: np.random.Generator | None = None, edges=None) -> Tensor:

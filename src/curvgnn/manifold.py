@@ -202,7 +202,7 @@ def exp_origin(w, zeta: float) -> Tensor:
         g_coef = (g[..., 1:] * wd).sum(axis=-1, keepdims=True)
         # x0 = zeta cosh(r/zeta) and coef have r-slopes sinh(r/zeta) and (cosh - coef)/r
         g_r = g[..., :1] * sh + g_coef * (ch - coef) / r
-        return (coef * g[..., 1:] + (g_r / np.maximum(r, 1e-150)) * wd,)
+        return (coef * g[..., 1:] + (g_r / r) * wd,)
 
     return ad._make(out, (w,), vjp)
 
@@ -227,7 +227,7 @@ def log_origin(x, zeta: float) -> Tensor:
         g_c = (g * xs).sum(axis=-1, keepdims=True)
         # c = zeta acosh1p(u) / nrm with u = sq / den and nrm = sqrt(sq + guard)
         g_u = (g_c / nrm) * zeta * acosh1p_slope(u)
-        g_sq = g_u / den - (g_c * c / nrm) * 0.5 / np.maximum(nrm, 1e-150)
+        g_sq = g_u / den - (g_c * c / nrm) * 0.5 / nrm
         gx = np.empty_like(xd)
         gx[..., :1] = -(g_u * u / den) * zeta
         gx[..., 1:] = c * g + (2.0 * g_sq) * xs
@@ -313,7 +313,7 @@ def exp_at(x, v, zeta: float) -> Tensor:
         g_coef = (g * vd).sum(axis=-1, keepdims=True)
         # cosh(nv/zeta) and coef have nv-slopes sinh(nv/zeta)/zeta and (cosh - coef)/nv
         g_nv = g_ch * sh / zeta + g_coef * (ch - coef) / nv
-        g_q = g_nv * 0.5 / np.maximum(nv, 1e-150) * (q > 0.0)
+        g_q = g_nv * 0.5 / nv * (q > 0.0)
         g_vv = (2.0 * g_q) * vd  # through <v, v>_L
         g_vv[..., 0] = -g_vv[..., 0]
         return (ad._unbroadcast(ch * g, xd.shape), ad._unbroadcast(coef * g + g_vv, vd.shape))

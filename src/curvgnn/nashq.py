@@ -52,7 +52,7 @@ class NashSolution:
     pi_ace: np.ndarray
     value_hgnn: float
     value_ace: float
-    pure: tuple | None  # selected joint action when a pure equilibrium exists
+    pure: tuple | None  # (HgnnAction, AceAction) when a pure equilibrium exists
 
 
 def _pure_equilibria(q1: np.ndarray, q2: np.ndarray) -> list:
@@ -81,7 +81,8 @@ def nash_equilibrium_2x2(q1, q2) -> NashSolution:
         best = max(pure, key=lambda ij: (q1[ij] + q2[ij], -ij[0], -ij[1]))
         pi1 = np.eye(2)[best[0]]
         pi2 = np.eye(2)[best[1]]
-        return NashSolution(pi1, pi2, float(q1[best]), float(q2[best]), best)
+        return NashSolution(pi1, pi2, float(q1[best]), float(q2[best]),
+                            (HgnnAction(best[0]), AceAction(best[1])))
 
     den1 = q2[0, 0] - q2[0, 1] - q2[1, 0] + q2[1, 1]
     den2 = q1[0, 0] - q1[1, 0] - q1[0, 1] + q1[1, 1]
@@ -110,11 +111,8 @@ class QTables:
             tbl[state] = np.zeros((2, 2))
         return tbl[state]
 
-    def stage_game(self, state: tuple):
-        return self.table(HGNN, state), self.table(ACE, state)
-
     def solve(self, state: tuple) -> NashSolution:
-        return nash_equilibrium_2x2(*self.stage_game(state))
+        return nash_equilibrium_2x2(self.table(HGNN, state), self.table(ACE, state))
 
 
 def epsilon_greedy_joint(sol: NashSolution, eps: float, rng: np.random.Generator):
@@ -127,10 +125,9 @@ def epsilon_greedy_joint(sol: NashSolution, eps: float, rng: np.random.Generator
     if not (0.0 <= eps <= 1.0):
         raise ValueError("eps must lie in [0, 1]")
     if rng.random() < eps:
-        h, a = JOINT_ACTIONS[int(rng.integers(0, 4))]
-        return HgnnAction(h), AceAction(a)
+        return JOINT_ACTIONS[int(rng.integers(0, 4))]
     if sol.pure is not None:
-        return HgnnAction(sol.pure[0]), AceAction(sol.pure[1])
+        return sol.pure
     i = 0 if rng.random() < sol.pi_hgnn[0] else 1
     j = 0 if rng.random() < sol.pi_ace[0] else 1
     return HgnnAction(i), AceAction(j)
@@ -156,18 +153,18 @@ def q_update(tables: QTables, state: tuple, action, rewards, next_state: tuple,
         tbl[i, j] += alpha * (target - tbl[i, j])
 
 
-def compute_rewards(metric_curr: float, metric_prev_hgnn: float,
-                    metric_remapped_curr: float, metric_remapped_prev: float):
-    """Per-agent improvements of the validation metric.
+def compute_rewards(metric_curr: float, metric_remapped: float, metric_prev: float):
+    """Per-agent improvements of the validation metric over the previous
+    epoch's value.
 
     The training agent is scored on the newly trained embeddings, the
-    exploration agent on the freshly remapped ones, both against their
-    previous value.
+    exploration agent on the freshly remapped ones; an epoch that does not
+    explore passes metric_remapped = metric_prev, a zero reward.
     """
-    for m in (metric_curr, metric_prev_hgnn, metric_remapped_curr, metric_remapped_prev):
+    for m in (metric_curr, metric_remapped, metric_prev):
         if not (0.0 <= m <= 1.0):
             raise ValueError(f"metrics must lie in [0, 1], got {m}")
-    return metric_curr - metric_prev_hgnn, metric_remapped_curr - metric_remapped_prev
+    return metric_curr - metric_prev, metric_remapped - metric_prev
 
 
 def equilibrium_reached(history, patience: int = 20) -> bool:

@@ -126,7 +126,6 @@ class TrainResult:
     final_zetas: list
     final_distortion: float
     freeze_epoch: int | None
-    config: RunConfig
     checkpoint: dict
 
 
@@ -247,35 +246,12 @@ def _build_task(config: RunConfig, g: graphs.Graph) -> _Task:
 # checkpointing
 # ---------------------------------------------------------------------------
 
-def _snapshot_model(model: layers.HyperbolicGNN) -> dict:
-    blob = {"layers": [], "zetas": [float(z) for z in model.zetas]}
-    for lp in model.layers:
-        blob["layers"].append({
-            "W": lp.W.data.tolist(), "b": lp.b.data.tolist(),
-            "att_w1": lp.att_w1.data.tolist(), "att_b1": lp.att_b1.data.tolist(),
-            "att_w2": lp.att_w2.data.tolist(),
-        })
-    if model.W_cls is not None:
-        blob["W_cls"] = model.W_cls.data.tolist()
-        blob["b_cls"] = model.b_cls.data.tolist()
-    return blob
-
-
-def _restore_model(model: layers.HyperbolicGNN, blob: dict) -> None:
-    for lp, saved in zip(model.layers, blob["layers"]):
-        for name in ("W", "b", "att_w1", "att_b1", "att_w2"):
-            getattr(lp, name).data = np.asarray(saved[name], dtype=np.float64)
-    model.set_zetas(blob["zetas"])
-    if model.W_cls is not None:
-        model.W_cls.data = np.asarray(blob["W_cls"], dtype=np.float64)
-        model.b_cls.data = np.asarray(blob["b_cls"], dtype=np.float64)
-
-
-def build_checkpoint(config: RunConfig, model, epoch: int, best_val: float) -> dict:
+def build_checkpoint(config: RunConfig, snapshot: dict, epoch: int, best_val: float) -> dict:
+    """`snapshot` is `HyperbolicGNN.snapshot()` of the model to save."""
     return {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(config),
-        "model": _snapshot_model(model),
+        "model": snapshot,
         "epoch": epoch,
         "best_val_metric": best_val,
     }
@@ -294,8 +270,8 @@ def load_checkpoint(path) -> dict:
 
 def model_from_checkpoint(blob: dict):
     config = RunConfig(**blob["config"])
-    model, task, _ = _prepare(config)
-    _restore_model(model, blob["model"])
+    model, task = _prepare(config)
+    model.restore(blob["model"])
     return config, model, task
 
 
@@ -316,7 +292,7 @@ def _prepare(config: RunConfig):
     model = layers.HyperbolicGNN(g.features.shape[1], config.dim, config.n_layers,
                                  config.zeta0, init_rng, dropout=config.dropout,
                                  n_classes=n_classes)
-    return model, task, g
+    return model, task
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +300,7 @@ def _prepare(config: RunConfig):
 # ---------------------------------------------------------------------------
 
 def train(config: RunConfig, out_dir=None) -> TrainResult:
-    model, task, g = _prepare(config)
+    model, task = _prepare(config)
     msg_g = task.msg_graph
     edges = layers.message_edges(msg_g)
     optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=WEIGHT_DECAY)
@@ -367,18 +343,19 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     zeta_prev_out = model.zetas[-1]
     metric_prev = task.val_metric(emb_prev, zeta_prev_out, model)
 
+    # epoch 1 always improves on -inf (the metrics lie in [0, 1]), so the
+    # best snapshot and embeddings are set before the loop can end
     best_val = -np.inf
     best_epoch = 0
-    best_blob: dict | None = None
     since_best = 0
 
-    # the stage game at the current state; after the first epoch it is the
-    # solution taken right after q_update, since nothing changes the tables
-    # or the state before the next epoch's greedy play
-    sol = None if frozen else tables.solve(discretize(model.zetas))
+    # the state and the stage game's solution at it; after each update both
+    # are the ones q_update left, since nothing changes the tables or the
+    # curvatures before the next epoch's greedy play
+    state = discretize(model.zetas)
+    sol = None if frozen else tables.solve(state)
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
-        state = discretize(model.zetas)
         action = None
         if not frozen:
             eps_t = schedule.value(epoch - 1)
@@ -397,12 +374,12 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         if metric_curr > best_val:
             best_val = metric_curr
             best_epoch = epoch
-            best_blob = _snapshot_model(model)
+            best_state, best_emb = model.snapshot(), emb_curr
             since_best = 0
         else:
             since_best += 1
 
-        r_hgnn, r_ace = metric_curr - metric_prev, 0.0
+        metric_remap = metric_prev
         if action is not None and action[1] == nashq.AceAction.EXPLORE:
             est = curvature.estimate_kappa(msg_g, emb_prev, zeta_prev_out,
                                            seed=config.seed * 100003 + epoch)
@@ -411,8 +388,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
                         for z in model.zetas]
             remapped = manifold.transfer_curvature(emb_prev, zeta_prev_out, zeta_ace[-1])
             metric_remap = task.val_metric(remapped, zeta_ace[-1], model)
-            r_hgnn, r_ace = nashq.compute_rewards(metric_curr, metric_prev,
-                                                  metric_remap, metric_prev)
+        r_hgnn, r_ace = nashq.compute_rewards(metric_curr, metric_remap, metric_prev)
 
         if action is not None:
             if action[0] == nashq.HgnnAction.ADOPT:
@@ -423,11 +399,9 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
             nashq.q_update(tables, state, action, (r_hgnn, r_ace), next_state,
                            config.alpha, config.beta)
             model.set_zetas(zeta_next)
-            sol = tables.solve(next_state)
-            greedy = None
-            if sol.pure is not None:
-                greedy = (nashq.HgnnAction(sol.pure[0]), nashq.AceAction(sol.pure[1]))
-            eq_history.append((next_state, greedy))
+            state = next_state
+            sol = tables.solve(state)
+            eq_history.append((state, sol.pure))
             if nashq.equilibrium_reached(eq_history):
                 frozen = True
                 freeze_epoch = epoch
@@ -457,21 +431,19 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
                      epoch, EARLY_STOP_PATIENCE)
             break
 
-    if best_blob is not None:
-        _restore_model(model, best_blob)
-    final_emb = eval_embeddings()
+    model.restore(best_state)
+    final_emb = best_emb
     test_metric = task.test_metric(model)
     final_distortion = curvature.embedding_distortion(
         msg_g, final_emb, model.zetas[-1]).mean_distortion
 
-    checkpoint = build_checkpoint(config, model, best_epoch, best_val)
+    checkpoint = build_checkpoint(config, best_state, best_epoch, best_val)
     result = TrainResult(records=records, best_val_metric=best_val,
                          best_epoch=best_epoch, test_metric=test_metric,
                          final_embeddings=final_emb,
                          final_zetas=[float(z) for z in model.zetas],
                          final_distortion=final_distortion,
-                         freeze_epoch=freeze_epoch, config=config,
-                         checkpoint=checkpoint)
+                         freeze_epoch=freeze_epoch, checkpoint=checkpoint)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result

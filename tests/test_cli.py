@@ -82,6 +82,15 @@ def test_distortion_tree_layout_flag(tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
 
+def test_tree_layout_beyond_float64_is_data_error(tmp_path, capsys):
+    # at zeta 0.1 the depth-8 leaves sit near cosh(72): the tangent frame
+    # there cannot be built in float64
+    edges, _ = write_tree_edges(tmp_path, depth=8)
+    assert main(["distortion", "--edges", str(edges), "--tree-layout", "0.9",
+                 "--zeta", "0.1"]) == 2
+    assert "data error: tree layout" in capsys.readouterr().err
+
+
 def test_estimate_curvature_prints_number(tmp_path, capsys):
     edges, g = write_tree_edges(tmp_path, depth=5)
     emb = curvature.tree_layout_hyperbolic(g, 1.0, edge_length=1.0)

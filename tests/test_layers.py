@@ -1,6 +1,7 @@
 """Layer tests: manifold-op composition oracle, attention, losses, gradients."""
 
 import dataclasses
+import json
 
 import mpmath
 import numpy as np
@@ -317,6 +318,27 @@ def test_eval_forward_is_deterministic():
     a = model.forward(g, training=False).data
     b = model.forward(g, training=False).data
     assert np.array_equal(a, b)
+
+
+def test_snapshot_restore_round_trips_exactly():
+    g = graphs.balanced_binary_tree(3)
+    g.features = graphs.random_plus_degree_features(g, 4, 0)
+    src = L.HyperbolicGNN(4, 5, 2, 1.0, np.random.default_rng(15), n_classes=3)
+    src.set_zetas([0.7, 2.3])
+    snap = src.snapshot()
+    assert list(snap) == ["layers", "zetas", "W_cls", "b_cls"]
+    assert [list(layer) for layer in snap["layers"]] == [
+        ["W", "b", "att_w1", "att_b1", "att_w2"]] * 2
+    dst = L.HyperbolicGNN(4, 5, 2, 1.0, np.random.default_rng(16), n_classes=3)
+    dst.restore(json.loads(json.dumps(snap)))
+    assert dst.zetas == src.zetas
+    for a, b in zip(src.parameters(), dst.parameters()):
+        assert b.data.dtype == np.float64 and np.array_equal(a.data, b.data)
+    assert json.dumps(dst.snapshot()) == json.dumps(snap)
+    assert np.array_equal(dst.forward(g).data, src.forward(g).data)
+    assert "W_cls" not in L.HyperbolicGNN(4, 5, 1, 1.0, np.random.default_rng(0)).snapshot()
+    with pytest.raises(ValueError):  # a layer missing from the snapshot
+        dst.restore({**snap, "layers": snap["layers"][:1]})
 
 
 def test_training_dropout_changes_outputs():

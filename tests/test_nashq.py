@@ -73,6 +73,15 @@ def test_pure_selection_prefers_highest_joint_payoff_then_index():
     assert nash_equilibrium_2x2(z, z).pure == (0, 0)
 
 
+def test_pure_equilibrium_is_an_action_pair():
+    q = [[0.0, 0.0], [0.0, 1.0]]
+    sol = nash_equilibrium_2x2(q, q)
+    assert sol.pure == (HgnnAction.KEEP, AceAction.HOLD)
+    assert type(sol.pure[0]) is HgnnAction and type(sol.pure[1]) is AceAction
+    # greedy play hands the equilibrium on as it is
+    assert epsilon_greedy_joint(sol, 0.0, np.random.default_rng(0)) is sol.pure
+
+
 def test_degenerate_game_falls_back_to_uniform():
     # no pure equilibrium and zero indifference denominators can't really
     # coexist for 2x2; force the branch through a crafted cycle-free case
@@ -241,14 +250,17 @@ def test_epsilon_schedule():
 # ---------------------------------------------------------------------------
 
 def test_rewards_basics():
-    r_h, r_a = nashq.compute_rewards(0.85, 0.80, 0.82, 0.80)
+    r_h, r_a = nashq.compute_rewards(0.85, 0.82, 0.80)
     assert r_h == pytest.approx(0.05)
     assert r_a == pytest.approx(0.02)
-    assert nashq.compute_rewards(0.8, 0.8, 0.8, 0.8) == (0.0, 0.0)
-    swapped = nashq.compute_rewards(0.80, 0.85, 0.80, 0.82)
-    assert swapped[0] == pytest.approx(-r_h) and swapped[1] == pytest.approx(-r_a)
-    with pytest.raises(ValueError):
-        nashq.compute_rewards(1.2, 0.5, 0.5, 0.5)
+    assert nashq.compute_rewards(0.8, 0.8, 0.8) == (0.0, 0.0)
+    # an epoch that does not explore passes the previous metric as the remap
+    assert nashq.compute_rewards(0.85, 0.80, 0.80) == (r_h, 0.0)
+    worse = nashq.compute_rewards(0.75, 0.78, 0.80)
+    assert worse[0] == pytest.approx(-r_h) and worse[1] == pytest.approx(-r_a)
+    for bad in ((1.2, 0.5, 0.5), (0.5, -0.1, 0.5), (0.5, 0.5, np.nan)):
+        with pytest.raises(ValueError):
+            nashq.compute_rewards(*bad)
 
 
 def test_equilibrium_reached_window():

@@ -308,6 +308,44 @@ def test_best_checkpoint_scores_its_recorded_val_metric(tmp_path):
     assert set(blob) == {"format_version", "config", "model", "epoch", "best_val_metric"}
 
 
+def test_checkpoint_model_is_the_model_snapshot(tmp_path):
+    train(quick_config(epochs=4), out_dir=tmp_path)
+    text = (tmp_path / "checkpoint.json").read_text()
+    _, model, _ = training.model_from_checkpoint(json.loads(text))
+    assert '"model": ' + json.dumps(model.snapshot()) + ', "epoch"' in text
+
+
+def test_train_reuses_the_best_epoch_embeddings(tmp_path, monkeypatch):
+    # E training forwards and E + 1 eval forwards over the message graph
+    # (the initial one and one per epoch); the final embeddings are the best
+    # epoch's, equal to an eval forward of the restored checkpoint
+    tasks, calls = [], []
+    build, forward = training._build_task, layers.HyperbolicGNN.forward
+
+    def recording_build(config, g):
+        tasks.append(build(config, g))
+        return tasks[-1]
+
+    def counting_forward(model, g, **kw):
+        calls.append((g is tasks[0].msg_graph, kw.get("training", False)))
+        return forward(model, g, **kw)
+
+    monkeypatch.setattr(training, "_build_task", recording_build)
+    monkeypatch.setattr(layers.HyperbolicGNN, "forward", counting_forward)
+    epochs = 6
+    res = train(quick_config(epochs=epochs), out_dir=tmp_path)
+    assert len(res.records) == epochs
+    assert calls.count((True, True)) == epochs
+    assert calls.count((True, False)) == epochs + 1
+    assert calls.count((False, False)) == 1  # the test score, over the full graph
+    monkeypatch.undo()
+    blob = training.load_checkpoint(tmp_path / "checkpoint.json")
+    _, model, task = training.model_from_checkpoint(blob)
+    emb = model.forward(task.msg_graph, training=False).data
+    assert np.array_equal(res.final_embeddings, emb)
+    assert np.array_equal(np.load(tmp_path / "embeddings.npy"), emb)
+
+
 def test_checkpoint_version_guard(tmp_path):
     path = tmp_path / "ck.json"
     # 2: the format before the fixed settings left the config; 3: with att_b2
