@@ -28,9 +28,14 @@ WORD_BITS = 64  # sources per uint64 word of the bit-parallel BFS
 BLOCK_SOURCES = WORD_BITS  # sources per kernel call from the callers: one word
 
 
-def _dedupe_sorted(a):
-    """Sorted distinct values of a: numpy 2's hash-based np.unique was ~10x
-    slower on these few-thousand-element arrays than a sort."""
+def sorted_unique(a):
+    """Sorted distinct values of a, as ``np.unique(a)`` returns them.
+
+    numpy 2's hash-based ``np.unique`` is ~10x slower than a sort on arrays
+    of a few thousand elements, and without ``return_*`` flags its
+    masked-array check imports ``numpy.ma``, a large share of a short CLI
+    command's start-up.
+    """
     a = np.sort(a)
     first = np.ones(a.shape, dtype=bool)
     first[1:] = a[1:] != a[:-1]
@@ -159,7 +164,7 @@ def _path_parents(indptr, indices, hops, pos):
     n = hops.shape[1]
     flat = hops.ravel()
     deg = np.diff(indptr)
-    todo = _dedupe_sorted(pos[flat[pos] > 0])
+    todo = sorted_unique(pos[flat[pos] > 0])
     levels = _split_by_hop(todo, flat[todo])
     steps = []
     cur = levels[-1]
@@ -171,7 +176,7 @@ def _path_parents(indptr, indices, hops, pos):
         closer = flat[np.repeat(base, d) + indices[slot]] == level - 1
         k = np.minimum.reduceat(np.where(closer, slot, indices.shape[0]), first)
         steps.append((cur, k))
-        cur = _dedupe_sorted(np.concatenate((base + indices[k], levels[level - 1])))
+        cur = sorted_unique(np.concatenate((base + indices[k], levels[level - 1])))
     return steps[::-1]
 
 

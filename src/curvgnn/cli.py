@@ -177,13 +177,19 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _load_embeddings(args, g: graphs.Graph) -> np.ndarray:
-    if args.embeddings:
-        emb = np.load(args.embeddings)
+    if args.embeddings is not None:
+        try:  # pickled objects stay refused
+            emb = np.load(args.embeddings)
+            if not isinstance(emb, np.ndarray):  # an .npz archive
+                emb.close()
+                raise ValueError("not a single array")
+        except ValueError as e:
+            raise graphs.DataError(f"cannot read {args.embeddings} as a .npy array") from e
         if emb.ndim != 2 or emb.shape[0] != g.n_nodes:
             raise graphs.DataError(
                 f"embeddings shape {emb.shape} does not match {g.n_nodes} nodes")
         return emb
-    if getattr(args, "tree_layout", None):
+    if getattr(args, "tree_layout", None) is not None:
         return curvature.tree_layout_hyperbolic(g, args.zeta, args.tree_layout)
     raise UsageError("give --embeddings or --tree-layout")
 

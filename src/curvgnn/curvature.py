@@ -260,7 +260,11 @@ def tree_layout_hyperbolic(g: graphs.Graph, zeta, edge_length: float = 1.0,
     at geodesic distance edge_length (a Sarkar-style construction). Only
     meaningful for trees; cycles reuse whatever BFS tree is found first.
     Each BFS level is placed in one batch of rows, one row per child.
+    ``edge_length`` must be positive and finite.
     """
+    if not 0.0 < edge_length < np.inf:  # also false for nan
+        raise ValueError(f"tree layout edge length must be positive and finite, "
+                         f"got {edge_length:g}")
     z = manifold.as_zeta(zeta)
     hops, parent = _kernels.bfs_tree(g.indptr, g.indices, root)
     if np.any(hops < 0):

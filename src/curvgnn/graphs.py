@@ -60,7 +60,7 @@ class Graph:
             raise DataError(f"edge endpoint out of range [0, {n_nodes})")
         u, v = edges[edges[:, 0] != edges[:, 1]].T
         # each directed key once, in (owner, neighbour) order
-        keys = np.unique(np.concatenate([u * n_nodes + v, v * n_nodes + u]))
+        keys = _kernels.sorted_unique(np.concatenate([u * n_nodes + v, v * n_nodes + u]))
         owner, indices = np.divmod(keys, n_nodes)
         indptr = np.zeros(n_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner, minlength=n_nodes), out=indptr[1:])
@@ -296,7 +296,7 @@ def make_nc_split(g: Graph, train_frac: float = 0.70, val_frac: float = 0.15,
         raise DataError("graph has no labels; cannot build a classification split")
     rng = np.random.default_rng(seed)
     train, val, test = [], [], []
-    for cls in np.unique(g.labels[g.labels >= 0]):
+    for cls in _kernels.sorted_unique(g.labels[g.labels >= 0]):
         ids = np.flatnonzero(g.labels == cls)
         ids = ids[rng.permutation(len(ids))]
         n_tr = max(1, int(round(len(ids) * train_frac)))

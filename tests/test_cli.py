@@ -91,6 +91,25 @@ def test_tree_layout_beyond_float64_is_data_error(tmp_path, capsys):
     assert "data error: tree layout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", ["0", "-1", "nan"])
+def test_tree_layout_edge_length_must_be_positive_and_finite(tmp_path, capsys, length):
+    edges, _ = write_tree_edges(tmp_path, depth=3)
+    assert main(["distortion", "--edges", str(edges), f"--tree-layout={length}"]) == 1
+    assert "tree layout edge length must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["text", "npz"])
+def test_embeddings_file_that_is_not_an_array_is_data_error(tmp_path, capsys, kind):
+    edges, g = write_tree_edges(tmp_path, depth=3)
+    path = edges
+    if kind == "npz":  # an archive, not one array
+        path = tmp_path / "emb.npz"
+        np.savez(path, emb=curvature.tree_layout_hyperbolic(g, 1.0))
+    assert main(["estimate-curvature", "--edges", str(edges), "--embeddings", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err and "pickle" not in err
+
+
 def test_estimate_curvature_prints_number(tmp_path, capsys):
     edges, g = write_tree_edges(tmp_path, depth=5)
     emb = curvature.tree_layout_hyperbolic(g, 1.0, edge_length=1.0)
@@ -239,6 +258,14 @@ def test_keep_freed_heap_without_mallopt_does_nothing(monkeypatch):
     assert cli._keep_freed_heap() is False
 
 
+def _fresh_env():
+    """The inherited environment, one BLAS thread, this package first on
+    PYTHONPATH: for a fresh interpreter that imports curvgnn."""
+    src = str(Path(curvgnn.__file__).resolve().parent.parent)
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # one train through cli.main in a fresh interpreter; prints the run's exit code
 # and the minor page faults taken during the cli.main call
 _FAULT_RUN = """
@@ -257,13 +284,10 @@ print(json.dumps({"rc": rc, "minflt": after - before}))
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                     reason="the allocator policy is glibc's")
 def test_kept_heap_halves_page_faults_with_identical_outputs(tmp_path):
-    src = str(Path(curvgnn.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     runs = {}
     for mode in ("on", "off"):
         proc = subprocess.run([sys.executable, "-c", _FAULT_RUN, mode, str(tmp_path / mode)],
-                              env=env, capture_output=True, text=True, check=True)
+                              env=_fresh_env(), capture_output=True, text=True, check=True)
         runs[mode] = json.loads(proc.stdout.strip().splitlines()[-1])
     assert runs["on"]["rc"] == runs["off"]["rc"] == 0
     assert runs["on"]["minflt"] <= runs["off"]["minflt"] / 2, runs
@@ -276,3 +300,39 @@ def test_kept_heap_halves_page_faults_with_identical_outputs(tmp_path):
     assert records("on") == records("off")
     for name in ("result.json", "embeddings.npy"):
         assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()
+
+
+# every subcommand through cli.main in one fresh interpreter; prints the exit
+# codes and whether numpy.ma was imported
+_IMPORT_RUN = """
+import json, sys
+from curvgnn import cli
+d = sys.argv[1]
+edges, feats, labels = d + "/tree.tsv", d + "/feats.csv", d + "/labels.csv"
+runs = [["delta", "--edges", edges],
+        ["distortion", "--edges", edges, "--tree-layout", "1.0", "--grid", "0.5:1.0:0.5"],
+        ["estimate-curvature", "--edges", edges, "--embeddings", d + "/emb.npy"],
+        ["train", "--edges", edges, "--features", feats, "--epochs", "2", "--out", d + "/lp"],
+        ["eval", "--checkpoint", d + "/lp/checkpoint.json"],
+        ["train", "--task", "nc", "--edges", edges, "--features", feats, "--labels", labels,
+         "--epochs", "2", "--out", d + "/nc"]]
+rcs = [cli.main(argv) for argv in runs]
+print(json.dumps({"rcs": rcs, "numpy_ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.unique without return_* flags imports numpy.ma, a large share of a
+    # cold command's start-up; the package builds distinct-value sets with a
+    # sort instead
+    _, g = write_tree_edges(tmp_path, depth=4)
+    feats = np.random.default_rng(0).normal(size=(g.n_nodes, 4))
+    (tmp_path / "feats.csv").write_text(
+        "\n".join(",".join(f"{x:.6f}" for x in row) for row in feats) + "\n")
+    (tmp_path / "labels.csv").write_text("".join(f"{v},{v % 3}\n" for v in range(g.n_nodes)))
+    np.save(tmp_path / "emb.npy", curvature.tree_layout_hyperbolic(g, 1.0, edge_length=1.0))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_RUN, str(tmp_path)],
+                          env=_fresh_env(), capture_output=True, text=True, check=True)
+    run = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert run["rcs"] == [0] * 6, proc.stderr
+    assert not run["numpy_ma"]

@@ -117,7 +117,9 @@ def messy_edges(rng, n, m):
 def test_from_edges_matches_loop_reference():
     rng = np.random.default_rng(8)
     cases = [(1, np.empty((0, 2), dtype=np.int64)), (1, np.array([[0, 0]])),
-             (5, np.empty((0, 2), dtype=np.int64)), (4, np.array([[2, 1], [1, 2], [1, 1]]))]
+             (5, np.empty((0, 2), dtype=np.int64)), (4, np.array([[2, 1], [1, 2], [1, 1]])),
+             # a repeat, a reversed pair and a self-loop; the highest id is isolated
+             (6, np.array([[3, 1], [0, 2], [3, 1], [1, 3], [2, 2], [4, 0]]))]
     for _ in range(200):
         n = int(rng.integers(1, 40))
         cases.append((n, messy_edges(rng, n, int(rng.integers(0, 4 * n)))))

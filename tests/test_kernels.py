@@ -86,6 +86,16 @@ def source_calls(rng, n):
     return calls
 
 
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(5)
+    cases = [np.empty(0, dtype=np.int64), np.array([7]), np.array([3, 3, 3]),
+             np.array([-2, 5, -2, 0, 5])]
+    cases += [rng.integers(-50, 50, size=int(rng.integers(1, 300))) for _ in range(40)]
+    for a in cases:
+        got = _kernels.sorted_unique(a)
+        assert got.dtype == a.dtype and np.array_equal(got, np.unique(a))
+
+
 def test_bfs_hops_match_floyd_warshall():
     rng = np.random.default_rng(0)
     cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]]))]
