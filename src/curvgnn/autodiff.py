@@ -236,37 +236,33 @@ def relu(a) -> Tensor:
     return _make(out, (a,), lambda g: (g * (a.data > 0.0),))
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return _make(out, (a,), vjp)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
+def logsumexp(a) -> Tensor:
+    """log(sum(exp(a))) over the last axis."""
     a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
+    m = a.data.max(axis=-1, keepdims=True)
     e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out = m + np.log(s)
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
+    s = e.sum(axis=-1, keepdims=True)
+    out = (m + np.log(s))[..., 0]
 
     def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (gg * (e / s),)
+        return (g[..., None] * (e / s),)
 
     return _make(out, (a,), vjp)
 
@@ -321,16 +317,18 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
 # optimizer
 # ---------------------------------------------------------------------------
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam over Euclidean parameter tensors, with optional L2 weight decay."""
 
-    def __init__(self, params, lr: float = 3e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float = 3e-4, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -342,7 +340,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for i, p in enumerate(self.params):
@@ -351,4 +349,4 @@ class Adam:
                 g = g + self.weight_decay * p.data
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            p.data -= self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
+            p.data -= self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + ADAM_EPS)

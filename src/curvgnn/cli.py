@@ -128,10 +128,11 @@ def _build_parser() -> _Parser:
     di = sub.add_parser("distortion",
                         help="sweep embedding distortion over a curvature grid")
     di.add_argument("--edges", required=True)
-    di.add_argument("--embeddings", help=".npy of ambient coordinates (n, d+1)")
-    di.add_argument("--tree-layout", type=float, dest="tree_layout",
-                    help="instead of --embeddings, lay the graph out as a tree "
-                         "with this edge length")
+    source = di.add_mutually_exclusive_group(required=True)
+    source.add_argument("--embeddings", help=".npy of ambient coordinates (n, d+1)")
+    source.add_argument("--tree-layout", type=float, dest="tree_layout",
+                        help="instead of --embeddings, lay the graph out as a tree "
+                             "with this edge length")
     di.add_argument("--zeta", type=float, default=1.0,
                     help="curvature the embeddings live at")
     di.add_argument("--grid", default="0.2:4.0:0.2", help="start:stop:step, inclusive")
@@ -153,9 +154,13 @@ def _train_config(args) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                fields.update(json.load(fh))
+                loaded = json.load(fh)
             except json.JSONDecodeError as e:
                 raise graphs.DataError(f"bad config JSON: {e}", args.config, e.lineno)
+        if not isinstance(loaded, dict):
+            raise graphs.DataError("config must be a JSON object of RunConfig fields",
+                                   args.config, 1)
+        fields.update(loaded)
     fields.update({k: v for k, v in vars(args).items()
                    if k not in ("command", "config", "out", "log_level") and v is not None})
     unknown = set(fields) - set(RunConfig.__dataclass_fields__)
@@ -176,22 +181,30 @@ def _parse_grid(text: str) -> np.ndarray:
     return grid[grid <= stop + 1e-9]
 
 
+def _load_edges(path) -> graphs.Graph:
+    """The graph of a diagnostic command; each of them needs an edge."""
+    g = graphs.load_graph(path)
+    if g.n_edges == 0:
+        raise graphs.DataError(f"{path} holds no edges")
+    return g
+
+
 def _load_embeddings(args, g: graphs.Graph) -> np.ndarray:
-    if args.embeddings is not None:
-        try:  # pickled objects stay refused
-            emb = np.load(args.embeddings)
-            if not isinstance(emb, np.ndarray):  # an .npz archive
-                emb.close()
-                raise ValueError("not a single array")
-        except ValueError as e:
-            raise graphs.DataError(f"cannot read {args.embeddings} as a .npy array") from e
-        if emb.ndim != 2 or emb.shape[0] != g.n_nodes:
-            raise graphs.DataError(
-                f"embeddings shape {emb.shape} does not match {g.n_nodes} nodes")
-        return emb
+    """The --embeddings file, or distortion's --tree-layout (argparse lets
+    exactly one of the two through)."""
     if getattr(args, "tree_layout", None) is not None:
         return curvature.tree_layout_hyperbolic(g, args.zeta, args.tree_layout)
-    raise UsageError("give --embeddings or --tree-layout")
+    try:  # pickled objects stay refused
+        emb = np.load(args.embeddings)
+        if not isinstance(emb, np.ndarray):  # an .npz archive
+            emb.close()
+            raise ValueError("not a single array")
+    except ValueError as e:
+        raise graphs.DataError(f"cannot read {args.embeddings} as a .npy array") from e
+    if emb.ndim != 2 or emb.shape[0] != g.n_nodes:
+        raise graphs.DataError(
+            f"embeddings shape {emb.shape} does not match {g.n_nodes} nodes")
+    return emb
 
 
 def _cmd_train(args) -> int:
@@ -210,7 +223,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    g = graphs.load_graph(args.edges)
+    g = _load_edges(args.edges)
     d = graphs.gromov_delta(g, mode=args.mode,
                             n_samples=args.samples if args.mode == "sampled" else None,
                             seed=args.seed)
@@ -222,7 +235,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    g = graphs.load_graph(args.edges)
+    g = _load_edges(args.edges)
     emb = _load_embeddings(args, g)
     grid = _parse_grid(args.grid)
     for z, rep in curvature.distortion_sweep(g, emb, args.zeta, grid, seed=args.seed):
@@ -231,7 +244,7 @@ def _cmd_distortion(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    g = graphs.load_graph(args.edges)
+    g = _load_edges(args.edges)
     emb = _load_embeddings(args, g)
     n_s = {} if args.n_s is None else {"n_s": args.n_s}
     est = curvature.estimate_kappa(g, emb, args.zeta, seed=args.seed, **n_s)

@@ -103,7 +103,7 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
 
     indptr, indices = g.indptr, g.indices
     owner = np.repeat(np.arange(n), np.diff(indptr))
-    slot_len = manifold.hyp_distance(emb[owner], emb[indices], zeta, validate=False)
+    slot_len = manifold.hyp_distance(emb[owner], emb[indices], zeta)
     block = _kernels.BLOCK_SOURCES
     chunk = max(1, DISTANCE_CHUNK_ELEMENTS // emb.shape[1])
     total = 0.0
@@ -132,7 +132,7 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
         for s in range(0, len(rows), chunk):
             pairs = slice(s, s + chunk)
             d[pairs] = manifold.hyp_distance(emb[sources[lo + rows[pairs]]],
-                                             emb[targets[pairs]], zeta, validate=False)
+                                             emb[targets[pairs]], zeta)
         # |(d / g)^2 - 1|, in place
         d /= g_pair
         d **= 2
@@ -204,10 +204,10 @@ def estimate_kappa(g: graphs.Graph, emb: np.ndarray, zeta, n_s: int = 2,
     if m_idx.size == 0:
         raise ValueError("no node of degree >= 2; cannot estimate curvature")
 
-    d_am = manifold.hyp_distance(emb[a_idx], emb[m_idx], zeta, validate=False)
-    d_bc = manifold.hyp_distance(emb[b_idx], emb[c_idx], zeta, validate=False)
-    d_ab = manifold.hyp_distance(emb[a_idx], emb[b_idx], zeta, validate=False)
-    d_ac = manifold.hyp_distance(emb[a_idx], emb[c_idx], zeta, validate=False)
+    d_am = manifold.hyp_distance(emb[a_idx], emb[m_idx], zeta)
+    d_bc = manifold.hyp_distance(emb[b_idx], emb[c_idx], zeta)
+    d_ab = manifold.hyp_distance(emb[a_idx], emb[b_idx], zeta)
+    d_ac = manifold.hyp_distance(emb[a_idx], emb[c_idx], zeta)
     valid = d_am > 1e-12
     if not valid.any():
         raise ValueError("all sampled quadruples degenerate (d(a,m) = 0)")
@@ -252,13 +252,13 @@ def update_curvature(zeta_prev: float, kappa: float, gamma: float,
 # geodesic tree layout (diagnostics / synthetic benchmarks)
 # ---------------------------------------------------------------------------
 
-def tree_layout_hyperbolic(g: graphs.Graph, zeta, edge_length: float = 1.0,
-                           root: int = 0) -> np.ndarray:
+def tree_layout_hyperbolic(g: graphs.Graph, zeta, edge_length: float = 1.0) -> np.ndarray:
     """Embed a tree in the 2-d hyperboloid by recursive geodesic placement.
 
-    Children fan out around the direction back to the parent, each placed
-    at geodesic distance edge_length (a Sarkar-style construction). Only
-    meaningful for trees; cycles reuse whatever BFS tree is found first.
+    Node 0 is the root, at the origin. Children fan out around the
+    direction back to the parent, each placed at geodesic distance
+    edge_length (a Sarkar-style construction). Only meaningful for trees;
+    cycles reuse whatever BFS tree is found first.
     Each BFS level is placed in one batch of rows, one row per child.
     ``edge_length`` must be positive and finite.
     """
@@ -266,11 +266,11 @@ def tree_layout_hyperbolic(g: graphs.Graph, zeta, edge_length: float = 1.0,
         raise ValueError(f"tree layout edge length must be positive and finite, "
                          f"got {edge_length:g}")
     z = manifold.as_zeta(zeta)
-    hops, parent = _kernels.bfs_tree(g.indptr, g.indices, root)
+    hops, parent = _kernels.bfs_tree(g.indptr, g.indices, 0)
     if np.any(hops < 0):
         raise ValueError("tree layout requires a connected graph")
     pos = np.zeros((g.n_nodes, 3), dtype=np.float64)
-    pos[root] = manifold.origin(2, z)
+    pos[0] = manifold.origin(2, z)
     for level in range(1, int(hops.max()) + 1):
         kids = np.flatnonzero(hops == level)
         kids = kids[np.argsort(parent[kids], kind="stable")]  # by parent, then id
@@ -283,11 +283,11 @@ def tree_layout_hyperbolic(g: graphs.Graph, zeta, edge_length: float = 1.0,
             ang = 2.0 * np.pi * rank / k
             directions = np.hstack([np.zeros_like(ang), np.cos(ang), np.sin(ang)])
         else:
-            u = manifold.log_map(x, pos[parent[up]], z, validate=False)
-            u_hat = u / np.maximum(manifold.lorentz_norm(u, keepdims=True), 1e-300)
+            u = manifold.log_map(x, pos[parent[up]], z)
+            u_hat = u / np.maximum(manifold.lorentz_norm(u), 1e-300)
             ang = 2.0 * np.pi * (rank + 1) / (k + 1)
             directions = np.cos(ang) * u_hat + np.sin(ang) * _tangent_perp(x, u_hat, z)
-        pos[kids] = manifold.exp_map(x, edge_length * directions, z, validate=False)
+        pos[kids] = manifold.exp_map(x, edge_length * directions, z)
     return pos
 
 
@@ -299,7 +299,7 @@ def _tangent_perp(x: np.ndarray, u_hat: np.ndarray, zeta: float) -> np.ndarray:
     for e in np.eye(3):
         w = e + (manifold.lorentz_inner(x, e, keepdims=True) / (zeta * zeta)) * x  # onto T_x
         w = w - manifold.lorentz_inner(w, u_hat, keepdims=True) * u_hat
-        nw = manifold.lorentz_norm(w, keepdims=True)
+        nw = manifold.lorentz_norm(w)
         take = todo & (nw[:, 0] > 1e-8)
         perp[take] = w[take] / nw[take]
         todo &= ~take

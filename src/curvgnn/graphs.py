@@ -145,12 +145,18 @@ def load_features(path) -> np.ndarray:
                 manifest = json.load(fh)
             except json.JSONDecodeError as e:
                 raise DataError(f"bad JSON manifest: {e}", path, e.lineno)
+        if not isinstance(manifest, dict):
+            raise DataError("manifest must be a JSON object", path, 1)
         rows = manifest.get("rows")
         if rows is None:
             raise DataError("manifest missing 'rows'", path, 1)
-        feats = np.asarray(rows, dtype=np.float64)
-        if feats.ndim != 2:
-            raise DataError("'rows' must be a list of equal-length lists", path, 1)
+        try:
+            feats = np.asarray(rows, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            feats = None
+        if feats is None or feats.ndim != 2:
+            raise DataError("'rows' must be a list of equal-length lists of numbers",
+                            path, 1)
         n, f = manifest.get("n", feats.shape[0]), manifest.get("f", feats.shape[1])
         if feats.shape != (n, f):
             raise DataError(f"manifest says {n}x{f}, rows are {feats.shape}", path, 1)
@@ -289,8 +295,11 @@ def make_lp_split(g: Graph, val_frac: float, test_frac: float, seed: int) -> Edg
                      val_neg=val_neg, test_neg=test_neg)
 
 
-def make_nc_split(g: Graph, train_frac: float = 0.70, val_frac: float = 0.15,
-                  seed: int = 0) -> NodeSplit:
+NC_TRAIN_FRAC = 0.70  # share of each class in the node-classification train split
+NC_VAL_FRAC = 0.15  # and in its val split; the rest is test
+
+
+def make_nc_split(g: Graph, seed: int = 0) -> NodeSplit:
     """Stratified-by-class node split; the remainder after train/val is test."""
     if g.labels is None:
         raise DataError("graph has no labels; cannot build a classification split")
@@ -299,8 +308,8 @@ def make_nc_split(g: Graph, train_frac: float = 0.70, val_frac: float = 0.15,
     for cls in _kernels.sorted_unique(g.labels[g.labels >= 0]):
         ids = np.flatnonzero(g.labels == cls)
         ids = ids[rng.permutation(len(ids))]
-        n_tr = max(1, int(round(len(ids) * train_frac)))
-        n_va = max(1, int(round(len(ids) * val_frac)))
+        n_tr = max(1, int(round(len(ids) * NC_TRAIN_FRAC)))
+        n_va = max(1, int(round(len(ids) * NC_VAL_FRAC)))
         n_tr = min(n_tr, len(ids) - 2) if len(ids) >= 3 else max(1, len(ids) - 2)
         train.append(ids[:n_tr])
         val.append(ids[n_tr:n_tr + n_va])
@@ -314,14 +323,14 @@ def make_nc_split(g: Graph, train_frac: float = 0.70, val_frac: float = 0.15,
 # distances
 # ---------------------------------------------------------------------------
 
-def hop_distance_matrix(g: Graph, nodes: np.ndarray | None = None) -> np.ndarray:
-    """Stacked BFS rows (float64; unreachable mapped to +inf)."""
-    indptr, indices = g.indptr, g.indices
-    srcs = np.arange(g.n_nodes) if nodes is None else np.asarray(nodes)
-    out = np.empty((len(srcs), g.n_nodes), dtype=np.float64)
+def hop_distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs hop distances, one BFS row per node (float64; unreachable
+    mapped to +inf)."""
+    n = g.n_nodes
+    out = np.empty((n, n), dtype=np.float64)
     block = _kernels.BLOCK_SOURCES
-    for lo in range(0, len(srcs), block):
-        h = _kernels.bfs_hops(indptr, indices, srcs[lo:lo + block])
+    for lo in range(0, n, block):
+        h = _kernels.bfs_hops(g.indptr, g.indices, np.arange(lo, min(lo + block, n)))
         out[lo:lo + block] = np.where(h < 0, np.inf, h)
     return out
 
@@ -422,11 +431,13 @@ def balanced_binary_tree(depth: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_plus_degree_features(g: Graph, dim: int, seed: int,
-                                noise: float = 0.2) -> np.ndarray:
+FEATURE_NOISE = 0.2  # standard deviation of the random feature channels
+
+
+def random_plus_degree_features(g: Graph, dim: int, seed: int) -> np.ndarray:
     """Gaussian features plus a clean normalized-degree channel in column 0."""
     rng = np.random.default_rng(seed)
-    feats = noise * rng.standard_normal((g.n_nodes, dim))
+    feats = FEATURE_NOISE * rng.standard_normal((g.n_nodes, dim))
     deg = g.degrees().astype(np.float64)
     feats[:, 0] = deg / max(deg.max(), 1.0)
     return feats

@@ -246,27 +246,32 @@ class HyperbolicGNN:
 # decoders and losses
 # ---------------------------------------------------------------------------
 
-def _edge_logits(emb: Tensor, edges: np.ndarray, zeta: float, r: float, t: float) -> Tensor:
+# the Fermi-Dirac decoder's radius r and temperature t in
+# 1 / (exp((d^2 - r) / t) + 1), as in HGCN (Chami et al., NeurIPS 2019)
+FERMI_DIRAC_R = 2.0
+FERMI_DIRAC_T = 1.0
+
+
+def _edge_logits(emb: Tensor, edges: np.ndarray, zeta: float) -> Tensor:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     d = dist(ad.gather_rows(emb, edges[:, 0]), ad.gather_rows(emb, edges[:, 1]), zeta)
-    return ad.scale(ad.neg(d * d) + r, 1.0 / t)
+    return ad.scale(ad.neg(d * d) + FERMI_DIRAC_R, 1.0 / FERMI_DIRAC_T)
 
 
-def lp_scores(emb, edges, zeta: float, r: float = 2.0, t: float = 1.0) -> np.ndarray:
+def lp_scores(emb, edges, zeta: float) -> np.ndarray:
     """Fermi-Dirac probabilities for the given node pairs."""
-    return ad.sigmoid(_edge_logits(ad.as_tensor(emb), edges, zeta, r, t)).data
+    return ad.sigmoid(_edge_logits(ad.as_tensor(emb), edges, zeta)).data
 
 
-def lp_loss(emb, pos_edges, neg_edges, zeta: float, r: float = 2.0,
-            t: float = 1.0) -> Tensor:
+def lp_loss(emb, pos_edges, neg_edges, zeta: float) -> Tensor:
     """Mean binary cross-entropy of the decoder over positives and negatives."""
     pos_edges = np.asarray(pos_edges).reshape(-1, 2)
     neg_edges = np.asarray(neg_edges).reshape(-1, 2)
     if pos_edges.size == 0 or neg_edges.size == 0:
         raise ValueError("both edge sets must be nonempty")
     emb = ad.as_tensor(emb)
-    pos = ad.softplus(ad.neg(_edge_logits(emb, pos_edges, zeta, r, t)))
-    neg = ad.softplus(_edge_logits(emb, neg_edges, zeta, r, t))
+    pos = ad.softplus(ad.neg(_edge_logits(emb, pos_edges, zeta)))
+    neg = ad.softplus(_edge_logits(emb, neg_edges, zeta))
     total = ad.tsum(pos) + ad.tsum(neg)
     return ad.scale(total, 1.0 / (len(pos_edges) + len(neg_edges)))
 
@@ -283,9 +288,9 @@ def nc_loss(logits: Tensor, labels: np.ndarray, node_ids: np.ndarray) -> Tensor:
     if node_ids.size == 0:
         raise ValueError("empty node subset")
     rows = ad.gather_rows(logits, node_ids)
-    lse = ad.logsumexp(rows, axis=-1, keepdims=False)
+    lse = ad.logsumexp(rows)
     n_classes = logits.data.shape[-1]
     onehot = np.zeros((node_ids.size, n_classes))
     onehot[np.arange(node_ids.size), np.asarray(labels)[node_ids]] = 1.0
-    true_logit = ad.tsum(rows * Tensor(onehot), axis=-1, keepdims=False)
+    true_logit = ad.tsum(rows * Tensor(onehot), axis=-1)
     return ad.tmean(lse - true_logit)

@@ -36,13 +36,21 @@ HGNN = 0
 ACE = 1
 
 
+STATE_BIN_WIDTH = 0.1  # curvature bin of a Q-table state
+EQUILIBRIUM_PATIENCE = 20  # settled epochs before the curvatures freeze
+# epsilon-greedy exploration: EPSILON_START * EPSILON_DECAY**epoch, floored
+EPSILON_START = 0.9
+EPSILON_FLOOR = 0.1
+EPSILON_DECAY = 0.99
+
+
 def discretize_state(zetas, zeta_min: float = DEFAULT_ZETA_MIN,
-                     zeta_max: float = DEFAULT_ZETA_MAX, bin_width: float = 0.1) -> tuple:
+                     zeta_max: float = DEFAULT_ZETA_MAX) -> tuple:
     """Clamp each per-layer curvature into bounds and bin it for table keys."""
     bins = []
     for z in zetas:
         z = min(max(float(z), zeta_min), zeta_max)
-        bins.append(int((z - zeta_min) / bin_width + 1e-9))
+        bins.append(int((z - zeta_min) / STATE_BIN_WIDTH + 1e-9))
     return tuple(bins)
 
 
@@ -167,12 +175,12 @@ def compute_rewards(metric_curr: float, metric_remapped: float, metric_prev: flo
     return metric_curr - metric_prev, metric_remapped - metric_prev
 
 
-def equilibrium_reached(history, patience: int = 20) -> bool:
+def equilibrium_reached(history) -> bool:
     """Both agents settled: same state and a greedy (KEEP, HOLD) equilibrium
-    for `patience` consecutive epochs."""
-    if len(history) < patience:
+    for EQUILIBRIUM_PATIENCE consecutive epochs."""
+    if len(history) < EQUILIBRIUM_PATIENCE:
         return False
-    window = list(history)[-patience:]
+    window = list(history)[-EQUILIBRIUM_PATIENCE:]
     state0 = window[0][0]
     for state, action in window:
         if state != state0 or action != (HgnnAction.KEEP, AceAction.HOLD):
@@ -180,13 +188,7 @@ def equilibrium_reached(history, patience: int = 20) -> bool:
     return True
 
 
-@dataclass
-class EpsilonSchedule:
-    """Multiplicative decay from start toward floor, evaluated per epoch."""
-
-    start: float = 0.9
-    floor: float = 0.1
-    decay: float = 0.99
-
-    def value(self, epoch: int) -> float:
-        return max(self.floor, self.start * self.decay ** epoch)
+def epsilon(epoch: int) -> float:
+    """The exploration rate at a 0-based epoch: multiplicative decay from
+    EPSILON_START toward EPSILON_FLOOR."""
+    return max(EPSILON_FLOOR, EPSILON_START * EPSILON_DECAY ** epoch)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,9 @@ CHECKPOINT_VERSION = 4
 WEIGHT_DECAY = 5e-3
 EARLY_STOP_PATIENCE = 100  # epochs without a val improvement before stopping
 
+# the values each RunConfig annotation admits; an int is also a float
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
 
 class TrainingDiverged(RuntimeError):
     """Loss went non-finite; a diagnostic dump is written when possible."""
@@ -43,14 +46,16 @@ class TrainingDiverged(RuntimeError):
 class RunConfig:
     """The run settings a caller may set (CLI flags or a --config JSON).
 
-    Fixed choices live beside the code that uses them: the relu activation
-    (`layers.layer_forward`), the Fermi-Dirac r and t (`layers.lp_loss`),
-    the feature-norm cap (`_prepare`), WEIGHT_DECAY and EARLY_STOP_PATIENCE
-    here, the epsilon schedule (`nashq.EpsilonSchedule`), the kappa sample
-    count (`curvature.estimate_kappa`), the equilibrium patience
-    (`nashq.equilibrium_reached`), the state bin width
-    (`nashq.discretize_state`) and the node-classification split fractions
-    (`graphs.make_nc_split`).
+    Fixed choices are constants beside the code that uses them: the relu
+    activation (`layers.layer_forward`), the Fermi-Dirac r and t
+    (`layers.FERMI_DIRAC_R`, `FERMI_DIRAC_T`), the feature-norm cap
+    (`_prepare`), WEIGHT_DECAY and EARLY_STOP_PATIENCE here, Adam's moment
+    rates (`autodiff.ADAM_BETA1`, `ADAM_BETA2`, `ADAM_EPS`), the epsilon
+    schedule (`nashq.EPSILON_START`, `EPSILON_FLOOR`, `EPSILON_DECAY`), the
+    kappa sample count (`curvature.estimate_kappa`), the equilibrium
+    patience (`nashq.EQUILIBRIUM_PATIENCE`), the state bin width
+    (`nashq.STATE_BIN_WIDTH`) and the node-classification split fractions
+    (`graphs.NC_TRAIN_FRAC`, `NC_VAL_FRAC`).
     """
 
     # data
@@ -82,6 +87,14 @@ class RunConfig:
     distortion_every: int = 10
 
     def validate(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kind, *rest = field.type.split(" | ")  # e.g. "int | None"
+            if value is None and rest == ["None"]:
+                continue
+            if (isinstance(value, bool) != (kind == "bool")
+                    or not isinstance(value, _FIELD_TYPES[kind])):
+                raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
         if self.task not in ("lp", "nc"):
             raise ValueError(f"unknown task {self.task!r}")
         if self.n_layers < 1 or self.dim < 1:
@@ -305,7 +318,6 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     edges = layers.message_edges(msg_g)
     optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=WEIGHT_DECAY)
     tables = nashq.QTables()
-    schedule = nashq.EpsilonSchedule()
 
     drop_rng = np.random.default_rng([config.seed, 2])
     neg_rng = np.random.default_rng([config.seed, 3])
@@ -358,8 +370,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         t0 = time.perf_counter()
         action = None
         if not frozen:
-            eps_t = schedule.value(epoch - 1)
-            action = nashq.epsilon_greedy_joint(sol, eps_t, rl_rng)
+            action = nashq.epsilon_greedy_joint(sol, nashq.epsilon(epoch - 1), rl_rng)
 
         loss = train_step()
         if not np.isfinite(loss):

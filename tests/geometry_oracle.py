@@ -4,7 +4,7 @@ Closed forms the package does not need (parallel transport between two
 arbitrary points, the polar law of cosines and its large-radius shortcut,
 a drift projection), the tape primitives that the package does not call
 (``exp``, ``log``, ``cosh``, ``sinh``, ``sqrt``, ``acosh1p``,
-``clamp_min``, ``softmax``, ``lorentz_inner``, ``concat``,
+``clamp_min``, ``softmax``, ``sum_last``, ``lorentz_inner``, ``concat``,
 ``pad_zero_column``, ``spatial``, ``first_col``, ``segment_sum``; the
 references below and the primitive checks use them), the composed tape
 forms of the one-node ops of ``manifold`` (exp and log at the origin, the
@@ -41,10 +41,19 @@ def parallel_transport(x, y, v, zeta, validate: bool = True) -> np.ndarray:
     if validate:
         manifold.check_on_manifold(x, z)
         manifold.check_on_manifold(y, z)
-        manifold.check_tangent(v, x)
+        check_tangent(v, x)
     num = manifold.lorentz_inner(y, v, keepdims=True)
     den = z * z - manifold.lorentz_inner(x, y, keepdims=True)  # >= 2*zeta^2 > 0
     return v + (num / den) * (x + y)
+
+
+def check_tangent(v, x) -> None:
+    """Raise ManifoldError unless <x, v>_L = 0 within tolerance."""
+    ip = manifold.lorentz_inner(x, v)
+    scale = 1.0 + np.abs(x[..., 0]) * np.max(np.abs(np.asarray(v)), axis=-1, initial=0.0)
+    if np.any(np.abs(ip) > manifold.MANIFOLD_TOL * scale):
+        raise manifold.ManifoldError(
+            f"vector not tangent: <x,v> = {float(np.max(np.abs(ip))):.3e}")
 
 
 def tangent_from_euclidean(w) -> np.ndarray:
@@ -167,6 +176,13 @@ def softmax(a, axis: int = -1) -> Tensor:
     return ad._make(out, (a,), vjp)
 
 
+def sum_last(a) -> Tensor:
+    """Sum over the last axis, kept as an axis of length 1."""
+    a = ad.as_tensor(a)
+    return ad._make(a.data.sum(axis=-1, keepdims=True), (a,),
+                    lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
+
+
 def lorentz_inner(u, v, keepdims: bool = True) -> Tensor:
     """Batched Minkowski product -u0*v0 + sum_i ui*vi over the last axis
     (``manifold.minkowski``)."""
@@ -276,7 +292,7 @@ def log_at(x, y, zeta: float) -> Tensor:
 def exp_origin_composed(w, zeta: float) -> Tensor:
     """``manifold.exp_origin`` as a chain of tape primitives."""
     w = ad.as_tensor(w)
-    r = sqrt(ad.tsum(w * w, axis=-1, keepdims=True) + manifold.NORM_GUARD)
+    r = sqrt(sum_last(w * w) + manifold.NORM_GUARD)
     t = ad.scale(r, 1.0 / zeta)
     x0 = ad.scale(cosh(t), zeta)
     coef = ad.scale(sinh(t), zeta) / r
@@ -287,7 +303,7 @@ def log_origin_composed(x, zeta: float) -> Tensor:
     """``manifold.log_origin`` as a chain of tape primitives."""
     x = ad.as_tensor(x)
     xs = spatial(x)
-    sq = ad.tsum(xs * xs, axis=-1, keepdims=True)
+    sq = sum_last(xs * xs)
     u = sq / ad.scale(first_col(x) + zeta, zeta)
     d = ad.scale(acosh1p(u), zeta)
     return (d / sqrt(sq + manifold.NORM_GUARD)) * xs
@@ -375,9 +391,8 @@ def aggregate(h_center, h_neighbors, weights, zeta: float) -> np.ndarray:
     h_neighbors = np.atleast_2d(np.asarray(h_neighbors, dtype=np.float64))
     w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
     center = np.asarray(h_center, dtype=np.float64)[None, :]
-    tang = manifold.log_map(center, h_neighbors, zeta, validate=False)
-    return manifold.exp_map(center, (w * tang).sum(axis=0, keepdims=True), zeta,
-                            validate=False)[0]
+    tang = manifold.log_map(center, h_neighbors, zeta)
+    return manifold.exp_map(center, (w * tang).sum(axis=0, keepdims=True), zeta)[0]
 
 
 def fermi_dirac_score(d, r: float, t: float):
@@ -412,17 +427,18 @@ def forward_with_boundary_round_trips(model, g) -> Tensor:
 # tree layout, one node at a time
 # ---------------------------------------------------------------------------
 
-def tree_layout_per_node(g, zeta, edge_length: float = 1.0, root: int = 0) -> np.ndarray:
+def tree_layout_per_node(g, zeta, edge_length: float = 1.0) -> np.ndarray:
     """``curvature.tree_layout_hyperbolic`` placing one parent's children per
-    step: children fan out around the direction back to the grandparent."""
+    step, from the root node 0: children fan out around the direction back
+    to the grandparent."""
     z = manifold.as_zeta(zeta)
     indptr, indices = g.indptr, g.indices
-    hops, parent = _kernels.bfs_tree(indptr, indices, root)
+    hops, parent = _kernels.bfs_tree(indptr, indices, 0)
     if np.any(hops < 0):
         raise ValueError("tree layout requires a connected graph")
     order = np.argsort(hops, kind="stable")  # parents before their children
     pos = np.zeros((g.n_nodes, 3), dtype=np.float64)
-    pos[root] = manifold.origin(2, z)
+    pos[0] = manifold.origin(2, z)
     for v in order:
         nbrs = indices[indptr[v]:indptr[v + 1]]
         children = nbrs[parent[nbrs] == v]
@@ -430,16 +446,16 @@ def tree_layout_per_node(g, zeta, edge_length: float = 1.0, root: int = 0) -> np
             continue
         x = pos[v]
         k = len(children)
-        if v == root:
+        if v == 0:
             ang = 2.0 * np.pi * np.arange(k) / k
             directions = np.stack([np.zeros(k), np.cos(ang), np.sin(ang)], axis=1)
         else:
-            u = manifold.log_map(x, pos[parent[v]], z, validate=False)
-            u_hat = u / max(manifold.lorentz_norm(u), 1e-300)
+            u = manifold.log_map(x, pos[parent[v]], z)
+            u_hat = u / max(manifold.lorentz_norm(u)[0], 1e-300)
             u_perp = _tangent_perp_one(x, u_hat, z)
             ang = 2.0 * np.pi * np.arange(1, k + 1)[:, None] / (k + 1)
             directions = np.cos(ang) * u_hat + np.sin(ang) * u_perp
-        pos[children] = manifold.exp_map(x, edge_length * directions, z, validate=False)
+        pos[children] = manifold.exp_map(x, edge_length * directions, z)
     return pos
 
 
@@ -451,7 +467,7 @@ def _tangent_perp_one(x: np.ndarray, u_hat: np.ndarray, zeta: float) -> np.ndarr
         e[axis] = 1.0
         w = e + (manifold.lorentz_inner(x, e) / (z * z)) * x  # project onto T_x
         w = w - manifold.lorentz_inner(w, u_hat) * u_hat
-        nw = manifold.lorentz_norm(w)
+        nw = manifold.lorentz_norm(w)[0]
         if nw > 1e-8:
             return w / nw
     raise RuntimeError("failed to build an orthogonal tangent direction")

@@ -124,8 +124,7 @@ def path_distance_row(g, emb, zeta, source):
     step = np.zeros(g.n_nodes, dtype=np.float64)
     if has_parent.any():
         kids = np.flatnonzero(has_parent)
-        step[kids] = manifold.hyp_distance(emb[kids], emb[parent[kids]], zeta,
-                                           validate=False)
+        step[kids] = manifold.hyp_distance(emb[kids], emb[parent[kids]], zeta)
     total = path_sums(order, parent, step)
     total[hops < 0] = np.inf
     return total, hops

@@ -53,10 +53,10 @@ def test_criterion_1_geometry_suite():
         x = M.to_hyperboloid(rng.standard_normal(dim) * 0.3 * min(zeta, 1.0), zeta)
         v = rand_tangent_at(rng, x, dim, zeta,
                             float(rng.uniform(0, min(5.0, 12.0 * zeta))))
-        y = M.exp_map(x, v, zeta, validate=False)
-        vb = M.log_map(x, y, zeta, validate=False)
+        y = M.exp_map(x, v, zeta)
+        vb = M.log_map(x, y, zeta)
         worst_rt = max(worst_rt, float(np.max(np.abs(vb - v))))
-        yb = M.exp_map(x, vb, zeta, validate=False)
+        yb = M.exp_map(x, vb, zeta)
         worst_rt = max(worst_rt, float(np.max(np.abs(yb - y) / np.maximum(np.abs(y), 1.0))))
 
     # manifold constraint after 1e4 random op chains
@@ -70,7 +70,7 @@ def test_criterion_1_geometry_suite():
             if op == 0:
                 v = rand_tangent_at(rng, x, dim, zeta,
                                     float(rng.uniform(0, min(1.0, zeta))))
-                x = M.exp_map(x, v, zeta, validate=False)
+                x = M.exp_map(x, v, zeta)
             elif op == 1:
                 z2 = float(np.clip(zeta * rng.uniform(0.75, 1.33), 0.1, 10.0))
                 x = M.transfer_curvature(x, zeta, z2)
@@ -80,8 +80,7 @@ def test_criterion_1_geometry_suite():
             else:
                 y = M.to_hyperboloid(rng.standard_normal(dim) * 0.5 * min(1.0, zeta),
                                      zeta)
-                x = M.exp_map(x, 0.5 * M.log_map(x, y, zeta, validate=False),
-                              zeta, validate=False)
+                x = M.exp_map(x, 0.5 * M.log_map(x, y, zeta), zeta)
         worst_resid = max(worst_resid, float(M.manifold_residual(x, zeta)))
 
     # parallel transport isometry
@@ -137,7 +136,7 @@ def _fd_model_loss(task):
     def loss_value():
         emb = model.forward(g)
         if task == "lp":
-            return layers.lp_loss(emb, pos, neg, model.zetas[-1], 2.0, 1.0)
+            return layers.lp_loss(emb, pos, neg, model.zetas[-1])
         logits = layers.nc_logits(emb, model.zetas[-1], model.W_cls, model.b_cls)
         return layers.nc_loss(logits, g.labels, nodes)
 
@@ -178,7 +177,7 @@ def test_criterion_2_gradient_suite():
         geo.exp, geo.cosh, geo.sinh, ad.sigmoid, ad.softplus,
         lambda t: ad.relu(t + 0.05),
         lambda t: geo.softmax(t, axis=-1) * Tensor(other),
-        lambda t: ad.logsumexp(t, axis=-1),
+        ad.logsumexp,
         lambda t: geo.concat([t, ad.scale(t, 2.0)], axis=-1),
         lambda t: ad.tsum(t, axis=0), lambda t: ad.tmean(t, axis=1),
         lambda t: ad.gather_rows(t, np.array([0, 2, 2])),
@@ -253,7 +252,7 @@ def _brute_distortion(g, emb, zeta):
                 gh = path_oracle.hyperbolic_graph_distance(g, emb, i, j, zeta)
             except path_oracle.DisconnectedError:
                 continue
-            dh = float(M.hyp_distance(emb[i], emb[j], zeta, validate=False))
+            dh = float(M.hyp_distance(emb[i], emb[j], zeta))
             total += abs((dh / gh) ** 2 - 1.0)
             used += 1
     return total / used

@@ -102,11 +102,12 @@ PRIMITIVE_CASES = [
     ("relu", ad.relu, X_ANY + 0.1),  # keep away from the kink
     ("clamp_min", lambda t: geo.clamp_min(t, -0.5), X_ANY + 2.0),
     ("concat", lambda t: geo.concat([t, t * 2.0], axis=-1), X_ANY),
+    ("sum_last", geo.sum_last, X_ANY),
     ("sum_axis", lambda t: ad.tsum(t, axis=0), X_ANY),
-    ("mean_axis", lambda t: ad.tmean(t, axis=1, keepdims=True), X_ANY),
+    ("mean_axis", lambda t: ad.tmean(t, axis=1), X_ANY),
     # plain sum of a softmax is constant; weight it to get a live gradient
     ("softmax", lambda t: geo.softmax(t, axis=-1) * Tensor(OTHER), X_ANY),
-    ("logsumexp", lambda t: ad.logsumexp(t, axis=-1), X_ANY),
+    ("logsumexp", ad.logsumexp, X_ANY),
     ("gather_rows", lambda t: ad.gather_rows(t, IDX), X_ANY),
     ("segment_sum", lambda t: geo.segment_sum(t, SEG_PTR), X_ANY[:3]),
     ("lorentz_inner", lambda t: geo.lorentz_inner(t, Tensor(OTHER)), X_ANY),

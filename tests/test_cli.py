@@ -110,6 +110,34 @@ def test_embeddings_file_that_is_not_an_array_is_data_error(tmp_path, capsys, ki
     assert err.startswith("data error:") and str(path) in err and "pickle" not in err
 
 
+@pytest.mark.parametrize("sources", [["--embeddings", "EMB", "--tree-layout", "0.1"], []],
+                         ids=["both", "neither"])
+def test_distortion_takes_exactly_one_embedding_source(tmp_path, capsys, sources):
+    edges, g = write_tree_edges(tmp_path, depth=3)
+    emb = tmp_path / "emb.npy"
+    np.save(emb, curvature.tree_layout_hyperbolic(g, 1.0))
+    argv = ["distortion", "--edges", str(edges), "--grid", "1:1:1"]
+    assert main(argv + [str(emb) if a == "EMB" else a for a in sources]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert ("not allowed with argument --embeddings" if sources
+            else "one of the arguments --embeddings --tree-layout is required") in err
+
+
+@pytest.mark.parametrize("command", ["delta", "distortion", "estimate-curvature"])
+@pytest.mark.parametrize("text", ["# no edges\n", "3\t3\n"], ids=["empty", "self-loop"])
+def test_edge_file_without_edges_is_data_error(tmp_path, capsys, command, text):
+    edges = tmp_path / "none.tsv"
+    edges.write_text(text)
+    emb = tmp_path / "emb.npy"
+    np.save(emb, np.tile([1.0, 0.0, 0.0], (4, 1)))
+    extra = {"delta": [], "distortion": ["--tree-layout", "1.0"],
+             "estimate-curvature": ["--embeddings", str(emb)]}[command]
+    assert main([command, "--edges", str(edges)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(edges) in err
+
+
 def test_estimate_curvature_prints_number(tmp_path, capsys):
     edges, g = write_tree_edges(tmp_path, depth=5)
     emb = curvature.tree_layout_hyperbolic(g, 1.0, edge_length=1.0)
@@ -205,6 +233,41 @@ def test_train_unknown_config_field(tmp_path):
                   "nc_train_frac", "nc_val_frac"):
         cfg_path.write_text(json.dumps({field: 1}))
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "[[\"epochs\", 3]]", "null", "3"])
+def test_train_config_that_is_not_an_object_is_data_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(cfg_path) in err
+
+
+@pytest.mark.parametrize("field,value", [("epochs", "ten"), ("epochs", 10.5),
+                                         ("lr", "3e-4"), ("rl_enabled", 1),
+                                         ("dropout", True), ("edge_path", 7)])
+def test_train_config_field_of_wrong_type_is_usage_error(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"synthetic_tree_depth": 3, field: value}))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+
+
+@pytest.mark.parametrize("manifest", [[[1, 2], [3, 4]], {"rows": [[1, 2], [3]]},
+                                      {"rows": [[1, "a"], [3, 4]]},
+                                      {"rows": [[1, {}], [3, 4]]}],
+                         ids=["array", "ragged", "string", "object"])
+def test_bad_json_feature_manifest_is_data_error(tmp_path, capsys, manifest):
+    edges = tmp_path / "e.tsv"
+    edges.write_text("0\t1\n")
+    feats = tmp_path / "f.json"
+    feats.write_text(json.dumps(manifest))
+    assert main(["train", "--edges", str(edges), "--features", str(feats),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(feats) in err
 
 
 def test_train_dropout_of_one_is_rejected(tmp_path, capsys):

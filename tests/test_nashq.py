@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvgnn import nashq
-from curvgnn.nashq import (ACE, HGNN, AceAction, EpsilonSchedule, HgnnAction,
+from curvgnn.nashq import (ACE, HGNN, AceAction, HgnnAction,
                            QTables, discretize_state, epsilon_greedy_joint,
                            equilibrium_reached, nash_equilibrium_2x2, q_update)
 
@@ -239,10 +239,9 @@ def test_epsilon_validation():
 
 
 def test_epsilon_schedule():
-    sched = EpsilonSchedule(start=0.9, floor=0.1, decay=0.99)
-    assert sched.value(0) == 0.9
-    assert sched.value(1) == pytest.approx(0.891)
-    assert sched.value(10_000) == 0.1
+    assert nashq.epsilon(0) == 0.9
+    assert nashq.epsilon(1) == pytest.approx(0.891)
+    assert nashq.epsilon(10_000) == 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +265,12 @@ def test_rewards_basics():
 def test_equilibrium_reached_window():
     settle = (HgnnAction.KEEP, AceAction.HOLD)
     hist = [((3,), settle)] * 20
-    assert equilibrium_reached(hist, patience=20)
-    assert not equilibrium_reached(hist[:-1], patience=20)
+    assert equilibrium_reached(hist)
+    assert not equilibrium_reached(hist[:-1])
     with_explore = hist[:10] + [((3,), (HgnnAction.KEEP, AceAction.EXPLORE))] + hist[:9]
-    assert not equilibrium_reached(with_explore, patience=20)
+    assert not equilibrium_reached(with_explore)
     moved_state = hist[:19] + [((4,), settle)]
-    assert not equilibrium_reached(moved_state, patience=20)
+    assert not equilibrium_reached(moved_state)
 
 
 def test_bandit_convergence_on_common_payoff_game():

@@ -220,7 +220,7 @@ def test_frozen_curvatures_stay_constant(monkeypatch):
 
     calls = {"n": 0}
 
-    def freeze_at_third(history, patience=20):
+    def freeze_at_third(history):
         calls["n"] += 1
         return calls["n"] >= 3
 
