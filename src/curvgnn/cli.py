@@ -84,6 +84,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its generators from non-negative ints."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="curvgnn",
                 description="Hyperbolic GNN with adaptive curvature search")
@@ -100,7 +111,7 @@ def _build_parser() -> _Parser:
     tr.add_argument("--synthetic-tree", type=int, dest="synthetic_tree_depth",
                     help="train on a balanced binary tree of this depth")
     tr.add_argument("--task", choices=["lp", "nc"])
-    tr.add_argument("--seed", type=int)
+    tr.add_argument("--seed", type=_seed)
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--dim", type=int)
     tr.add_argument("--layers", type=int, dest="n_layers")
@@ -123,7 +134,7 @@ def _build_parser() -> _Parser:
     de.add_argument("--edges", required=True)
     de.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     de.add_argument("--samples", type=int, default=5000)
-    de.add_argument("--seed", type=int, default=0)
+    de.add_argument("--seed", type=_seed, default=0)
 
     di = sub.add_parser("distortion",
                         help="sweep embedding distortion over a curvature grid")
@@ -136,7 +147,7 @@ def _build_parser() -> _Parser:
     di.add_argument("--zeta", type=float, default=1.0,
                     help="curvature the embeddings live at")
     di.add_argument("--grid", default="0.2:4.0:0.2", help="start:stop:step, inclusive")
-    di.add_argument("--seed", type=int, default=0)
+    di.add_argument("--seed", type=_seed, default=0)
 
     ec = sub.add_parser("estimate-curvature",
                         help="parallelogram-law curvature estimate of an embedding")
@@ -145,7 +156,7 @@ def _build_parser() -> _Parser:
     ec.add_argument("--zeta", type=float, default=1.0)
     ec.add_argument("--samples", type=int, dest="n_s",
                     help="quadruples per node (default: estimate_kappa's)")
-    ec.add_argument("--seed", type=int, default=0)
+    ec.add_argument("--seed", type=_seed, default=0)
     return p
 
 

@@ -4,6 +4,7 @@ One agent trains the network and decides whether to adopt newly proposed
 curvatures; the other decides whether to spend effort exploring new ones.
 Each epoch both act, both collect a task-metric reward, and both tables
 bootstrap on the stage game's Nash equilibrium value instead of a max.
+`CurvatureSearch` plays this over a training run; the rest are its parts.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from . import curvature, manifold
 from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
 
 log = logging.getLogger(__name__)
@@ -175,20 +177,81 @@ def compute_rewards(metric_curr: float, metric_remapped: float, metric_prev: flo
     return metric_curr - metric_prev, metric_remapped - metric_prev
 
 
-def equilibrium_reached(history) -> bool:
-    """Both agents settled: same state and a greedy (KEEP, HOLD) equilibrium
-    for EQUILIBRIUM_PATIENCE consecutive epochs."""
-    if len(history) < EQUILIBRIUM_PATIENCE:
-        return False
-    window = list(history)[-EQUILIBRIUM_PATIENCE:]
-    state0 = window[0][0]
-    for state, action in window:
-        if state != state0 or action != (HgnnAction.KEEP, AceAction.HOLD):
-            return False
-    return True
+def settled_streak(streak: int, prev_state: tuple, state: tuple, pure) -> int:
+    """Epochs in a row, this one included, that ended in one state at a
+    greedy (KEEP, HOLD) equilibrium; `streak` is the count before this epoch."""
+    if pure != (HgnnAction.KEEP, AceAction.HOLD):
+        return 0
+    return streak + 1 if state == prev_state else 1
 
 
 def epsilon(epoch: int) -> float:
     """The exploration rate at a 0-based epoch: multiplicative decay from
     EPSILON_START toward EPSILON_FLOOR."""
     return max(EPSILON_FLOOR, EPSILON_START * EPSILON_DECAY ** epoch)
+
+
+class CurvatureSearch:
+    """The curvature search of one training run, one `update` per epoch.
+
+    `update` runs after the epoch's training step and val score. The joint
+    action may be drawn that late because the step reads nothing of the
+    search: the search draws from its own stream, an adopted curvature
+    takes effect the next epoch, and EXPLORE reads the previous epoch's
+    embeddings. With RL off the search starts frozen. The curvature and
+    tabular functions are called through their modules, so wrapping a
+    module attribute reaches every call.
+    """
+
+    def __init__(self, config, graph, zetas, emb: np.ndarray, metric: float, score):
+        """`emb`: eval embeddings at `zetas`, with val score `metric`;
+        `score(emb, zeta)`: val score of embeddings at output curvature zeta."""
+        self._config, self._graph, self._score = config, graph, score
+        self._rng = np.random.default_rng([config.seed, 4])
+        self._tables = QTables()
+        self._zetas = self._proposal = list(zetas)
+        self._prev = (emb, self._zetas[-1], metric)  # embeddings, their curvature, score
+        self._state = discretize_state(zetas, config.zeta_min, config.zeta_max)
+        self._streak = 0
+        self.freeze_epoch: int | None = None
+        # the stage game's solution at the state, None while frozen; after each
+        # update it is the one q_update left, since nothing changes the tables
+        # or the curvatures before the next epoch's greedy play
+        self._sol = self._tables.solve(self._state) if config.rl_enabled else None
+
+    def update(self, epoch: int, emb: np.ndarray, metric: float):
+        """Play epoch `epoch` (from 1) on its eval embeddings `emb`, scored `metric`;
+        return the next curvatures and the record's action and reward fields."""
+        cfg = self._config
+        emb_prev, zeta_prev, metric_prev = self._prev
+        self._prev = (emb, self._zetas[-1], metric)
+        action = None if self._sol is None else epsilon_greedy_joint(
+            self._sol, epsilon(epoch - 1), self._rng)
+
+        metric_remap = metric_prev
+        if action is not None and action[1] == AceAction.EXPLORE:
+            est = curvature.estimate_kappa(self._graph, emb_prev, zeta_prev,
+                                           seed=cfg.seed * 100003 + epoch)
+            self._proposal = [curvature.update_curvature(z, est.kappa, cfg.gamma,
+                                                         cfg.zeta_min, cfg.zeta_max)
+                              for z in self._zetas]
+            remapped = manifold.transfer_curvature(emb_prev, zeta_prev, self._proposal[-1])
+            metric_remap = self._score(remapped, self._proposal[-1])
+        r_hgnn, r_ace = compute_rewards(metric, metric_remap, metric_prev)
+
+        if action is not None:
+            if action[0] == HgnnAction.ADOPT:
+                self._zetas = self._proposal
+            state = discretize_state(self._zetas, cfg.zeta_min, cfg.zeta_max)
+            q_update(self._tables, self._state, action, (r_hgnn, r_ace), state,
+                     cfg.alpha, cfg.beta)
+            self._sol = self._tables.solve(state)
+            self._streak = settled_streak(self._streak, self._state, state, self._sol.pure)
+            self._state = state
+            if self._streak >= EQUILIBRIUM_PATIENCE:
+                self._sol, self.freeze_epoch = None, epoch
+                log.info("Nash equilibrium reached at epoch %d; curvature frozen "
+                         "at %s", epoch, self._zetas)
+        return list(self._zetas), {"r_hgnn": r_hgnn, "r_ace": r_ace,
+                                   "action_hgnn": action[0].name if action else None,
+                                   "action_ace": action[1].name if action else None}

@@ -1,12 +1,13 @@
 """Training orchestration: cooperative curvature search plus task training.
 
-Each epoch: read the discretized curvature state, pick a joint action by
-epsilon-greedy play, run one supervised step of the network, optionally
-re-estimate curvature and remap the previous embeddings, score both
-moves on the validation split, and apply a Nash-Q update. Once the two
-agents sit at a (KEEP, HOLD) equilibrium for enough consecutive epochs
-(`nashq.equilibrium_reached`) the curvatures freeze and plain supervised
-training continues.
+Each epoch: run one supervised step of the network, score its eval
+embeddings on the validation split (keeping the best snapshot), then let
+the curvature search play (`nashq.CurvatureSearch.update`): it picks a
+joint action by epsilon-greedy play, optionally re-estimates curvature and
+scores the remapped previous embeddings, applies a Nash-Q update and
+returns the curvatures for the next epoch. Once the two agents sit at a
+(KEEP, HOLD) equilibrium for enough consecutive epochs the curvatures
+freeze and plain supervised training continues.
 
 Determinism: every random choice draws from a named stream spawned from
 the run seed, so a fixed seed reproduces splits, initialization, dropout,
@@ -16,6 +17,7 @@ negative samples, exploration, and the emitted records bit-for-bit
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import time
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import curvature, graphs, layers, manifold, nashq
+from . import curvature, graphs, layers, nashq
 from .autodiff import Adam, backward
 from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
 
@@ -111,6 +113,13 @@ class RunConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:  # numpy seeds its generators from non-negative ints
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.synthetic_tree_depth is not None and self.synthetic_tree_depth < 1:
+            raise ValueError("synthetic_tree_depth must be >= 1, "
+                             f"got {self.synthetic_tree_depth}")
+        if self.distortion_every < 0:  # 0 turns the in-loop distortion off
+            raise ValueError(f"distortion_every must be >= 0, got {self.distortion_every}")
         if not (0 < self.zeta_min <= self.zeta0 <= self.zeta_max):
             raise ValueError("need 0 < zeta_min <= zeta0 <= zeta_max")
 
@@ -317,11 +326,9 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     msg_g = task.msg_graph
     edges = layers.message_edges(msg_g)
     optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=WEIGHT_DECAY)
-    tables = nashq.QTables()
 
     drop_rng = np.random.default_rng([config.seed, 2])
     neg_rng = np.random.default_rng([config.seed, 3])
-    rl_rng = np.random.default_rng([config.seed, 4])
 
     def eval_embeddings() -> np.ndarray:
         return model.forward(msg_g, training=False, edges=edges).data
@@ -342,18 +349,11 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         optimizer.step()
         return float(loss.data)
 
-    def discretize(zs):
-        return nashq.discretize_state(zs, config.zeta_min, config.zeta_max)
-
+    score = functools.partial(task.val_metric, model=model)
     records: list[EpochRecord] = []
-    eq_history: list[tuple] = []
-    frozen = not config.rl_enabled
-    freeze_epoch: int | None = None
-    zeta_ace = list(model.zetas)
-
-    emb_prev = eval_embeddings()
-    zeta_prev_out = model.zetas[-1]
-    metric_prev = task.val_metric(emb_prev, zeta_prev_out, model)
+    emb0 = eval_embeddings()
+    search = nashq.CurvatureSearch(config, msg_g, model.zetas, emb0,
+                                   score(emb0, model.zetas[-1]), score)
 
     # epoch 1 always improves on -inf (the metrics lie in [0, 1]), so the
     # best snapshot and embeddings are set before the loop can end
@@ -361,26 +361,17 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     best_epoch = 0
     since_best = 0
 
-    # the state and the stage game's solution at it; after each update both
-    # are the ones q_update left, since nothing changes the tables or the
-    # curvatures before the next epoch's greedy play
-    state = discretize(model.zetas)
-    sol = None if frozen else tables.solve(state)
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
-        action = None
-        if not frozen:
-            action = nashq.epsilon_greedy_joint(sol, nashq.epsilon(epoch - 1), rl_rng)
-
         loss = train_step()
         if not np.isfinite(loss):
             _dump_divergence(out_dir, epoch, records, model)
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         emb_curr = eval_embeddings()
         zeta_curr_out = model.zetas[-1]  # the curvature emb_curr lives at
-        metric_curr = task.val_metric(emb_curr, zeta_curr_out, model)
+        metric_curr = score(emb_curr, zeta_curr_out)
 
-        # snapshot now, before any curvature adoption below: the best state
+        # snapshot before the search may adopt curvatures: the best state
         # must pair these parameters with the curvatures they were scored at
         if metric_curr > best_val:
             best_val = metric_curr
@@ -390,34 +381,8 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         else:
             since_best += 1
 
-        metric_remap = metric_prev
-        if action is not None and action[1] == nashq.AceAction.EXPLORE:
-            est = curvature.estimate_kappa(msg_g, emb_prev, zeta_prev_out,
-                                           seed=config.seed * 100003 + epoch)
-            zeta_ace = [curvature.update_curvature(z, est.kappa, config.gamma,
-                                                   config.zeta_min, config.zeta_max)
-                        for z in model.zetas]
-            remapped = manifold.transfer_curvature(emb_prev, zeta_prev_out, zeta_ace[-1])
-            metric_remap = task.val_metric(remapped, zeta_ace[-1], model)
-        r_hgnn, r_ace = nashq.compute_rewards(metric_curr, metric_remap, metric_prev)
-
-        if action is not None:
-            if action[0] == nashq.HgnnAction.ADOPT:
-                zeta_next = list(zeta_ace)
-            else:
-                zeta_next = list(model.zetas)
-            next_state = discretize(zeta_next)
-            nashq.q_update(tables, state, action, (r_hgnn, r_ace), next_state,
-                           config.alpha, config.beta)
-            model.set_zetas(zeta_next)
-            state = next_state
-            sol = tables.solve(state)
-            eq_history.append((state, sol.pure))
-            if nashq.equilibrium_reached(eq_history):
-                frozen = True
-                freeze_epoch = epoch
-                log.info("Nash equilibrium reached at epoch %d; curvature frozen "
-                         "at %s", epoch, model.zetas)
+        zetas, play = search.update(epoch, emb_curr, metric_curr)
+        model.set_zetas(zetas)
 
         distortion_val = None
         if config.distortion_every and epoch % config.distortion_every == 0:
@@ -427,15 +392,8 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         records.append(EpochRecord(
             epoch=epoch, train_loss=loss, val_metric=metric_curr,
-            zetas=[float(z) for z in model.zetas],
-            action_hgnn=action[0].name if action else None,
-            action_ace=action[1].name if action else None,
-            r_hgnn=r_hgnn, r_ace=r_ace, distortion=distortion_val,
-            wall_ms=wall_ms))
-
-        metric_prev = metric_curr
-        emb_prev = emb_curr
-        zeta_prev_out = zeta_curr_out
+            zetas=[float(z) for z in model.zetas], distortion=distortion_val,
+            wall_ms=wall_ms, **play))
 
         if since_best >= EARLY_STOP_PATIENCE:
             log.info("early stop at epoch %d (no val improvement for %d epochs)",
@@ -454,7 +412,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
                          final_embeddings=final_emb,
                          final_zetas=[float(z) for z in model.zetas],
                          final_distortion=final_distortion,
-                         freeze_epoch=freeze_epoch, checkpoint=checkpoint)
+                         freeze_epoch=search.freeze_epoch, checkpoint=checkpoint)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result

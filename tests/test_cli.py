@@ -276,6 +276,37 @@ def test_train_dropout_of_one_is_rejected(tmp_path, capsys):
     assert "dropout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--synthetic-tree", "3", "--out", "o"],
+    ["delta", "--edges", "e.tsv"],
+    ["distortion", "--edges", "e.tsv", "--tree-layout", "0.5"],
+    ["estimate-curvature", "--edges", "e.tsv", "--embeddings", "x.npy"]],
+    ids=["train", "delta", "distortion", "estimate-curvature"])
+def test_negative_seed_is_usage_error_naming_the_flag(capsys, command):
+    # argparse rejects it before any file is read
+    assert main([*command, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --seed: must be >= 0")
+
+
+@pytest.mark.parametrize("fields", [{"seed": -1}, {"synthetic_tree_depth": -3},
+                                    {"synthetic_tree_depth": 0},
+                                    {"distortion_every": -2}],
+                         ids=["seed", "depth-3", "depth0", "distortion_every"])
+def test_train_config_negative_count_is_usage_error_naming_the_field(
+        tmp_path, capsys, fields):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"synthetic_tree_depth": 3, **fields}))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    field = next(iter(fields))
+    assert capsys.readouterr().err.startswith(f"error: {field} must be >= ")
+
+
+def test_train_negative_synthetic_tree_flag_names_the_field(tmp_path, capsys):
+    assert main(["train", "--synthetic-tree", "-3", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: synthetic_tree_depth must be >= 1")
+
+
 def test_every_train_option_sets_its_config_field():
     defaults = RunConfig()
     sub = next(a for a in _build_parser()._actions if a.dest == "command")
@@ -291,7 +322,7 @@ def test_every_train_option_sets_its_config_field():
             want = next(c for c in action.choices if c != getattr(defaults, action.dest))
             argv = [flag, want]
         else:
-            want = {int: 3, float: 0.25, None: "file.tsv"}[action.type]
+            want = {int: 3, cli._seed: 3, float: 0.25, None: "file.tsv"}[action.type]
             argv = [flag, str(want)]
         assert want != getattr(defaults, action.dest), flag
         args = _build_parser().parse_args(["train", *argv, "--out", "o"])

@@ -6,7 +6,7 @@ import pytest
 from curvgnn import nashq
 from curvgnn.nashq import (ACE, HGNN, AceAction, HgnnAction,
                            QTables, discretize_state, epsilon_greedy_joint,
-                           equilibrium_reached, nash_equilibrium_2x2, q_update)
+                           nash_equilibrium_2x2, q_update, settled_streak)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +262,49 @@ def test_rewards_basics():
             nashq.compute_rewards(*bad)
 
 
-def test_equilibrium_reached_window():
+def equilibrium_reached(history) -> bool:
+    """Oracle: both agents settled, i.e. the same state and a greedy (KEEP,
+    HOLD) equilibrium for the last EQUILIBRIUM_PATIENCE entries of a list of
+    (state, pure equilibrium) pairs."""
+    if len(history) < nashq.EQUILIBRIUM_PATIENCE:
+        return False
+    window = list(history)[-nashq.EQUILIBRIUM_PATIENCE:]
+    state0 = window[0][0]
+    for state, action in window:
+        if state != state0 or action != (HgnnAction.KEEP, AceAction.HOLD):
+            return False
+    return True
+
+
+def test_settled_streak_matches_window_oracle():
     settle = (HgnnAction.KEEP, AceAction.HOLD)
-    hist = [((3,), settle)] * 20
-    assert equilibrium_reached(hist)
-    assert not equilibrium_reached(hist[:-1])
-    with_explore = hist[:10] + [((3,), (HgnnAction.KEEP, AceAction.EXPLORE))] + hist[:9]
-    assert not equilibrium_reached(with_explore)
-    moved_state = hist[:19] + [((4,), settle)]
-    assert not equilibrium_reached(moved_state)
+    pures = [settle, (HgnnAction.KEEP, AceAction.EXPLORE),
+             (HgnnAction.ADOPT, AceAction.HOLD), None]
+    rng = np.random.default_rng(5)
+    reached = 0
+    for _ in range(3000):
+        # mostly settled plays in few states, so long streaks occur
+        n = int(rng.integers(1, 60))
+        states = [(int(s),) for s in rng.choice(2, n, p=[0.95, 0.05])]
+        plays = [settle if rng.random() < 0.93 else pures[int(rng.integers(1, 4))]
+                 for _ in range(n)]
+        streak, prev = 0, (0,)
+        for i, (state, pure) in enumerate(zip(states, plays)):
+            streak = settled_streak(streak, prev, state, pure)
+            prev = state
+            hist = list(zip(states[:i + 1], plays[:i + 1]))
+            assert (streak >= nashq.EQUILIBRIUM_PATIENCE) == equilibrium_reached(hist)
+            reached += equilibrium_reached(hist)
+    assert reached > 100
+
+
+def test_settled_streak_counts_one_state_at_keep_hold():
+    settle = (HgnnAction.KEEP, AceAction.HOLD)
+    assert settled_streak(4, (3,), (3,), settle) == 5
+    assert settled_streak(4, (3,), (4,), settle) == 1
+    assert settled_streak(0, (3,), (3,), settle) == 1
+    assert settled_streak(4, (3,), (3,), (HgnnAction.KEEP, AceAction.EXPLORE)) == 0
+    assert settled_streak(4, (3,), (3,), None) == 0
 
 
 def test_bandit_convergence_on_common_payoff_game():
