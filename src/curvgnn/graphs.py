@@ -303,9 +303,13 @@ def make_nc_split(g: Graph, seed: int = 0) -> NodeSplit:
     """Stratified-by-class node split; the remainder after train/val is test."""
     if g.labels is None:
         raise DataError("graph has no labels; cannot build a classification split")
+    classes = _kernels.sorted_unique(g.labels[g.labels >= 0])
+    if len(classes) < 2:
+        raise DataError("node classification needs labelled nodes in >= 2 classes, "
+                        f"got {len(classes)}")
     rng = np.random.default_rng(seed)
     train, val, test = [], [], []
-    for cls in _kernels.sorted_unique(g.labels[g.labels >= 0]):
+    for cls in classes:
         ids = np.flatnonzero(g.labels == cls)
         ids = ids[rng.permutation(len(ids))]
         n_tr = max(1, int(round(len(ids) * NC_TRAIN_FRAC)))

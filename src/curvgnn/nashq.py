@@ -1,7 +1,7 @@
 """Two-agent tabular Nash Q-learning over discretized curvature states.
 
-One agent trains the network and decides whether to adopt newly proposed
-curvatures; the other decides whether to spend effort exploring new ones.
+One agent trains the network and decides whether to adopt a newly proposed
+curvature; the other decides whether to spend effort exploring new ones.
 Each epoch both act, both collect a task-metric reward, and both tables
 bootstrap on the stage game's Nash equilibrium value instead of a max.
 `CurvatureSearch` plays this over a training run; the rest are its parts.
@@ -16,14 +16,13 @@ from enum import IntEnum
 import numpy as np
 
 from . import curvature, manifold
-from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
 
 log = logging.getLogger(__name__)
 
 
 class HgnnAction(IntEnum):
-    ADOPT = 0  # take the proposed curvatures for the next epoch
-    KEEP = 1   # stay with the current ones
+    ADOPT = 0  # take the proposed curvature for the next epoch
+    KEEP = 1   # stay with the current one
 
 
 class AceAction(IntEnum):
@@ -39,21 +38,16 @@ ACE = 1
 
 
 STATE_BIN_WIDTH = 0.1  # curvature bin of a Q-table state
-EQUILIBRIUM_PATIENCE = 20  # settled epochs before the curvatures freeze
+EQUILIBRIUM_PATIENCE = 20  # settled epochs before the curvature freezes
 # epsilon-greedy exploration: EPSILON_START * EPSILON_DECAY**epoch, floored
 EPSILON_START = 0.9
 EPSILON_FLOOR = 0.1
 EPSILON_DECAY = 0.99
 
 
-def discretize_state(zetas, zeta_min: float = DEFAULT_ZETA_MIN,
-                     zeta_max: float = DEFAULT_ZETA_MAX) -> tuple:
-    """Clamp each per-layer curvature into bounds and bin it for table keys."""
-    bins = []
-    for z in zetas:
-        z = min(max(float(z), zeta_min), zeta_max)
-        bins.append(int((z - zeta_min) / STATE_BIN_WIDTH + 1e-9))
-    return tuple(bins)
+def discretize_state(zeta: float, zeta_min: float) -> int:
+    """The Q-table state of curvature `zeta`: its bin above `zeta_min`."""
+    return int((zeta - zeta_min) / STATE_BIN_WIDTH + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -110,18 +104,18 @@ def nash_equilibrium_2x2(q1, q2) -> NashSolution:
 
 
 class QTables:
-    """Per-agent action-value tables keyed by discretized joint state."""
+    """Per-agent action-value tables keyed by discretized curvature state."""
 
     def __init__(self):
         self._tables = ({}, {})  # HGNN, ACE
 
-    def table(self, agent: int, state: tuple) -> np.ndarray:
+    def table(self, agent: int, state: int) -> np.ndarray:
         tbl = self._tables[agent]
         if state not in tbl:
             tbl[state] = np.zeros((2, 2))
         return tbl[state]
 
-    def solve(self, state: tuple) -> NashSolution:
+    def solve(self, state: int) -> NashSolution:
         return nash_equilibrium_2x2(self.table(HGNN, state), self.table(ACE, state))
 
 
@@ -143,7 +137,7 @@ def epsilon_greedy_joint(sol: NashSolution, eps: float, rng: np.random.Generator
     return HgnnAction(i), AceAction(j)
 
 
-def q_update(tables: QTables, state: tuple, action, rewards, next_state: tuple,
+def q_update(tables: QTables, state: int, action, rewards, next_state: int,
              alpha: float, beta: float) -> None:
     """Nash-Q Bellman step for both agents at the taken joint action.
 
@@ -177,7 +171,7 @@ def compute_rewards(metric_curr: float, metric_remapped: float, metric_prev: flo
     return metric_curr - metric_prev, metric_remapped - metric_prev
 
 
-def settled_streak(streak: int, prev_state: tuple, state: tuple, pure) -> int:
+def settled_streak(streak: int, prev_state: int, state: int, pure) -> int:
     """Epochs in a row, this one included, that ended in one state at a
     greedy (KEEP, HOLD) equilibrium; `streak` is the count before this epoch."""
     if pure != (HgnnAction.KEEP, AceAction.HOLD):
@@ -192,7 +186,8 @@ def epsilon(epoch: int) -> float:
 
 
 class CurvatureSearch:
-    """The curvature search of one training run, one `update` per epoch.
+    """The search for a training run's one curvature, which `train` applies
+    to every layer; one `update` per epoch.
 
     `update` runs after the epoch's training step and val score. The joint
     action may be drawn that late because the step reads nothing of the
@@ -203,28 +198,28 @@ class CurvatureSearch:
     module attribute reaches every call.
     """
 
-    def __init__(self, config, graph, zetas, emb: np.ndarray, metric: float, score):
-        """`emb`: eval embeddings at `zetas`, with val score `metric`;
+    def __init__(self, config, graph, emb: np.ndarray, metric: float, score):
+        """`emb`: eval embeddings at `config.zeta0`, with val score `metric`;
         `score(emb, zeta)`: val score of embeddings at output curvature zeta."""
         self._config, self._graph, self._score = config, graph, score
         self._rng = np.random.default_rng([config.seed, 4])
         self._tables = QTables()
-        self._zetas = self._proposal = list(zetas)
-        self._prev = (emb, self._zetas[-1], metric)  # embeddings, their curvature, score
-        self._state = discretize_state(zetas, config.zeta_min, config.zeta_max)
+        self._zeta = self._proposal = config.zeta0
+        self._prev = (emb, self._zeta, metric)  # embeddings, their curvature, score
+        self._state = discretize_state(self._zeta, config.zeta_min)
         self._streak = 0
         self.freeze_epoch: int | None = None
         # the stage game's solution at the state, None while frozen; after each
         # update it is the one q_update left, since nothing changes the tables
-        # or the curvatures before the next epoch's greedy play
+        # or the curvature before the next epoch's greedy play
         self._sol = self._tables.solve(self._state) if config.rl_enabled else None
 
     def update(self, epoch: int, emb: np.ndarray, metric: float):
         """Play epoch `epoch` (from 1) on its eval embeddings `emb`, scored `metric`;
-        return the next curvatures and the record's action and reward fields."""
+        return the next curvature and the record's action and reward fields."""
         cfg = self._config
         emb_prev, zeta_prev, metric_prev = self._prev
-        self._prev = (emb, self._zetas[-1], metric)
+        self._prev = (emb, self._zeta, metric)
         action = None if self._sol is None else epsilon_greedy_joint(
             self._sol, epsilon(epoch - 1), self._rng)
 
@@ -232,17 +227,16 @@ class CurvatureSearch:
         if action is not None and action[1] == AceAction.EXPLORE:
             est = curvature.estimate_kappa(self._graph, emb_prev, zeta_prev,
                                            seed=cfg.seed * 100003 + epoch)
-            self._proposal = [curvature.update_curvature(z, est.kappa, cfg.gamma,
-                                                         cfg.zeta_min, cfg.zeta_max)
-                              for z in self._zetas]
-            remapped = manifold.transfer_curvature(emb_prev, zeta_prev, self._proposal[-1])
-            metric_remap = self._score(remapped, self._proposal[-1])
+            self._proposal = curvature.update_curvature(self._zeta, est.kappa, cfg.gamma,
+                                                        cfg.zeta_min, cfg.zeta_max)
+            remapped = manifold.transfer_curvature(emb_prev, zeta_prev, self._proposal)
+            metric_remap = self._score(remapped, self._proposal)
         r_hgnn, r_ace = compute_rewards(metric, metric_remap, metric_prev)
 
         if action is not None:
             if action[0] == HgnnAction.ADOPT:
-                self._zetas = self._proposal
-            state = discretize_state(self._zetas, cfg.zeta_min, cfg.zeta_max)
+                self._zeta = self._proposal
+            state = discretize_state(self._zeta, cfg.zeta_min)
             q_update(self._tables, self._state, action, (r_hgnn, r_ace), state,
                      cfg.alpha, cfg.beta)
             self._sol = self._tables.solve(state)
@@ -251,7 +245,7 @@ class CurvatureSearch:
             if self._streak >= EQUILIBRIUM_PATIENCE:
                 self._sol, self.freeze_epoch = None, epoch
                 log.info("Nash equilibrium reached at epoch %d; curvature frozen "
-                         "at %s", epoch, self._zetas)
-        return list(self._zetas), {"r_hgnn": r_hgnn, "r_ace": r_ace,
-                                   "action_hgnn": action[0].name if action else None,
-                                   "action_ace": action[1].name if action else None}
+                         "at %g", epoch, self._zeta)
+        return self._zeta, {"r_hgnn": r_hgnn, "r_ace": r_ace,
+                            "action_hgnn": action[0].name if action else None,
+                            "action_ace": action[1].name if action else None}

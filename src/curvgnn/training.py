@@ -5,9 +5,9 @@ embeddings on the validation split (keeping the best snapshot), then let
 the curvature search play (`nashq.CurvatureSearch.update`): it picks a
 joint action by epsilon-greedy play, optionally re-estimates curvature and
 scores the remapped previous embeddings, applies a Nash-Q update and
-returns the curvatures for the next epoch. Once the two agents sit at a
-(KEEP, HOLD) equilibrium for enough consecutive epochs the curvatures
-freeze and plain supervised training continues.
+returns the curvature that every layer takes for the next epoch. Once the
+two agents sit at a (KEEP, HOLD) equilibrium for enough consecutive epochs
+the curvature freezes and plain supervised training continues.
 
 Determinism: every random choice draws from a named stream spawned from
 the run seed, so a fixed seed reproduces splits, initialization, dropout,
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curvature, graphs, layers, nashq
-from .autodiff import Adam, backward
+from .autodiff import Adam, Tensor, backward
 from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
 
 log = logging.getLogger(__name__)
@@ -122,6 +122,13 @@ class RunConfig:
             raise ValueError(f"distortion_every must be >= 0, got {self.distortion_every}")
         if not (0 < self.zeta_min <= self.zeta0 <= self.zeta_max):
             raise ValueError("need 0 < zeta_min <= zeta0 <= zeta_max")
+        # the LP split's fractions, checked for every task
+        for name, frac in (("val_frac", self.val_frac), ("test_frac", self.test_frac)):
+            if not (0.0 < frac < 1.0):
+                raise ValueError(f"{name} must lie in (0, 1), got {frac}")
+        if self.val_frac + self.test_frac >= 1.0:
+            raise ValueError("val_frac + test_frac must be below 1, "
+                             f"got {self.val_frac} + {self.test_frac}")
 
 
 @dataclass
@@ -216,19 +223,27 @@ def _load_dataset(config: RunConfig) -> graphs.Graph:
 
 @dataclass
 class _Task:
-    """Evaluation context shared by training, reward, and final eval."""
+    """A task is its split: an `EdgeSplit` for link prediction, a `NodeSplit`
+    for node classification. Training, reward and final eval score here."""
 
-    kind: str
     msg_graph: graphs.Graph
     full_graph: graphs.Graph
-    edge_split: graphs.EdgeSplit | None = None
-    node_split: graphs.NodeSplit | None = None
+    split: graphs.EdgeSplit | graphs.NodeSplit
+
+    def loss(self, emb: Tensor, model, neg_rng: np.random.Generator) -> Tensor:
+        """Training loss of `model`'s embeddings `emb`; LP negatives come from `neg_rng`."""
+        s, zeta = self.split, model.zetas[-1]
+        if isinstance(s, graphs.EdgeSplit):
+            neg = graphs.sample_negative_edges(self.full_graph, len(s.train_pos), neg_rng)
+            return layers.lp_loss(emb, s.train_pos, neg, zeta)
+        logits = layers.nc_logits(emb, zeta, model.W_cls, model.b_cls)
+        return layers.nc_loss(logits, self.full_graph.labels, s.train)
 
     def val_metric(self, emb: np.ndarray, zeta: float, model) -> float:
-        if self.kind == "lp":
-            return self._lp_metric(emb, zeta, self.edge_split.val_pos,
-                                   self.edge_split.val_neg)
-        return self._nc_metric(emb, zeta, model, self.node_split.val)
+        s = self.split
+        if isinstance(s, graphs.EdgeSplit):
+            return self._lp_metric(emb, zeta, s.val_pos, s.val_neg)
+        return self._nc_metric(emb, zeta, model, s.val)
 
     def test_metric(self, model) -> float:
         """Test-split score from an eval forward over `full_graph`.
@@ -238,11 +253,10 @@ class _Task:
         before they are scored.
         """
         emb = model.forward(self.full_graph, training=False).data
-        zeta = model.zetas[-1]
-        if self.kind == "lp":
-            return self._lp_metric(emb, zeta, self.edge_split.test_pos,
-                                   self.edge_split.test_neg)
-        return self._nc_metric(emb, zeta, model, self.node_split.test)
+        s, zeta = self.split, model.zetas[-1]
+        if isinstance(s, graphs.EdgeSplit):
+            return self._lp_metric(emb, zeta, s.test_pos, s.test_neg)
+        return self._nc_metric(emb, zeta, model, s.test)
 
     def _lp_metric(self, emb, zeta, pos, neg) -> float:
         scores = layers.lp_scores(emb, np.concatenate([pos, neg]), zeta)
@@ -258,10 +272,8 @@ class _Task:
 def _build_task(config: RunConfig, g: graphs.Graph) -> _Task:
     if config.task == "lp":
         split = graphs.make_lp_split(g, config.val_frac, config.test_frac, config.seed)
-        return _Task("lp", msg_graph=g.with_edges(split.train_pos), full_graph=g,
-                     edge_split=split)
-    split = graphs.make_nc_split(g, seed=config.seed)
-    return _Task("nc", msg_graph=g, full_graph=g, node_split=split)
+        return _Task(g.with_edges(split.train_pos), g, split)
+    return _Task(g, g, graphs.make_nc_split(g, seed=config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +317,7 @@ def _prepare(config: RunConfig):
         raise graphs.DataError("training requires node features")
     g = replace(g, features=_cap_feature_norms(g.features))
     task = _build_task(config, g)
-    n_classes = None
-    if config.task == "nc":
-        if g.labels is None:
-            raise graphs.DataError("node classification requires labels")
-        n_classes = int(g.labels.max()) + 1
+    n_classes = None if isinstance(task.split, graphs.EdgeSplit) else int(g.labels.max()) + 1
     init_rng = np.random.default_rng([config.seed, 1])
     model = layers.HyperbolicGNN(g.features.shape[1], config.dim, config.n_layers,
                                  config.zeta0, init_rng, dropout=config.dropout,
@@ -335,15 +343,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
 
     def train_step() -> float:
         emb = model.forward(msg_g, training=True, rng=drop_rng, edges=edges)
-        zeta_out = model.zetas[-1]
-        if config.task == "lp":
-            pos = task.edge_split.train_pos
-            neg = graphs.sample_negative_edges(task.full_graph, len(pos), neg_rng)
-            loss = layers.lp_loss(emb, pos, neg, zeta_out)
-        else:
-            logits = layers.nc_logits(emb, zeta_out, model.W_cls, model.b_cls)
-            loss = layers.nc_loss(logits, task.full_graph.labels,
-                                  task.node_split.train)
+        loss = task.loss(emb, model, neg_rng)
         optimizer.zero_grad()
         backward(loss)
         optimizer.step()
@@ -352,8 +352,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     score = functools.partial(task.val_metric, model=model)
     records: list[EpochRecord] = []
     emb0 = eval_embeddings()
-    search = nashq.CurvatureSearch(config, msg_g, model.zetas, emb0,
-                                   score(emb0, model.zetas[-1]), score)
+    search = nashq.CurvatureSearch(config, msg_g, emb0, score(emb0, config.zeta0), score)
 
     # epoch 1 always improves on -inf (the metrics lie in [0, 1]), so the
     # best snapshot and embeddings are set before the loop can end
@@ -371,8 +370,8 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         zeta_curr_out = model.zetas[-1]  # the curvature emb_curr lives at
         metric_curr = score(emb_curr, zeta_curr_out)
 
-        # snapshot before the search may adopt curvatures: the best state
-        # must pair these parameters with the curvatures they were scored at
+        # snapshot before the search may adopt a curvature: the best state
+        # must pair these parameters with the curvature they were scored at
         if metric_curr > best_val:
             best_val = metric_curr
             best_epoch = epoch
@@ -381,8 +380,8 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         else:
             since_best += 1
 
-        zetas, play = search.update(epoch, emb_curr, metric_curr)
-        model.set_zetas(zetas)
+        zeta, play = search.update(epoch, emb_curr, metric_curr)
+        model.set_zetas([zeta] * config.n_layers)
 
         distortion_val = None
         if config.distortion_every and epoch % config.distortion_every == 0:

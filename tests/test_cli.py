@@ -270,6 +270,44 @@ def test_bad_json_feature_manifest_is_data_error(tmp_path, capsys, manifest):
     assert err.startswith("data error:") and str(feats) in err
 
 
+def nc_train_args(tmp_path, labels: str) -> list:
+    """`train --task nc` on a depth-3 tree with features and these labels."""
+    edges, g = write_tree_edges(tmp_path, depth=3)
+    feats = tmp_path / "feats.csv"
+    feats.write_text("".join(f"{v % 2},0.5\n" for v in range(g.n_nodes)))
+    label_path = tmp_path / "labels.csv"
+    label_path.write_text(labels)
+    return ["train", "--task", "nc", "--edges", str(edges), "--features", str(feats),
+            "--labels", str(label_path), "--epochs", "2", "--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("labels,count", [("# no node labelled\n", 0),
+                                          ("".join(f"{v},0\n" for v in range(15)), 1)],
+                         ids=["none", "one-class"])
+def test_node_classification_without_two_labelled_classes_is_data_error(
+        tmp_path, capsys, labels, count):
+    assert main(nc_train_args(tmp_path, labels)) == 2
+    assert capsys.readouterr().err.startswith(
+        "data error: node classification needs labelled nodes in >= 2 classes, "
+        f"got {count}")
+
+
+@pytest.mark.parametrize("task", ["lp", "nc"])
+@pytest.mark.parametrize("fracs,message", [
+    (["--val-frac", "9", "--test-frac", "-3"], "val_frac must lie in (0, 1), got 9.0"),
+    (["--test-frac", "-3"], "test_frac must lie in (0, 1), got -3.0"),
+    (["--val-frac", "0.5", "--test-frac", "0.5"], "val_frac + test_frac must be below 1")],
+    ids=["val", "test", "sum"])
+def test_split_fractions_are_usage_errors_naming_the_field(tmp_path, capsys, task, fracs,
+                                                          message):
+    # node classification splits 70/15/15 whatever the fractions, but bad
+    # values are rejected for it too
+    argv = nc_train_args(tmp_path, "".join(f"{v},{v % 3}\n" for v in range(15)))
+    argv[argv.index("--task") + 1] = task
+    assert main(argv + fracs) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_train_dropout_of_one_is_rejected(tmp_path, capsys):
     assert main(["train", "--synthetic-tree", "4", "--dropout", "1.0",
                  "--out", str(tmp_path)]) == 1

@@ -14,10 +14,12 @@ from curvgnn.nashq import (ACE, HGNN, AceAction, HgnnAction,
 # ---------------------------------------------------------------------------
 
 def test_discretize_basics():
-    assert discretize_state([0.1]) == (0,)
-    assert discretize_state([0.35]) == (2,)
-    assert discretize_state([0.17, 0.19]) == discretize_state([0.11, 0.15])
-    assert discretize_state([99.0]) == discretize_state([10.0])  # clamped
+    assert discretize_state(0.1, 0.1) == 0
+    assert discretize_state(0.35, 0.1) == 2
+    assert type(discretize_state(0.35, 0.1)) is int
+    assert discretize_state(0.19, 0.1) == discretize_state(0.11, 0.1)
+    assert discretize_state(10.0, 0.1) == 99
+    assert discretize_state(1.0, 0.5) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -103,61 +105,61 @@ def test_solver_rejects_nonfinite():
 
 def test_nash_value_zero_table():
     t = QTables()
-    assert t.solve((0,)).value_hgnn == 0.0
+    assert t.solve(0).value_hgnn == 0.0
 
 
 def test_nash_value_pure_case():
     t = QTables()
-    t.table(HGNN, (1,))[:] = [[2.0, 0.0], [0.0, 1.0]]
-    t.table(ACE, (1,))[:] = [[1.0, 0.0], [0.0, 0.5]]
-    sol = t.solve((1,))
+    t.table(HGNN, 1)[:] = [[2.0, 0.0], [0.0, 1.0]]
+    t.table(ACE, 1)[:] = [[1.0, 0.0], [0.0, 0.5]]
+    sol = t.solve(1)
     assert (sol.value_hgnn, sol.value_ace) == (2.0, 1.0)
 
 
 def test_nash_value_mixed_matches_bilinear_form():
     t = QTables()
     q1 = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    t.table(HGNN, (2,))[:] = q1
-    t.table(ACE, (2,))[:] = -q1
-    sol = t.solve((2,))
+    t.table(HGNN, 2)[:] = q1
+    t.table(ACE, 2)[:] = -q1
+    sol = t.solve(2)
     want = float(sol.pi_hgnn @ q1 @ sol.pi_ace)
     assert sol.value_hgnn == pytest.approx(want)
 
 
 def test_q_update_full_overwrite():
     t = QTables()
-    q_update(t, (0,), (HgnnAction.ADOPT, AceAction.HOLD), (0.7, -0.2), (0,),
+    q_update(t, 0, (HgnnAction.ADOPT, AceAction.HOLD), (0.7, -0.2), 0,
              alpha=1.0, beta=0.0)
-    assert t.table(HGNN, (0,))[0, 1] == 0.7
-    assert t.table(ACE, (0,))[0, 1] == -0.2
+    assert t.table(HGNN, 0)[0, 1] == 0.7
+    assert t.table(ACE, 0)[0, 1] == -0.2
 
 
 def test_q_update_geometric_decay():
     t = QTables()
     a = (HgnnAction.KEEP, AceAction.HOLD)
-    t.table(HGNN, (0,))[1, 1] = 1.0
-    t.table(ACE, (0,))[1, 1] = 1.0
+    t.table(HGNN, 0)[1, 1] = 1.0
+    t.table(ACE, 0)[1, 1] = 1.0
     for _ in range(3):
         # rewards 0 and all successor values 0 except the entry itself decays
-        before = t.table(HGNN, (0,))[1, 1]
-        q_update(t, (0,), a, (0.0, 0.0), (9,), alpha=0.25, beta=0.0)
-        assert t.table(HGNN, (0,))[1, 1] == pytest.approx(0.75 * before)
+        before = t.table(HGNN, 0)[1, 1]
+        q_update(t, 0, a, (0.0, 0.0), 9, alpha=0.25, beta=0.0)
+        assert t.table(HGNN, 0)[1, 1] == pytest.approx(0.75 * before)
 
 
 def test_q_update_two_step_hand_computed():
     t = QTables()
     a = (HgnnAction.ADOPT, AceAction.EXPLORE)
     # step 1 from zero tables: Q += 0.5 * (1.0 + 0.9 * 0 - 0) = 0.5
-    q_update(t, (0,), a, (1.0, 1.0), (1,), alpha=0.5, beta=0.9)
-    assert t.table(HGNN, (0,))[0, 0] == pytest.approx(0.5)
+    q_update(t, 0, a, (1.0, 1.0), 1, alpha=0.5, beta=0.9)
+    assert t.table(HGNN, 0)[0, 0] == pytest.approx(0.5)
     # give the successor state a known stage value: pure equilibrium at 0.6
-    t.table(HGNN, (1,))[:] = [[0.6, 0.0], [0.0, 0.0]]
-    t.table(ACE, (1,))[:] = [[0.4, 0.0], [0.0, 0.0]]
+    t.table(HGNN, 1)[:] = [[0.6, 0.0], [0.0, 0.0]]
+    t.table(ACE, 1)[:] = [[0.4, 0.0], [0.0, 0.0]]
     # step 2: Q += 0.5 * (0.2 + 0.9*0.6 - 0.5) -> 0.5 + 0.5*0.24 = 0.62
-    q_update(t, (0,), a, (0.2, 0.2), (1,), alpha=0.5, beta=0.9)
-    assert t.table(HGNN, (0,))[0, 0] == pytest.approx(0.62)
+    q_update(t, 0, a, (0.2, 0.2), 1, alpha=0.5, beta=0.9)
+    assert t.table(HGNN, 0)[0, 0] == pytest.approx(0.62)
     # ACE side: 0.5 + 0.5*(0.2 + 0.9*0.4 - 0.5) = 0.53
-    assert t.table(ACE, (0,))[0, 0] == pytest.approx(0.53)
+    assert t.table(ACE, 0)[0, 0] == pytest.approx(0.53)
 
 
 def test_q_update_targets_use_tables_before_the_step():
@@ -165,22 +167,22 @@ def test_q_update_targets_use_tables_before_the_step():
     # game's equilibrium from (0, 0) to (1, 1); ACE's target must still be
     # the value of the game as it stood before the step
     t = QTables()
-    t.table(HGNN, (0,))[:] = [[3.0, 0.0], [0.0, 1.0]]
-    t.table(ACE, (0,))[:] = [[3.0, 0.0], [0.0, 1.0]]
-    q_update(t, (0,), (HgnnAction.ADOPT, AceAction.EXPLORE), (-10.0, 0.0), (0,),
+    t.table(HGNN, 0)[:] = [[3.0, 0.0], [0.0, 1.0]]
+    t.table(ACE, 0)[:] = [[3.0, 0.0], [0.0, 1.0]]
+    q_update(t, 0, (HgnnAction.ADOPT, AceAction.EXPLORE), (-10.0, 0.0), 0,
              alpha=1.0, beta=0.9)
-    assert t.solve((0,)).pure == (1, 1)
-    assert t.table(HGNN, (0,))[0, 0] == pytest.approx(-10.0 + 0.9 * 3.0)
-    assert t.table(ACE, (0,))[0, 0] == pytest.approx(0.9 * 3.0)
+    assert t.solve(0).pure == (1, 1)
+    assert t.table(HGNN, 0)[0, 0] == pytest.approx(-10.0 + 0.9 * 3.0)
+    assert t.table(ACE, 0)[0, 0] == pytest.approx(0.9 * 3.0)
 
 
 def test_q_update_validates_rates():
     t = QTables()
     a = (HgnnAction.KEEP, AceAction.HOLD)
     with pytest.raises(ValueError):
-        q_update(t, (0,), a, (0, 0), (0,), alpha=0.0, beta=0.5)
+        q_update(t, 0, a, (0, 0), 0, alpha=0.0, beta=0.5)
     with pytest.raises(ValueError):
-        q_update(t, (0,), a, (0, 0), (0,), alpha=0.5, beta=1.0)
+        q_update(t, 0, a, (0, 0), 0, alpha=0.5, beta=1.0)
 
 
 def test_q_stays_bounded_for_bounded_rewards():
@@ -188,15 +190,15 @@ def test_q_stays_bounded_for_bounded_rewards():
     t = QTables()
     beta = 0.9
     for _ in range(3000):
-        s = (int(rng.integers(0, 3)),)
-        s2 = (int(rng.integers(0, 3)),)
+        s = int(rng.integers(0, 3))
+        s2 = int(rng.integers(0, 3))
         a = (HgnnAction(int(rng.integers(0, 2))), AceAction(int(rng.integers(0, 2))))
         r = (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
         q_update(t, s, a, r, s2, alpha=0.5, beta=beta)
     bound = 1.0 / (1.0 - beta) + 1e-9
     for agent in (HGNN, ACE):
         for s in range(3):
-            assert np.max(np.abs(t.table(agent, (s,)))) <= bound
+            assert np.max(np.abs(t.table(agent, s))) <= bound
 
 
 def test_epsilon_one_is_uniform_chi_square():
@@ -205,7 +207,7 @@ def test_epsilon_one_is_uniform_chi_square():
     counts = np.zeros(4)
     n = 10000
     for _ in range(n):
-        h, a = epsilon_greedy_joint(t.solve((0,)), 1.0, rng)
+        h, a = epsilon_greedy_joint(t.solve(0), 1.0, rng)
         counts[2 * int(h) + int(a)] += 1
     chi2 = float(((counts - n / 4) ** 2 / (n / 4)).sum())
     assert chi2 < 16.27  # df=3 at p=0.001
@@ -215,27 +217,27 @@ def test_epsilon_zero_returns_unique_maximum():
     t = QTables()
     q = np.zeros((2, 2))
     q[0, 0] = 1.0  # unique max at (ADOPT, EXPLORE) for both agents
-    t.table(HGNN, (0,))[:] = q
-    t.table(ACE, (0,))[:] = q
+    t.table(HGNN, 0)[:] = q
+    t.table(ACE, 0)[:] = q
     rng = np.random.default_rng(0)
-    assert epsilon_greedy_joint(t.solve((0,)), 0.0, rng) == (HgnnAction.ADOPT,
+    assert epsilon_greedy_joint(t.solve(0), 0.0, rng) == (HgnnAction.ADOPT,
                                                        AceAction.EXPLORE)
 
 
 def test_epsilon_greedy_deterministic_under_seed():
     t = QTables()
-    t.table(HGNN, (0,))[:] = [[1.0, -1.0], [-1.0, 1.0]]
-    t.table(ACE, (0,))[:] = [[-1.0, 1.0], [1.0, -1.0]]
+    t.table(HGNN, 0)[:] = [[1.0, -1.0], [-1.0, 1.0]]
+    t.table(ACE, 0)[:] = [[-1.0, 1.0], [1.0, -1.0]]
     rng_a = np.random.default_rng(4)
     rng_b = np.random.default_rng(4)
-    seq_a = [epsilon_greedy_joint(t.solve((0,)), 0.5, rng_a) for _ in range(50)]
-    seq_b = [epsilon_greedy_joint(t.solve((0,)), 0.5, rng_b) for _ in range(50)]
+    seq_a = [epsilon_greedy_joint(t.solve(0), 0.5, rng_a) for _ in range(50)]
+    seq_b = [epsilon_greedy_joint(t.solve(0), 0.5, rng_b) for _ in range(50)]
     assert seq_a == seq_b
 
 
 def test_epsilon_validation():
     with pytest.raises(ValueError):
-        epsilon_greedy_joint(QTables().solve((0,)), 1.5, np.random.default_rng(0))
+        epsilon_greedy_joint(QTables().solve(0), 1.5, np.random.default_rng(0))
 
 
 def test_epsilon_schedule():
@@ -285,10 +287,10 @@ def test_settled_streak_matches_window_oracle():
     for _ in range(3000):
         # mostly settled plays in few states, so long streaks occur
         n = int(rng.integers(1, 60))
-        states = [(int(s),) for s in rng.choice(2, n, p=[0.95, 0.05])]
+        states = [int(s) for s in rng.choice(2, n, p=[0.95, 0.05])]
         plays = [settle if rng.random() < 0.93 else pures[int(rng.integers(1, 4))]
                  for _ in range(n)]
-        streak, prev = 0, (0,)
+        streak, prev = 0, 0
         for i, (state, pure) in enumerate(zip(states, plays)):
             streak = settled_streak(streak, prev, state, pure)
             prev = state
@@ -300,11 +302,11 @@ def test_settled_streak_matches_window_oracle():
 
 def test_settled_streak_counts_one_state_at_keep_hold():
     settle = (HgnnAction.KEEP, AceAction.HOLD)
-    assert settled_streak(4, (3,), (3,), settle) == 5
-    assert settled_streak(4, (3,), (4,), settle) == 1
-    assert settled_streak(0, (3,), (3,), settle) == 1
-    assert settled_streak(4, (3,), (3,), (HgnnAction.KEEP, AceAction.EXPLORE)) == 0
-    assert settled_streak(4, (3,), (3,), None) == 0
+    assert settled_streak(4, 3, 3, settle) == 5
+    assert settled_streak(4, 3, 4, settle) == 1
+    assert settled_streak(0, 3, 3, settle) == 1
+    assert settled_streak(4, 3, 3, (HgnnAction.KEEP, AceAction.EXPLORE)) == 0
+    assert settled_streak(4, 3, 3, None) == 0
 
 
 def test_bandit_convergence_on_common_payoff_game():
@@ -315,7 +317,7 @@ def test_bandit_convergence_on_common_payoff_game():
     for trial in range(trials):
         rng = np.random.default_rng(100 + trial)
         t = QTables()
-        s = (0,)
+        s = 0
         for ep in range(500):
             eps = max(0.1, 0.9 * 0.995 ** ep)
             a = epsilon_greedy_joint(t.solve(s), eps, rng)

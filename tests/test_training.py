@@ -98,6 +98,14 @@ def test_config_rejects_out_of_range_values():
     for p in (1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
             quick_config(dropout=p).validate()
+    # the fractions are checked by name for both tasks, though only LP splits by them
+    for task in ("lp", "nc"):
+        for field in ("val_frac", "test_frac"):
+            for frac in (0.0, 1.0, 9.0, -3.0):
+                with pytest.raises(ValueError, match=f"^{field} must lie in \\(0, 1\\)"):
+                    quick_config(task=task, **{field: frac}).validate()
+        with pytest.raises(ValueError, match=r"^val_frac \+ test_frac must be below 1"):
+            quick_config(task=task, val_frac=0.6, test_frac=0.4).validate()
 
 
 @pytest.mark.parametrize("field,value", [("seed", -1), ("synthetic_tree_depth", 0),
@@ -175,6 +183,7 @@ def test_adopt_action_installs_proposed_curvatures(monkeypatch):
     assert all(r.action_hgnn == "ADOPT" and r.action_ace == "EXPLORE"
                for r in res.records)
     assert res.records[-1].zetas != [1.0, 1.0]
+    assert all(len(set(r.zetas)) == 1 for r in res.records)  # one curvature, every layer
 
 
 def test_keep_action_leaves_curvatures_alone(monkeypatch):
@@ -219,9 +228,8 @@ def test_greedy_play_reuses_the_post_update_solution(monkeypatch):
     assert all(r.action_hgnn is not None for r in res.records)
     assert len(solved) == 1 + 2 * len(res.records)
     # the solved state is the one each epoch starts in
-    starts = [[cfg.zeta0] * cfg.n_layers] + [r.zetas for r in res.records[:-1]]
-    assert states == [nashq.discretize_state(z, cfg.zeta_min, cfg.zeta_max)
-                      for z in starts]
+    starts = [cfg.zeta0] + [r.zetas[-1] for r in res.records[:-1]]
+    assert states == [nashq.discretize_state(z, cfg.zeta_min) for z in starts]
 
 
 def test_frozen_curvatures_stay_constant(monkeypatch):
@@ -305,7 +313,8 @@ def test_search_calls_the_traced_names_through_their_modules(monkeypatch):
         count(owner, name)
     res = train(quick_config(epochs=epochs, n_layers=n_layers))
     assert len(res.records) == epochs
-    assert counts == {"estimate_kappa": epochs, "update_curvature": epochs * n_layers,
+    # one curvature for the whole model: one update per EXPLORE epoch
+    assert counts == {"estimate_kappa": epochs, "update_curvature": epochs,
                       "transfer_curvature": epochs, "q_update": epochs,
                       "epsilon_greedy_joint": epochs, "solve": 1 + 2 * epochs,
                       "backward": epochs}
@@ -338,6 +347,32 @@ def test_node_classification_path():
         T._load_dataset = orig
     assert 0.0 <= res.best_val_metric <= 1.0
     assert len(res.records) == 4
+
+
+# ---------------------------------------------------------------------------
+# known defects, pinned until their ROADMAP items mend them
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: test pairs pass messages "
+                                       "before they are scored")
+def test_test_score_reads_no_held_out_edge():
+    # a leak-free test score cannot change when the val and test edges
+    # leave the graph it is scored on
+    for seed in (0, 1, 2):
+        res = train(RunConfig(synthetic_tree_depth=5, epochs=20, seed=seed))
+        _, model, task = training.model_from_checkpoint(res.checkpoint)
+        held_in = np.concatenate([task.split.train_pos, task.split.val_pos])
+        train_val = dataclasses.replace(task, full_graph=task.full_graph.with_edges(held_in))
+        assert task.test_metric(model) == train_val.test_metric(model), seed
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the kappa signal drives zeta "
+                                       "onto the zeta_max clamp")
+def test_curvature_search_ends_inside_the_bounds_on_a_tree():
+    for seed in (0, 1, 2):
+        cfg = RunConfig(synthetic_tree_depth=5, epochs=40, seed=seed)
+        last = train(cfg).records[-1]
+        assert all(cfg.zeta_min < z < cfg.zeta_max for z in last.zetas), (seed, last.zetas)
 
 
 # ---------------------------------------------------------------------------
