@@ -9,12 +9,17 @@ forward-only evaluation has no tape overhead and produces identical
 values.
 
 The module knows no geometry. Other modules (``manifold``, ``layers``)
-add their own one-node ops with closed-form VJPs through ``_make``;
-``scatter_rows`` and ``segment_counts`` are the row reductions those VJPs
-share.
+add their own one-node ops with closed-form VJPs through ``_make``. An
+``EdgePlan`` is the row reduction their per-edge forwards and VJPs share:
+built once per message graph, its ``sum_by_dst`` sums edge rows into
+their dst rows, and a sum by src is ``sum_by_dst(values[plan.rev])``.
+``scatter_rows`` is the adjoint of ``gather_rows``, whose index changes
+on every call.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -290,18 +295,63 @@ def scatter_rows(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
     return out.astype(np.float64, copy=False).reshape(shape)  # int if empty
 
 
-def segment_counts(indptr: np.ndarray, n_rows: int) -> np.ndarray:
-    """Row counts of the contiguous blocks indptr[k]:indptr[k+1] of n_rows rows.
+class EdgePlan(NamedTuple):
+    """The edges of one message graph, grouped by dst, and how to sum over them.
 
-    Every block must be nonempty (callers inject self-loops to ensure it),
-    which segment reductions such as np.add.reduceat rely on.
+    Segment i is ``indptr[i]:indptr[i+1]``; every segment is nonempty
+    (callers inject self-loops), ``counts`` holds their lengths, and
+    ``rev[e]`` is the index of the reverse edge of e (a self-loop is its
+    own). ``slots`` keeps the flat (dst, column) index of each row width
+    that ``sum_by_dst`` has seen. Build it with ``edge_plan``.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    indptr: np.ndarray
+    counts: np.ndarray
+    rev: np.ndarray
+    slots: dict
+
+    def sum_by_dst(self, values: np.ndarray) -> np.ndarray:
+        """Sum the (E, width) rows of values into (n, width) rows by dst.
+
+        One bincount over flat (dst, column) slots that adds in edge order
+        from zero, so the sums are bit-identical to
+        ``scatter_rows(values, dst, n)``.
+        """
+        n, width = len(self.counts), values.shape[1]
+        flat = self.dst if width == 1 else self.slots.get(width)
+        if flat is None:
+            flat = self.slots[width] = (self.dst[:, None] * width + np.arange(width)).ravel()
+        out = np.bincount(flat, weights=values.ravel(), minlength=n * width)
+        return out.astype(np.float64, copy=False).reshape(n, width)  # int if empty
+
+
+def edge_plan(src: np.ndarray, indptr: np.ndarray) -> EdgePlan:
+    """The plan of the edges src -> dst whose dst is i in segment
+    ``indptr[i]:indptr[i+1]``.
+
+    Apart from self-loops, the edges must be in strictly increasing
+    (dst, src) order, and every edge must have its reverse among them;
+    each reverse is found by one searchsorted over those sorted keys.
+    Raises ValueError otherwise, or when a segment is empty.
     """
     counts = np.diff(indptr)
-    if np.any(counts <= 0):
-        raise ValueError("segments must be nonempty")
-    if indptr[-1] != n_rows:
-        raise ValueError("segment index does not cover all rows")
-    return counts
+    if np.any(counts <= 0) or indptr[-1] != len(src):
+        raise ValueError("segments must be nonempty and cover every edge")
+    n = len(counts)
+    dst = np.repeat(np.arange(n), counts)
+    rev = np.arange(len(src))
+    edge = np.flatnonzero(src != dst)
+    keys = dst[edge] * n + src[edge]
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("edges other than self-loops must be in increasing (dst, src) order")
+    rev_keys = src[edge] * n + dst[edge]
+    pos = np.minimum(np.searchsorted(keys, rev_keys), len(keys) - 1)
+    if np.any(keys[pos] != rev_keys):
+        raise ValueError("every edge needs its reverse edge")
+    rev[edge] = edge[pos]
+    return EdgePlan(src, dst, indptr, counts, rev, {})
 
 
 def dropout(a, p: float, rng: np.random.Generator) -> Tensor:

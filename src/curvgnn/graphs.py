@@ -300,7 +300,11 @@ NC_VAL_FRAC = 0.15  # and in its val split; the rest is test
 
 
 def make_nc_split(g: Graph, seed: int = 0) -> NodeSplit:
-    """Stratified-by-class node split; the remainder after train/val is test."""
+    """Stratified-by-class node split; the remainder after train/val is test.
+
+    Raises DataError when fewer than two classes are labelled, or when too
+    few nodes are labelled to leave a node for val and one for test.
+    """
     if g.labels is None:
         raise DataError("graph has no labels; cannot build a classification split")
     classes = _kernels.sorted_unique(g.labels[g.labels >= 0])
@@ -318,9 +322,14 @@ def make_nc_split(g: Graph, seed: int = 0) -> NodeSplit:
         train.append(ids[:n_tr])
         val.append(ids[n_tr:n_tr + n_va])
         test.append(ids[n_tr + n_va:])
-    return NodeSplit(train=np.sort(np.concatenate(train)),
-                     val=np.sort(np.concatenate(val)),
-                     test=np.sort(np.concatenate(test)))
+    split = NodeSplit(train=np.sort(np.concatenate(train)),
+                      val=np.sort(np.concatenate(val)),
+                      test=np.sort(np.concatenate(test)))
+    for name in ("val", "test"):
+        if len(getattr(split, name)) == 0:
+            raise DataError(f"node classification leaves the {name} split empty: "
+                            "label more nodes per class")
+    return split
 
 
 # ---------------------------------------------------------------------------

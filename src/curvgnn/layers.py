@@ -26,6 +26,10 @@ needs a pair of endpoints:
   segment softmax; ``manifold.sum_logs`` forms the distance coefficient of
   each log map and sums the weighted source rows. The log map vectors
   themselves are never formed per edge.
+
+``message_edges`` builds the message graph's ``autodiff.EdgePlan`` once;
+every per-edge sum of both ops, forward and backward, is its
+``sum_by_dst``, and a sum by src runs over the reverse edges.
 """
 
 from __future__ import annotations
@@ -78,17 +82,17 @@ def init_layer(rng: np.random.Generator, d_in: int, d_out: int, zeta: float) -> 
     )
 
 
-def message_edges(g: Graph):
-    """Flattened adjacency with self-loops: (src, dst, indptr by dst).
+def message_edges(g: Graph) -> ad.EdgePlan:
+    """The edge plan of the flattened adjacency with self-loops, grouped by dst.
 
-    Each dst's block holds its sorted neighbours followed by itself.
+    Each dst's block holds its sorted neighbours followed by itself; the
+    plan's first fields are (src, dst, indptr).
     """
     nbr_ptr, nbrs = g.indptr, g.indices
     nodes = np.arange(g.n_nodes, dtype=np.int64)
     # np.insert keeps equal positions in order, so isolated nodes stay sorted
     src = np.insert(nbrs, nbr_ptr[1:], nodes)
-    dst = np.repeat(nodes, np.diff(nbr_ptr) + 1)
-    return src, dst, nbr_ptr + np.append(nodes, g.n_nodes)
+    return ad.edge_plan(src, nbr_ptr + np.append(nodes, g.n_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -107,36 +111,36 @@ def linear_transform(t, W, b, zeta: float) -> Tensor:
     return exp_at(point, carried, zeta)
 
 
-def attention_weights(tang, params: LayerParams, src, dst, indptr) -> Tensor:
+def attention_weights(tang, params: LayerParams, plan: ad.EdgePlan) -> Tensor:
     """Softmax over each dst segment of the MLP score of [tang_dst, tang_src],
     shape (E, 1); one tape node with inputs tang, att_w1, att_b1 and att_w2.
 
     The first layer is linear, so each half of att_w1 multiplies the n node
     rows once; per edge only the sum of two gathered rows, the relu, the
     (d, 1) output projection and the softmax remain. The softmax ignores a
-    shift shared by a segment, so the output projection has no bias.
+    shift shared by a segment, so the output projection has no bias. Its
+    denominators and every per-edge sum of the VJP are the plan's
+    ``sum_by_dst``.
     """
     tang = ad.as_tensor(tang)
     w1, b1, w2 = params.att_w1, params.att_b1, params.att_w2
     t = tang.data
-    n, d = t.shape
-    counts = ad.segment_counts(indptr, len(src))
-    starts = indptr[:-1]
+    d = t.shape[1]
+    counts = plan.counts
     proj_dst = t @ w1.data[:d] + b1.data
     proj_src = t @ w1.data[d:]
     hidden = np.maximum(np.repeat(proj_dst, counts, axis=0)
-                        + np.take(proj_src, src, axis=0), 0.0)
+                        + np.take(proj_src, plan.src, axis=0), 0.0)
     scores = hidden @ w2.data
-    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts, axis=0),
+    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, plan.indptr[:-1], axis=0),
                                   counts, axis=0))
-    weights = e / np.repeat(np.add.reduceat(e, starts, axis=0), counts, axis=0)
+    weights = e / np.repeat(plan.sum_by_dst(e), counts, axis=0)
 
     def vjp(g):
-        g_scores = weights * (g - np.repeat(np.add.reduceat(g * weights, starts, axis=0),
-                                            counts, axis=0))
+        g_scores = weights * (g - np.repeat(plan.sum_by_dst(g * weights), counts, axis=0))
         g_hidden = (g_scores @ w2.data.T) * (hidden > 0.0)
-        g_dst = ad.scatter_rows(g_hidden, dst, n)
-        g_src = ad.scatter_rows(g_hidden, src, n)
+        g_dst = plan.sum_by_dst(g_hidden)
+        g_src = plan.sum_by_dst(np.take(g_hidden, plan.rev, axis=0))
         return (g_dst @ w1.data[:d].T + g_src @ w1.data[d:].T,
                 np.concatenate([t.T @ g_dst, t.T @ g_src]),
                 g_dst.sum(axis=0),
@@ -147,18 +151,19 @@ def attention_weights(tang, params: LayerParams, src, dst, indptr) -> Tensor:
 
 def layer_forward(t, g: Graph, params: LayerParams, *, dropout: float = 0.0,
                   training: bool = False, rng: np.random.Generator | None = None,
-                  edges=None) -> Tensor:
+                  edges: ad.EdgePlan | None = None) -> Tensor:
     """One message-passing layer: transform, attend, aggregate, relu.
 
     Takes and returns origin-tangent coordinates, (n, d_in) -> (n, d_out);
     in between, the points live on the hyperboloid at params.zeta.
     Dropout hits the tangent-space pre-activation and only while training.
+    ``edges`` is the plan ``message_edges(g)``, built here when not given.
     """
-    src, dst, indptr = message_edges(g) if edges is None else edges
+    plan = message_edges(g) if edges is None else edges
     zeta = params.zeta
     h1 = linear_transform(t, params.W, params.b, zeta)
-    w = attention_weights(log_origin(h1, zeta), params, src, dst, indptr)
-    pulled = sum_logs(h1, src, dst, indptr, w, zeta)
+    w = attention_weights(log_origin(h1, zeta), params, plan)
+    pulled = sum_logs(h1, plan, w, zeta)
     h2 = exp_at(h1, pulled, zeta)
     tang = log_origin(h2, zeta)
     if training and dropout > 0.0:
@@ -229,7 +234,8 @@ class HyperbolicGNN:
             self.b_cls.data = np.asarray(blob["b_cls"], dtype=np.float64)
 
     def forward(self, g: Graph, *, training: bool = False,
-                rng: np.random.Generator | None = None, edges=None) -> Tensor:
+                rng: np.random.Generator | None = None,
+                edges: ad.EdgePlan | None = None) -> Tensor:
         """Embeddings at the last layer's curvature, shape (n, dim+1); the
         features enter as tangent coordinates, and only the output is lifted."""
         if g.features is None:

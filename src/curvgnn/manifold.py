@@ -137,10 +137,10 @@ def check_on_manifold(x: np.ndarray, zeta) -> None:
 # ---------------------------------------------------------------------------
 
 def minkowski(u: np.ndarray, v: np.ndarray, keepdims: bool = True) -> np.ndarray:
-    """-u0*v0 + sum_i u_i*v_i over the last axis of two arrays."""
-    prod = u * v
-    out = prod[..., 1:].sum(axis=-1, keepdims=keepdims)
-    return out - (prod[..., :1] if keepdims else prod[..., 0])
+    """-u0*v0 + sum_i u_i*v_i over the last axis of two arrays; the spatial
+    sum is one einsum."""
+    out = np.einsum("...i,...i->...", u[..., 1:], v[..., 1:]) - u[..., 0] * v[..., 0]
+    return out[..., None] if keepdims else out
 
 
 def acosh1p(u: np.ndarray) -> np.ndarray:
@@ -252,43 +252,42 @@ def dist(x, y, zeta: float) -> Tensor:
     return ad._make(out, (x, y), vjp)
 
 
-def sum_logs(h, src: np.ndarray, dst: np.ndarray, indptr: np.ndarray, weights,
-             zeta: float) -> Tensor:
+def sum_logs(h, plan: ad.EdgePlan, weights, zeta: float) -> Tensor:
     """Per node i, the weighted sum of log maps sum_e w_e log_{h_i}(h[src_e])
-    over the edges e with dst_e = i; one tape node with inputs h and weights.
+    over the edges e with dst_e = i of the plan; one tape node with inputs h
+    and weights.
 
-    The edges are grouped by dst: segment i is ``indptr[i]:indptr[i+1]`` and
-    every segment is nonempty. Since log_x(y) = c (y - (1 + u) x) with u from
-    ``_dist_arg`` and c from ``_log_coef``, the sum is sum_e a_e h[src_e] -
-    beta_i h_i with a = w c and beta_i = sum_e a_e (1 + u_e), so only scalars
-    and source rows are summed per edge and h_i is scaled once per node. A
-    self-loop contributes 0. The VJP is the closed form, and scatters to the
-    dst and src rows with ``autodiff.scatter_rows``.
+    Since log_x(y) = c (y - (1 + u) x) with u from ``_dist_arg`` and c from
+    ``_log_coef``, the sum is sum_e a_e h[src_e] - beta_i h_i with a = w c
+    and beta_i = sum_e a_e (1 + u_e), so only scalars and source rows are
+    summed per edge and h_i is scaled once per node. A self-loop
+    contributes 0. Every per-edge sum is the plan's ``sum_by_dst``; the
+    VJP's gradient for h is one of them, since diff = h[dst] - h[src]
+    negates exactly on the reverse edge.
     """
     h, weights = ad.as_tensor(h), ad.as_tensor(weights)
-    counts = ad.segment_counts(indptr, len(src))
-    starts = indptr[:-1]
     x, w = h.data, weights.data
-    n = x.shape[0]
-    h_src = np.take(x, src, axis=0)
-    diff = np.repeat(x, counts, axis=0) - h_src  # h[dst] - h[src]
+    h_src = np.take(x, plan.src, axis=0)
+    diff = np.repeat(x, plan.counts, axis=0) - h_src  # h[dst] - h[src]
     _, k, u = _dist_arg(diff, zeta)
     s, c = _log_coef(u)
     a = w * c
-    beta = np.add.reduceat(a * (u + 1.0), starts, axis=0)
-    out = np.add.reduceat(a * h_src, starts, axis=0) - beta * x
+    beta = plan.sum_by_dst(a * (u + 1.0))
+    out = plan.sum_by_dst(a * h_src) - beta * x
 
     def vjp(g):
-        g_dst = np.repeat(g, counts, axis=0)
-        g_beta = np.repeat(-np.einsum("ij,ij->i", g, x)[:, None], counts, axis=0)
+        g_dst = np.repeat(g, plan.counts, axis=0)
+        g_beta = np.repeat(-np.einsum("ij,ij->i", g, x)[:, None], plan.counts, axis=0)
         g_a = np.einsum("ij,ij->i", g_dst, h_src)[:, None] + g_beta * (u + 1.0)
         # c = acosh1p(u) / s with ds/du = (u + 1) / s
         g_u = g_beta * a + g_a * w * (acosh1p_slope(u) - c * (u + 1.0) / s) / s
-        # u = k max(<diff, diff>_L, 0)
-        g_diff = ((2.0 * k) * g_u * (u > 0.0)) * diff
-        g_diff[:, 0] = -g_diff[:, 0]
-        g_h = ad.scatter_rows(g_diff, dst, n) + ad.scatter_rows(a * g_dst - g_diff, src, n)
-        return g_h - beta * g, g_a * c
+        # u = k max(<diff, diff>_L, 0); row e also carries the src-side terms of
+        # its reverse edge rev[e], whose src is dst_e and whose diff is exactly -diff_e
+        sigma = (2.0 * k) * g_u * (u > 0.0)
+        g_edge = (sigma + sigma[plan.rev]) * diff
+        g_edge[:, 0] = -g_edge[:, 0]
+        g_edge += a[plan.rev] * np.take(g, plan.src, axis=0)
+        return plan.sum_by_dst(g_edge) - beta * g, g_a * c
 
     return ad._make(out, (h, weights), vjp)
 

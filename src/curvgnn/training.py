@@ -332,17 +332,17 @@ def _prepare(config: RunConfig):
 def train(config: RunConfig, out_dir=None) -> TrainResult:
     model, task = _prepare(config)
     msg_g = task.msg_graph
-    edges = layers.message_edges(msg_g)
+    plan = layers.message_edges(msg_g)  # every epoch's forwards share it
     optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=WEIGHT_DECAY)
 
     drop_rng = np.random.default_rng([config.seed, 2])
     neg_rng = np.random.default_rng([config.seed, 3])
 
     def eval_embeddings() -> np.ndarray:
-        return model.forward(msg_g, training=False, edges=edges).data
+        return model.forward(msg_g, training=False, edges=plan).data
 
     def train_step() -> float:
-        emb = model.forward(msg_g, training=True, rng=drop_rng, edges=edges)
+        emb = model.forward(msg_g, training=True, rng=drop_rng, edges=plan)
         loss = task.loss(emb, model, neg_rng)
         optimizer.zero_grad()
         backward(loss)

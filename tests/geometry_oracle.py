@@ -244,11 +244,16 @@ def first_col(a) -> Tensor:
 def segment_sum(a, indptr: np.ndarray) -> Tensor:
     """Sum contiguous row blocks: out[k] = sum of a[indptr[k]:indptr[k+1]].
 
-    Every segment must be nonempty.
+    Every segment must be nonempty. Each block is added row by row from
+    zero, in row order: the order of ``autodiff.EdgePlan.sum_by_dst``, so
+    the sums are bit-equal to it.
     """
     a = ad.as_tensor(a)
-    counts = ad.segment_counts(indptr, a.data.shape[0])
-    out = np.add.reduceat(a.data, indptr[:-1], axis=0)
+    counts = np.diff(indptr)
+    if np.any(counts <= 0) or indptr[-1] != a.data.shape[0]:
+        raise ValueError("segments must be nonempty and cover every row")
+    out = np.zeros((len(counts),) + a.data.shape[1:])
+    np.add.at(out, np.repeat(np.arange(len(counts)), counts), a.data)
     return ad._make(out, (a,), lambda g: (np.repeat(g, counts, axis=0),))
 
 

@@ -292,6 +292,19 @@ def test_node_classification_without_two_labelled_classes_is_data_error(
         f"got {count}")
 
 
+@pytest.mark.parametrize("labels,split", [("0,0\n1,0\n2,1\n3,1\n", "test"),
+                                          ("0,0\n1,1\n", "val")],
+                         ids=["two-per-class", "one-per-class"])
+def test_node_classification_with_an_empty_split_is_data_error(tmp_path, capsys, labels,
+                                                               split):
+    """Two labelled nodes per class fill train and val only, one fills train
+    only; either must fail before training, naming the empty split."""
+    assert main(nc_train_args(tmp_path, labels)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: node classification leaves the {split} split empty")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("task", ["lp", "nc"])
 @pytest.mark.parametrize("fracs,message", [
     (["--val-frac", "9", "--test-frac", "-3"], "val_frac must lie in (0, 1), got 9.0"),

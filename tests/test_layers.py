@@ -118,7 +118,7 @@ def test_aggregate_symmetric_neighbors_cancel():
 # ---------------------------------------------------------------------------
 
 def random_message_graph(rng, n_max=25):
-    """Random multigraph whose highest ids stay isolated, plus its edges."""
+    """Random multigraph whose highest ids stay isolated, plus its edge plan."""
     n = int(rng.integers(2, n_max))
     hi = int(rng.integers(1, n))  # ids >= hi have no edges
     g = graphs.Graph.from_edges(n, rng.integers(0, hi, size=(int(rng.integers(0, 3 * n)), 2)))
@@ -163,14 +163,14 @@ def test_attention_scores_match_concat_reference():
     concatenated-row scores, in value and in every gradient."""
     rng = np.random.default_rng(30)
     for trial in range(30):
-        g, (src, dst, indptr), params, tang0 = edge_op_case(rng, int(rng.integers(1, 6)))
+        g, plan, params, tang0 = edge_op_case(rng, int(rng.integers(1, 6)))
+        src, dst, indptr = plan.src, plan.dst, plan.indptr
         tang = Tensor(tang0, requires_grad=True)
         leaves = [tang, params.att_w1, params.att_b1, params.att_w2]
         probe = rng.standard_normal((len(src), 1))
         want = run_probed(lambda: geo.segment_softmax(
             geo.attention_scores_concat(tang, src, dst, params), dst, indptr), leaves, probe)
-        got = run_probed(lambda: L.attention_weights(tang, params, src, dst, indptr),
-                         leaves, probe)
+        got = run_probed(lambda: L.attention_weights(tang, params, plan), leaves, probe)
         assert_close_to_max(got[:1], want[:1])
         assert_close_to_max(got[1:], want[1:])
 
@@ -180,14 +180,14 @@ def test_fused_edge_ops_equal_composed_oracles():
     primitives compute; their closed-form VJPs agree up to rounding."""
     rng = np.random.default_rng(34)
     for trial in range(30):
-        g, (src, dst, indptr), params, tang0 = edge_op_case(rng, int(rng.integers(1, 6)))
+        g, plan, params, tang0 = edge_op_case(rng, int(rng.integers(1, 6)))
+        src, dst, indptr = plan.src, plan.dst, plan.indptr
         tang = Tensor(tang0, requires_grad=True)
         leaves = [tang, params.att_w1, params.att_b1, params.att_w2]
         probe = rng.standard_normal((len(src), 1))
         want = run_probed(lambda: geo.attention_weights_composed(
             tang, params, src, dst, indptr), leaves, probe)
-        got = run_probed(lambda: L.attention_weights(tang, params, src, dst, indptr),
-                         leaves, probe)
+        got = run_probed(lambda: L.attention_weights(tang, params, plan), leaves, probe)
         assert np.array_equal(got[0], want[0])
         assert_close_to_max(got[1:], want[1:])
 
@@ -197,7 +197,7 @@ def test_fused_edge_ops_equal_composed_oracles():
         probe = rng.standard_normal(h.shape)
         want = run_probed(lambda: geo.sum_logs_composed(h, src, dst, indptr, w, zeta),
                           [h, w], probe)
-        got = run_probed(lambda: M.sum_logs(h, src, dst, indptr, w, zeta), [h, w], probe)
+        got = run_probed(lambda: M.sum_logs(h, plan, w, zeta), [h, w], probe)
         assert np.array_equal(got[0], want[0])
         assert_close_to_max(got[1:], want[1:])
 
@@ -205,14 +205,14 @@ def test_fused_edge_ops_equal_composed_oracles():
 def test_attention_weights_gradients_match_finite_differences():
     rng = np.random.default_rng(35)
     g = graphs.Graph.from_edges(6, [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4]])  # 5 isolated
-    src, dst, indptr = L.message_edges(g)
+    plan = L.message_edges(g)
     params = small_layer(rng, 3, 3)
     params.att_b1.data = rng.standard_normal(3)
     tang = rng.standard_normal((g.n_nodes, 3))
-    probe = Tensor(rng.standard_normal((len(src), 1)))
+    probe = Tensor(rng.standard_normal((len(plan.src), 1)))
 
     def weighted(t, p):
-        return ad.tsum(L.attention_weights(t, p, src, dst, indptr) * probe)
+        return ad.tsum(L.attention_weights(t, p, plan) * probe)
 
     assert finite_diff_check(lambda t: weighted(t, params), tang) < 1e-5
     for name in ("att_w1", "att_b1", "att_w2"):
@@ -226,12 +226,12 @@ def test_sum_logs_matches_summed_log_maps():
     rng = np.random.default_rng(31)
     for zeta in (0.1, 1.0, 10.0):
         for trial in range(20):
-            g, (src, dst, indptr) = random_message_graph(rng)
+            g, plan = random_message_graph(rng)
             h = rand_points(rng, g.n_nodes, 3, zeta, scale=zeta)
-            w = segment_weights(rng, indptr)
-            got = M.sum_logs(h, src, dst, indptr, w, zeta).data
-            per_edge = geo.log_at(h[dst], h[src], zeta)
-            want = geo.segment_sum(Tensor(w) * per_edge, indptr).data
+            w = segment_weights(rng, plan.indptr)
+            got = M.sum_logs(h, plan, w, zeta).data
+            per_edge = geo.log_at(h[plan.dst], h[plan.src], zeta)
+            want = geo.segment_sum(Tensor(w) * per_edge, plan.indptr).data
             scale = np.max(np.abs(h), axis=-1, keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
             lonely = np.diff(g.indptr) == 0  # only the self-loop: sums to exactly 0
@@ -261,13 +261,13 @@ def mp_sum_logs(h, src, dst, weights, zeta):
 def test_sum_logs_matches_mpmath():
     rng = np.random.default_rng(32)
     g = graphs.Graph.from_edges(7, [[0, 1], [1, 2], [1, 3], [3, 4], [2, 4]])  # 5, 6 isolated
-    src, dst, indptr = L.message_edges(g)
-    w = segment_weights(rng, indptr)
+    plan = L.message_edges(g)
+    w = segment_weights(rng, plan.indptr)
     for zeta in (0.1, 1.0, 10.0):
         h = rand_points(rng, g.n_nodes, 3, zeta, scale=1.5 * zeta)
         h[6] = h[5]  # coinciding points far apart in id
-        got = M.sum_logs(h, src, dst, indptr, w, zeta).data
-        want = mp_sum_logs(h, src, dst, w, zeta)
+        got = M.sum_logs(h, plan, w, zeta).data
+        want = mp_sum_logs(h, plan.src, plan.dst, w, zeta)
         norm = np.max(np.abs(want), axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(norm, 1e-300))
         assert np.all(got[5:] == 0.0)
@@ -276,20 +276,119 @@ def test_sum_logs_matches_mpmath():
 def test_sum_logs_gradients_match_finite_differences():
     rng = np.random.default_rng(33)
     g = graphs.Graph.from_edges(6, [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4]])  # 5 isolated
-    src, dst, indptr = L.message_edges(g)
+    plan = L.message_edges(g)
     zeta = 1.3
     h = rand_points(rng, g.n_nodes, 3, zeta)
-    w = segment_weights(rng, indptr)
+    w = segment_weights(rng, plan.indptr)
     probe = Tensor(rng.standard_normal(h.shape))
 
     def wrt_h(t):
-        return ad.tsum(M.sum_logs(t, src, dst, indptr, w, zeta) * probe)
+        return ad.tsum(M.sum_logs(t, plan, w, zeta) * probe)
 
     def wrt_w(t):
-        return ad.tsum(M.sum_logs(h, src, dst, indptr, t, zeta) * probe)
+        return ad.tsum(M.sum_logs(h, plan, t, zeta) * probe)
 
     assert finite_diff_check(wrt_h, h) < 1e-5
     assert finite_diff_check(wrt_w, w) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the edge plan: reverse edges and sums by dst
+# ---------------------------------------------------------------------------
+
+def hub_graph(rng, hub_degree=24):
+    """Random graph whose node 0 has at least hub_degree neighbours and whose
+    highest ids stay isolated."""
+    n = hub_degree + int(rng.integers(3, 12))
+    hi = n - int(rng.integers(1, 4))  # ids >= hi have no edges
+    spokes = np.stack([np.zeros(hub_degree, dtype=np.int64), np.arange(1, hub_degree + 1)], 1)
+    extra = rng.integers(0, hi, size=(int(rng.integers(0, 2 * n)), 2))
+    return graphs.Graph.from_edges(n, np.concatenate([spokes, extra]))
+
+
+def test_edge_plan_pairs_every_edge_with_its_reverse():
+    rng = np.random.default_rng(40)
+    for trial in range(20):
+        g = hub_graph(rng)
+        plan = L.message_edges(g)
+        assert np.diff(plan.indptr)[0] >= 21  # the hub's neighbours and itself
+        assert np.array_equal(plan.counts, np.diff(plan.indptr))
+        assert np.array_equal(plan.src[plan.rev], plan.dst)
+        assert np.array_equal(plan.dst[plan.rev], plan.src)
+        assert np.array_equal(plan.rev[plan.rev], np.arange(len(plan.src)))
+        loops = np.flatnonzero(plan.src == plan.dst)
+        assert len(loops) == g.n_nodes and np.array_equal(plan.rev[loops], loops)
+
+
+def test_edge_plan_sums_by_dst_like_scatter_rows():
+    """sum_by_dst is byte-equal to the scatter by dst at every width; a sum
+    over the reverse edges is the scatter by src up to rounding, since each
+    self-loop's term comes at another point of the sum."""
+    rng = np.random.default_rng(41)
+    dim = 5
+    for trial in range(10):
+        g = hub_graph(rng)
+        plan = L.message_edges(g)
+        n = g.n_nodes
+        for width in (1, dim, dim + 1, dim):  # the last one reuses its slot index
+            values = rng.standard_normal((len(plan.src), width)) * 10.0 ** rng.integers(
+                -5, 5, size=(len(plan.src), 1))
+            got = plan.sum_by_dst(values)
+            want = ad.scatter_rows(values, plan.dst, n)
+            assert got.shape == (n, width) and got.tobytes() == want.tobytes()
+            by_src = plan.sum_by_dst(values[plan.rev])
+            want = ad.scatter_rows(values, plan.src, n)
+            top = np.max(np.abs(values))
+            assert np.max(np.abs(by_src - want)) <= 1e-13 * top
+        assert sorted(plan.slots) == [dim, dim + 1]
+
+
+def test_edge_plan_rejects_bad_edge_lists():
+    with pytest.raises(ValueError, match="reverse"):  # 1 -> 0 without 0 -> 1
+        ad.edge_plan(np.array([1, 0, 1]), np.array([0, 2, 3]))
+    with pytest.raises(ValueError, match="nonempty"):
+        ad.edge_plan(np.array([0]), np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="cover"):  # the last edge has no segment
+        ad.edge_plan(np.array([0, 1, 1]), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="order"):  # node 0's neighbours unsorted
+        ad.edge_plan(np.array([2, 1, 0, 0, 1, 0, 2]), np.array([0, 3, 5, 7]))
+    plan = ad.edge_plan(np.array([0, 1]), np.array([0, 1, 2]))  # self-loops only
+    assert np.array_equal(plan.dst, [0, 1]) and np.array_equal(plan.rev, [0, 1])
+
+
+@pytest.mark.parametrize("zeta", [0.1, 1.0, 10.0])
+def test_edge_ops_gradients_match_finite_differences_on_a_hub(zeta):
+    rng = np.random.default_rng(42)
+    g = hub_graph(rng)
+    plan = L.message_edges(g)
+    h = rand_points(rng, g.n_nodes, 3, zeta, scale=zeta)
+    w = segment_weights(rng, plan.indptr)
+    probe = Tensor(rng.standard_normal(h.shape))
+    step = 1e-5 * zeta  # the coordinates scale with zeta
+
+    def wrt_h(t):
+        return ad.tsum(M.sum_logs(t, plan, w, zeta) * probe)
+
+    def wrt_w(t):
+        return ad.tsum(M.sum_logs(h, plan, t, zeta) * probe)
+
+    assert finite_diff_check(wrt_h, h, step) < 1e-5
+    assert finite_diff_check(wrt_w, w) < 1e-5
+
+    params = small_layer(rng, 3, 3)
+    params.att_b1.data = rng.standard_normal(3)
+    tang = M.to_tangent_coords(h, zeta)
+    att_probe = Tensor(rng.standard_normal((len(plan.src), 1)))
+
+    def weighted(t, p):
+        return ad.tsum(L.attention_weights(t, p, plan) * att_probe)
+
+    assert finite_diff_check(lambda t: weighted(t, params), tang, step) < 1e-5
+    for name in ("att_w1", "att_b1", "att_w2"):
+        err = finite_diff_check(
+            lambda t: weighted(tang, dataclasses.replace(params, **{name: t})),
+            getattr(params, name).data)
+        assert err < 1e-5, f"{name}: rel err {err}"
 
 
 # ---------------------------------------------------------------------------

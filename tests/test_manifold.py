@@ -48,6 +48,33 @@ def test_lorentz_inner_symmetric_bilinear():
     assert lhs == pytest.approx(2.0 * M.lorentz_inner(u, v) + M.lorentz_inner(u, w))
 
 
+def minkowski_product_sum(u, v, keepdims):
+    """The Lorentz product as a product, a spatial .sum and a subtraction."""
+    prod = u * v
+    out = prod[..., 1:].sum(axis=-1, keepdims=keepdims)
+    return out - (prod[..., :1] if keepdims else prod[..., 0])
+
+
+def test_minkowski_einsum_matches_product_sum():
+    """Within a few ulps of the summed magnitudes on (E, 17) rows, where the
+    einsum may add in another order; byte-equal on 3-coordinate rows, whose
+    two spatial products admit one order."""
+    rng = np.random.default_rng(5)
+    eps = np.finfo(np.float64).eps
+    for keepdims in (True, False):
+        u, v = rng.standard_normal((2, 2000, 17)) * 10.0 ** rng.integers(-3, 4, size=(2, 2000, 1))
+        got = M.minkowski(u, v, keepdims=keepdims)
+        want = minkowski_product_sum(u, v, keepdims)
+        assert got.shape == want.shape
+        scale = np.abs(u * v).sum(axis=-1, keepdims=keepdims)
+        assert np.all(np.abs(got - want) <= 4 * eps * scale)
+        u, v = u[..., :3], v[..., :3]
+        assert M.minkowski(u, v, keepdims=keepdims).tobytes() == \
+            minkowski_product_sum(u, v, keepdims).tobytes()
+    u = rng.standard_normal((4, 17))
+    assert M.minkowski(u, u[0], keepdims=True).shape == (4, 1)  # broadcasts
+
+
 def test_lorentz_inner_dimension_mismatch():
     with pytest.raises(M.ManifoldError):
         M.lorentz_inner(np.zeros(3), np.zeros(4))
