@@ -298,11 +298,11 @@ def scatter_rows(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
 class EdgePlan(NamedTuple):
     """The edges of one message graph, grouped by dst, and how to sum over them.
 
-    Segment i is ``indptr[i]:indptr[i+1]``; every segment is nonempty
-    (callers inject self-loops), ``counts`` holds their lengths, and
-    ``rev[e]`` is the index of the reverse edge of e (a self-loop is its
-    own). ``slots`` keeps the flat (dst, column) index of each row width
-    that ``sum_by_dst`` has seen. Build it with ``edge_plan``.
+    Segment i is ``indptr[i]:indptr[i+1]`` and may be empty (a node
+    without edges); ``counts`` holds the segment lengths, and ``rev[e]``
+    is the index of the reverse edge of e. ``slots`` keeps the flat
+    (dst, column) index of each row width that ``sum_by_dst`` has seen.
+    Build it with ``edge_plan``.
     """
 
     src: np.ndarray
@@ -331,26 +331,23 @@ def edge_plan(src: np.ndarray, indptr: np.ndarray) -> EdgePlan:
     """The plan of the edges src -> dst whose dst is i in segment
     ``indptr[i]:indptr[i+1]``.
 
-    Apart from self-loops, the edges must be in strictly increasing
-    (dst, src) order, and every edge must have its reverse among them;
-    each reverse is found by one searchsorted over those sorted keys.
-    Raises ValueError otherwise, or when a segment is empty.
+    The edges must be in strictly increasing (dst, src) order, and every
+    edge must have its reverse among them; each reverse is found by one
+    searchsorted over the sorted keys. Raises ValueError otherwise, or
+    when the segments do not cover the edges in order.
     """
     counts = np.diff(indptr)
-    if np.any(counts <= 0) or indptr[-1] != len(src):
-        raise ValueError("segments must be nonempty and cover every edge")
+    if np.any(counts < 0) or indptr[0] != 0 or indptr[-1] != len(src):
+        raise ValueError("segments must cover every edge in order")
     n = len(counts)
     dst = np.repeat(np.arange(n), counts)
-    rev = np.arange(len(src))
-    edge = np.flatnonzero(src != dst)
-    keys = dst[edge] * n + src[edge]
+    keys = dst * n + src
     if np.any(keys[1:] <= keys[:-1]):
-        raise ValueError("edges other than self-loops must be in increasing (dst, src) order")
-    rev_keys = src[edge] * n + dst[edge]
-    pos = np.minimum(np.searchsorted(keys, rev_keys), len(keys) - 1)
-    if np.any(keys[pos] != rev_keys):
+        raise ValueError("edges must be in increasing (dst, src) order")
+    rev_keys = src * n + dst
+    rev = np.minimum(np.searchsorted(keys, rev_keys), len(keys) - 1)
+    if np.any(keys[rev] != rev_keys):
         raise ValueError("every edge needs its reverse edge")
-    rev[edge] = edge[pos]
     return EdgePlan(src, dst, indptr, counts, rev, {})
 
 

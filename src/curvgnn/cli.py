@@ -14,6 +14,7 @@ import contextlib
 import ctypes
 import json
 import logging
+import math
 import sys
 
 import numpy as np
@@ -185,6 +186,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError:
         raise UsageError(f"bad grid {text!r}; expected start:stop:step")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"bad grid {text!r}; start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise UsageError("grid needs step > 0 and stop >= start")
     n = int(round((stop - start) / step)) + 1

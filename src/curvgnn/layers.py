@@ -12,15 +12,18 @@ Layers exchange origin-tangent coordinates, and the model lifts onto the
 hyperboloid once, at its output: HGCN's wrap of each activation onto the
 next layer's hyperboloid is undone by that layer's first step, log_o.
 
-Message passing runs over flattened adjacency with injected self-loops,
-never a dense attention matrix, and keeps on the E message edges only what
-needs a pair of endpoints:
+Message passing runs over the graph's own CSR edges, never a dense
+attention matrix. A node's self-loop is no edge row: its log map is
+exactly 0, and its attention score needs only the node's own rows. On the
+E = 2m message edges each layer keeps only what needs a pair of
+endpoints:
 
 * per node (n rows): one tape node each for the linear transform's matmul,
   exp at the origin, bias transport and exp step, for both logs at the
   origin, for the exp map of the aggregate and for the activation (the
   geometry ops are ``manifold``'s one-node maps); both halves of the
-  attention projection run inside ``attention_weights``;
+  attention projection and the self-loop scores run inside
+  ``attention_weights``;
 * per edge (E rows): two tape ops with closed-form VJPs. ``attention_weights``
   sums the two gathered projections and takes their relu, output score and
   segment softmax; ``manifold.sum_logs`` forms the distance coefficient of
@@ -83,16 +86,10 @@ def init_layer(rng: np.random.Generator, d_in: int, d_out: int, zeta: float) -> 
 
 
 def message_edges(g: Graph) -> ad.EdgePlan:
-    """The edge plan of the flattened adjacency with self-loops, grouped by dst.
-
-    Each dst's block holds its sorted neighbours followed by itself; the
-    plan's first fields are (src, dst, indptr).
-    """
-    nbr_ptr, nbrs = g.indptr, g.indices
-    nodes = np.arange(g.n_nodes, dtype=np.int64)
-    # np.insert keeps equal positions in order, so isolated nodes stay sorted
-    src = np.insert(nbrs, nbr_ptr[1:], nodes)
-    return ad.edge_plan(src, nbr_ptr + np.append(nodes, g.n_nodes))
+    """The edge plan of g's CSR adjacency: dst i's segment holds its sorted
+    neighbours, and an isolated node's segment is empty. The plan's first
+    fields are (src, dst, indptr)."""
+    return ad.edge_plan(g.indices, g.indptr)
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +109,19 @@ def linear_transform(t, W, b, zeta: float) -> Tensor:
 
 
 def attention_weights(tang, params: LayerParams, plan: ad.EdgePlan) -> Tensor:
-    """Softmax over each dst segment of the MLP score of [tang_dst, tang_src],
-    shape (E, 1); one tape node with inputs tang, att_w1, att_b1 and att_w2.
+    """Softmax over each dst's neighbours and itself of the MLP score of
+    [tang_dst, tang_src]; the (E, 1) neighbour weights, one tape node with
+    inputs tang, att_w1, att_b1 and att_w2.
 
     The first layer is linear, so each half of att_w1 multiplies the n node
     rows once; per edge only the sum of two gathered rows, the relu, the
-    (d, 1) output projection and the softmax remain. The softmax ignores a
-    shift shared by a segment, so the output projection has no bias. Its
-    denominators and every per-edge sum of the VJP are the plan's
-    ``sum_by_dst``.
+    (d, 1) output projection and the softmax remain. Each node's self-loop
+    score comes from its own rows and joins its segment's max and, after
+    the neighbour sum, its denominator. Its weight is not returned: it
+    multiplies a log map that is exactly 0, so its gradient is 0. The
+    softmax ignores a shift shared by a segment, so the output projection
+    has no bias. Its denominators and every per-edge sum of the VJP are the
+    plan's ``sum_by_dst``.
     """
     tang = ad.as_tensor(tang)
     w1, b1, w2 = params.att_w1, params.att_b1, params.att_w2
@@ -131,20 +132,29 @@ def attention_weights(tang, params: LayerParams, plan: ad.EdgePlan) -> Tensor:
     proj_src = t @ w1.data[d:]
     hidden = np.maximum(np.repeat(proj_dst, counts, axis=0)
                         + np.take(proj_src, plan.src, axis=0), 0.0)
+    hidden_self = np.maximum(proj_dst + proj_src, 0.0)
     scores = hidden @ w2.data
-    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, plan.indptr[:-1], axis=0),
-                                  counts, axis=0))
-    weights = e / np.repeat(plan.sum_by_dst(e), counts, axis=0)
+    score_self = hidden_self @ w2.data
+    peak = score_self.copy()
+    np.maximum.at(peak[:, 0], plan.dst, scores[:, 0])
+    e = np.exp(scores - np.repeat(peak, counts, axis=0))
+    e_self = np.exp(score_self - peak)
+    denom = plan.sum_by_dst(e) + e_self
+    weights = e / np.repeat(denom, counts, axis=0)
+    w_self = e_self / denom
 
     def vjp(g):
-        g_scores = weights * (g - np.repeat(plan.sum_by_dst(g * weights), counts, axis=0))
+        g_sum = plan.sum_by_dst(g * weights)
+        g_scores = weights * (g - np.repeat(g_sum, counts, axis=0))
+        g_self = w_self * -g_sum
         g_hidden = (g_scores @ w2.data.T) * (hidden > 0.0)
-        g_dst = plan.sum_by_dst(g_hidden)
-        g_src = plan.sum_by_dst(np.take(g_hidden, plan.rev, axis=0))
+        g_hidden_self = (g_self @ w2.data.T) * (hidden_self > 0.0)
+        g_dst = plan.sum_by_dst(g_hidden) + g_hidden_self
+        g_src = plan.sum_by_dst(np.take(g_hidden, plan.rev, axis=0)) + g_hidden_self
         return (g_dst @ w1.data[:d].T + g_src @ w1.data[d:].T,
                 np.concatenate([t.T @ g_dst, t.T @ g_src]),
                 g_dst.sum(axis=0),
-                hidden.T @ g_scores)
+                hidden.T @ g_scores + hidden_self.T @ g_self)
 
     return ad._make(weights, (tang, w1, b1, w2), vjp)
 

@@ -260,10 +260,10 @@ def sum_logs(h, plan: ad.EdgePlan, weights, zeta: float) -> Tensor:
     Since log_x(y) = c (y - (1 + u) x) with u from ``_dist_arg`` and c from
     ``_log_coef``, the sum is sum_e a_e h[src_e] - beta_i h_i with a = w c
     and beta_i = sum_e a_e (1 + u_e), so only scalars and source rows are
-    summed per edge and h_i is scaled once per node. A self-loop
-    contributes 0. Every per-edge sum is the plan's ``sum_by_dst``; the
-    VJP's gradient for h is one of them, since diff = h[dst] - h[src]
-    negates exactly on the reverse edge.
+    summed per edge and h_i is scaled once per node; a node without edges
+    sums to 0. Every per-edge sum is the plan's ``sum_by_dst``; the VJP's
+    gradient for h is one of them, since diff = h[dst] - h[src] negates
+    exactly on the reverse edge.
     """
     h, weights = ad.as_tensor(h), ad.as_tensor(weights)
     x, w = h.data, weights.data
@@ -276,9 +276,11 @@ def sum_logs(h, plan: ad.EdgePlan, weights, zeta: float) -> Tensor:
     out = plan.sum_by_dst(a * h_src) - beta * x
 
     def vjp(g):
-        g_dst = np.repeat(g, plan.counts, axis=0)
+        # this VJP sets the peak memory of a training step, so each (E, d+1)
+        # temporary is updated in place and dropped after its last use
         g_beta = np.repeat(-np.einsum("ij,ij->i", g, x)[:, None], plan.counts, axis=0)
-        g_a = np.einsum("ij,ij->i", g_dst, h_src)[:, None] + g_beta * (u + 1.0)
+        g_a = np.einsum("ij,ij->i", np.repeat(g, plan.counts, axis=0), h_src)[:, None]
+        g_a += g_beta * (u + 1.0)
         # c = acosh1p(u) / s with ds/du = (u + 1) / s
         g_u = g_beta * a + g_a * w * (acosh1p_slope(u) - c * (u + 1.0) / s) / s
         # u = k max(<diff, diff>_L, 0); row e also carries the src-side terms of
@@ -286,8 +288,12 @@ def sum_logs(h, plan: ad.EdgePlan, weights, zeta: float) -> Tensor:
         sigma = (2.0 * k) * g_u * (u > 0.0)
         g_edge = (sigma + sigma[plan.rev]) * diff
         g_edge[:, 0] = -g_edge[:, 0]
-        g_edge += a[plan.rev] * np.take(g, plan.src, axis=0)
-        return plan.sum_by_dst(g_edge) - beta * g, g_a * c
+        g_src = np.take(g, plan.src, axis=0)
+        g_src *= a[plan.rev]
+        g_edge += g_src
+        g_h = plan.sum_by_dst(g_edge)
+        g_h -= beta * g
+        return g_h, g_a * c
 
     return ad._make(out, (h, weights), vjp)
 

@@ -159,6 +159,16 @@ def test_bad_grid_is_usage_error(tmp_path, capsys):
                  "--grid", "nonsense"]) == 1
 
 
+@pytest.mark.parametrize("grid", ["0:inf:0.5", "nan:1:0.5", "0:1:inf"])
+def test_non_finite_grid_is_usage_error(tmp_path, capsys, grid):
+    edges, _ = write_tree_edges(tmp_path)
+    assert main(["distortion", "--edges", str(edges), "--tree-layout", "1.0",
+                 "--grid", grid]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: bad grid {grid!r}; start, stop and step must be finite\n"
+
+
 def test_off_manifold_embeddings_are_data_error(tmp_path, capsys):
     edges, g = write_tree_edges(tmp_path, depth=3)
     bad = np.ones((g.n_nodes, 3))  # not on any hyperboloid

@@ -125,8 +125,25 @@ def random_message_graph(rng, n_max=25):
     return g, L.message_edges(g)
 
 
+def self_loop_edges(g):
+    """(src, dst, indptr, nbr_rows): g's message edges with each node's
+    self-loop after its neighbours, built one node at a time. These are the
+    edges the per-edge oracles of geometry_oracle take; nbr_rows are the
+    rows of the plan's edges among them, in plan order."""
+    src, dst, counts = [], [], []
+    for i in range(g.n_nodes):
+        nbrs = path_oracle.adjacent(g, i).tolist()
+        src.extend(nbrs + [i])
+        dst.extend([i] * (len(nbrs) + 1))
+        counts.append(len(nbrs) + 1)
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return src, dst, indptr, np.flatnonzero(src != dst)
+
+
 def segment_weights(rng, indptr):
-    """Positive weights that sum to 1 over each node's message block."""
+    """Positive weights that sum to 1 over each node's message block, self-loop
+    included; every block is nonempty."""
     w = rng.uniform(0.1, 1.0, size=(indptr[-1], 1))
     return w / np.repeat(np.add.reduceat(w, indptr[:-1]), np.diff(indptr), axis=0)
 
@@ -159,17 +176,19 @@ def assert_close_to_max(got, want, rel=1e-12):
 
 
 def test_attention_scores_match_concat_reference():
-    """The fused attention weights agree with the softmax of the (E, 2d)
-    concatenated-row scores, in value and in every gradient."""
+    """The fused attention weights agree with the neighbour rows of the
+    softmax of the (E, 2d) concatenated-row scores over the edges with
+    self-loops, in value and in every gradient."""
     rng = np.random.default_rng(30)
     for trial in range(30):
         g, plan, params, tang0 = edge_op_case(rng, int(rng.integers(1, 6)))
-        src, dst, indptr = plan.src, plan.dst, plan.indptr
+        src, dst, indptr, nbr = self_loop_edges(g)
         tang = Tensor(tang0, requires_grad=True)
         leaves = [tang, params.att_w1, params.att_b1, params.att_w2]
-        probe = rng.standard_normal((len(src), 1))
-        want = run_probed(lambda: geo.segment_softmax(
-            geo.attention_scores_concat(tang, src, dst, params), dst, indptr), leaves, probe)
+        probe = rng.standard_normal((len(plan.src), 1))
+        want = run_probed(lambda: ad.gather_rows(geo.segment_softmax(
+            geo.attention_scores_concat(tang, src, dst, params), dst, indptr), nbr),
+            leaves, probe)
         got = run_probed(lambda: L.attention_weights(tang, params, plan), leaves, probe)
         assert_close_to_max(got[:1], want[:1])
         assert_close_to_max(got[1:], want[1:])
@@ -177,16 +196,19 @@ def test_attention_scores_match_concat_reference():
 
 def test_fused_edge_ops_equal_composed_oracles():
     """Both per-edge tape ops compute exactly what their compositions of tape
-    primitives compute; their closed-form VJPs agree up to rounding."""
+    primitives compute over the edges with self-loops; their closed-form
+    VJPs agree up to rounding. The self-loop rows are the oracles' only
+    extra rows: the attention op returns the others, and the self-loop
+    weight of sum_logs multiplies a log map of exactly 0."""
     rng = np.random.default_rng(34)
     for trial in range(30):
         g, plan, params, tang0 = edge_op_case(rng, int(rng.integers(1, 6)))
-        src, dst, indptr = plan.src, plan.dst, plan.indptr
+        src, dst, indptr, nbr = self_loop_edges(g)
         tang = Tensor(tang0, requires_grad=True)
         leaves = [tang, params.att_w1, params.att_b1, params.att_w2]
-        probe = rng.standard_normal((len(src), 1))
-        want = run_probed(lambda: geo.attention_weights_composed(
-            tang, params, src, dst, indptr), leaves, probe)
+        probe = rng.standard_normal((len(plan.src), 1))
+        want = run_probed(lambda: ad.gather_rows(geo.attention_weights_composed(
+            tang, params, src, dst, indptr), nbr), leaves, probe)
         got = run_probed(lambda: L.attention_weights(tang, params, plan), leaves, probe)
         assert np.array_equal(got[0], want[0])
         assert_close_to_max(got[1:], want[1:])
@@ -197,7 +219,8 @@ def test_fused_edge_ops_equal_composed_oracles():
         probe = rng.standard_normal(h.shape)
         want = run_probed(lambda: geo.sum_logs_composed(h, src, dst, indptr, w, zeta),
                           [h, w], probe)
-        got = run_probed(lambda: M.sum_logs(h, plan, w, zeta), [h, w], probe)
+        got = run_probed(lambda: M.sum_logs(h, plan, ad.gather_rows(w, nbr), zeta),
+                         [h, w], probe)
         assert np.array_equal(got[0], want[0])
         assert_close_to_max(got[1:], want[1:])
 
@@ -227,11 +250,12 @@ def test_sum_logs_matches_summed_log_maps():
     for zeta in (0.1, 1.0, 10.0):
         for trial in range(20):
             g, plan = random_message_graph(rng)
+            src, dst, indptr, nbr = self_loop_edges(g)
             h = rand_points(rng, g.n_nodes, 3, zeta, scale=zeta)
-            w = segment_weights(rng, plan.indptr)
-            got = M.sum_logs(h, plan, w, zeta).data
-            per_edge = geo.log_at(h[plan.dst], h[plan.src], zeta)
-            want = geo.segment_sum(Tensor(w) * per_edge, plan.indptr).data
+            w = segment_weights(rng, indptr)
+            got = M.sum_logs(h, plan, w[nbr], zeta).data
+            per_edge = geo.log_at(h[dst], h[src], zeta)
+            want = geo.segment_sum(Tensor(w) * per_edge, indptr).data
             scale = np.max(np.abs(h), axis=-1, keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
             lonely = np.diff(g.indptr) == 0  # only the self-loop: sums to exactly 0
@@ -262,12 +286,13 @@ def test_sum_logs_matches_mpmath():
     rng = np.random.default_rng(32)
     g = graphs.Graph.from_edges(7, [[0, 1], [1, 2], [1, 3], [3, 4], [2, 4]])  # 5, 6 isolated
     plan = L.message_edges(g)
-    w = segment_weights(rng, plan.indptr)
+    src, dst, indptr, nbr = self_loop_edges(g)
+    w = segment_weights(rng, indptr)
     for zeta in (0.1, 1.0, 10.0):
         h = rand_points(rng, g.n_nodes, 3, zeta, scale=1.5 * zeta)
         h[6] = h[5]  # coinciding points far apart in id
-        got = M.sum_logs(h, plan, w, zeta).data
-        want = mp_sum_logs(h, plan.src, plan.dst, w, zeta)
+        got = M.sum_logs(h, plan, w[nbr], zeta).data
+        want = mp_sum_logs(h, src, dst, w, zeta)
         norm = np.max(np.abs(want), axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(norm, 1e-300))
         assert np.all(got[5:] == 0.0)
@@ -278,8 +303,9 @@ def test_sum_logs_gradients_match_finite_differences():
     g = graphs.Graph.from_edges(6, [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4]])  # 5 isolated
     plan = L.message_edges(g)
     zeta = 1.3
+    _, _, indptr, nbr = self_loop_edges(g)
     h = rand_points(rng, g.n_nodes, 3, zeta)
-    w = segment_weights(rng, plan.indptr)
+    w = segment_weights(rng, indptr)[nbr]
     probe = Tensor(rng.standard_normal(h.shape))
 
     def wrt_h(t):
@@ -311,19 +337,19 @@ def test_edge_plan_pairs_every_edge_with_its_reverse():
     for trial in range(20):
         g = hub_graph(rng)
         plan = L.message_edges(g)
-        assert np.diff(plan.indptr)[0] >= 21  # the hub's neighbours and itself
+        assert plan.counts[0] >= 24  # the hub's spokes
+        assert plan.counts[-1] == 0  # the highest id is isolated
         assert np.array_equal(plan.counts, np.diff(plan.indptr))
         assert np.array_equal(plan.src[plan.rev], plan.dst)
         assert np.array_equal(plan.dst[plan.rev], plan.src)
         assert np.array_equal(plan.rev[plan.rev], np.arange(len(plan.src)))
-        loops = np.flatnonzero(plan.src == plan.dst)
-        assert len(loops) == g.n_nodes and np.array_equal(plan.rev[loops], loops)
+        assert len(plan.src) == 2 * g.n_edges and not np.any(plan.src == plan.dst)
 
 
 def test_edge_plan_sums_by_dst_like_scatter_rows():
-    """sum_by_dst is byte-equal to the scatter by dst at every width; a sum
-    over the reverse edges is the scatter by src up to rounding, since each
-    self-loop's term comes at another point of the sum."""
+    """sum_by_dst is byte-equal to the scatter by dst at every width, and a
+    sum over the reverse edges to the scatter by src: both add each node's
+    rows in the same order."""
     rng = np.random.default_rng(41)
     dim = 5
     for trial in range(10):
@@ -338,20 +364,22 @@ def test_edge_plan_sums_by_dst_like_scatter_rows():
             assert got.shape == (n, width) and got.tobytes() == want.tobytes()
             by_src = plan.sum_by_dst(values[plan.rev])
             want = ad.scatter_rows(values, plan.src, n)
-            top = np.max(np.abs(values))
-            assert np.max(np.abs(by_src - want)) <= 1e-13 * top
+            assert by_src.tobytes() == want.tobytes()
         assert sorted(plan.slots) == [dim, dim + 1]
 
 
 def test_edge_plan_rejects_bad_edge_lists():
     with pytest.raises(ValueError, match="reverse"):  # 1 -> 0 without 0 -> 1
-        ad.edge_plan(np.array([1, 0, 1]), np.array([0, 2, 3]))
-    with pytest.raises(ValueError, match="nonempty"):
-        ad.edge_plan(np.array([0]), np.array([0, 1, 1]))
+        ad.edge_plan(np.array([1]), np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="cover"):  # a segment ends before it starts
+        ad.edge_plan(np.array([1, 0]), np.array([0, 2, 1]))
     with pytest.raises(ValueError, match="cover"):  # the last edge has no segment
         ad.edge_plan(np.array([0, 1, 1]), np.array([0, 1, 2]))
     with pytest.raises(ValueError, match="order"):  # node 0's neighbours unsorted
-        ad.edge_plan(np.array([2, 1, 0, 0, 1, 0, 2]), np.array([0, 3, 5, 7]))
+        ad.edge_plan(np.array([2, 1, 0, 0, 0, 1]), np.array([0, 2, 4, 6]))
+    plan = ad.edge_plan(np.array([1, 0]), np.array([0, 1, 2, 2]))  # node 2 isolated
+    assert np.array_equal(plan.dst, [0, 1]) and np.array_equal(plan.rev, [1, 0])
+    assert np.array_equal(plan.counts, [1, 1, 0])
     plan = ad.edge_plan(np.array([0, 1]), np.array([0, 1, 2]))  # self-loops only
     assert np.array_equal(plan.dst, [0, 1]) and np.array_equal(plan.rev, [0, 1])
 
@@ -361,8 +389,9 @@ def test_edge_ops_gradients_match_finite_differences_on_a_hub(zeta):
     rng = np.random.default_rng(42)
     g = hub_graph(rng)
     plan = L.message_edges(g)
+    _, _, indptr, nbr = self_loop_edges(g)
     h = rand_points(rng, g.n_nodes, 3, zeta, scale=zeta)
-    w = segment_weights(rng, plan.indptr)
+    w = segment_weights(rng, indptr)[nbr]
     probe = Tensor(rng.standard_normal(h.shape))
     step = 1e-5 * zeta  # the coordinates scale with zeta
 
@@ -472,25 +501,95 @@ def test_forward_matches_boundary_round_trip_reference():
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-def message_edges_reference(g):
-    src, dst, counts = [], [], []
-    for i in range(g.n_nodes):
-        nbrs = path_oracle.adjacent(g, i).tolist()
-        src.extend(nbrs + [i])
-        dst.extend([i] * (len(nbrs) + 1))
-        counts.append(len(nbrs) + 1)
-    return (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
-            np.concatenate([[0], np.cumsum(counts)]).astype(np.int64))
-
-
 def test_message_edges_match_loop_reference():
+    """The plan's edges are the self-loop edges of the loop reference without
+    their self-loops."""
     rng = np.random.default_rng(6)
     for trial in range(60):
         n = int(rng.integers(1, 30))
         hi = int(rng.integers(1, n + 1))  # ids >= hi stay isolated
         g = graphs.Graph.from_edges(n, rng.integers(0, hi, size=(int(rng.integers(0, 3 * n)), 2)))
-        for got, want in zip(L.message_edges(g), message_edges_reference(g)):
+        src, dst, indptr, nbr = self_loop_edges(g)
+        want = (src[nbr], dst[nbr], indptr - np.arange(n + 1))
+        for got, want in zip(L.message_edges(g), want):
             assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def tree_with_isolated_nodes(rng, d):
+    """Nodes 0..25 joined as a tree, 26..39 isolated, with (40, d) features."""
+    tree = graphs.balanced_binary_tree(4).edge_array()
+    g = graphs.Graph.from_edges(40, tree[(tree < 26).all(axis=1)])
+    g.features = 0.5 * rng.standard_normal((g.n_nodes, d))
+    return g
+
+
+def tape_arrays(loss):
+    """Every array the tape of loss holds: each node's value and what its VJP
+    closure captures, also inside tuples, lists and dicts such as a plan."""
+    arrays, seen, nodes = [], set(), [loss]
+    while nodes:
+        node = nodes.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arrays.append(node.data)
+        held = [c.cell_contents for c in getattr(node._vjp, "__closure__", None) or ()]
+        while held:
+            v = held.pop()
+            if isinstance(v, Tensor):
+                arrays.append(v.data)
+            elif isinstance(v, np.ndarray):
+                arrays.append(v)
+            elif isinstance(v, (tuple, list)):
+                held.extend(v)
+            elif isinstance(v, dict):
+                held.extend(v.values())
+        nodes.extend(node._parents)
+    return arrays
+
+
+def test_train_step_tape_has_no_self_loop_rows():
+    """An LP train step runs over the 2m CSR edges: no array its tape holds
+    has the n + 2m rows of the edge arrays with a self-loop per node."""
+    rng = np.random.default_rng(22)
+    g = tree_with_isolated_nodes(rng, 4)
+    plan = L.message_edges(g)
+    assert len(plan.src) == 2 * g.n_edges == 50
+    model = L.HyperbolicGNN(4, 5, 2, 1.0, rng)
+    opt = ad.Adam(model.parameters(), lr=1e-2)
+    emb = model.forward(g, training=True, rng=rng, edges=plan)
+    loss = L.lp_loss(emb, g.edge_array()[:10], np.array([[0, 30], [5, 39], [12, 27]]), 1.0)
+    rows = [a.shape[0] for a in tape_arrays(loss) if a.ndim]
+    assert 50 in rows and g.n_nodes + 50 not in rows
+    backward(loss)
+    opt.step()
+    assert all(p.grad is not None and np.all(np.isfinite(p.grad)) for p in model.parameters())
+
+
+def test_isolated_nodes_keep_their_self_loop_and_layer_matches_oracles():
+    """On the edges with self-loops, an isolated node's only message is its
+    own, with weight 1 and a log map of 0; the layer forward equals the
+    self-loop compositions of geometry_oracle."""
+    rng = np.random.default_rng(23)
+    g = tree_with_isolated_nodes(rng, 3)
+    plan = L.message_edges(g)
+    src, dst, indptr, nbr = self_loop_edges(g)
+    lonely = plan.counts == 0
+    params = small_layer(rng, 3, 4, zeta=0.7)
+    params.att_b1.data = rng.standard_normal(4)
+    h1 = L.linear_transform(g.features, params.W, params.b, params.zeta)
+    tang = M.log_origin(h1, params.zeta)
+    w = L.attention_weights(tang, params, plan).data
+    w_all = geo.attention_weights_composed(tang, params, src, dst, indptr).data
+    assert np.array_equal(w, w_all[nbr])
+    assert np.all(w_all[indptr[1:] - 1][lonely] == 1.0)
+    assert np.all(plan.sum_by_dst(w)[lonely] == 0.0)
+    pulled = M.sum_logs(h1, plan, w, params.zeta).data
+    assert np.all(pulled[lonely] == 0.0)
+    want = ad.relu(M.log_origin(M.exp_at(h1, geo.sum_logs_composed(
+        h1, src, dst, indptr, w_all, params.zeta), params.zeta), params.zeta))
+    got = L.layer_forward(g.features, g, params, edges=plan)
+    assert np.array_equal(got.data, want.data)
 
 
 def test_permutation_equivariance_of_aggregation():
