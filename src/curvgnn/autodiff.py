@@ -298,16 +298,15 @@ def scatter_rows(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
 class EdgePlan(NamedTuple):
     """The edges of one message graph, grouped by dst, and how to sum over them.
 
-    Segment i is ``indptr[i]:indptr[i+1]`` and may be empty (a node
-    without edges); ``counts`` holds the segment lengths, and ``rev[e]``
-    is the index of the reverse edge of e. ``slots`` keeps the flat
-    (dst, column) index of each row width that ``sum_by_dst`` has seen.
-    Build it with ``edge_plan``.
+    Node i's segment is the next ``counts[i]`` edges, all with dst i, and
+    may be empty (a node without edges); ``rev[e]`` is the index of the
+    reverse edge of e. ``slots`` keeps the flat (dst, column) index of
+    each row width that ``sum_by_dst`` has seen. Build it with
+    ``edge_plan``.
     """
 
     src: np.ndarray
     dst: np.ndarray
-    indptr: np.ndarray
     counts: np.ndarray
     rev: np.ndarray
     slots: dict
@@ -348,7 +347,7 @@ def edge_plan(src: np.ndarray, indptr: np.ndarray) -> EdgePlan:
     rev = np.minimum(np.searchsorted(keys, rev_keys), len(keys) - 1)
     if np.any(keys[rev] != rev_keys):
         raise ValueError("every edge needs its reverse edge")
-    return EdgePlan(src, dst, indptr, counts, rev, {})
+    return EdgePlan(src, dst, counts, rev, {})
 
 
 def dropout(a, p: float, rng: np.random.Generator) -> Tensor:

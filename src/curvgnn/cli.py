@@ -96,6 +96,17 @@ def _seed(text: str) -> int:
     return value
 
 
+def _zeta(text: str) -> float:
+    """A --zeta value: a curvature parameter is positive and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="curvgnn",
                 description="Hyperbolic GNN with adaptive curvature search")
@@ -145,7 +156,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--tree-layout", type=float, dest="tree_layout",
                         help="instead of --embeddings, lay the graph out as a tree "
                              "with this edge length")
-    di.add_argument("--zeta", type=float, default=1.0,
+    di.add_argument("--zeta", type=_zeta, default=1.0,
                     help="curvature the embeddings live at")
     di.add_argument("--grid", default="0.2:4.0:0.2", help="start:stop:step, inclusive")
     di.add_argument("--seed", type=_seed, default=0)
@@ -154,7 +165,7 @@ def _build_parser() -> _Parser:
                         help="parallelogram-law curvature estimate of an embedding")
     ec.add_argument("--edges", required=True)
     ec.add_argument("--embeddings", required=True)
-    ec.add_argument("--zeta", type=float, default=1.0)
+    ec.add_argument("--zeta", type=_zeta, default=1.0)
     ec.add_argument("--samples", type=int, dest="n_s",
                     help="quadruples per node (default: estimate_kappa's)")
     ec.add_argument("--seed", type=_seed, default=0)
@@ -190,6 +201,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"bad grid {text!r}; start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise UsageError("grid needs step > 0 and stop >= start")
+    if start <= 0:
+        raise UsageError(f"bad grid {text!r}; every curvature must be positive")
     n = int(round((stop - start) / step)) + 1
     grid = start + step * np.arange(n)
     return grid[grid <= stop + 1e-9]

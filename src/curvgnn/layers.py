@@ -88,7 +88,7 @@ def init_layer(rng: np.random.Generator, d_in: int, d_out: int, zeta: float) -> 
 def message_edges(g: Graph) -> ad.EdgePlan:
     """The edge plan of g's CSR adjacency: dst i's segment holds its sorted
     neighbours, and an isolated node's segment is empty. The plan's first
-    fields are (src, dst, indptr)."""
+    fields are (src, dst, counts)."""
     return ad.edge_plan(g.indices, g.indptr)
 
 
@@ -161,19 +161,18 @@ def attention_weights(tang, params: LayerParams, plan: ad.EdgePlan) -> Tensor:
 
 def layer_forward(t, g: Graph, params: LayerParams, *, dropout: float = 0.0,
                   training: bool = False, rng: np.random.Generator | None = None,
-                  edges: ad.EdgePlan | None = None) -> Tensor:
+                  edges: ad.EdgePlan) -> Tensor:
     """One message-passing layer: transform, attend, aggregate, relu.
 
     Takes and returns origin-tangent coordinates, (n, d_in) -> (n, d_out);
     in between, the points live on the hyperboloid at params.zeta.
     Dropout hits the tangent-space pre-activation and only while training.
-    ``edges`` is the plan ``message_edges(g)``, built here when not given.
+    ``edges`` is g's plan, ``message_edges(g)``.
     """
-    plan = message_edges(g) if edges is None else edges
     zeta = params.zeta
     h1 = linear_transform(t, params.W, params.b, zeta)
-    w = attention_weights(log_origin(h1, zeta), params, plan)
-    pulled = sum_logs(h1, plan, w, zeta)
+    w = attention_weights(log_origin(h1, zeta), params, edges)
+    pulled = sum_logs(h1, edges, w, zeta)
     h2 = exp_at(h1, pulled, zeta)
     tang = log_origin(h2, zeta)
     if training and dropout > 0.0:

@@ -41,7 +41,9 @@ _FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; a diagnostic dump is written when possible."""
+    """Loss went non-finite. With an output directory, `train` first writes
+    the finished epochs' records to its metrics.jsonl; the failed epoch is
+    the one after the last record."""
 
 
 @dataclass
@@ -296,9 +298,21 @@ def save_checkpoint(blob: dict, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    blob = json.loads(Path(path).read_text())
+    """Read a checkpoint; DataError, naming the file, when it is malformed."""
+    try:
+        blob = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise graphs.DataError(f"bad checkpoint JSON: {e}", path, e.lineno) from None
+    if not isinstance(blob, dict):
+        raise graphs.DataError("checkpoint must be a JSON object", path, 1)
     if blob.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {blob.get('format_version')}")
+    config = blob.get("config")
+    if not isinstance(config, dict):
+        raise graphs.DataError(f"{path} holds no config object")
+    unknown = set(config) - set(RunConfig.__dataclass_fields__)
+    if unknown:
+        raise graphs.DataError(f"{path} has unknown config fields: {sorted(unknown)}")
     return blob
 
 
@@ -364,7 +378,8 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         t0 = time.perf_counter()
         loss = train_step()
         if not np.isfinite(loss):
-            _dump_divergence(out_dir, epoch, records, model)
+            if out_dir is not None:
+                _write_records(records, out_dir)
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         emb_curr = eval_embeddings()
         zeta_curr_out = model.zetas[-1]  # the curvature emb_curr lives at
@@ -417,37 +432,23 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     return result
 
 
-def _dump_divergence(out_dir, epoch: int, records, model) -> None:
-    if out_dir is None:
-        return
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    dump = {
-        "failed_epoch": epoch,
-        "zetas": [float(z) for z in model.zetas],
-        "recent_records": [asdict(r) for r in records[-5:]],
-    }
-    (path / "diagnostic.json").write_text(json.dumps(dump, indent=2))
-
-
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
-def write_outputs(result: TrainResult, out_dir) -> None:
-    """metrics.jsonl, trace.csv, checkpoint.json, embeddings.npy, result.json."""
+def _write_records(records, out_dir) -> Path:
+    """Write metrics.jsonl, one JSON object per epoch record, into out_dir."""
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     with open(path / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for rec in result.records:
+        for rec in records:
             fh.write(json.dumps(asdict(rec)) + "\n")
-    with open(path / "trace.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,layer,zeta,action_hgnn,action_ace,r_hgnn,r_ace\n")
-        for rec in result.records:
-            for layer, zeta in enumerate(rec.zetas):
-                row = (rec.epoch, layer, zeta, rec.action_hgnn or "",
-                       rec.action_ace or "", rec.r_hgnn, rec.r_ace)
-                fh.write(",".join(str(x) for x in row) + "\n")
+    return path
+
+
+def write_outputs(result: TrainResult, out_dir) -> None:
+    """metrics.jsonl, checkpoint.json, embeddings.npy and result.json."""
+    path = _write_records(result.records, out_dir)
     save_checkpoint(result.checkpoint, path / "checkpoint.json")
     np.save(path / "embeddings.npy", result.final_embeddings)
     summary = {

@@ -21,7 +21,7 @@ import numpy as np
 
 from curvgnn import _kernels, autodiff as ad, manifold
 from curvgnn.autodiff import Tensor
-from curvgnn.layers import layer_forward
+from curvgnn.layers import layer_forward, message_edges
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +421,10 @@ def forward_with_boundary_round_trips(model, g) -> Tensor:
     layer's own for the output), and each layer starts with log at the
     origin at its curvature (HGCN's boundary, Chami et al. 2019)."""
     zetas = model.zetas
+    plan = message_edges(g)
     h = manifold.exp_origin(Tensor(np.asarray(g.features, dtype=np.float64)), zetas[0])
     for li, layer in enumerate(model.layers):
-        t = layer_forward(manifold.log_origin(h, zetas[li]), g, layer)
+        t = layer_forward(manifold.log_origin(h, zetas[li]), g, layer, edges=plan)
         h = manifold.exp_origin(t, zetas[min(li + 1, len(zetas) - 1)])
     return h
 

