@@ -307,12 +307,15 @@ def load_checkpoint(path) -> dict:
         raise graphs.DataError("checkpoint must be a JSON object", path, 1)
     if blob.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {blob.get('format_version')}")
-    config = blob.get("config")
+    missing = [k for k in ("config", "model", "epoch", "best_val_metric") if k not in blob]
+    if missing:
+        raise graphs.DataError(f"{path}: checkpoint lacks fields {missing}")
+    config = blob["config"]
     if not isinstance(config, dict):
-        raise graphs.DataError(f"{path} holds no config object")
+        raise graphs.DataError(f"{path}: config must be a JSON object")
     unknown = set(config) - set(RunConfig.__dataclass_fields__)
     if unknown:
-        raise graphs.DataError(f"{path} has unknown config fields: {sorted(unknown)}")
+        raise graphs.DataError(f"{path}: unknown config fields {sorted(unknown)}")
     return blob
 
 

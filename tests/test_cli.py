@@ -242,10 +242,17 @@ def test_train_then_eval_checkpoint(tmp_path, capsys):
     assert payload["test_metric"] == summary["test_metric"]
 
 
+# the fields of a version-4 checkpoint; each malformed case below breaks one
+CHECKPOINT_FIELDS = {"format_version": 4, "config": {"synthetic_tree_depth": 2},
+                     "model": {}, "epoch": 1, "best_val_metric": 0.5}
+
+
 @pytest.mark.parametrize("text", [
     "not json", "[1, 2]", json.dumps({"format_version": 4}),
-    json.dumps({"format_version": 4, "config": {"no_such_field": 1}})],
-    ids=["not-json", "list", "no-config", "unknown-field"])
+    json.dumps({**CHECKPOINT_FIELDS, "config": [1]}),
+    json.dumps({**CHECKPOINT_FIELDS, "config": {"no_such_field": 1}}),
+    json.dumps({k: v for k, v in CHECKPOINT_FIELDS.items() if k != "model"})],
+    ids=["not-json", "list", "no-config", "config-not-object", "unknown-field", "no-model"])
 def test_eval_of_a_malformed_checkpoint_is_data_error(tmp_path, capsys, text):
     path = tmp_path / "ck.json"
     path.write_text(text)
