@@ -3,10 +3,12 @@
 A Tensor wraps a numpy array; primitives record their inputs and a
 vector-Jacobian closure on the output node, forming an implicit tape
 (a DAG, topologically ordered by construction). ``backward`` walks the
-tape in reverse and accumulates gradients on every node that requires
-them. Nothing is recorded when no input requires a gradient, so
-forward-only evaluation has no tape overhead and produces identical
-values.
+tape in reverse, accumulates gradients on every node that requires them
+and consumes the tape as it goes: once a node's VJP has run, its closure
+and its value are dropped, so a step holds only what the rest of its
+backward still reads. Nothing is recorded when no input requires a
+gradient, or inside a ``no_tape()`` block, so forward-only evaluation
+has no tape overhead and produces identical values.
 
 The module knows no geometry. Other modules (``manifold``, ``layers``)
 add their own one-node ops with closed-form VJPs through ``_make``. An
@@ -19,9 +21,15 @@ on every call.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import NamedTuple
 
 import numpy as np
+
+# False inside a no_tape() block; a context variable, so one thread's block
+# leaves another thread's tape alone
+_recording = ContextVar("curvgnn_autodiff_recording", default=True)
 
 
 class Tensor:
@@ -41,7 +49,8 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        shape = self.data.shape if hasattr(self, "data") else "consumed by backward"
+        return f"Tensor(shape={shape}, requires_grad={self.requires_grad})"
 
     # operator sugar; all route through the module-level primitives
     def __add__(self, other):
@@ -76,11 +85,24 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextmanager
+def no_tape():
+    """Record no tape inside the block: every op returns a constant Tensor
+    with the value it computes on the tape, so an eval forward holds no
+    VJP closures and the arrays they capture."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _make(data, parents: tuple, vjp) -> Tensor:
     """Wrap a primitive's output; parents are Tensors, and the output joins the
-    tape only when one of them requires a gradient."""
+    tape only when one of them requires a gradient and no ``no_tape`` block
+    is open."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -100,7 +122,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse accumulation from a scalar loss; grads land on .grad fields."""
+    """Reverse accumulation from a scalar loss; grads land on .grad fields.
+
+    Consumes the tape: after a node's VJP has run, its closure and its
+    value are deleted, because every node that reads them comes later on
+    the tape and has already run. The loss keeps its value, and leaves
+    (nodes without parents) keep their values and grads; every node keeps
+    its parents, so the tape's shape can still be walked. A second
+    ``backward`` over a consumed node raises RuntimeError.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -113,6 +143,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._parents and node._vjp is None:
+            raise RuntimeError("backward over a tape that a backward has consumed")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -122,13 +154,16 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = grads.pop(id(node), None)
+        if not node._parents:
+            if g is not None and node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        vjp, node._vjp = node._vjp, None
+        if node is not loss:
+            del node.data
         if g is None:
             continue
-        if node.requires_grad and not node._parents:
-            node.grad = g if node.grad is None else node.grad + g
-        if node._vjp is None:
-            continue
-        parent_grads = node._vjp(g)
+        parent_grads = vjp(g)
         for p, pg in zip(node._parents, parent_grads):
             if pg is None or not p.requires_grad:
                 continue

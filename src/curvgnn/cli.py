@@ -175,11 +175,7 @@ def _build_parser() -> _Parser:
 def _train_config(args) -> RunConfig:
     fields: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise graphs.DataError(f"bad config JSON: {e}", args.config, e.lineno)
+        loaded = training.read_json(args.config, "config")
         if not isinstance(loaded, dict):
             raise graphs.DataError("config must be a JSON object of RunConfig fields",
                                    args.config, 1)

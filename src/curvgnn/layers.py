@@ -2,8 +2,10 @@
 
 The geometry comes from the tape ops of ``manifold`` (exp and log at the
 origin, the exp map, the weighted sum of log maps, transport from the
-origin, the distance), so gradients flow to the Euclidean parameters and
-the decoder scores the same distances as the diagnostics. Every trainable
+origin, the distance of row pairs), so gradients flow to the Euclidean
+parameters and the decoder scores the same distances as the diagnostics.
+The decoder's one tape node per pair set keeps only the pairs' row
+differences, not their gathered endpoint rows. Every trainable
 parameter (weights, biases, attention) lives in tangent space at the
 origin; curvature parameters are plain floats managed outside gradient
 descent.
@@ -44,7 +46,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .graphs import Graph
-from .manifold import (dist, exp_at, exp_origin, log_origin, sum_logs,
+from .manifold import (dist_pairs, exp_at, exp_origin, log_origin, sum_logs,
                        transport_from_origin)
 
 
@@ -269,7 +271,7 @@ FERMI_DIRAC_T = 1.0
 
 def _edge_logits(emb: Tensor, edges: np.ndarray, zeta: float) -> Tensor:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    d = dist(ad.gather_rows(emb, edges[:, 0]), ad.gather_rows(emb, edges[:, 1]), zeta)
+    d = dist_pairs(emb, edges[:, 0], edges[:, 1], zeta)
     return ad.scale(ad.neg(d * d) + FERMI_DIRAC_R, 1.0 / FERMI_DIRAC_T)
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curvature, graphs, layers, nashq
-from .autodiff import Adam, Tensor, backward
+from .autodiff import Adam, Tensor, backward, no_tape
 from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
 
 log = logging.getLogger(__name__)
@@ -254,7 +254,8 @@ class _Task:
         prediction `full_graph` holds the test edges, so they pass messages
         before they are scored.
         """
-        emb = model.forward(self.full_graph, training=False).data
+        with no_tape():
+            emb = model.forward(self.full_graph, training=False).data
         s, zeta = self.split, model.zetas[-1]
         if isinstance(s, graphs.EdgeSplit):
             return self._lp_metric(emb, zeta, s.test_pos, s.test_neg)
@@ -266,7 +267,8 @@ class _Task:
         return roc_auc(scores, labels)
 
     def _nc_metric(self, emb, zeta, model, node_ids) -> float:
-        logits = layers.nc_logits(emb, zeta, model.W_cls, model.b_cls).data
+        with no_tape():
+            logits = layers.nc_logits(emb, zeta, model.W_cls, model.b_cls).data
         pred = logits[node_ids].argmax(axis=1)
         return micro_f1(pred, self.full_graph.labels[node_ids])
 
@@ -297,12 +299,22 @@ def save_checkpoint(blob: dict, path) -> None:
     Path(path).write_text(json.dumps(blob))
 
 
+def read_json(path, what: str):
+    """The JSON value in the file at path; DataError naming the file and line
+    when it is not UTF-8 text or not JSON. `what` names the file's role."""
+    raw = Path(path).read_bytes()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise graphs.DataError(f"{what} is not UTF-8 text: {e}", path,
+                               raw.count(b"\n", 0, e.start) + 1) from None
+    except json.JSONDecodeError as e:
+        raise graphs.DataError(f"bad {what} JSON: {e}", path, e.lineno) from None
+
+
 def load_checkpoint(path) -> dict:
     """Read a checkpoint; DataError, naming the file, when it is malformed."""
-    try:
-        blob = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise graphs.DataError(f"bad checkpoint JSON: {e}", path, e.lineno) from None
+    blob = read_json(path, "checkpoint")
     if not isinstance(blob, dict):
         raise graphs.DataError("checkpoint must be a JSON object", path, 1)
     if blob.get("format_version") != CHECKPOINT_VERSION:
@@ -356,7 +368,8 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     neg_rng = np.random.default_rng([config.seed, 3])
 
     def eval_embeddings() -> np.ndarray:
-        return model.forward(msg_g, training=False, edges=plan).data
+        with no_tape():  # only the values are read
+            return model.forward(msg_g, training=False, edges=plan).data
 
     def train_step() -> float:
         emb = model.forward(msg_g, training=True, rng=drop_rng, edges=plan)

@@ -54,6 +54,54 @@ def test_gradient_accumulates_over_reuse():
     assert x.grad == pytest.approx([2.0 + 2.0 * 3.0])
 
 
+def test_backward_consumes_the_tape():
+    """After backward an interior node's value is gone; the loss keeps its
+    value, leaves keep theirs and their grads, and every node its parents."""
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    c = Tensor(np.array([3.0, 4.0]))
+    y = x * c
+    z = ad.sigmoid(y)
+    loss = ad.tsum(z)
+    value = float(loss.data)
+    backward(loss)
+    for node in (y, z):
+        with pytest.raises(AttributeError):
+            node.data
+        assert node._parents and "consumed" in repr(node)
+    assert float(loss.data) == value
+    assert np.array_equal(x.data, [1.0, 2.0]) and np.array_equal(c.data, [3.0, 4.0])
+    s = 1.0 / (1.0 + np.exp(-np.array([3.0, 8.0])))
+    assert x.grad == pytest.approx(s * (1.0 - s) * [3.0, 4.0], rel=1e-14)
+    assert y._parents == (x, c) and z._parents == (y,)
+
+
+def test_second_backward_over_a_consumed_tape_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = x * x
+    loss = ad.tsum(y)
+    backward(loss)
+    grad = x.grad.copy()
+    with pytest.raises(RuntimeError):
+        backward(loss)
+    with pytest.raises(RuntimeError):  # a new loss over the consumed one
+        backward(loss * 2.0)
+    assert np.array_equal(x.grad, grad)  # the refused calls added nothing
+
+
+def test_no_tape_records_nothing_and_computes_the_same_values():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    W = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    taped = ad.softplus(ad.matmul(x, W))
+    with ad.no_tape():
+        plain = ad.softplus(ad.matmul(x, W))
+    assert np.array_equal(plain.data, taped.data)
+    assert plain._parents == () and not plain.requires_grad and plain._vjp is None
+    with pytest.raises(KeyError), ad.no_tape():  # the block closes on an error too
+        raise KeyError
+    assert ad.matmul(x, W)._parents == (x, W)
+
+
 def test_forward_values_independent_of_grad_tracking():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((4, 4))

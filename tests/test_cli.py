@@ -309,6 +309,18 @@ def test_train_config_that_is_not_an_object_is_data_error(tmp_path, capsys, text
     assert err.startswith("data error:") and str(cfg_path) in err
 
 
+@pytest.mark.parametrize("command,flag", [("train", "--config"), ("eval", "--checkpoint")])
+def test_json_file_that_is_not_utf8_is_data_error_naming_it(tmp_path, capsys, command, flag):
+    """A UTF-16 byte-order mark before '{}' is no UTF-8 text: a data error at
+    the file's first line, not a decoder message without the file."""
+    path = tmp_path / "in.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = [command, flag, str(path)] + (["--out", str(tmp_path / "o")] if command == "train" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}:1: ") and "UTF-8" in err
+
+
 @pytest.mark.parametrize("field,value", [("epochs", "ten"), ("epochs", 10.5),
                                          ("lr", "3e-4"), ("rl_enabled", 1),
                                          ("dropout", True), ("edge_path", 7)])

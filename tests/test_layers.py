@@ -158,12 +158,14 @@ def edge_op_case(rng, d):
 
 
 def run_probed(op, leaves, probe):
-    """Values of op() and the gradients of sum(op() * probe) on the leaves."""
+    """Values of op() and the gradients of sum(op() * probe) on the leaves.
+    The values are read before backward, which consumes the tape."""
     for t in leaves:
         t.grad = None
     out = op()
+    value = out.data
     backward(ad.tsum(out * Tensor(probe)))
-    return [out.data] + [t.grad for t in leaves]
+    return [value] + [t.grad for t in leaves]
 
 
 def assert_close_to_max(got, want, rel=1e-12):
@@ -523,29 +525,49 @@ def tree_with_isolated_nodes(rng, d):
     return g
 
 
-def tape_arrays(loss):
-    """Every array the tape of loss holds: each node's value and what its VJP
-    closure captures, also inside tuples, lists and dicts such as a plan."""
-    arrays, seen, nodes = [], set(), [loss]
-    while nodes:
-        node = nodes.pop()
-        if id(node) in seen:
+def closure_arrays(fn):
+    """Every array a function's closure holds, also inside tuples, lists,
+    dicts such as a plan, Tensors and the closures of nested functions."""
+    arrays, seen = [], set()
+    held = [c.cell_contents for c in getattr(fn, "__closure__", None) or ()]
+    while held:
+        v = held.pop()
+        if id(v) in seen:
             continue
-        seen.add(id(node))
-        arrays.append(node.data)
-        held = [c.cell_contents for c in getattr(node._vjp, "__closure__", None) or ()]
-        while held:
-            v = held.pop()
-            if isinstance(v, Tensor):
-                arrays.append(v.data)
-            elif isinstance(v, np.ndarray):
-                arrays.append(v)
-            elif isinstance(v, (tuple, list)):
-                held.extend(v)
-            elif isinstance(v, dict):
-                held.extend(v.values())
-        nodes.extend(node._parents)
+        seen.add(id(v))
+        if isinstance(v, Tensor):
+            arrays.append(v.data)
+        elif isinstance(v, np.ndarray):
+            arrays.append(v)
+        elif isinstance(v, (tuple, list)):
+            held.extend(v)
+        elif isinstance(v, dict):
+            held.extend(v.values())
+        elif callable(v):
+            held.extend(c.cell_contents for c in getattr(v, "__closure__", None) or ())
     return arrays
+
+
+def tape_nodes(loss):
+    """Every node of the tape of loss, each once."""
+    nodes, seen, todo = [], set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            todo.extend(node._parents)
+    return nodes
+
+
+def tape_arrays(loss):
+    """Every array the tape of loss holds, each once: each node's value and
+    what its VJP closure captures."""
+    arrays = {}
+    for node in tape_nodes(loss):
+        for a in [node.data] + closure_arrays(node._vjp):
+            arrays[id(a)] = a
+    return list(arrays.values())
 
 
 def test_train_step_tape_has_no_self_loop_rows():
@@ -564,6 +586,44 @@ def test_train_step_tape_has_no_self_loop_rows():
     backward(loss)
     opt.step()
     assert all(p.grad is not None and np.all(np.isfinite(p.grad)) for p in model.parameters())
+
+
+def test_lp_step_tape_keeps_no_endpoint_rows_and_no_sum_logs_edge_rows():
+    """Of an LP step's tape, each pair set keeps one (P, d+1) array, the row
+    differences of its pairs, and no sum_logs VJP holds an (E, d+1) array:
+    it recomputes its edge rows from the node rows."""
+    rng = np.random.default_rng(23)
+    g = tree_with_isolated_nodes(rng, 4)
+    plan = L.message_edges(g)
+    model = L.HyperbolicGNN(4, 5, 2, 1.0, rng)
+    emb = model.forward(g, training=True, rng=rng, edges=plan)
+    pos, neg = g.edge_array()[:11], np.array([[0, 30], [5, 39], [12, 27]])
+    loss = L.lp_loss(emb, pos, neg, 1.0)
+    arrays, x = tape_arrays(loss), emb.data
+    for pairs in (pos, neg):
+        rows = [a for a in arrays if a.shape == (len(pairs), 6)]
+        assert len(rows) == 1
+        assert np.array_equal(rows[0], x[pairs[:, 0]] - x[pairs[:, 1]])
+    sum_logs = [n for n in tape_nodes(loss) if n._vjp and "sum_logs" in n._vjp.__qualname__]
+    assert len(sum_logs) == 2
+    for node in sum_logs:
+        held = [a.shape for a in closure_arrays(node._vjp) if a.ndim == 2]
+        assert (50, 1) in held and (g.n_nodes, 6) in held
+        assert not [shape for shape in held if shape[0] == 50 and shape[1] > 1]
+
+
+def test_no_tape_forward_equals_taped_forward():
+    """The eval forward run inside no_tape computes the same bytes as the
+    taped one and returns a constant; the same call outside records a tape."""
+    rng = np.random.default_rng(24)
+    g = tree_with_isolated_nodes(rng, 4)
+    plan = L.message_edges(g)
+    model = L.HyperbolicGNN(4, 5, 2, 0.7, rng)
+    taped = model.forward(g, training=False, edges=plan)
+    with ad.no_tape():
+        plain = model.forward(g, training=False, edges=plan)
+    assert plain.data.tobytes() == taped.data.tobytes()
+    assert plain._parents == () and taped._parents
 
 
 def test_isolated_nodes_keep_their_self_loop_and_layer_matches_oracles():

@@ -487,3 +487,39 @@ def test_fused_op_is_one_tape_node(name):
     out = fused(*leaves, 1.0)
     assert len(out._parents) == len(leaves)
     assert all(p is leaf for p, leaf in zip(out._parents, leaves))
+
+
+def pair_case(rng, zeta, n=7, n_pairs=12, dim=3):
+    """Points and row pairs with repeats, both orders and coinciding ends."""
+    x = M.to_hyperboloid(rng.standard_normal((n, dim)) * zeta, zeta)
+    pairs = rng.integers(0, n, size=(n_pairs, 2))
+    pairs[:3, 1] = pairs[:3, 0]  # coinciding ends: distance exactly 0
+    pairs[3] = pairs[4]
+    pairs[5] = pairs[6, ::-1]
+    return x, pairs[:, 0], pairs[:, 1]
+
+
+def test_dist_pairs_equals_distance_of_gathered_rows():
+    """Byte-equal values; the gradient sums the same rows in another order."""
+    rng = np.random.default_rng(64)
+    for zeta in (0.1, 1.0, 10.0):
+        x0, i, j = pair_case(rng, zeta)
+        probe = Tensor(rng.standard_normal(len(i)))
+        got_x, want_x = Tensor(x0, requires_grad=True), Tensor(x0, requires_grad=True)
+        got = M.dist_pairs(got_x, i, j, zeta)
+        want = M.dist(ad.gather_rows(want_x, i), ad.gather_rows(want_x, j), zeta)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got._parents == (got_x,)
+        backward(ad.tsum(got * probe))
+        backward(ad.tsum(want * probe))
+        assert np.max(np.abs(got_x.grad - want_x.grad)) <= 1e-13 * np.max(np.abs(want_x.grad))
+
+
+@pytest.mark.parametrize("zeta", [0.1, 1.0, 10.0])
+def test_dist_pairs_gradient_matches_finite_differences(zeta):
+    rng = np.random.default_rng(65)
+    x0, i, j = pair_case(rng, zeta)
+    probe = Tensor(rng.standard_normal(len(i)))
+    err = finite_diff_check(lambda t: ad.tsum(M.dist_pairs(t, i, j, zeta) * probe), x0,
+                            h=1e-5 * zeta)
+    assert err < 1e-5, err

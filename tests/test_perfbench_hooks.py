@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 import curvgnn
-from curvgnn import curvature, graphs
+from curvgnn import curvature, graphs, layers
+from curvgnn.autodiff import backward
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,7 +45,8 @@ runs = [["train", "--config", d + "/cfg.json", "--synthetic-tree", "5", "--epoch
 rcs = [cli.main(argv) for argv in runs]
 metrics = tracer.aggregate([tr.dump()])
 uncalled = [name for name in tracer.SPAN_NAMES if metrics[name + ".calls"][0] == 0]
-print(json.dumps({"missing": missing, "rcs": rcs, "uncalled": uncalled}))
+print(json.dumps({"missing": missing, "rcs": rcs, "uncalled": uncalled,
+                  "tape_nodes": metrics["autodiff.tape_nodes"][0]}))
 """
 
 
@@ -65,3 +67,22 @@ def test_tracer_hooks_every_traced_name(tmp_path):
     assert run["missing"] == STALE
     assert run["rcs"] == [0, 0, 0, 0], proc.stderr  # a hook that raises fails its command
     assert run["uncalled"] == STALE_SPANS  # every span of a wrapped name is entered
+    # the tracer counts a tape by walking its parents after backward, which
+    # consumes the values but keeps the parents
+    assert run["tape_nodes"] > 1
+
+
+def test_tape_node_count_is_the_same_after_backward(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    rng = np.random.default_rng(5)
+    g = graphs.balanced_binary_tree(3)
+    g.features = rng.standard_normal((g.n_nodes, 4))
+    model = layers.HyperbolicGNN(4, 4, 2, 1.0, rng)
+    loss = layers.lp_loss(model.forward(g, training=True, rng=rng), g.edge_array()[:5],
+                          np.array([[0, 9], [3, 12]]), 1.0)
+    before = tracer._tape_nodes(loss)
+    backward(loss)
+    assert tracer._tape_nodes(loss) == before > 1

@@ -287,6 +287,34 @@ def test_rewards_follow_the_val_metric(monkeypatch):
         assert rec.r_hgnn == rec.val_metric - prev.val_metric
 
 
+@pytest.mark.parametrize("task", ["lp", "nc"])
+def test_eval_forwards_record_no_tape(monkeypatch, task):
+    """Every eval forward of `train`, the final test one included, returns a
+    constant: it ran in a no_tape block. Train forwards record their tape."""
+    forward = layers.HyperbolicGNN.forward
+    outputs = []
+
+    def recorded(self, g, **kw):
+        out = forward(self, g, **kw)
+        outputs.append((kw.get("training", False), out))
+        return out
+
+    monkeypatch.setattr(layers.HyperbolicGNN, "forward", recorded)
+    epochs = 3
+    if task == "lp":
+        train(quick_config(epochs=epochs))
+    else:
+        g = synthetic_tree_dataset(4, 8, seed=0)
+        g.labels = np.arange(g.n_nodes) % 3
+        monkeypatch.setattr(training, "_load_dataset", lambda config: g)
+        train(quick_config(epochs=epochs, task="nc", dim=8))
+    evals = [out for is_train, out in outputs if not is_train]
+    trains = [out for is_train, out in outputs if is_train]
+    assert len(evals) == epochs + 2 and len(trains) == epochs  # initial, per epoch, test
+    assert all(out._parents == () for out in evals)
+    assert all(out._parents for out in trains)
+
+
 def test_search_calls_the_traced_names_through_their_modules(monkeypatch):
     # the benchmark tracer wraps these module attributes; a by-name import
     # would bypass the wrapper and drop its spans and counters
