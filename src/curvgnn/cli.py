@@ -175,11 +175,7 @@ def _build_parser() -> _Parser:
 def _train_config(args) -> RunConfig:
     fields: dict = {}
     if args.config:
-        loaded = training.read_json(args.config, "config")
-        if not isinstance(loaded, dict):
-            raise graphs.DataError("config must be a JSON object of RunConfig fields",
-                                   args.config, 1)
-        fields.update(loaded)
+        fields.update(graphs.read_json(args.config, "config"))
     fields.update({k: v for k, v in vars(args).items()
                    if k not in ("command", "config", "out", "log_level") and v is not None})
     unknown = set(fields) - set(RunConfig.__dataclass_fields__)

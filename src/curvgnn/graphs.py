@@ -11,13 +11,21 @@ File formats:
   * features   — CSV (row i = node i, no header) or a JSON manifest
     ``{"n": int, "f": int, "rows": [[...], ...]}``.
   * labels     — CSV ``node_id,class_id``.
+
+Every input file of the package (these three, a run config, a checkpoint)
+is read here, once, as bytes decoded as UTF-8; ``read_json`` parses a JSON
+object from it, and the text formats split it into lines as text-mode
+iteration does. A byte that is not UTF-8, or a non-finite feature value, is
+a DataError naming the file and line.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -117,36 +125,59 @@ class NodeSplit:
 # loading
 # ---------------------------------------------------------------------------
 
+def _read_text(path, what: str) -> str:
+    """The file at path decoded as UTF-8; DataError naming the file and the
+    line of the first byte that is not UTF-8. `what` names the file's role."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = raw[:e.start]  # lines end at \n, \r\n or a lone \r
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataError(f"{what} is not UTF-8 text: {e}", path, line) from None
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at path; DataError naming the file and line
+    when it is not UTF-8 text, not JSON or not an object."""
+    try:
+        value = json.loads(_read_text(path, what))
+    except json.JSONDecodeError as e:
+        raise DataError(f"bad {what} JSON: {e}", path, e.lineno) from None
+    if not isinstance(value, dict):
+        raise DataError(f"{what} must be a JSON object", path, 1)
+    return value
+
+
+def _read_lines(path, what: str):
+    """(line number, line) of each line of a UTF-8 text file, split at
+    universal newlines exactly as text-mode file iteration splits them."""
+    return enumerate(io.StringIO(_read_text(path, what), newline=None), start=1)
+
+
 def load_edge_list(path) -> np.ndarray:
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise DataError(f"expected 'u<TAB>v', got {raw.strip()!r}", path, lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(f"non-integer node id in {raw.strip()!r}", path, lineno)
-            if u < 0 or v < 0:
-                raise DataError(f"negative node id in {raw.strip()!r}", path, lineno)
-            edges.append((u, v))
+    for lineno, raw in _read_lines(path, "edge list"):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise DataError(f"expected 'u<TAB>v', got {raw.strip()!r}", path, lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"non-integer node id in {raw.strip()!r}", path, lineno)
+        if u < 0 or v < 0:
+            raise DataError(f"negative node id in {raw.strip()!r}", path, lineno)
+        edges.append((u, v))
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def load_features(path) -> np.ndarray:
     path = str(path)
     if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                manifest = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise DataError(f"bad JSON manifest: {e}", path, e.lineno)
-        if not isinstance(manifest, dict):
-            raise DataError("manifest must be a JSON object", path, 1)
+        manifest = read_json(path, "feature manifest")
         rows = manifest.get("rows")
         if rows is None:
             raise DataError("manifest missing 'rows'", path, 1)
@@ -160,51 +191,56 @@ def load_features(path) -> np.ndarray:
         n, f = manifest.get("n", feats.shape[0]), manifest.get("f", feats.shape[1])
         if feats.shape != (n, f):
             raise DataError(f"manifest says {n}x{f}, rows are {feats.shape}", path, 1)
+        if not np.all(np.isfinite(feats)):
+            raise DataError("non-finite feature value in 'rows'", path, 1)
         return feats
-    rows = []
+    rows, lines = [], []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                row = [float(tok) for tok in text.split(",")]
-            except ValueError:
-                raise DataError(f"non-numeric feature value in row", path, lineno)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataError(f"row has {len(row)} values, expected {width}", path, lineno)
-            rows.append(row)
+    for lineno, raw in _read_lines(path, "feature file"):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            row = [float(tok) for tok in text.split(",")]
+        except ValueError:
+            raise DataError(f"non-numeric feature value in row", path, lineno)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataError(f"row has {len(row)} values, expected {width}", path, lineno)
+        rows.append(row)
+        lines.append(lineno)
     if not rows:
         raise DataError("empty feature file", path, 1)
-    return np.array(rows, dtype=np.float64)
+    feats = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        raise DataError("non-finite feature value in row", path, lines[int(finite.argmin())])
+    return feats
 
 
 def load_labels(path, n_nodes: int) -> np.ndarray:
     labels = np.full(n_nodes, -1, dtype=np.int64)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise DataError(f"expected 'node_id,class_id', got {text!r}", path, lineno)
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(f"non-integer field in {text!r}", path, lineno)
-            if not (0 <= node < n_nodes):
-                raise DataError(f"node id {node} out of range [0, {n_nodes})", path, lineno)
-            if cls < 0:
-                raise DataError(f"negative class id {cls}", path, lineno)
-            if labels[node] not in (-1, cls):
-                raise DataError(
-                    f"conflicting label for node {node}: {labels[node]} vs {cls}",
-                    path, lineno)
-            labels[node] = cls
+    for lineno, raw in _read_lines(path, "label file"):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise DataError(f"expected 'node_id,class_id', got {text!r}", path, lineno)
+        try:
+            node, cls = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"non-integer field in {text!r}", path, lineno)
+        if not (0 <= node < n_nodes):
+            raise DataError(f"node id {node} out of range [0, {n_nodes})", path, lineno)
+        if cls < 0:
+            raise DataError(f"negative class id {cls}", path, lineno)
+        if labels[node] not in (-1, cls):
+            raise DataError(
+                f"conflicting label for node {node}: {labels[node]} vs {cls}",
+                path, lineno)
+        labels[node] = cls
     return labels
 
 

@@ -13,13 +13,12 @@ the maps: ``acosh1p(u)`` is arccosh(1 + u) in the log1p form, exact down
 to u ~ 0, with u clamped to [0, ACOSH_ARG_MAX]; ``acosh1p_slope`` is its
 derivative, evaluated at max(u, ACOSH_GRAD_EPS) so that gradients stay
 finite when distances collapse to 0, and 0 above the upper clamp;
-``_dist_arg`` forms the u of d(x, y) = zeta arccosh(1 + u),
-``_dist_of_diff`` the distance and its gradient from x - y, and
+``_dist_arg`` forms the u of d(x, y) = zeta arccosh(1 + u), and
 ``_log_coef`` the c of the log map c (y - (1 + u) x). Each tape op is one
 node of the ``autodiff`` tape with a closed-form VJP whose parents are
-exactly its inputs. Of the numpy API, ``log_map`` evaluates its formula
-on arrays; the other maps run their tape op on constants (no tape is
-recorded) and return its ``.data``:
+exactly its inputs. Of the numpy API, ``hyp_distance`` and ``log_map``
+evaluate their formulas on arrays; the other maps run their tape op on
+constants (no tape is recorded) and return its ``.data``:
 
 =====================  =========================  ================================
 formula                tape op (-> Tensor)        array function
@@ -30,7 +29,7 @@ distance argument u                               ``_dist_arg``
 log-map coefficient c                             ``_log_coef``
 exp at the origin      ``exp_origin``             ``to_hyperboloid``
 log at the origin      ``log_origin``             ``to_tangent_coords``
-geodesic distance      ``dist``                   ``hyp_distance``
+geodesic distance                                 ``hyp_distance``
 distance of row pairs  ``dist_pairs``
 log map at x                                      ``log_map``
 weighted log-map sum   ``sum_logs``
@@ -235,54 +234,27 @@ def log_origin(x, zeta: float) -> Tensor:
     return ad._make(out, (x,), vjp)
 
 
-def _dist_of_diff(diff: np.ndarray, zeta: float):
-    """(d, grad_diff): the distance zeta * arccosh(1 + u) of each row of
-    diff = x - y, with u from ``_dist_arg``, and the map from d's gradient
-    to diff's. The map keeps diff and two scalars per row."""
+def dist_pairs(x, i: np.ndarray, j: np.ndarray, zeta: float) -> Tensor:
+    """The distances d(x[i_p], x[j_p]) = zeta * arccosh(1 + u) of row pairs,
+    with u from ``_dist_arg`` of the row differences; one tape node with
+    input x. It keeps only the (P, d+1) row differences, not the gathered
+    rows, and its VJP scatters the difference gradient into both endpoints."""
+    x = ad.as_tensor(x)
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    n = x.data.shape[0]
+    diff = np.take(x.data, i, axis=0) - np.take(x.data, j, axis=0)
     q, k, u = _dist_arg(diff, zeta, keepdims=False)
 
-    def grad_diff(g):
+    def vjp(g):
         # u = k max(<diff, diff>_L, 0)
         g_q = (g * zeta) * acosh1p_slope(u) * k * (q > 0.0)
         g_diff = (2.0 * g_q)[..., None] * diff
         g_diff[..., 0] = -g_diff[..., 0]
-        return g_diff
-
-    return acosh1p(u) * zeta, grad_diff
-
-
-def dist(x, y, zeta: float) -> Tensor:
-    """Batched geodesic distance zeta * arccosh(-<x,y>_L / zeta^2), with the
-    argument of ``_dist_arg``; one tape node."""
-    x, y = ad.as_tensor(x), ad.as_tensor(y)
-    out, grad_diff = _dist_of_diff(x.data - y.data, zeta)
-
-    def vjp(g):
-        g_diff = grad_diff(g)
-        return (ad._unbroadcast(g_diff, x.data.shape),
-                ad._unbroadcast(-g_diff, y.data.shape))
-
-    return ad._make(out, (x, y), vjp)
-
-
-def dist_pairs(x, i: np.ndarray, j: np.ndarray, zeta: float) -> Tensor:
-    """The distances d(x[i_p], x[j_p]) of row pairs, equal to
-    ``dist(gather_rows(x, i), gather_rows(x, j))``; one tape node with input
-    x. It keeps only the (P, d+1) row differences, not the gathered rows,
-    and its VJP scatters the difference gradient into both endpoints."""
-    x = ad.as_tensor(x)
-    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-    n = x.data.shape[0]
-    out, grad_diff = _dist_of_diff(np.take(x.data, i, axis=0) - np.take(x.data, j, axis=0),
-                                   zeta)
-
-    def vjp(g):
-        g_diff = grad_diff(g)
         g_x = ad.scatter_rows(g_diff, i, n)
         g_x -= ad.scatter_rows(g_diff, j, n)
         return (g_x,)
 
-    return ad._make(out, (x,), vjp)
+    return ad._make(acosh1p(u) * zeta, (x,), vjp)
 
 
 def sum_logs(h, plan: ad.EdgePlan, weights, zeta: float) -> Tensor:
@@ -393,8 +365,12 @@ def transport_from_origin(x, b, zeta: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def hyp_distance(x: np.ndarray, y: np.ndarray, zeta) -> np.ndarray:
-    """Geodesic distance between batches of points (``dist``)."""
-    return dist(x, y, as_zeta(zeta)).data
+    """Geodesic distance zeta * arccosh(1 + u) between batches of points, with
+    u from ``_dist_arg``."""
+    z = as_zeta(zeta)
+    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    _, _, u = _dist_arg(diff, z, keepdims=False)
+    return acosh1p(u) * z
 
 
 def log_map(x: np.ndarray, y: np.ndarray, zeta) -> np.ndarray:

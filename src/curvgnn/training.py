@@ -299,24 +299,9 @@ def save_checkpoint(blob: dict, path) -> None:
     Path(path).write_text(json.dumps(blob))
 
 
-def read_json(path, what: str):
-    """The JSON value in the file at path; DataError naming the file and line
-    when it is not UTF-8 text or not JSON. `what` names the file's role."""
-    raw = Path(path).read_bytes()
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as e:
-        raise graphs.DataError(f"{what} is not UTF-8 text: {e}", path,
-                               raw.count(b"\n", 0, e.start) + 1) from None
-    except json.JSONDecodeError as e:
-        raise graphs.DataError(f"bad {what} JSON: {e}", path, e.lineno) from None
-
-
 def load_checkpoint(path) -> dict:
     """Read a checkpoint; DataError, naming the file, when it is malformed."""
-    blob = read_json(path, "checkpoint")
-    if not isinstance(blob, dict):
-        raise graphs.DataError("checkpoint must be a JSON object", path, 1)
+    blob = graphs.read_json(path, "checkpoint")
     if blob.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {blob.get('format_version')}")
     missing = [k for k in ("config", "model", "epoch", "best_val_metric") if k not in blob]

@@ -315,7 +315,8 @@ def log_origin_composed(x, zeta: float) -> Tensor:
 
 
 def dist_composed(x, y, zeta: float) -> Tensor:
-    """``manifold.dist`` as a chain of tape primitives."""
+    """The geodesic distance of ``manifold.hyp_distance`` and
+    ``manifold.dist_pairs`` as a chain of tape primitives."""
     x, y = ad.as_tensor(x), ad.as_tensor(y)
     return ad.scale(acosh1p(_acosh1p_arg(x, y, zeta, keepdims=False)), zeta)
 

@@ -309,16 +309,67 @@ def test_train_config_that_is_not_an_object_is_data_error(tmp_path, capsys, text
     assert err.startswith("data error:") and str(cfg_path) in err
 
 
-@pytest.mark.parametrize("command,flag", [("train", "--config"), ("eval", "--checkpoint")])
-def test_json_file_that_is_not_utf8_is_data_error_naming_it(tmp_path, capsys, command, flag):
-    """A UTF-16 byte-order mark before '{}' is no UTF-8 text: a data error at
-    the file's first line, not a decoder message without the file."""
-    path = tmp_path / "in.json"
-    path.write_bytes(b"\xff\xfe{}")
-    argv = [command, flag, str(path)] + (["--out", str(tmp_path / "o")] if command == "train" else [])
+@pytest.mark.parametrize("command,flag,name,data,line", [
+    pytest.param("train", "--config", "in.json", b"\xff\xfe{}", 1, id="train---config"),
+    pytest.param("eval", "--checkpoint", "in.json", b"\xff\xfe{}", 1, id="eval---checkpoint"),
+    pytest.param("delta", "--edges", "e.tsv", b"0\t1\n1\t2\xff\n", 2, id="delta---edges"),
+    pytest.param("train", "--features", "f.csv", b"1,0\n0,1\xff\n1,1\n", 2,
+                 id="train---features-csv"),
+    pytest.param("train", "--features", "f.json", b'{"rows":\n[[1, 0], [0, 1], [1, 1]]}\xff',
+                 2, id="train---features-json"),
+    pytest.param("train", "--labels", "l.csv", b"0,0\n1,1\xff\n2,0\n", 2, id="train---labels"),
+])
+def test_json_file_that_is_not_utf8_is_data_error_naming_it(tmp_path, capsys, command, flag,
+                                                             name, data, line):
+    """A byte that is no UTF-8 (a UTF-16 byte-order mark, or a stray 0xff)
+    is a data error at the file's line that holds it, not a decoder message
+    without the file, in every input file of the CLI."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    edges = tmp_path / "ok.tsv"
+    edges.write_text("0\t1\n1\t2\n")
+    feats = tmp_path / "ok.csv"
+    feats.write_text("1,0\n0,1\n1,1\n")
+    argv = [command, flag, str(path)]
+    if flag == "--features":
+        argv += ["--edges", str(edges)]
+    if flag == "--labels":
+        argv += ["--edges", str(edges), "--features", str(feats), "--task", "nc"]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: {path}:1: ") and "UTF-8" in err
+    assert err.startswith(f"data error: {path}:{line}: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("text", ["[[1, 2], [3, 4]]", "null", "3"])
+def test_feature_manifest_that_is_not_an_object_is_data_error(tmp_path, capsys, text):
+    edges = tmp_path / "e.tsv"
+    edges.write_text("0\t1\n")
+    feats = tmp_path / "f.json"
+    feats.write_text(text)
+    assert main(["train", "--edges", str(edges), "--features", str(feats),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {feats}:1: ") and "JSON object" in err
+
+
+@pytest.mark.parametrize("name,data,line", [("f.csv", "1,0\n0,nan\n1,1\n", 2),
+                                            ("f.csv", "1,0\n\n0,1\n1,-inf\n", 4),
+                                            ("f.json", '{"rows": [[1, 0], [0, NaN], [1, 1]]}', 1),
+                                            ("f.json", '{"rows": [[1, 0], [0, 1e999], [1, 1]]}',
+                                             1)],
+                         ids=["csv-nan", "csv-inf", "json-nan", "json-overflow"])
+def test_non_finite_feature_value_is_data_error_naming_its_line(tmp_path, capsys, name, data,
+                                                                line):
+    edges = tmp_path / "e.tsv"
+    edges.write_text("0\t1\n1\t2\n")
+    feats = tmp_path / name
+    feats.write_text(data)
+    assert main(["train", "--edges", str(edges), "--features", str(feats),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {feats}:{line}: ") and "non-finite" in err
 
 
 @pytest.mark.parametrize("field,value", [("epochs", "ten"), ("epochs", 10.5),

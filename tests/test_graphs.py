@@ -42,6 +42,19 @@ def test_edge_parse_error_carries_line_number(tmp_path):
         graphs.load_edge_list(p)
 
 
+def test_edge_list_lines_end_at_universal_newlines_only(tmp_path):
+    """\\r\\n and a lone \\r end a line; a form feed inside a line is
+    whitespace between the ids, not a line break, so the malformed line is
+    the fourth. A byte that is not UTF-8 is counted in the same lines."""
+    p = tmp_path / "e.tsv"
+    p.write_bytes(b"0\t1\r\n1\t2\r2\x0c3\n3\t4\t5\n")
+    with pytest.raises(DataError, match=r"e\.tsv:4: expected"):
+        graphs.load_edge_list(p)
+    p.write_bytes(b"0\t1\r\n1\t2\r2\x0c3\xff\n")
+    with pytest.raises(DataError, match=r"e\.tsv:3: edge list is not UTF-8"):
+        graphs.load_edge_list(p)
+
+
 def test_non_integer_edge_error(tmp_path):
     p = write(tmp_path, "e.tsv", "0\tx\n")
     with pytest.raises(DataError, match=":1"):

@@ -798,6 +798,6 @@ def test_layer_forward_gradient_wrt_inputs():
     def f(t):
         out = M.exp_origin(L.layer_forward(t, g, params, edges=plan), 1.4)
         o = np.broadcast_to(M.origin(3, 1.4), out.data.shape)
-        return ad.tsum(M.dist(Tensor(np.ascontiguousarray(o)), out, 1.4))
+        return ad.tsum(geo.dist_composed(Tensor(np.ascontiguousarray(o)), out, 1.4))
 
     assert finite_diff_check(f, feats) < 1e-4

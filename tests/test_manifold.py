@@ -145,7 +145,7 @@ def test_tape_distance_matches_mpmath_at_small_separations():
                 y = M.exp_map(x, v, zeta)
                 want = mp_difference_distance(x, y, zeta)
                 assert want == pytest.approx(sep, rel=1e-4)  # the pair is sep apart
-                got = float(M.dist(x[None], y[None], zeta).data[0])
+                got = float(M.hyp_distance(x[None], y[None], zeta)[0])
                 assert got == pytest.approx(want, rel=1e-12, abs=0)
                 assert float(M.hyp_distance(x, y, zeta)) == got
 
@@ -368,13 +368,13 @@ def test_as_zeta_rejects_bad_values():
 FUSED = {  # one-node op, its composed reference
     "exp_origin": (M.exp_origin, geo.exp_origin_composed),
     "log_origin": (M.log_origin, geo.log_origin_composed),
-    "dist": (M.dist, geo.dist_composed),
     "exp_at": (M.exp_at, geo.exp_at_composed),
     "transport_from_origin": (M.transport_from_origin, geo.transport_from_origin_composed),
 }
 
-FORWARDS = {  # the one-node ops, and the array log map, with their compositions
+FORWARDS = {  # the one-node ops, and the array distance and log map, with their compositions
     **FUSED,
+    "hyp_distance": (lambda x, y, zeta: Tensor(M.hyp_distance(x, y, zeta)), geo.dist_composed),
     "log_map": (lambda x, y, zeta: Tensor(M.log_map(x, y, zeta)), geo.log_at),
 }
 
@@ -399,7 +399,7 @@ def fused_inputs(rng, name, zeta, t_max, n=8, dim=3):
         return [origin_tangents(rng, n, dim, zeta, t_max)]
     if name == "log_origin":
         return [points()]
-    if name in ("dist", "log_map"):
+    if name in ("hyp_distance", "log_map"):
         x, y = points(), points()
         y[0] = x[0]
         return [x, y]
@@ -500,15 +500,16 @@ def pair_case(rng, zeta, n=7, n_pairs=12, dim=3):
 
 
 def test_dist_pairs_equals_distance_of_gathered_rows():
-    """Byte-equal values; the gradient sums the same rows in another order."""
+    """Values byte-equal to the array distance of the gathered rows; the
+    gradient is that of the distance's composition of tape primitives."""
     rng = np.random.default_rng(64)
     for zeta in (0.1, 1.0, 10.0):
         x0, i, j = pair_case(rng, zeta)
         probe = Tensor(rng.standard_normal(len(i)))
         got_x, want_x = Tensor(x0, requires_grad=True), Tensor(x0, requires_grad=True)
         got = M.dist_pairs(got_x, i, j, zeta)
-        want = M.dist(ad.gather_rows(want_x, i), ad.gather_rows(want_x, j), zeta)
-        assert got.data.tobytes() == want.data.tobytes()
+        assert got.data.tobytes() == M.hyp_distance(x0[i], x0[j], zeta).tobytes()
+        want = geo.dist_composed(ad.gather_rows(want_x, i), ad.gather_rows(want_x, j), zeta)
         assert got._parents == (got_x,)
         backward(ad.tsum(got * probe))
         backward(ad.tsum(want * probe))
