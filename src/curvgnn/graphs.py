@@ -12,11 +12,9 @@ File formats:
     ``{"n": int, "f": int, "rows": [[...], ...]}``.
   * labels     — CSV ``node_id,class_id``.
 
-Every input file of the package (these three, a run config, a checkpoint)
-is read here, once, as bytes decoded as UTF-8; ``read_json`` parses a JSON
-object from it, and the text formats split it into lines as text-mode
-iteration does. A byte that is not UTF-8, or a non-finite feature value, is
-a DataError naming the file and line.
+Every input file (these three, a run config, a checkpoint) is read here as
+UTF-8; a byte that is not UTF-8, or a non-finite feature value, is a
+DataError naming the file and line.
 """
 
 from __future__ import annotations

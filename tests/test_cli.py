@@ -300,13 +300,19 @@ def test_train_unknown_config_field(tmp_path):
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "[[\"epochs\", 3]]", "null", "3"])
-def test_train_config_that_is_not_an_object_is_data_error(tmp_path, capsys, text):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(text)
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+@pytest.mark.parametrize("flag,text", [
+    *(pytest.param("--config", text, id=text)
+      for text in ("[1, 2]", '[["epochs", 3]]', "null", "3")),
+    pytest.param("--features", "[[1, 2], [3, 4]]", id="manifest-array")])
+def test_train_config_that_is_not_an_object_is_data_error(tmp_path, capsys, flag, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    edges = tmp_path / "e.tsv"
+    edges.write_text("0\t1\n")
+    argv = ["train", flag, str(path), "--out", str(tmp_path / "o")]
+    assert main(argv + (["--edges", str(edges)] if flag == "--features" else [])) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and str(cfg_path) in err
+    assert err.startswith(f"data error: {path}:1: ") and "JSON object" in err
 
 
 @pytest.mark.parametrize("command,flag,name,data,line", [
@@ -321,7 +327,7 @@ def test_train_config_that_is_not_an_object_is_data_error(tmp_path, capsys, text
 ])
 def test_json_file_that_is_not_utf8_is_data_error_naming_it(tmp_path, capsys, command, flag,
                                                              name, data, line):
-    """A byte that is no UTF-8 (a UTF-16 byte-order mark, or a stray 0xff)
+    """A byte that is not UTF-8 (a UTF-16 byte-order mark, or a stray 0xff)
     is a data error at the file's line that holds it, not a decoder message
     without the file, in every input file of the CLI."""
     path = tmp_path / name
@@ -340,18 +346,6 @@ def test_json_file_that_is_not_utf8_is_data_error_naming_it(tmp_path, capsys, co
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}:{line}: ") and "UTF-8" in err
-
-
-@pytest.mark.parametrize("text", ["[[1, 2], [3, 4]]", "null", "3"])
-def test_feature_manifest_that_is_not_an_object_is_data_error(tmp_path, capsys, text):
-    edges = tmp_path / "e.tsv"
-    edges.write_text("0\t1\n")
-    feats = tmp_path / "f.json"
-    feats.write_text(text)
-    assert main(["train", "--edges", str(edges), "--features", str(feats),
-                 "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: {feats}:1: ") and "JSON object" in err
 
 
 @pytest.mark.parametrize("name,data,line", [("f.csv", "1,0\n0,nan\n1,1\n", 2),
