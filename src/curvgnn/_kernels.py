@@ -4,11 +4,12 @@
 once, one bit per source in words of ``WORD_BITS`` (the multi-source BFS
 of Then et al., "The More the Merrier", PVLDB 2014): each level is one
 gather of the frontier words over the CSR slots and one OR per node.
-Hop rows (``bfs_hops``), single-source trees (``bfs_tree``) and tree path
-sums (``bfs_path_sums``) are thin layers over it. A BFS-tree parent is the
-first CSR slot one hop closer to the source, picked for whole trees by
-``_parent_slots`` and along the paths to requested nodes only by
-``_path_parents``.
+Hop rows (``bfs_hops``), single-source trees (``bfs_tree``) and the tree
+paths of a block of sources (``bfs_paths``) are thin layers over it. A
+BFS-tree parent is the first CSR slot one hop closer to the source, picked
+for whole trees by ``_parent_slots`` and along the paths to requested nodes
+only by ``_path_parents``. ``path_sums`` adds edge lengths along a
+``bfs_paths`` plan, so one BFS serves any number of length vectors.
 ``delta_exact`` scans the quadruples of a hop-distance matrix.
 Everything is numpy.
 
@@ -16,7 +17,7 @@ All kernels take CSR adjacency (``indptr``, ``indices``, both int64, each
 neighbour list sorted) and are deterministic: hop counts are integers and
 floating-point sums run in a fixed order. Their (sources, n) outputs grow
 with the number of sources in a call, so callers pass sources
-``BLOCK_SOURCES`` at a time.
+``BLOCK_SOURCES`` at a time, or a few words at a time on small graphs.
 """
 
 from __future__ import annotations
@@ -180,38 +181,58 @@ def _path_parents(indptr, indices, hops, pos):
     return steps[::-1]
 
 
-def bfs_path_sums(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray,
-                  slot_len: np.ndarray, pairs=None):
-    """Hop rows and BFS-tree path sums from a block of sources.
+def bfs_paths(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, pairs=None):
+    """Hop rows and BFS-tree paths from a block of sources, for ``path_sums``.
 
-    Row b belongs to ``sources[b]``: ``hops[b]`` is ``bfs_hops`` from it,
-    and the sum at (b, v) adds ``slot_len`` along the ``bfs_tree`` path to
-    v (0 at the source, +inf where unreachable). ``slot_len[k]`` is the
-    length of CSR slot k, the edge from the node owning slot k to
-    ``indices[k]``. Without ``pairs``, sums has the shape (B, n) of the hop
-    rows; with ``pairs = (rows, nodes)``, only the paths to those entries
-    are resolved and sums holds one value per pair. Sums grow from the root
-    one level at a time, so every entry is bit-identical to walking each
-    source's tree alone.
+    Row b belongs to ``sources[b]``: ``hops[b]`` is ``bfs_hops`` from it, in
+    the small integer type of ``_hop_rows``. ``paths`` lists, one hop level
+    at a time from the root down, each resolved (row, node) position, its
+    tree parent's position and the CSR slot of the edge between them: for
+    every entry without ``pairs``, and for the paths to the entries of
+    ``pairs = (rows, nodes)`` only. None of it depends on edge lengths, so
+    one call serves the path sums of any number of length vectors.
     """
     hops = _hop_rows(*_bfs_bits(indptr, indices, sources), len(sources))
     n = hops.shape[1]
+    flat = hops.ravel()
+    # positions and slots fit int32 on any graph the (B, n) hop rows fit
+    # memory for, which halves the plan next to int64
+    idx = np.int32 if max(flat.size, indices.shape[0]) < 2 ** 31 else np.int64
     if pairs is None:
         pos = None
         parent_slot = _parent_slots(indptr, indices, hops).ravel()
-        levels = _split_by_hop(np.arange(hops.size), hops.ravel())[1:]
+        levels = _split_by_hop(np.arange(flat.size, dtype=idx), flat)[1:]
         steps = [(at, parent_slot[at]) for at in levels]
+        unreached = np.flatnonzero(flat == UNREACHABLE)
     else:
         pos = np.asarray(pairs[0], dtype=np.int64) * n + pairs[1]
         steps = _path_parents(indptr, indices, hops, pos)
-    sums = np.zeros(hops.size, dtype=np.float64)
-    for at, k in steps:
-        sums[at] = sums[at - at % n + indices[k]] + slot_len[k]
-    sums[hops.ravel() == UNREACHABLE] = np.inf
-    hops = hops.astype(np.int64)
-    if pos is None:
-        return hops, sums.reshape(hops.shape)
-    return hops, sums[pos]
+        unreached = np.flatnonzero(flat[pos] == UNREACHABLE)
+    steps = [(at.astype(idx, copy=False), (at - at % n + indices[k]).astype(idx),
+              k.astype(idx, copy=False)) for at, k in steps]
+    return hops, (hops.shape if pos is None else pos.shape, flat.size, steps, pos, unreached)
+
+
+def path_sums(paths, slot_len: np.ndarray) -> np.ndarray:
+    """BFS-tree path sums along ``paths`` from ``bfs_paths``.
+
+    The sum at (b, v) adds ``slot_len`` along the ``bfs_tree`` path from
+    ``sources[b]`` to v (0 at the source, +inf where unreachable);
+    ``slot_len[k]`` is the length of CSR slot k, the edge from the node
+    owning slot k to ``indices[k]``. Sums have the shape (B, n) of the hop
+    rows, or one value per pair when ``bfs_paths`` was given pairs. They
+    grow from the root one level at a time, so every entry is bit-identical
+    to walking each source's tree alone.
+    """
+    shape, size, steps, pos, unreached = paths
+    sums = np.zeros(size)
+    for at, up, k in steps:
+        step = np.take(sums, up)
+        step += np.take(slot_len, k)
+        sums[at] = step
+    out = sums if pos is None else np.take(sums, pos)
+    out[unreached] = np.inf
+    return out.reshape(shape)
 
 
 def delta_exact(dist: np.ndarray) -> float:

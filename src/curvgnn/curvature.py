@@ -5,7 +5,8 @@ distances against path-sum graph distances, a parallelogram-law deviation
 estimator for the sectional curvature of the embedded graph, and the
 blend rule that turns an estimate into the next curvature parameter. A
 geodesic tree layout feeds the diagnostics. All distances come from
-``manifold``.
+``manifold``. A distortion sweep over a curvature grid runs one BFS per
+block of sources and scores every grid point on its trees.
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ def parallelogram_deviation_normalized(d_am, d_bc, d_ab, d_ac):
 # embedding distortion
 # ---------------------------------------------------------------------------
 
-def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
-                         seed: int = 0) -> DistortionReport:
+def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta) -> DistortionReport:
     """Mean |d^2/g^2 - 1| over ordered connected node pairs (i != j).
 
     d is the hyperbolic distance between the endpoint embeddings; g is the
@@ -78,16 +78,40 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
     when g is 0 (every edge on the path has collapsed to one point); such
     pairs are excluded and counted in ``pairs_excluded``, and the mean runs
     over the pairs actually used. Graphs above DISTORTION_EXACT_LIMIT nodes
-    are scored on a seeded sample of pairs instead of all of them.
+    are scored on a sample of pairs drawn from seed 0 instead of all of them
+    (``distortion_sweep`` takes a seed).
+    """
+    return _distortion_reports(g, [(emb, zeta)], 0)[0]
+
+
+def distortion_sweep(g: graphs.Graph, emb: np.ndarray, zeta_base, grid,
+                     seed: int = 0) -> list[tuple[float, DistortionReport]]:
+    """Remap fixed embeddings across a curvature grid and score each point.
+
+    Each report equals ``embedding_distortion`` of that point's remapped
+    embeddings (with ``seed`` drawing the sampled pairs); the BFS trees
+    behind g are built once per source block for the whole grid.
+    """
+    points = [(manifold.transfer_curvature(emb, zeta_base, z), z) for z in grid]
+    return [(float(z), rep) for z, rep in zip(grid, _distortion_reports(g, points, seed))]
+
+
+def _distortion_reports(g, points, seed):
+    """One ``DistortionReport`` per (embeddings, zeta) point, in order.
+
+    Hop rows and tree paths do not depend on the embeddings, so each block
+    of sources runs ``_kernels.bfs_paths`` once for every point.
     """
     if g.n_edges == 0:
         raise ValueError("distortion is undefined on an edgeless graph")
-    manifold.check_on_manifold(emb, zeta)
     n = g.n_nodes
     exact = n <= DISTORTION_EXACT_LIMIT
     excluded = 0
     if exact:
         sources = np.arange(n)
+        # several words per block on small graphs, so that a block never
+        # spans more (source, node) entries than one word does at the limit
+        block = _kernels.BLOCK_SOURCES * max(1, DISTORTION_EXACT_LIMIT // n)
     else:
         n_pairs = DISTORTION_SAMPLE_FACTOR * n
         log.info("distortion: sampling %d ordered pairs on %d nodes", n_pairs, n)
@@ -100,62 +124,75 @@ def embedding_distortion(g: graphs.Graph, emb: np.ndarray, zeta,
         src, dst = src[keep][by_src], dst[keep][by_src]
         sources, first = np.unique(src, return_index=True)
         bounds = np.append(first, len(src))
+        block = _kernels.BLOCK_SOURCES
 
-    indptr, indices = g.indptr, g.indices
-    owner = np.repeat(np.arange(n), np.diff(indptr))
-    slot_len = manifold.hyp_distance(emb[owner], emb[indices], zeta)
-    block = _kernels.BLOCK_SOURCES
-    chunk = max(1, DISTANCE_CHUNK_ELEMENTS // emb.shape[1])
-    total = 0.0
-    used = 0
+    owner = np.repeat(np.arange(n), np.diff(g.indptr))
+    slot_lens = []
+    for emb, zeta in points:
+        manifold.check_on_manifold(emb, zeta)
+        slot_lens.append(manifold.hyp_distance(np.take(emb, owner, axis=0),
+                                               np.take(emb, g.indices, axis=0), zeta))
+    scores = [[0.0, 0, excluded] for _ in points]  # ratio sum, pairs used, excluded
     for lo in range(0, len(sources), block):
         block_src = sources[lo:lo + block]
-        # a pair counts when its target is reached (hops > 0) along a path
-        # of positive length
-        if exact:
-            hops, g_pair = _kernels.bfs_path_sums(indptr, indices, block_src, slot_len)
-            rows, targets = np.nonzero((hops > 0) & (g_pair > 0))
-            excluded += (n - 1) * len(block_src) - len(rows)
-            g_pair = g_pair[rows, targets]
-        else:
-            # only the tree paths to the sampled targets are resolved
+        pairs = None
+        if not exact:  # only the tree paths to the sampled targets are resolved
             per_row = np.diff(bounds[lo:lo + len(block_src) + 1])
-            rows = np.repeat(np.arange(len(block_src)), per_row)
-            targets = dst[bounds[lo]:bounds[lo + len(block_src)]]
-            hops, g_pair = _kernels.bfs_path_sums(indptr, indices, block_src, slot_len,
-                                                  (rows, targets))
-            ok = (hops[rows, targets] > 0) & (g_pair > 0)
-            excluded += int((~ok).sum())
-            rows, targets, g_pair = rows[ok], targets[ok], g_pair[ok]
-        del hops  # with the in-place ratio below, this bounds a block's peak memory
-        d = np.empty(len(rows))
-        for s in range(0, len(rows), chunk):
-            pairs = slice(s, s + chunk)
-            d[pairs] = manifold.hyp_distance(emb[sources[lo + rows[pairs]]],
-                                             emb[targets[pairs]], zeta)
+            pairs = (np.repeat(np.arange(len(block_src)), per_row),
+                     dst[bounds[lo]:bounds[lo + len(block_src)]])
+        _score_block(g, block_src, pairs, points, slot_lens, scores)
+    if any(used == 0 for _, used, _ in scores):
+        raise ValueError("no connected node pairs" if exact
+                         else "no connected node pairs in the sample")
+    return [DistortionReport(total / used, used, excluded)
+            for total, used, excluded in scores]
+
+
+def _score_block(g, block_src, pairs, points, slot_lens, scores):
+    """Add one block of sources to each point's [ratio sum, used, excluded].
+
+    The block's pairs are ``pairs = (rows, targets)``, or without them
+    every (source, node) pair. A pair counts when its target is reached
+    (hops > 0) along a path of positive length.
+    """
+    hops, paths = _kernels.bfs_paths(g.indptr, g.indices, block_src, pairs)
+    if pairs is None:
+        reached = hops > 0
+        rows, targets = np.nonzero(reached)
+        unreached = (g.n_nodes - 1) * len(block_src) - len(rows)
+    else:
+        reached = hops[pairs] > 0
+        rows, targets = pairs[0][reached], pairs[1][reached]
+        unreached = len(reached) - len(rows)
+    # each pair's source and target, in the smallest type that holds a node
+    # id: these two arrays are most of what a block keeps. Rows ascend.
+    node_id = np.min_scalar_type(g.n_nodes)
+    ends = np.take(block_src, rows).astype(node_id)
+    targets = targets.astype(node_id)
+    del hops, rows  # with the in-place ratios below, this bounds a block's peak memory
+    ratios = np.empty(len(ends))  # one point's at a time
+    for (emb, zeta), slot_len, score in zip(points, slot_lens, scores):
+        g_pair = _kernels.path_sums(paths, slot_len)[reached]
+        ok = g_pair > 0
+        e, t = ends, targets
+        if not ok.all():
+            e, t, g_pair = e[ok], t[ok], g_pair[ok]
+        d = ratios[:len(e)]
+        chunk = max(1, DISTANCE_CHUNK_ELEMENTS // emb.shape[1])
+        for s in range(0, len(e), chunk):
+            part = slice(s, s + chunk)
+            d[part] = manifold.hyp_distance(np.take(emb, e[part], axis=0),
+                                            np.take(emb, t[part], axis=0), zeta)
         # |(d / g)^2 - 1|, in place
         d /= g_pair
         d **= 2
         d -= 1.0
         np.abs(d, out=d)
         # one sum per source row, in row order, as the per-row loop did
-        for part in np.split(d, np.flatnonzero(np.diff(rows)) + 1):
-            total += float(part.sum())
-        used += len(rows)
-    if used == 0:
-        raise ValueError("no connected node pairs" if exact
-                         else "no connected node pairs in the sample")
-    return DistortionReport(total / used, used, excluded)
-
-
-def distortion_sweep(g: graphs.Graph, emb: np.ndarray, zeta_base, grid,
-                     seed: int = 0) -> list[tuple[float, DistortionReport]]:
-    """Remap fixed embeddings across a curvature grid and score each point."""
-    out = []
-    for z in grid:
-        remapped = manifold.transfer_curvature(emb, zeta_base, z)
-        out.append((float(z), embedding_distortion(g, remapped, z, seed=seed)))
-    return out
+        for row in np.split(d, np.flatnonzero(np.diff(e)) + 1):
+            score[0] += float(row.sum())
+        score[1] += len(e)
+        score[2] += unreached + len(ok) - len(e)
 
 
 # ---------------------------------------------------------------------------

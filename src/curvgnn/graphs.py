@@ -33,10 +33,10 @@ log = logging.getLogger(__name__)
 
 
 class DataError(ValueError):
-    """Malformed input data; carries the offending file line when known."""
+    """Malformed input data; names the offending file, and its line, when known."""
 
     def __init__(self, message: str, path=None, line: int | None = None):
-        loc = f"{path}:{line}: " if path is not None and line is not None else ""
+        loc = "" if path is None else f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{loc}{message}")
         self.path = path
         self.line = line

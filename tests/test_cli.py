@@ -366,6 +366,18 @@ def test_non_finite_feature_value_is_data_error_naming_its_line(tmp_path, capsys
     assert err.startswith(f"data error: {feats}:{line}: ") and "non-finite" in err
 
 
+def test_edge_beyond_the_feature_rows_is_data_error_naming_the_edge_file(tmp_path, capsys):
+    # the error has a file but no line; the file is still named
+    edges = tmp_path / "e.tsv"
+    edges.write_text("0\t5\n")
+    feats = tmp_path / "f.csv"
+    feats.write_text("1,0\n0,1\n")
+    assert main(["train", "--edges", str(edges), "--features", str(feats),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {edges}: edge references node 5 but only 2 feature rows\n")
+
+
 @pytest.mark.parametrize("field,value", [("epochs", "ten"), ("epochs", 10.5),
                                          ("lr", "3e-4"), ("rl_enabled", 1),
                                          ("dropout", True), ("edge_path", 7)])

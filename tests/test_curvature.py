@@ -62,6 +62,13 @@ def test_deviation_rejects_bad_inputs():
 # embedding distortion
 # ---------------------------------------------------------------------------
 
+def seeded_distortion(g, emb, zeta, seed):
+    """``embedding_distortion`` with its sampled pairs drawn from ``seed``: a
+    one-point sweep at ``zeta`` scores a copy of ``emb`` itself."""
+    [(_, rep)] = C.distortion_sweep(g, emb, zeta, [zeta], seed)
+    return rep
+
+
 def test_distortion_zero_on_single_edge():
     g = path_oracle.path_graph(2)
     emb = M.to_hyperboloid(np.array([[0.0, 0.0], [1.0, 0.3]]), 1.0)
@@ -172,8 +179,8 @@ def test_distortion_sampled_path_is_seed_deterministic(monkeypatch):
     monkeypatch.setattr(C, "DISTORTION_EXACT_LIMIT", 10)
     g = graphs.balanced_binary_tree(4)
     emb = C.tree_layout_hyperbolic(g, 1.0, edge_length=1.0)
-    a = C.embedding_distortion(g, emb, 1.0, seed=5)
-    b = C.embedding_distortion(g, emb, 1.0, seed=5)
+    a = seeded_distortion(g, emb, 1.0, 5)
+    b = seeded_distortion(g, emb, 1.0, 5)
     assert a == b
     monkeypatch.undo()
     full = C.embedding_distortion(g, emb, 1.0)
@@ -201,7 +208,7 @@ def test_distortion_sampled_path_matches_redrawn_pairs(monkeypatch):
             dh = float(M.hyp_distance(emb[i], emb[j], 1.5))
             total += abs((dh / g_row[j]) ** 2 - 1.0)
             used += 1
-        rep = C.embedding_distortion(g, emb, 1.5, seed=seed)
+        rep = seeded_distortion(g, emb, 1.5, seed)
         assert (rep.pairs_used, rep.pairs_excluded) == (used, excluded)
         assert rep.mean_distortion == pytest.approx(total / used, rel=1e-12)
 
@@ -210,8 +217,8 @@ def sampled_report_from_whole_trees(g, emb, zeta, seed):
     """The sampled distortion report scored on whole BFS-tree rows.
 
     Same draws and exclusions as ``embedding_distortion``; each drawn source
-    takes its full ``bfs_path_sums`` row, and its pairs are summed in draw
-    order, source by source in ascending id.
+    takes its full ``path_sums`` row from a one-source ``bfs_paths`` plan,
+    and its pairs are summed in draw order, source by source in ascending id.
     """
     n = g.n_nodes
     draw = np.random.default_rng(seed)
@@ -222,7 +229,8 @@ def sampled_report_from_whole_trees(g, emb, zeta, seed):
     slot_len = M.hyp_distance(emb[owner], emb[g.indices], zeta)
     total, used = 0.0, 0
     for s in np.unique(src):
-        hops, sums = _kernels.bfs_path_sums(g.indptr, g.indices, [s], slot_len)
+        hops, paths = _kernels.bfs_paths(g.indptr, g.indices, [s])
+        sums = _kernels.path_sums(paths, slot_len)
         t = dst[(src == s) & (dst != s)]
         ok = (hops[0, t] > 0) & (sums[0, t] > 0)
         excluded += int((~ok).sum())
@@ -245,7 +253,7 @@ def test_distortion_sampled_report_equals_whole_tree_report(monkeypatch):
         u = int(np.flatnonzero(np.diff(g.indptr))[0])
         emb[g.indices[g.indptr[u]]] = emb[u]  # one edge of length 0
         for seed in (0, 1, 2):
-            rep = C.embedding_distortion(g, emb, 0.8, seed=seed)
+            rep = seeded_distortion(g, emb, 0.8, seed)
             assert rep == sampled_report_from_whole_trees(g, emb, 0.8, seed)
 
 
@@ -258,9 +266,70 @@ def test_distortion_independent_of_distance_chunk(monkeypatch):
     for limit in (2000, 10):  # exact, then sampled pairs
         monkeypatch.setattr(C, "DISTORTION_EXACT_LIMIT", limit)
         monkeypatch.setattr(C, "DISTANCE_CHUNK_ELEMENTS", 1 << 20)
-        whole = C.embedding_distortion(g, emb, 0.7, seed=3)
+        whole = seeded_distortion(g, emb, 0.7, 3)
         monkeypatch.setattr(C, "DISTANCE_CHUNK_ELEMENTS", 3 * 5)
-        assert C.embedding_distortion(g, emb, 0.7, seed=3) == whole
+        assert seeded_distortion(g, emb, 0.7, 3) == whole
+
+
+def report_bits(rep):
+    return rep.mean_distortion.hex(), rep.pairs_used, rep.pairs_excluded
+
+
+def sweep_graph(rng):
+    """``word_boundary_graph`` (135 nodes, 5 isolated) embedded at zeta 0.8,
+    with one edge of length 0."""
+    g = word_boundary_graph(rng)
+    emb = M.to_hyperboloid(rng.standard_normal((g.n_nodes, 3)), 0.8)
+    u = int(np.flatnonzero(np.diff(g.indptr))[0])
+    emb[g.indices[g.indptr[u]]] = emb[u]
+    return g, emb
+
+
+@pytest.mark.parametrize("limit", [2000, 200, 10], ids=["exact", "exact-1-word", "sampled"])
+def test_sweep_equals_per_point_reports(monkeypatch, limit):
+    # one BFS per block serves every grid point: each point's report must be
+    # the one-point report of its remapped embeddings, bit for bit
+    monkeypatch.setattr(C, "DISTORTION_EXACT_LIMIT", limit)
+    rng = np.random.default_rng(31)
+    grid = [0.3, 0.8, 2.5, 7.0]
+    for _ in range(2):
+        g, emb = sweep_graph(rng)
+        sweep = C.distortion_sweep(g, emb, 0.8, grid)
+        assert [z for z, _ in sweep] == grid
+        for z, rep in sweep:
+            point = C.embedding_distortion(g, M.transfer_curvature(emb, 0.8, z), z)
+            assert report_bits(rep) == report_bits(point)
+            assert rep.pairs_excluded >= 2  # the zero-length edge, both ways
+        for seed in (1, 2):
+            sweep = C.distortion_sweep(g, emb, 0.8, grid, seed)
+            for z, rep in sweep:
+                point = seeded_distortion(g, M.transfer_curvature(emb, 0.8, z), z, seed)
+                assert report_bits(rep) == report_bits(point)
+
+
+@pytest.mark.parametrize("limit,blocks", [(2000, [135]), (300, [128, 7]), (200, [64, 64, 7]),
+                                          (10, [64, 64, 7])],
+                         ids=["exact-one-block", "exact-2-words", "exact-1-word", "sampled"])
+def test_sweep_runs_one_bfs_per_source_block(monkeypatch, limit, blocks):
+    # the exact branch takes BLOCK_SOURCES * max(1, limit // n) sources per
+    # block; however long the grid, each block runs one BFS
+    monkeypatch.setattr(C, "DISTORTION_EXACT_LIMIT", limit)
+    sizes = []
+    bfs_bits = _kernels._bfs_bits
+
+    def counted(indptr, indices, sources):
+        sizes.append(len(sources))
+        return bfs_bits(indptr, indices, sources)
+
+    monkeypatch.setattr(_kernels, "_bfs_bits", counted)
+    g, emb = sweep_graph(np.random.default_rng(32))
+    for grid in ([1.0], [0.5, 1.0, 2.0], [0.2, 0.4, 0.8, 1.6, 3.2]):
+        sizes.clear()
+        assert len(C.distortion_sweep(g, emb, 0.8, grid, 4)) == len(grid)
+        assert sizes == blocks
+    sizes.clear()
+    C.embedding_distortion(g, emb, 0.8)
+    assert sizes == blocks
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,8 @@ def _tree_path_sums(indptr, indices, source, slot_len):
 
 def test_bfs_path_sums_matches_per_source_trees():
     # whole trees, and the paths to requested (row, node) pairs only: both
-    # must equal the per-source reference bit for bit
+    # must equal the per-source reference bit for bit, for every length
+    # vector summed along one ``bfs_paths`` plan
     rng = np.random.default_rng(3)
     cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]]))]
     cases += [multi_component_graph(rng) for _ in range(4)]
@@ -304,21 +305,24 @@ def test_bfs_path_sums_matches_per_source_trees():
               path_oracle.path_graph(140)]
     for indptr, indices in ((g.indptr, g.indices) for g in cases):
         n = len(indptr) - 1
-        slot_len = rng.random(len(indices))  # one length per direction of each edge
-        rows = {}
+        # one length per direction of each edge; the second vector has zeros
+        lengths = [rng.random(len(indices)), rng.random(len(indices)).round(1)]
+        rows = [{}, {}]
         for sources in source_calls(rng, n):
-            want = [rows.setdefault(int(s), _tree_path_sums(indptr, indices, int(s), slot_len))
-                    for s in sources]
-            want_hops = np.array([w[0] for w in want])
-            want_sums = np.array([w[1] for w in want])
-            hops, sums = _kernels.bfs_path_sums(indptr, indices, sources, slot_len)
+            want = [[row.setdefault(int(s), _tree_path_sums(indptr, indices, int(s), slot_len))
+                     for s in sources] for row, slot_len in zip(rows, lengths)]
+            want_hops = np.array([w[0] for w in want[0]])
+            want_sums = [np.array([w[1] for w in ws]) for ws in want]
+            hops, paths = _kernels.bfs_paths(indptr, indices, sources)
             assert np.array_equal(hops, want_hops)
-            assert np.array_equal(sums, want_sums)
+            for slot_len, ws in zip(lengths, want_sums):
+                assert np.array_equal(_kernels.path_sums(paths, slot_len), ws)
             for n_pairs in (0, 1, 5 * n):
                 row = rng.integers(0, len(sources), size=n_pairs)
                 node = rng.integers(0, n, size=n_pairs)
-                hops, sums = _kernels.bfs_path_sums(indptr, indices, sources, slot_len,
-                                                    (row, node))
+                hops, paths = _kernels.bfs_paths(indptr, indices, sources, (row, node))
                 assert np.array_equal(hops, want_hops)
-                assert sums.shape == (n_pairs,)
-                assert np.array_equal(sums, want_sums[row, node])
+                for slot_len, ws in zip(lengths, want_sums):
+                    sums = _kernels.path_sums(paths, slot_len)
+                    assert sums.shape == (n_pairs,)
+                    assert np.array_equal(sums, ws[row, node])

@@ -1,5 +1,6 @@
 """Layer tests: manifold-op composition oracle, attention, losses, gradients."""
 
+import copy
 import dataclasses
 import json
 
@@ -731,6 +732,76 @@ def test_nc_logits_identical_embeddings_identical_rows():
     W = rng.standard_normal((3, 4))
     logits = L.nc_logits(emb, 1.0, W, np.zeros(4)).data
     assert np.allclose(logits[0], logits[1]) and np.allclose(logits[1], logits[2])
+
+
+# ---------------------------------------------------------------------------
+# curvature is a change of scale (ROADMAP item 15)
+# ---------------------------------------------------------------------------
+
+def scale_case(seed):
+    """A depth-5 tree with random features, and a 2-layer model with a
+    classifier head whose biases are random, so that scaling them is no
+    identity."""
+    g = graphs.balanced_binary_tree(5)
+    g.features = graphs.random_plus_degree_features(g, 6, seed)
+    rng = np.random.default_rng(seed)
+    model = L.HyperbolicGNN(6, 5, 2, 1.0, rng, n_classes=3)
+    for layer in model.layers:
+        layer.b.data = 0.3 * rng.standard_normal(layer.b.data.shape)
+        layer.att_b1.data = 0.3 * rng.standard_normal(layer.att_b1.data.shape)
+    model.b_cls.data = rng.standard_normal(model.b_cls.data.shape)
+    return g, model
+
+
+def rescaled(model, zetas):
+    """``model`` moved to the curvatures ``zetas`` as a change of scale.
+
+    Layer l's scale is s = zetas[l] / model.zetas[l], and x -> s x maps its
+    hyperboloid onto the new one. So the layer takes b and att_b1 times s,
+    att_w2 over s, and W times s over the previous layer's s, whose output
+    it reads. The classifier's W_cls takes over the last s.
+    """
+    out = copy.deepcopy(model)
+    out.set_zetas(zetas)
+    prev = 1.0
+    for layer, z, z0 in zip(out.layers, zetas, model.zetas):
+        s = z / z0
+        layer.W.data = layer.W.data * (s / prev)
+        layer.b.data = layer.b.data * s
+        layer.att_b1.data = layer.att_b1.data * s
+        layer.att_w2.data = layer.att_w2.data / s
+        prev = s
+    out.W_cls.data = out.W_cls.data / prev
+    return out
+
+
+@pytest.mark.parametrize("zeta", [0.3, 2.5, 7.0])
+def test_curvature_is_a_change_of_scale(monkeypatch, zeta):
+    # the model at zeta embeds zeta times what the unit model embeds; LP
+    # scores agree once the unit decoder takes r / zeta^2 and t / zeta^2,
+    # and NC logits agree as they are
+    g, unit = scale_case(7)
+    model = rescaled(unit, [zeta, zeta])
+    emb, emb_unit = model.forward(g).data, unit.forward(g).data
+    assert_close_to_max([emb], [zeta * emb_unit])
+    pairs = np.array([[u, v] for u in range(0, g.n_nodes, 3) for v in range(1, g.n_nodes, 4)
+                      if u != v])
+    scores = L.lp_scores(emb, pairs, zeta)
+    assert np.abs(L.lp_scores(emb_unit, pairs, 1.0) - scores).max() > 1e-3  # r, t matter
+    monkeypatch.setattr(L, "FERMI_DIRAC_R", L.FERMI_DIRAC_R / zeta ** 2)
+    monkeypatch.setattr(L, "FERMI_DIRAC_T", L.FERMI_DIRAC_T / zeta ** 2)
+    assert_close_to_max([scores], [L.lp_scores(emb_unit, pairs, 1.0)])
+    logits = L.nc_logits(emb, zeta, model.W_cls, model.b_cls).data
+    assert_close_to_max([logits], [L.nc_logits(emb_unit, 1.0, unit.W_cls, unit.b_cls).data])
+
+
+def test_an_inner_layer_curvature_is_absorbed_by_the_next_layer():
+    # layer 1 at 0.8 rather than 1, and layer 2's W over 0.8: layer 2 reads
+    # the same input, so the embeddings agree as they are
+    g, base = scale_case(8)
+    base.set_zetas([1.0, 1.4])
+    model = rescaled(base, [0.8, 1.4])
+    assert_close_to_max([model.forward(g).data], [base.forward(g).data])
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # the names in tracer.py's table that src/ no longer defines, and their spans;
 # the next change to perfbench/ drops them
-STALE = ["curvgnn.graphs.path_distance_row", "curvgnn._kernels.path_sums"]
-STALE_SPANS = ["graphs.path_distance_row", "kernels.path_sums"]
+STALE = ["curvgnn.graphs.path_distance_row"]
+STALE_SPANS = ["graphs.path_distance_row"]
 
 # every command through cli.main under the tracer; prints the names install
 # did not find, the exit codes and the spans that were never entered
