@@ -1,4 +1,4 @@
-"""Hyperbolic GNN layers with per-layer curvature, decoders, and losses.
+"""Hyperbolic GNN layers at one curvature, decoders, and losses.
 
 The geometry comes from the tape ops of ``manifold`` (exp and log at the
 origin, the exp map, the weighted sum of log maps, transport from the
@@ -7,8 +7,22 @@ parameters and the decoder scores the same distances as the diagnostics.
 The decoder's one tape node per pair set keeps only the pairs' row
 differences, not their gathered endpoint rows. Every trainable
 parameter (weights, biases, attention) lives in tangent space at the
-origin; curvature parameters are plain floats managed outside gradient
-descent.
+origin; the model's curvature ``HyperbolicGNN.zeta`` is a plain float
+managed outside gradient descent, and every layer runs at it.
+
+The curvature is a change of scale. x -> s x maps the hyperboloid at zeta
+onto the one at s zeta and multiplies distances by s; every map of a layer
+commutes with it when its tangent arguments scale by s, attention is
+unchanged when att_b1 scales by s and att_w2 by 1/s, and relu and dropout
+are positively homogeneous. So the model at s zeta, with the first W and
+every b and att_b1 times s and every att_w2 over s, embeds s times what the
+model at zeta embeds. What zeta changes is the LP decoder's scale (the
+scores at zeta are those at 1 with FERMI_DIRAC_R / zeta^2 and
+FERMI_DIRAC_T / zeta^2) and the optimiser's parametrisation (Adam, weight
+decay and the Glorot initialisation see parameters whose useful size
+scales with zeta). For NC it changes nothing: ``nc_logits`` reads the log
+at the origin, so W_cls absorbs it. A separate zeta per layer would add
+nothing either, since the next layer's W absorbs an inner layer's zeta.
 
 Layers exchange origin-tangent coordinates, and the model lifts onto the
 hyperboloid once, at its output: HGCN's wrap of each activation onto the
@@ -45,7 +59,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import Graph
+from .graphs import DataError, Graph
 from .manifold import (dist_pairs, exp_at, exp_origin, log_origin, sum_logs,
                        transport_from_origin)
 
@@ -56,14 +70,13 @@ from .manifold import (dist_pairs, exp_at, exp_origin, log_origin, sum_logs,
 
 @dataclass
 class LayerParams:
-    """One layer's trainable tensors plus its curvature parameter."""
+    """One layer's trainable tensors."""
 
     W: Tensor
     b: Tensor
     att_w1: Tensor
     att_b1: Tensor
     att_w2: Tensor
-    zeta: float
 
     TENSORS = ("W", "b", "att_w1", "att_b1", "att_w2")  # the tensor fields above, in order
 
@@ -76,15 +89,27 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_layer(rng: np.random.Generator, d_in: int, d_out: int, zeta: float) -> LayerParams:
+def init_layer(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
     return LayerParams(
         W=Tensor(_glorot(rng, d_in, d_out), requires_grad=True),
         b=Tensor(np.zeros(d_out), requires_grad=True),
         att_w1=Tensor(_glorot(rng, 2 * d_out, d_out), requires_grad=True),
         att_b1=Tensor(np.zeros(d_out), requires_grad=True),
         att_w2=Tensor(_glorot(rng, d_out, 1), requires_grad=True),
-        zeta=zeta,
     )
+
+
+def _saved_array(what: str, like: Tensor, value, path) -> np.ndarray:
+    """A snapshot's value for the tensor `like`, as float64; a DataError
+    naming `path` unless it is an array of finite numbers of like's shape."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.shape != like.data.shape or not np.isfinite(array).all():
+        raise DataError(f"model {what} must be a {like.data.shape} array of finite numbers",
+                        path)
+    return array
 
 
 def message_edges(g: Graph) -> ad.EdgePlan:
@@ -161,17 +186,16 @@ def attention_weights(tang, params: LayerParams, plan: ad.EdgePlan) -> Tensor:
     return ad._make(weights, (tang, w1, b1, w2), vjp)
 
 
-def layer_forward(t, g: Graph, params: LayerParams, *, dropout: float = 0.0,
-                  training: bool = False, rng: np.random.Generator | None = None,
-                  edges: ad.EdgePlan) -> Tensor:
+def layer_forward(t, g: Graph, params: LayerParams, zeta: float, *,
+                  dropout: float = 0.0, training: bool = False,
+                  rng: np.random.Generator | None = None, edges: ad.EdgePlan) -> Tensor:
     """One message-passing layer: transform, attend, aggregate, relu.
 
     Takes and returns origin-tangent coordinates, (n, d_in) -> (n, d_out);
-    in between, the points live on the hyperboloid at params.zeta.
+    in between, the points live on the hyperboloid at zeta.
     Dropout hits the tangent-space pre-activation and only while training.
     ``edges`` is g's plan, ``message_edges(g)``.
     """
-    zeta = params.zeta
     h1 = linear_transform(t, params.W, params.b, zeta)
     w = attention_weights(log_origin(h1, zeta), params, edges)
     pulled = sum_logs(h1, edges, w, zeta)
@@ -185,17 +209,18 @@ def layer_forward(t, g: Graph, params: LayerParams, *, dropout: float = 0.0,
 
 
 class HyperbolicGNN:
-    """Stack of variable-curvature layers plus the task decoder parameters."""
+    """Stack of layers at one curvature zeta plus the task decoder parameters."""
 
     def __init__(self, in_dim: int, dim: int, n_layers: int, zeta0: float,
                  rng: np.random.Generator, *, dropout: float = 0.0,
                  n_classes: int | None = None):
         """A classifier head is built iff n_classes is given (node classification)."""
         self.dropout = dropout
+        self.zeta = float(zeta0)
         self.layers: list[LayerParams] = []
         d_prev = in_dim
         for _ in range(n_layers):
-            self.layers.append(init_layer(rng, d_prev, dim, zeta0))
+            self.layers.append(init_layer(rng, d_prev, dim))
             d_prev = dim
         self.W_cls = None
         self.b_cls = None
@@ -211,52 +236,55 @@ class HyperbolicGNN:
             params += [self.W_cls, self.b_cls]
         return params
 
-    @property
-    def zetas(self) -> list:
-        return [layer.zeta for layer in self.layers]
-
-    def set_zetas(self, zetas) -> None:
-        if len(zetas) != len(self.layers):
-            raise ValueError("one curvature per layer")
-        for layer, z in zip(self.layers, zetas):
-            layer.zeta = float(z)
-
     def snapshot(self) -> dict:
-        """Parameters and curvatures as JSON-ready lists: the checkpoint's
-        "model" value, which `restore` reads back exactly."""
+        """Parameters as JSON-ready lists, and the curvature: the
+        checkpoint's "model" value, which `restore` reads back exactly."""
         blob = {"layers": [{name: getattr(layer, name).data.tolist()
                             for name in LayerParams.TENSORS} for layer in self.layers],
-                "zetas": [float(z) for z in self.zetas]}
+                "zeta": self.zeta}
         if self.W_cls is not None:
             blob["W_cls"] = self.W_cls.data.tolist()
             blob["b_cls"] = self.b_cls.data.tolist()
         return blob
 
-    def restore(self, blob: dict) -> None:
+    def restore(self, blob, path=None) -> None:
+        """Read a `snapshot` back exactly, or change nothing. A malformed one
+        is a DataError naming `path`, the file it came from; one with
+        another layer count is a ValueError."""
+        if not isinstance(blob, dict) or not isinstance(blob.get("layers"), list):
+            raise DataError("model must be an object with a list of layers", path)
         if len(blob["layers"]) != len(self.layers):
             raise ValueError(f"snapshot has {len(blob['layers'])} layers, "
                              f"the model {len(self.layers)}")
-        for layer, saved in zip(self.layers, blob["layers"]):
-            for name in LayerParams.TENSORS:
-                getattr(layer, name).data = np.asarray(saved[name], dtype=np.float64)
-        self.set_zetas(blob["zetas"])
+        zeta = blob.get("zeta")
+        if type(zeta) not in (int, float) or not 0.0 < zeta < np.inf:  # no bool
+            raise DataError(f"model zeta must be a positive finite number, got {zeta!r}",
+                            path)
+        slots = [(f"layer {i} {name}", getattr(layer, name),
+                  saved.get(name) if isinstance(saved, dict) else None)
+                 for i, (layer, saved) in enumerate(zip(self.layers, blob["layers"]))
+                 for name in LayerParams.TENSORS]
         if self.W_cls is not None:
-            self.W_cls.data = np.asarray(blob["W_cls"], dtype=np.float64)
-            self.b_cls.data = np.asarray(blob["b_cls"], dtype=np.float64)
+            slots += [("W_cls", self.W_cls, blob.get("W_cls")),
+                      ("b_cls", self.b_cls, blob.get("b_cls"))]
+        arrays = [_saved_array(what, tensor, value, path) for what, tensor, value in slots]
+        for (_, tensor, _), array in zip(slots, arrays):
+            tensor.data = array
+        self.zeta = float(zeta)
 
     def forward(self, g: Graph, *, training: bool = False,
                 rng: np.random.Generator | None = None,
                 edges: ad.EdgePlan | None = None) -> Tensor:
-        """Embeddings at the last layer's curvature, shape (n, dim+1); the
+        """Embeddings at the model's curvature, shape (n, dim+1); the
         features enter as tangent coordinates, and only the output is lifted."""
         if g.features is None:
             raise ValueError("graph has no features")
         edges = message_edges(g) if edges is None else edges
         t = Tensor(np.asarray(g.features, dtype=np.float64))
         for layer in self.layers:
-            t = layer_forward(t, g, layer, dropout=self.dropout,
+            t = layer_forward(t, g, layer, self.zeta, dropout=self.dropout,
                               training=training, rng=rng, edges=edges)
-        return exp_origin(t, self.layers[-1].zeta)
+        return exp_origin(t, self.zeta)
 
 
 # ---------------------------------------------------------------------------

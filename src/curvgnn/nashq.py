@@ -186,8 +186,8 @@ def epsilon(epoch: int) -> float:
 
 
 class CurvatureSearch:
-    """The search for a training run's one curvature, which `train` applies
-    to every layer; one `update` per epoch.
+    """The search for a training run's one curvature, which `train` sets on
+    the model; one `update` per epoch.
 
     `update` runs after the epoch's training step and val score. The joint
     action may be drawn that late because the step reads nothing of the

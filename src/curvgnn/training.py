@@ -5,7 +5,7 @@ embeddings on the validation split (keeping the best snapshot), then let
 the curvature search play (`nashq.CurvatureSearch.update`): it picks a
 joint action by epsilon-greedy play, optionally re-estimates curvature and
 scores the remapped previous embeddings, applies a Nash-Q update and
-returns the curvature that every layer takes for the next epoch. Once the
+returns the curvature that the model takes for the next epoch. Once the
 two agents sit at a (KEEP, HOLD) equilibrium for enough consecutive epochs
 the curvature freezes and plain supervised training continues.
 
@@ -32,7 +32,7 @@ from .manifold import DEFAULT_ZETA_MAX, DEFAULT_ZETA_MIN
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 WEIGHT_DECAY = 5e-3
 EARLY_STOP_PATIENCE = 100  # epochs without a val improvement before stopping
 
@@ -234,7 +234,7 @@ class _Task:
 
     def loss(self, emb: Tensor, model, neg_rng: np.random.Generator) -> Tensor:
         """Training loss of `model`'s embeddings `emb`; LP negatives come from `neg_rng`."""
-        s, zeta = self.split, model.zetas[-1]
+        s, zeta = self.split, model.zeta
         if isinstance(s, graphs.EdgeSplit):
             neg = graphs.sample_negative_edges(self.full_graph, len(s.train_pos), neg_rng)
             return layers.lp_loss(emb, s.train_pos, neg, zeta)
@@ -256,7 +256,7 @@ class _Task:
         """
         with no_tape():
             emb = model.forward(self.full_graph, training=False).data
-        s, zeta = self.split, model.zetas[-1]
+        s, zeta = self.split, model.zeta
         if isinstance(s, graphs.EdgeSplit):
             return self._lp_metric(emb, zeta, s.test_pos, s.test_neg)
         return self._nc_metric(emb, zeta, model, s.test)
@@ -316,10 +316,11 @@ def load_checkpoint(path) -> dict:
     return blob
 
 
-def model_from_checkpoint(blob: dict):
+def model_from_checkpoint(blob: dict, path=None):
+    """The run config, restored model and task of a checkpoint read from `path`."""
     config = RunConfig(**blob["config"])
     model, task = _prepare(config)
-    model.restore(blob["model"])
+    model.restore(blob["model"], path)
     return config, model, task
 
 
@@ -383,7 +384,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
                 _write_records(records, out_dir)
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         emb_curr = eval_embeddings()
-        zeta_curr_out = model.zetas[-1]  # the curvature emb_curr lives at
+        zeta_curr_out = model.zeta  # the curvature emb_curr lives at
         metric_curr = score(emb_curr, zeta_curr_out)
 
         # snapshot before the search may adopt a curvature: the best state
@@ -397,7 +398,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
             since_best += 1
 
         zeta, play = search.update(epoch, emb_curr, metric_curr)
-        model.set_zetas([zeta] * config.n_layers)
+        model.zeta = float(zeta)
 
         distortion_val = None
         if config.distortion_every and epoch % config.distortion_every == 0:
@@ -407,7 +408,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         records.append(EpochRecord(
             epoch=epoch, train_loss=loss, val_metric=metric_curr,
-            zetas=[float(z) for z in model.zetas], distortion=distortion_val,
+            zetas=[model.zeta] * config.n_layers, distortion=distortion_val,
             wall_ms=wall_ms, **play))
 
         if since_best >= EARLY_STOP_PATIENCE:
@@ -419,13 +420,13 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     final_emb = best_emb
     test_metric = task.test_metric(model)
     final_distortion = curvature.embedding_distortion(
-        msg_g, final_emb, model.zetas[-1]).mean_distortion
+        msg_g, final_emb, model.zeta).mean_distortion
 
     checkpoint = build_checkpoint(config, best_state, best_epoch, best_val)
     result = TrainResult(records=records, best_val_metric=best_val,
                          best_epoch=best_epoch, test_metric=test_metric,
                          final_embeddings=final_emb,
-                         final_zetas=[float(z) for z in model.zetas],
+                         final_zetas=[model.zeta] * config.n_layers,
                          final_distortion=final_distortion,
                          freeze_epoch=search.freeze_epoch, checkpoint=checkpoint)
     if out_dir is not None:
@@ -467,7 +468,8 @@ def write_outputs(result: TrainResult, out_dir) -> None:
 def evaluate_checkpoint(path) -> dict:
     """Reload a checkpoint and score the test split it was trained against."""
     blob = load_checkpoint(path)
-    config, model, task = model_from_checkpoint(blob)
+    config, model, task = model_from_checkpoint(blob, path)
     test = task.test_metric(model)
-    return {"test_metric": test, "zetas": model.zetas, "best_epoch": blob["epoch"],
-            "best_val_metric": blob["best_val_metric"], "task": config.task}
+    return {"test_metric": test, "zetas": [model.zeta] * config.n_layers,
+            "best_epoch": blob["epoch"], "best_val_metric": blob["best_val_metric"],
+            "task": config.task}

@@ -416,17 +416,16 @@ def fermi_dirac_score(d, r: float, t: float):
 # ---------------------------------------------------------------------------
 
 def forward_with_boundary_round_trips(model, g) -> Tensor:
-    """``HyperbolicGNN.forward`` (eval) with every layer boundary on a
-    hyperboloid: the features are lifted at the first layer's curvature,
-    each activation is wrapped onto the next layer's curvature (the last
-    layer's own for the output), and each layer starts with log at the
-    origin at its curvature (HGCN's boundary, Chami et al. 2019)."""
-    zetas = model.zetas
+    """``HyperbolicGNN.forward`` (eval) with every layer boundary on the
+    model's hyperboloid: the features are lifted, each activation is
+    wrapped onto the hyperboloid, and each layer starts with log at the
+    origin (HGCN's boundary, Chami et al. 2019)."""
+    zeta = model.zeta
     plan = message_edges(g)
-    h = manifold.exp_origin(Tensor(np.asarray(g.features, dtype=np.float64)), zetas[0])
-    for li, layer in enumerate(model.layers):
-        t = layer_forward(manifold.log_origin(h, zetas[li]), g, layer, edges=plan)
-        h = manifold.exp_origin(t, zetas[min(li + 1, len(zetas) - 1)])
+    h = manifold.exp_origin(Tensor(np.asarray(g.features, dtype=np.float64)), zeta)
+    for layer in model.layers:
+        t = layer_forward(manifold.log_origin(h, zeta), g, layer, zeta, edges=plan)
+        h = manifold.exp_origin(t, zeta)
     return h
 
 

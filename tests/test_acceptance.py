@@ -128,7 +128,7 @@ def _fd_model_loss(task):
     g.labels = rng.integers(0, 3, g.n_nodes)
     model = layers.HyperbolicGNN(4, 4, 2, 1.0, rng,
                                  n_classes=3 if task == "nc" else None)
-    model.set_zetas([0.8, 1.4])
+    model.zeta = 1.4
     pos = np.array([[0, 1], [1, 3], [2, 5], [6, 13]])
     neg = np.array([[7, 2], [4, 9], [8, 1], [14, 3]])
     nodes = np.arange(g.n_nodes)
@@ -136,8 +136,8 @@ def _fd_model_loss(task):
     def loss_value():
         emb = model.forward(g)
         if task == "lp":
-            return layers.lp_loss(emb, pos, neg, model.zetas[-1])
-        logits = layers.nc_logits(emb, model.zetas[-1], model.W_cls, model.b_cls)
+            return layers.lp_loss(emb, pos, neg, model.zeta)
+        logits = layers.nc_logits(emb, model.zeta, model.W_cls, model.b_cls)
         return layers.nc_loss(logits, g.labels, nodes)
 
     loss = loss_value()

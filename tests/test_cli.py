@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import curvgnn
-from curvgnn import cli, curvature, graphs
+from curvgnn import cli, curvature, graphs, training
 from curvgnn.cli import _build_parser, _train_config, main
 from curvgnn.training import RunConfig
 
@@ -242,23 +242,50 @@ def test_train_then_eval_checkpoint(tmp_path, capsys):
     assert payload["test_metric"] == summary["test_metric"]
 
 
-# the fields of a version-4 checkpoint; each malformed case below breaks one
-CHECKPOINT_FIELDS = {"format_version": 4, "config": {"synthetic_tree_depth": 2},
-                     "model": {}, "epoch": 1, "best_val_metric": 0.5}
+# the fields of a sound checkpoint of the current version, whose model is the
+# one its config builds; each malformed case below breaks one
+CONFIG = {"synthetic_tree_depth": 3, "val_frac": 0.2, "test_frac": 0.2}
+MODEL = training._prepare(RunConfig(**CONFIG))[0].snapshot()
+CHECKPOINT_FIELDS = {"format_version": training.CHECKPOINT_VERSION, "config": CONFIG,
+                     "model": MODEL, "epoch": 1, "best_val_metric": 0.5}
+
+
+def with_model(**fields):
+    return json.dumps({**CHECKPOINT_FIELDS, "model": {**MODEL, **fields}})
 
 
 @pytest.mark.parametrize("text", [
-    "not json", "[1, 2]", json.dumps({"format_version": 4}),
+    "not json", "[1, 2]", json.dumps({"format_version": training.CHECKPOINT_VERSION}),
     json.dumps({**CHECKPOINT_FIELDS, "config": [1]}),
     json.dumps({**CHECKPOINT_FIELDS, "config": {"no_such_field": 1}}),
-    json.dumps({k: v for k, v in CHECKPOINT_FIELDS.items() if k != "model"})],
-    ids=["not-json", "list", "no-config", "config-not-object", "unknown-field", "no-model"])
+    json.dumps({k: v for k, v in CHECKPOINT_FIELDS.items() if k != "model"}),
+    json.dumps({**CHECKPOINT_FIELDS, "model": []}),
+    json.dumps({**CHECKPOINT_FIELDS, "model": {"zeta": 1.0}}),
+    json.dumps({**CHECKPOINT_FIELDS, "model": {"layers": MODEL["layers"]}}),
+    with_model(layers=[MODEL["layers"][0], {**MODEL["layers"][1], "att_b1": None}]),
+    with_model(layers=[MODEL["layers"][0], {k: v for k, v in MODEL["layers"][1].items()
+                                            if k != "att_w2"}]),
+    with_model(layers=[MODEL["layers"][0], ["x"]]),
+    with_model(layers=[{**MODEL["layers"][0], "b": [float("nan")] * 16}, MODEL["layers"][1]]),
+    with_model(zeta=-1.0), with_model(zeta=0), with_model(zeta="x"), with_model(zeta=True),
+    with_model(zeta=float("inf")), with_model(zeta=float("nan"))],
+    ids=["not-json", "list", "no-config", "config-not-object", "unknown-field", "no-model",
+         "model-not-object", "no-layers", "no-zeta", "tensor-not-array", "tensor-missing",
+         "layer-not-object", "tensor-nan", "zeta-negative", "zeta-zero", "zeta-string",
+         "zeta-bool", "zeta-inf", "zeta-nan"])
 def test_eval_of_a_malformed_checkpoint_is_data_error(tmp_path, capsys, text):
     path = tmp_path / "ck.json"
     path.write_text(text)
     assert main(["eval", "--checkpoint", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(path) in err
+
+
+def test_eval_of_the_sound_checkpoint_fields_succeeds(tmp_path, capsys):
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(CHECKPOINT_FIELDS))
+    assert main(["eval", "--checkpoint", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["zetas"] == [MODEL["zeta"]] * 2
 
 
 def test_eval_version_and_layer_count_errors_keep_their_messages(tmp_path, capsys):
@@ -271,7 +298,8 @@ def test_eval_version_and_layer_count_errors_keep_their_messages(tmp_path, capsy
     for key, value, message in [
             ("config", {**blob["config"], "n_layers": 3},
              "error: snapshot has 2 layers, the model 3\n"),
-            ("format_version", 3, "error: unsupported checkpoint version 3\n")]:
+            ("format_version", 3, "error: unsupported checkpoint version 3\n"),
+            ("format_version", 4, "error: unsupported checkpoint version 4\n")]:
         path.write_text(json.dumps({**blob, key: value}))
         assert main(["eval", "--checkpoint", str(path)]) == 1
         assert capsys.readouterr().err == message

@@ -20,10 +20,6 @@ def rand_points(rng, n, dim, zeta, scale=1.0):
     return M.to_hyperboloid(rng.standard_normal((n, dim)) * scale, zeta)
 
 
-def small_layer(rng, d_in, d_out, zeta=1.0):
-    return L.init_layer(rng, d_in, d_out, zeta)
-
-
 # ---------------------------------------------------------------------------
 # differentiable manifold ops agree with the geometry kernel
 # ---------------------------------------------------------------------------
@@ -65,7 +61,7 @@ def test_linear_transform_matches_manifold_composition():
 
 def test_attention_single_neighbor_weight_one():
     rng = np.random.default_rng(4)
-    params = small_layer(rng, 3, 3)
+    params = L.init_layer(rng, 3, 3)
     pts = rand_points(rng, 2, 3, 1.0)
     w = geo.attention_weights(pts[0], pts[1:2], params, 1.0)
     assert w == pytest.approx([1.0])
@@ -73,7 +69,7 @@ def test_attention_single_neighbor_weight_one():
 
 def test_attention_identical_neighbors_split_evenly():
     rng = np.random.default_rng(5)
-    params = small_layer(rng, 3, 3)
+    params = L.init_layer(rng, 3, 3)
     pts = rand_points(rng, 2, 3, 1.0)
     nbrs = np.stack([pts[1], pts[1]])
     w = geo.attention_weights(pts[0], nbrs, params, 1.0)
@@ -82,7 +78,7 @@ def test_attention_identical_neighbors_split_evenly():
 
 def test_attention_sums_to_one():
     rng = np.random.default_rng(6)
-    params = small_layer(rng, 4, 4)
+    params = L.init_layer(rng, 4, 4)
     for _ in range(20):
         pts = rand_points(rng, 6, 4, 1.0)
         w = geo.attention_weights(pts[0], pts[1:], params, 1.0)
@@ -153,7 +149,7 @@ def edge_op_case(rng, d):
     """Random multigraph with isolated nodes, a layer with a nonzero att_b1,
     and origin-tangent rows."""
     g, edges = random_message_graph(rng)
-    params = small_layer(rng, d, d)
+    params = L.init_layer(rng, d, d)
     params.att_b1.data = rng.standard_normal(d)
     return g, edges, params, rng.standard_normal((g.n_nodes, d))
 
@@ -232,7 +228,7 @@ def test_attention_weights_gradients_match_finite_differences():
     rng = np.random.default_rng(35)
     g = graphs.Graph.from_edges(6, [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4]])  # 5 isolated
     plan = L.message_edges(g)
-    params = small_layer(rng, 3, 3)
+    params = L.init_layer(rng, 3, 3)
     params.att_b1.data = rng.standard_normal(3)
     tang = rng.standard_normal((g.n_nodes, 3))
     probe = Tensor(rng.standard_normal((len(plan.src), 1)))
@@ -407,7 +403,7 @@ def test_edge_ops_gradients_match_finite_differences_on_a_hub(zeta):
     assert finite_diff_check(wrt_h, h, step) < 1e-5
     assert finite_diff_check(wrt_w, w) < 1e-5
 
-    params = small_layer(rng, 3, 3)
+    params = L.init_layer(rng, 3, 3)
     params.att_b1.data = rng.standard_normal(3)
     tang = M.to_tangent_coords(h, zeta)
     att_probe = Tensor(rng.standard_normal((len(plan.src), 1)))
@@ -434,10 +430,10 @@ def test_single_node_identity_layer_preserves_lift():
     g = graphs.Graph.from_edges(1, np.empty((0, 2)))
     g.features = np.array([[0.3, 0.5, 0.1]])
     rng = np.random.default_rng(12)
-    params = small_layer(rng, 3, 3)
+    params = L.init_layer(rng, 3, 3)
     params.W.data = np.eye(3)
     params.b.data = np.zeros(3)
-    out = L.layer_forward(g.features, g, params, edges=L.message_edges(g))
+    out = L.layer_forward(g.features, g, params, 1.0, edges=L.message_edges(g))
     assert out.data[0] == pytest.approx(g.features[0], abs=1e-9)
 
 
@@ -455,14 +451,14 @@ def test_snapshot_restore_round_trips_exactly():
     g = graphs.balanced_binary_tree(3)
     g.features = graphs.random_plus_degree_features(g, 4, 0)
     src = L.HyperbolicGNN(4, 5, 2, 1.0, np.random.default_rng(15), n_classes=3)
-    src.set_zetas([0.7, 2.3])
+    src.zeta = 2.3
     snap = src.snapshot()
-    assert list(snap) == ["layers", "zetas", "W_cls", "b_cls"]
+    assert list(snap) == ["layers", "zeta", "W_cls", "b_cls"]
     assert [list(layer) for layer in snap["layers"]] == [
         ["W", "b", "att_w1", "att_b1", "att_w2"]] * 2
     dst = L.HyperbolicGNN(4, 5, 2, 1.0, np.random.default_rng(16), n_classes=3)
     dst.restore(json.loads(json.dumps(snap)))
-    assert dst.zetas == src.zetas
+    assert dst.zeta == src.zeta
     for a, b in zip(src.parameters(), dst.parameters()):
         assert b.data.dtype == np.float64 and np.array_equal(a.data, b.data)
     assert json.dumps(dst.snapshot()) == json.dumps(snap)
@@ -470,6 +466,12 @@ def test_snapshot_restore_round_trips_exactly():
     assert "W_cls" not in L.HyperbolicGNN(4, 5, 1, 1.0, np.random.default_rng(0)).snapshot()
     with pytest.raises(ValueError):  # a layer missing from the snapshot
         dst.restore({**snap, "layers": snap["layers"][:1]})
+    # a malformed snapshot changes nothing, though its first tensors are sound
+    other = L.HyperbolicGNN(4, 5, 2, 1.0, np.random.default_rng(17), n_classes=3).snapshot()
+    with pytest.raises(graphs.DataError, match="layer 1 att_w2"):
+        dst.restore({**other, "layers": [other["layers"][0],
+                                         {**other["layers"][1], "att_w2": [1.0]}]})
+    assert json.dumps(dst.snapshot()) == json.dumps(snap)
 
 
 def test_training_dropout_changes_outputs():
@@ -485,20 +487,19 @@ def test_training_dropout_changes_outputs():
 def test_model_forward_constraint_residuals():
     g = graphs.balanced_binary_tree(4)
     g.features = graphs.random_plus_degree_features(g, 6, 1)
-    model = L.HyperbolicGNN(6, 5, 3, 1.2, np.random.default_rng(14))
-    model.set_zetas([1.2, 0.6, 2.0])
-    emb = model.forward(g).data
-    assert np.max(M.manifold_residual(emb, 2.0)) < 1e-6
+    for zeta in (0.6, 1.2, 2.0):
+        model = L.HyperbolicGNN(6, 5, 3, zeta, np.random.default_rng(14))
+        emb = model.forward(g).data
+        assert np.max(M.manifold_residual(emb, zeta)) < 1e-6
 
 
 def test_forward_matches_boundary_round_trip_reference():
     """Lifting once at the output computes what wrapping every activation
-    onto the next layer's hyperboloid and logging it back did."""
+    onto the hyperboloid and logging it back did."""
     g = graphs.balanced_binary_tree(4)
     g.features = graphs.random_plus_degree_features(g, 6, 1)
-    for zetas in ([1.0, 1.0], [0.3, 3.0], [1.2, 0.6, 2.0]):
-        model = L.HyperbolicGNN(6, 5, len(zetas), 1.0, np.random.default_rng(16))
-        model.set_zetas(zetas)
+    for n_layers, zeta in ((2, 1.0), (2, 0.3), (2, 3.0), (3, 0.6), (3, 2.0)):
+        model = L.HyperbolicGNN(6, 5, n_layers, zeta, np.random.default_rng(16))
         got = model.forward(g).data
         want = geo.forward_with_boundary_round_trips(model, g).data
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
@@ -636,20 +637,20 @@ def test_isolated_nodes_keep_their_self_loop_and_layer_matches_oracles():
     plan = L.message_edges(g)
     src, dst, indptr, nbr = self_loop_edges(g)
     lonely = plan.counts == 0
-    params = small_layer(rng, 3, 4, zeta=0.7)
+    params, zeta = L.init_layer(rng, 3, 4), 0.7
     params.att_b1.data = rng.standard_normal(4)
-    h1 = L.linear_transform(g.features, params.W, params.b, params.zeta)
-    tang = M.log_origin(h1, params.zeta)
+    h1 = L.linear_transform(g.features, params.W, params.b, zeta)
+    tang = M.log_origin(h1, zeta)
     w = L.attention_weights(tang, params, plan).data
     w_all = geo.attention_weights_composed(tang, params, src, dst, indptr).data
     assert np.array_equal(w, w_all[nbr])
     assert np.all(w_all[indptr[1:] - 1][lonely] == 1.0)
     assert np.all(plan.sum_by_dst(w)[lonely] == 0.0)
-    pulled = M.sum_logs(h1, plan, w, params.zeta).data
+    pulled = M.sum_logs(h1, plan, w, zeta).data
     assert np.all(pulled[lonely] == 0.0)
     want = ad.relu(M.log_origin(M.exp_at(h1, geo.sum_logs_composed(
-        h1, src, dst, indptr, w_all, params.zeta), params.zeta), params.zeta))
-    got = L.layer_forward(g.features, g, params, edges=plan)
+        h1, src, dst, indptr, w_all, zeta), zeta), zeta))
+    got = L.layer_forward(g.features, g, params, zeta, edges=plan)
     assert np.array_equal(got.data, want.data)
 
 
@@ -753,25 +754,28 @@ def scale_case(seed):
     return g, model
 
 
-def rescaled(model, zetas):
-    """``model`` moved to the curvatures ``zetas`` as a change of scale.
+def scaled_layer(layer, s, s_in=1.0):
+    """``layer`` at s times its curvature, reading an input s_in times its
+    own: x -> s x maps its hyperboloid onto the new one, so it takes b and
+    att_b1 times s, att_w2 over s and W times s over s_in."""
+    out = copy.deepcopy(layer)
+    out.W.data = out.W.data * (s / s_in)
+    out.b.data = out.b.data * s
+    out.att_b1.data = out.att_b1.data * s
+    out.att_w2.data = out.att_w2.data / s
+    return out
 
-    Layer l's scale is s = zetas[l] / model.zetas[l], and x -> s x maps its
-    hyperboloid onto the new one. So the layer takes b and att_b1 times s,
-    att_w2 over s, and W times s over the previous layer's s, whose output
-    it reads. The classifier's W_cls takes over the last s.
-    """
+
+def rescaled(model, zeta):
+    """``model`` moved to the curvature ``zeta`` as a change of scale s =
+    zeta / model.zeta: every layer scales by s, every layer after the first
+    reads an input scaled by s, and the classifier's W_cls takes over s."""
+    s = zeta / model.zeta
     out = copy.deepcopy(model)
-    out.set_zetas(zetas)
-    prev = 1.0
-    for layer, z, z0 in zip(out.layers, zetas, model.zetas):
-        s = z / z0
-        layer.W.data = layer.W.data * (s / prev)
-        layer.b.data = layer.b.data * s
-        layer.att_b1.data = layer.att_b1.data * s
-        layer.att_w2.data = layer.att_w2.data / s
-        prev = s
-    out.W_cls.data = out.W_cls.data / prev
+    out.zeta = zeta
+    out.layers = [scaled_layer(layer, s, s if i else 1.0)
+                  for i, layer in enumerate(model.layers)]
+    out.W_cls.data = out.W_cls.data / s
     return out
 
 
@@ -781,7 +785,7 @@ def test_curvature_is_a_change_of_scale(monkeypatch, zeta):
     # scores agree once the unit decoder takes r / zeta^2 and t / zeta^2,
     # and NC logits agree as they are
     g, unit = scale_case(7)
-    model = rescaled(unit, [zeta, zeta])
+    model = rescaled(unit, zeta)
     emb, emb_unit = model.forward(g).data, unit.forward(g).data
     assert_close_to_max([emb], [zeta * emb_unit])
     pairs = np.array([[u, v] for u in range(0, g.n_nodes, 3) for v in range(1, g.n_nodes, 4)
@@ -796,12 +800,19 @@ def test_curvature_is_a_change_of_scale(monkeypatch, zeta):
 
 
 def test_an_inner_layer_curvature_is_absorbed_by_the_next_layer():
-    # layer 1 at 0.8 rather than 1, and layer 2's W over 0.8: layer 2 reads
-    # the same input, so the embeddings agree as they are
-    g, base = scale_case(8)
-    base.set_zetas([1.0, 1.4])
-    model = rescaled(base, [0.8, 1.4])
-    assert_close_to_max([model.forward(g).data], [base.forward(g).data])
+    # layer 1 at 0.8 rather than 1 outputs 0.8 times the tangent rows; with
+    # W over 0.8, layer 2 at 1.4 reads the same input, so its outputs agree
+    g, model = scale_case(8)
+    first, second = model.layers
+    plan = L.message_edges(g)
+
+    def two_layers(first, zeta1, second):
+        mid = L.layer_forward(g.features, g, first, zeta1, edges=plan)
+        return L.layer_forward(mid, g, second, 1.4, edges=plan).data
+
+    assert_close_to_max([two_layers(scaled_layer(first, 0.8), 0.8,
+                                    scaled_layer(second, 1.0, 0.8))],
+                        [two_layers(first, 1.0, second)])
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +835,8 @@ def model_loss_fd_check(task, n_nodes=12, rel_tol=1e-4):
     def loss_value():
         emb = model.forward(g)
         if task == "lp":
-            return L.lp_loss(emb, pos, neg, model.zetas[-1])
-        logits = L.nc_logits(emb, model.zetas[-1], model.W_cls, model.b_cls)
+            return L.lp_loss(emb, pos, neg, model.zeta)
+        logits = L.nc_logits(emb, model.zeta, model.W_cls, model.b_cls)
         return L.nc_loss(logits, g.labels, nodes)
 
     loss = loss_value()
@@ -861,13 +872,13 @@ def test_nc_loss_gradients_match_finite_differences():
 def test_layer_forward_gradient_wrt_inputs():
     g = path_oracle.path_graph(5)
     rng = np.random.default_rng(21)
-    params = small_layer(rng, 3, 3)
+    params = L.init_layer(rng, 3, 3)
 
     feats = 0.4 * rng.standard_normal((5, 3))
     plan = L.message_edges(g)
 
     def f(t):
-        out = M.exp_origin(L.layer_forward(t, g, params, edges=plan), 1.4)
+        out = M.exp_origin(L.layer_forward(t, g, params, 1.0, edges=plan), 1.4)
         o = np.broadcast_to(M.origin(3, 1.4), out.data.shape)
         return ad.tsum(geo.dist_composed(Tensor(np.ascontiguousarray(o)), out, 1.4))
 

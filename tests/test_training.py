@@ -418,14 +418,14 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_best_checkpoint_scores_its_recorded_val_metric(tmp_path):
     # curvature adoption happens after scoring; the snapshot must pair the
-    # parameters with the curvatures they were scored at, even when the best
-    # epoch itself adopted new ones
+    # parameters with the curvature they were scored at, even when the best
+    # epoch itself adopted a new one
     cfg = quick_config(epochs=25)
     res = train(cfg, out_dir=tmp_path)
     blob = training.load_checkpoint(tmp_path / "checkpoint.json")
     config, model, task = training.model_from_checkpoint(blob)
     emb = model.forward(task.msg_graph, training=False).data
-    val = task.val_metric(emb, model.zetas[-1], model)
+    val = task.val_metric(emb, model.zeta, model)
     assert val == pytest.approx(res.best_val_metric)
     blob = training.load_checkpoint(tmp_path / "checkpoint.json")
     assert blob["format_version"] == training.CHECKPOINT_VERSION
