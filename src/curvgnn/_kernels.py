@@ -8,8 +8,10 @@ Hop rows (``bfs_hops``), single-source trees (``bfs_tree``) and the tree
 paths of a block of sources (``bfs_paths``) are thin layers over it. A
 BFS-tree parent is the first CSR slot one hop closer to the source, picked
 for whole trees by ``_parent_slots`` and along the paths to requested nodes
-only by ``_path_parents``. ``path_sums`` adds edge lengths along a
-``bfs_paths`` plan, so one BFS serves any number of length vectors.
+only by ``_path_parents``. ``bfs_paths`` returns only the (row, node)
+pairs a source reaches, with a plan of their tree paths; ``path_sums`` adds
+any edge-length vector along that plan, one sum per pair, so one BFS serves
+any number of length vectors.
 ``delta_exact`` scans the quadruples of a hop-distance matrix.
 Everything is numpy.
 
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-UNREACHABLE = -1  # hop-count sentinel for nodes in another component
 WORD_BITS = 64  # sources per uint64 word of the bit-parallel BFS
 BLOCK_SOURCES = WORD_BITS  # sources per kernel call from the callers: one word
 
@@ -91,7 +92,7 @@ def _unpack(words):
 
 
 def _hop_rows(seen, planes, n_src):
-    """(n_src, n) hop rows from the BFS bits; UNREACHABLE elsewhere.
+    """(n_src, n) hop rows from the BFS bits; -1 at unreached nodes.
 
     The rows come in the smallest signed integer type that holds -1 and
     every count below 2 ** len(planes) (int8 up to depth 127), which keeps
@@ -107,7 +108,7 @@ def _hop_rows(seen, planes, n_src):
 
 def _split_by_hop(pos, hop):
     """``pos`` grouped by ``hop``: entry k >= 1 holds the positions at hop
-    k in their given order, entry 0 those at hop 0 or UNREACHABLE."""
+    k in their given order, entry 0 those at hop 0 or -1."""
     order = np.argsort(hop, kind="stable")  # a radix sort on int8 hops
     return np.split(pos[order], np.searchsorted(hop[order],
                                                 np.arange(1, hop.max(initial=0) + 1)))
@@ -137,7 +138,7 @@ def _parent_slots(indptr, indices, hops):
 
 
 def bfs_hops(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarray:
-    """(B, n) hop counts from each of ``sources``; UNREACHABLE (-1) elsewhere."""
+    """(B, n) hop counts from each of ``sources``; -1 at unreached nodes."""
     return _hop_rows(*_bfs_bits(indptr, indices, sources), len(sources)).astype(np.int64)
 
 
@@ -156,7 +157,7 @@ def bfs_tree(indptr: np.ndarray, indices: np.ndarray, source: int):
 
 
 def _path_parents(indptr, indices, hops, pos):
-    """Parent slots along the BFS-tree paths to flat positions ``pos`` only.
+    """Parent slots along the BFS-tree paths to reached flat positions ``pos``.
 
     Walks the union of the paths bottom-up, one hop level at a time, and
     picks each node's parent by the rule of ``_parent_slots``. Returns
@@ -165,7 +166,7 @@ def _path_parents(indptr, indices, hops, pos):
     n = hops.shape[1]
     flat = hops.ravel()
     deg = np.diff(indptr)
-    todo = sorted_unique(pos[flat[pos] > 0])
+    todo = sorted_unique(pos)
     levels = _split_by_hop(todo, flat[todo])
     steps = []
     cur = levels[-1]
@@ -182,15 +183,17 @@ def _path_parents(indptr, indices, hops, pos):
 
 
 def bfs_paths(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, pairs=None):
-    """Hop rows and BFS-tree paths from a block of sources, for ``path_sums``.
+    """The reached (row, node) pairs of a block of sources and their tree paths.
 
-    Row b belongs to ``sources[b]``: ``hops[b]`` is ``bfs_hops`` from it, in
-    the small integer type of ``_hop_rows``. ``paths`` lists, one hop level
-    at a time from the root down, each resolved (row, node) position, its
-    tree parent's position and the CSR slot of the edge between them: for
-    every entry without ``pairs``, and for the paths to the entries of
-    ``pairs = (rows, nodes)`` only. None of it depends on edge lengths, so
-    one call serves the path sums of any number of length vectors.
+    Row b belongs to ``sources[b]``; a node is reached when it lies one or
+    more hops from the row's source. Returns (rows, nodes, paths) for the
+    reached pairs only: every one in row-major order without ``pairs``,
+    else those of ``pairs = (rows, nodes)`` in their given order,
+    duplicates kept. ``paths`` lists, one hop level at a time from the
+    root down, each resolved (row, node) position, its tree parent's
+    position and the CSR slot of the edge between them. None of it depends
+    on edge lengths, so one call serves the path sums of any number of
+    length vectors.
     """
     hops = _hop_rows(*_bfs_bits(indptr, indices, sources), len(sources))
     n = hops.shape[1]
@@ -199,40 +202,37 @@ def bfs_paths(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, pair
     # memory for, which halves the plan next to int64
     idx = np.int32 if max(flat.size, indices.shape[0]) < 2 ** 31 else np.int64
     if pairs is None:
-        pos = None
+        take = flat > 0
+        rows, nodes = np.nonzero(take.reshape(hops.shape))
         parent_slot = _parent_slots(indptr, indices, hops).ravel()
         levels = _split_by_hop(np.arange(flat.size, dtype=idx), flat)[1:]
         steps = [(at, parent_slot[at]) for at in levels]
-        unreached = np.flatnonzero(flat == UNREACHABLE)
     else:
-        pos = np.asarray(pairs[0], dtype=np.int64) * n + pairs[1]
-        steps = _path_parents(indptr, indices, hops, pos)
-        unreached = np.flatnonzero(flat[pos] == UNREACHABLE)
+        take = np.asarray(pairs[0], dtype=np.int64) * n + pairs[1]
+        ok = flat[take] > 0
+        rows, nodes, take = pairs[0][ok], pairs[1][ok], take[ok]
+        steps = _path_parents(indptr, indices, hops, take)
     steps = [(at.astype(idx, copy=False), (at - at % n + indices[k]).astype(idx),
               k.astype(idx, copy=False)) for at, k in steps]
-    return hops, (hops.shape if pos is None else pos.shape, flat.size, steps, pos, unreached)
+    return rows, nodes, (flat.size, steps, take)
 
 
 def path_sums(paths, slot_len: np.ndarray) -> np.ndarray:
-    """BFS-tree path sums along ``paths`` from ``bfs_paths``.
+    """BFS-tree path sums of the pairs of a ``bfs_paths`` plan, one per pair.
 
-    The sum at (b, v) adds ``slot_len`` along the ``bfs_tree`` path from
-    ``sources[b]`` to v (0 at the source, +inf where unreachable);
-    ``slot_len[k]`` is the length of CSR slot k, the edge from the node
-    owning slot k to ``indices[k]``. Sums have the shape (B, n) of the hop
-    rows, or one value per pair when ``bfs_paths`` was given pairs. They
-    grow from the root one level at a time, so every entry is bit-identical
-    to walking each source's tree alone.
+    The sum of (b, v) adds ``slot_len`` along the ``bfs_tree`` path from
+    ``sources[b]`` to v; ``slot_len[k]`` is the length of CSR slot k, the
+    edge from the node owning slot k to ``indices[k]``. Sums grow from the
+    root one level at a time, so every one is bit-identical to walking
+    each source's tree alone.
     """
-    shape, size, steps, pos, unreached = paths
+    size, steps, take = paths
     sums = np.zeros(size)
     for at, up, k in steps:
         step = np.take(sums, up)
         step += np.take(slot_len, k)
         sums[at] = step
-    out = sums if pos is None else np.take(sums, pos)
-    out[unreached] = np.inf
-    return out.reshape(shape)
+    return sums[take]
 
 
 def delta_exact(dist: np.ndarray) -> float:

@@ -155,24 +155,17 @@ def _score_block(g, block_src, pairs, points, slot_lens, scores):
     every (source, node) pair. A pair counts when its target is reached
     (hops > 0) along a path of positive length.
     """
-    hops, paths = _kernels.bfs_paths(g.indptr, g.indices, block_src, pairs)
-    if pairs is None:
-        reached = hops > 0
-        rows, targets = np.nonzero(reached)
-        unreached = (g.n_nodes - 1) * len(block_src) - len(rows)
-    else:
-        reached = hops[pairs] > 0
-        rows, targets = pairs[0][reached], pairs[1][reached]
-        unreached = len(reached) - len(rows)
+    rows, targets, paths = _kernels.bfs_paths(g.indptr, g.indices, block_src, pairs)
+    asked = (g.n_nodes - 1) * len(block_src) if pairs is None else len(pairs[0])
     # each pair's source and target, in the smallest type that holds a node
     # id: these two arrays are most of what a block keeps. Rows ascend.
     node_id = np.min_scalar_type(g.n_nodes)
     ends = np.take(block_src, rows).astype(node_id)
     targets = targets.astype(node_id)
-    del hops, rows  # with the in-place ratios below, this bounds a block's peak memory
+    del rows  # with the in-place ratios below, this bounds a block's peak memory
     ratios = np.empty(len(ends))  # one point's at a time
     for (emb, zeta), slot_len, score in zip(points, slot_lens, scores):
-        g_pair = _kernels.path_sums(paths, slot_len)[reached]
+        g_pair = _kernels.path_sums(paths, slot_len)
         ok = g_pair > 0
         e, t = ends, targets
         if not ok.all():
@@ -192,7 +185,7 @@ def _score_block(g, block_src, pairs, points, slot_lens, scores):
         for row in np.split(d, np.flatnonzero(np.diff(e)) + 1):
             score[0] += float(row.sum())
         score[1] += len(e)
-        score[2] += unreached + len(ok) - len(e)
+        score[2] += asked - len(e)
 
 
 # ---------------------------------------------------------------------------

@@ -267,24 +267,23 @@ def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
 
 
 def sample_negative_edges(g: Graph, count: int, rng: np.random.Generator,
-                          forbidden: set | None = None) -> np.ndarray:
+                          forbidden: np.ndarray | None = None) -> np.ndarray:
     """Uniform distinct non-edges via rejection; deterministic under rng state.
 
     Pairs (u, v) are drawn as consecutive ``rng.integers(0, n)`` values and
-    rejected when u == v, when {u, v} is an edge or a ``forbidden`` key
-    (min*n + max), or when it repeats an accepted pair. The draws come in
-    rounds of exactly as many pairs as are still missing, so a round never
-    reads past the pair that completes the sample: output and generator end
-    state are those of drawing one scalar pair at a time.
+    rejected when u == v, when {u, v} is an edge or its key (min*n + max)
+    is in the ``forbidden`` key array, or when it repeats an accepted pair.
+    The draws come in rounds of exactly as many pairs as are still missing,
+    so a round never reads past the pair that completes the sample: output
+    and generator end state are those of drawing one scalar pair at a time.
     """
     n = g.n_nodes
     max_pairs = n * (n - 1) // 2
     if max_pairs - g.n_edges < count:
         raise DataError(f"graph too dense to sample {count} negative edges")
     blocked = _edge_keys(g.edge_array(), n)  # ascending: rows are sorted, u < v
-    if forbidden:
-        blocked = np.sort(np.concatenate(
-            [blocked, np.fromiter(forbidden, dtype=np.int64, count=len(forbidden))]))
+    if forbidden is not None:
+        blocked = np.sort(np.concatenate([blocked, forbidden]))
     out = np.empty((count, 2), dtype=np.int64)
     k = 0
     while k < count:
@@ -323,8 +322,7 @@ def make_lp_split(g: Graph, val_frac: float, test_frac: float, seed: int) -> Edg
     test_pos = edges[perm[n_val:n_val + n_test]]
     train_pos = edges[perm[n_val + n_test:]]
     val_neg = sample_negative_edges(g, n_val, rng)
-    forbidden = set(_edge_keys(val_neg, g.n_nodes).tolist())
-    test_neg = sample_negative_edges(g, n_test, rng, forbidden=forbidden)
+    test_neg = sample_negative_edges(g, n_test, rng, forbidden=_edge_keys(val_neg, g.n_nodes))
     return EdgeSplit(train_pos=train_pos, val_pos=val_pos, test_pos=test_pos,
                      val_neg=val_neg, test_neg=test_neg)
 

@@ -3,8 +3,9 @@
 ``csr_loop`` builds sorted neighbour lists one edge at a time: the
 adjacency that ``graphs.Graph.from_edges`` must reproduce. One scalar queue
 BFS tree per source (``_bfs_tree_loop``) and one python-level walk down it
-are the definition that ``_kernels.bfs_tree``, ``_kernels.bfs_path_sums``
-and ``curvature.embedding_distortion`` must reproduce bit for bit.
+are the definition that ``_kernels.bfs_tree``, ``_kernels.path_sums`` over
+a ``_kernels.bfs_paths`` plan and ``curvature.embedding_distortion`` must
+reproduce bit for bit.
 ``connected_components_loop`` finds components one single-source BFS at a
 time: the order and members ``graphs.connected_components`` must reproduce.
 ``path_graph`` and ``cycle_graph`` build the simplest test inputs.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from curvgnn import _kernels, curvature as C, graphs, manifold as M
+from curvgnn import _kernels, curvature as C, graphs, manifold as M, training
 
 import geometry_oracle as geo
 import path_oracle
@@ -124,21 +124,52 @@ def test_distortion_excludes_zero_length_paths():
     emb[3] = emb[1]
     rep = C.embedding_distortion(g, emb, 1.0)
     assert np.isfinite(rep.mean_distortion)
-    total, used, excluded = 0.0, 0, 0
-    for i in range(g.n_nodes):
-        g_row, hops = path_oracle.path_distance_row(g, emb, 1.0, i)
-        for j in range(g.n_nodes):
-            if i == j:
-                continue
-            if hops[j] < 0 or g_row[j] == 0.0:
-                excluded += 1
-                continue
-            dh = float(M.hyp_distance(emb[i], emb[j], 1.0))
-            total += abs((dh / g_row[j]) ** 2 - 1.0)
-            used += 1
+    mean, used, excluded = per_source_report(g, emb, 1.0)
     assert excluded == 2
     assert (rep.pairs_used, rep.pairs_excluded) == (used, excluded)
-    assert rep.mean_distortion == pytest.approx(total / used, rel=1e-12)
+    assert rep.mean_distortion == pytest.approx(mean, rel=1e-12)
+
+
+def per_source_report(g, emb, zeta):
+    """(mean, used, excluded) over every ordered pair, one loop BFS tree per
+    source: a pair is used when its target is reached along a path of
+    positive length, and excluded otherwise."""
+    total, used, excluded = 0.0, 0, 0
+    for i in range(g.n_nodes):
+        g_row, hops = path_oracle.path_distance_row(g, emb, zeta, i)
+        t = np.flatnonzero((hops > 0) & (g_row > 0))
+        d = M.hyp_distance(emb[np.full(len(t), i)], emb[t], zeta)
+        total += float(np.abs((d / g_row[t]) ** 2 - 1.0).sum())
+        used += len(t)
+        excluded += g.n_nodes - 1 - len(t)
+    return total / used, used, excluded
+
+
+def test_distortion_on_disconnected_graphs_matches_per_source_trees():
+    # random forests with isolated nodes scattered among their ids, and the
+    # tree7 message graph, a forest once the held-out edges are gone: the
+    # exact branch must exclude every pair across components
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(6):
+        n = int(rng.integers(20, 120))
+        m = int(rng.integers(n // 2, n - 2))  # tree nodes; the rest are isolated
+        edges = np.array([(int(rng.integers(0, v)), v) for v in range(1, m)
+                          if rng.random() < 0.9])
+        cases.append(graphs.Graph.from_edges(n, rng.permutation(n)[edges]))
+    tree = graphs.balanced_binary_tree(7)
+    cfg = training.RunConfig()
+    for seed in (0, 1, 2):
+        split = graphs.make_lp_split(tree, cfg.val_frac, cfg.test_frac, seed)
+        cases.append(tree.with_edges(split.train_pos))
+    for g in cases:
+        zeta = float(rng.uniform(0.5, 2.0))
+        emb = M.to_hyperboloid(rng.standard_normal((g.n_nodes, 3)), zeta)
+        rep = C.embedding_distortion(g, emb, zeta)
+        mean, used, excluded = per_source_report(g, emb, zeta)
+        assert excluded > 0
+        assert (rep.pairs_used, rep.pairs_excluded) == (used, excluded)
+        assert rep.mean_distortion == pytest.approx(mean, rel=1e-12)
 
 
 def test_distortion_requires_edges():
@@ -217,8 +248,9 @@ def sampled_report_from_whole_trees(g, emb, zeta, seed):
     """The sampled distortion report scored on whole BFS-tree rows.
 
     Same draws and exclusions as ``embedding_distortion``; each drawn source
-    takes its full ``path_sums`` row from a one-source ``bfs_paths`` plan,
-    and its pairs are summed in draw order, source by source in ascending id.
+    takes the sums to every node it reaches from a one-source ``bfs_paths``
+    plan, and its pairs are summed in draw order, source by source in
+    ascending id.
     """
     n = g.n_nodes
     draw = np.random.default_rng(seed)
@@ -229,14 +261,17 @@ def sampled_report_from_whole_trees(g, emb, zeta, seed):
     slot_len = M.hyp_distance(emb[owner], emb[g.indices], zeta)
     total, used = 0.0, 0
     for s in np.unique(src):
-        hops, paths = _kernels.bfs_paths(g.indptr, g.indices, [s])
-        sums = _kernels.path_sums(paths, slot_len)
+        _, nodes, paths = _kernels.bfs_paths(g.indptr, g.indices, [s])
+        reached = np.zeros(n, dtype=bool)
+        reached[nodes] = True
+        sums = np.zeros(n)
+        sums[nodes] = _kernels.path_sums(paths, slot_len)
         t = dst[(src == s) & (dst != s)]
-        ok = (hops[0, t] > 0) & (sums[0, t] > 0)
+        ok = reached[t] & (sums[t] > 0)
         excluded += int((~ok).sum())
         t = t[ok]
         d = M.hyp_distance(emb[np.full(len(t), s)], emb[t], zeta)
-        total += float(np.abs((d / sums[0, t]) ** 2 - 1.0).sum())
+        total += float(np.abs((d / sums[t]) ** 2 - 1.0).sum())
         used += len(t)
     return C.DistortionReport(total / used, used, excluded)
 

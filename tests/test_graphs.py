@@ -207,11 +207,15 @@ class CountingRng:
 
 
 def assert_sampler_matches_loop(g, count, seed, forbidden=None):
-    """Same pairs and same generator end state as the scalar loop; rounds."""
+    """Same pairs and same generator end state as the scalar loop; rounds.
+
+    The loop takes ``forbidden`` as a set of keys, the sampler as a key
+    array."""
     ref_rng = np.random.default_rng(seed)
     want = sampling_oracle.sample_negative_edges_loop(g, count, ref_rng, forbidden)
     rng = CountingRng(seed)
-    got = graphs.sample_negative_edges(g, count, rng, forbidden)
+    keys = None if forbidden is None else np.array(sorted(forbidden), dtype=np.int64)
+    got = graphs.sample_negative_edges(g, count, rng, keys)
     assert got.dtype == np.int64 and got.shape == (count, 2)
     assert np.array_equal(got, want)
     assert rng.gen.bit_generator.state == ref_rng.bit_generator.state

@@ -109,7 +109,7 @@ def test_bfs_hops_match_floyd_warshall():
             want = fw[sources]
             assert hops.shape == want.shape and hops.dtype == np.int64
             assert np.array_equal(np.where(hops < 0, np.inf, hops), want)
-            assert np.all((hops == _kernels.UNREACHABLE) == np.isinf(want))
+            assert np.all((hops == -1) == np.isinf(want))
 
 
 def test_bfs_hops_rejects_out_of_range_sources():
@@ -135,7 +135,7 @@ def test_bfs_tree_matches_loop_reference():
             # the reference's queue order, which its path sums walk: the
             # source first, nondecreasing hop count, the other components
             # last; so parents precede children
-            level = np.where(hops == _kernels.UNREACHABLE, g.n_nodes, hops)
+            level = np.where(hops == -1, g.n_nodes, hops)
             assert order.dtype == np.int64 and order[0] == s
             assert np.array_equal(np.sort(order), np.arange(g.n_nodes))
             assert np.all(np.diff(level[order]) >= 0)
@@ -288,14 +288,13 @@ def _tree_path_sums(indptr, indices, source, slot_len):
     for v in np.flatnonzero(parent >= 0):
         nbrs = indices[indptr[v]:indptr[v + 1]]
         step[v] = slot_len[indptr[v] + np.flatnonzero(nbrs == parent[v])[0]]
-    sums = path_oracle.path_sums(order, parent, step)
-    sums[hops < 0] = np.inf
-    return hops, sums
+    return hops, path_oracle.path_sums(order, parent, step)
 
 
 def test_bfs_path_sums_matches_per_source_trees():
-    # whole trees, and the paths to requested (row, node) pairs only: both
-    # must equal the per-source reference bit for bit, for every length
+    # whole trees, and the paths to requested (row, node) pairs only: the
+    # plan must hold exactly the pairs the reference reaches (hops > 0), and
+    # their sums must equal the reference bit for bit, for every length
     # vector summed along one ``bfs_paths`` plan
     rng = np.random.default_rng(3)
     cases = [graphs.Graph.from_edges(5, np.array([[0, 1], [1, 2]]))]
@@ -307,22 +306,23 @@ def test_bfs_path_sums_matches_per_source_trees():
         n = len(indptr) - 1
         # one length per direction of each edge; the second vector has zeros
         lengths = [rng.random(len(indices)), rng.random(len(indices)).round(1)]
-        rows = [{}, {}]
+        trees = [{}, {}]
         for sources in source_calls(rng, n):
-            want = [[row.setdefault(int(s), _tree_path_sums(indptr, indices, int(s), slot_len))
-                     for s in sources] for row, slot_len in zip(rows, lengths)]
+            want = [[tree.setdefault(int(s), _tree_path_sums(indptr, indices, int(s), slot_len))
+                     for s in sources] for tree, slot_len in zip(trees, lengths)]
             want_hops = np.array([w[0] for w in want[0]])
             want_sums = [np.array([w[1] for w in ws]) for ws in want]
-            hops, paths = _kernels.bfs_paths(indptr, indices, sources)
-            assert np.array_equal(hops, want_hops)
+            # every reached pair, row-major
+            rows, nodes, paths = _kernels.bfs_paths(indptr, indices, sources)
+            assert np.array_equal(np.stack((rows, nodes)), np.nonzero(want_hops > 0))
             for slot_len, ws in zip(lengths, want_sums):
-                assert np.array_equal(_kernels.path_sums(paths, slot_len), ws)
+                assert np.array_equal(_kernels.path_sums(paths, slot_len), ws[rows, nodes])
+            # the reached ones of the given pairs, in their order, repeats kept
             for n_pairs in (0, 1, 5 * n):
                 row = rng.integers(0, len(sources), size=n_pairs)
                 node = rng.integers(0, n, size=n_pairs)
-                hops, paths = _kernels.bfs_paths(indptr, indices, sources, (row, node))
-                assert np.array_equal(hops, want_hops)
+                rows, nodes, paths = _kernels.bfs_paths(indptr, indices, sources, (row, node))
+                keep = want_hops[row, node] > 0
+                assert np.array_equal(rows, row[keep]) and np.array_equal(nodes, node[keep])
                 for slot_len, ws in zip(lengths, want_sums):
-                    sums = _kernels.path_sums(paths, slot_len)
-                    assert sums.shape == (n_pairs,)
-                    assert np.array_equal(sums, ws[row, node])
+                    assert np.array_equal(_kernels.path_sums(paths, slot_len), ws[rows, nodes])
