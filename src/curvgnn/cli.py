@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from . import curvature, graphs, training
-from .manifold import ManifoldError
 from .training import RunConfig, TrainingDiverged
 
 
@@ -220,6 +219,9 @@ def _load_embeddings(args, g: graphs.Graph) -> np.ndarray:
             raise ValueError("not a single array")
     except ValueError as e:
         raise graphs.DataError(f"cannot read {args.embeddings} as a .npy array") from e
+    if emb.dtype.kind not in "iuf":  # no strings, no complex parts to drop
+        raise graphs.DataError(f"embeddings must be real numbers, got dtype {emb.dtype}",
+                               args.embeddings)
     if emb.ndim != 2 or emb.shape[0] != g.n_nodes:
         raise graphs.DataError(
             f"embeddings shape {emb.shape} does not match {g.n_nodes} nodes")
@@ -230,7 +232,7 @@ def _cmd_train(args) -> int:
     config = _train_config(args)
     result = training.train(config, out_dir=args.out)
     print(f"best_val={result.best_val_metric:.4f} epoch={result.best_epoch} "
-          f"test={result.test_metric:.4f} zetas={result.final_zetas} "
+          f"test={result.test_metric:.4f} zeta={result.final_zeta} "
           f"distortion={result.final_distortion:.4f}")
     return 0
 
@@ -291,7 +293,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
-        if isinstance(e, (graphs.DataError, ManifoldError)):
+        if isinstance(e, graphs.DataError):
             print(f"data error: {e}", file=sys.stderr)
             return 2
         print(f"error: {e}", file=sys.stderr)

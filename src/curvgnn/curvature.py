@@ -39,8 +39,7 @@ class DistortionReport:
 @dataclass(frozen=True)
 class CurvatureEstimate:
     kappa: float
-    n_samples: int
-    node_values: np.ndarray  # per-node mean deviation; NaN where ineligible
+    n_samples: int  # valid quadruples
 
 
 def parallelogram_deviation(d_am, d_bc, d_ab, d_ac):
@@ -226,8 +225,7 @@ def estimate_kappa(g: graphs.Graph, emb: np.ndarray, zeta, n_s: int = 2,
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
-    n = g.n_nodes
-    if n < 4:
+    if g.n_nodes < 4:
         raise ValueError("need at least 4 nodes to sample quadruples")
     manifold.check_on_manifold(emb, zeta)
     m_idx, a_idx, b_idx, c_idx = sample_quadruples(g, n_s, np.random.default_rng(seed))
@@ -245,16 +243,13 @@ def estimate_kappa(g: graphs.Graph, emb: np.ndarray, zeta, n_s: int = 2,
     xi[valid] = parallelogram_deviation_normalized(
         d_am[valid], d_bc[valid], d_ab[valid], d_ac[valid])
 
-    # per-node means over the valid samples of each node's n_s rows
+    # the mean, over nodes with a valid sample, of each node's mean over
+    # the valid samples of its n_s rows (nodes in ascending id)
     counts = valid.reshape(-1, n_s).sum(axis=1)
     sums = xi.reshape(-1, n_s).sum(axis=1)
     has = counts > 0
-    node_values = np.full(n, np.nan)
-    node_values[m_idx[::n_s][has]] = sums[has] / counts[has]
-    node_mean = node_values[~np.isnan(node_values)]
-    return CurvatureEstimate(kappa=float(node_mean.mean()),
-                             n_samples=int(valid.sum()),
-                             node_values=node_values)
+    return CurvatureEstimate(kappa=float((sums[has] / counts[has]).mean()),
+                             n_samples=int(valid.sum()))
 
 
 def update_curvature(zeta_prev: float, kappa: float, gamma: float,
@@ -334,7 +329,7 @@ def _tangent_perp(x: np.ndarray, u_hat: np.ndarray, zeta: float) -> np.ndarray:
         perp[take] = w[take] / nw[take]
         todo &= ~take
     if todo.any():
-        raise manifold.ManifoldError(
+        raise graphs.DataError(
             f"tree layout too far out for float64 at zeta={zeta}: no tangent "
             "direction orthogonal to the parent's")
     return perp

@@ -37,9 +37,12 @@ exp map at x           ``exp_at``                 ``exp_map``
 transport from origin  ``transport_from_origin``
 =====================  =========================  ================================
 
-None of them checks its inputs: embeddings are checked once, where they
-enter a diagnostic, by ``check_on_manifold``. All functions are pure and
-safe for concurrent use.
+The tape ops and the ``_`` helpers check nothing. Every other function
+that takes a curvature checks it with ``as_zeta`` (positive and finite,
+else a ``graphs.DataError``), and ``lorentz_inner`` checks the last axes.
+Only ``check_on_manifold`` checks that points lie on the hyperboloid:
+embeddings are checked once, where they enter a diagnostic. All functions
+are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .graphs import DataError
 
 DEFAULT_ZETA_MIN = 0.1
 DEFAULT_ZETA_MAX = 10.0
@@ -68,15 +72,11 @@ MANIFOLD_TOL = 1e-6
 _EPS = np.finfo(np.float64).eps
 
 
-class ManifoldError(ValueError):
-    """Raised when inputs violate a manifold precondition."""
-
-
 def as_zeta(zeta) -> float:
-    """Return zeta as a positive, finite float."""
+    """Return zeta as a positive, finite float; a DataError otherwise."""
     z = float(zeta)
     if not (z > 0) or not math.isfinite(z):
-        raise ManifoldError(f"curvature parameter must be positive and finite, got {z}")
+        raise DataError(f"curvature parameter must be positive and finite, got {z}")
     return z
 
 
@@ -85,9 +85,9 @@ def lorentz_inner(u: np.ndarray, v: np.ndarray, keepdims: bool = False) -> np.nd
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape[-1] != v.shape[-1]:
-        raise ManifoldError(f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}")
+        raise DataError(f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}")
     if u.shape[-1] < 2:
-        raise ManifoldError("ambient dimension must be at least 2")
+        raise DataError("ambient dimension must be at least 2")
     return minkowski(u, v, keepdims=keepdims)
 
 
@@ -112,7 +112,7 @@ def manifold_residual(x: np.ndarray, zeta) -> np.ndarray:
 
 
 def check_on_manifold(x: np.ndarray, zeta) -> None:
-    """Raise ManifoldError if x drifts off the hyperboloid.
+    """Raise DataError if x drifts off the hyperboloid.
 
     The comparison adds a rounding-noise floor proportional to the squared
     coordinate magnitude: far from the origin the quadratic form is a
@@ -121,16 +121,16 @@ def check_on_manifold(x: np.ndarray, zeta) -> None:
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
-        raise ManifoldError("non-finite coordinates")
+        raise DataError("non-finite coordinates")
     z = as_zeta(zeta)
     resid = manifold_residual(x, z)
     floor = 64.0 * _EPS * (x[..., 0] ** 2 + z * z)
     bad = resid > MANIFOLD_TOL * max(1.0, z * z) + floor
     if np.any(bad):
         worst = float(np.max(resid))
-        raise ManifoldError(f"point off manifold at zeta={z}: residual {worst:.3e}")
+        raise DataError(f"point off manifold at zeta={z}: residual {worst:.3e}")
     if np.any(x[..., 0] <= 0):
-        raise ManifoldError("point on the lower hyperboloid sheet")
+        raise DataError("point on the lower hyperboloid sheet")
 
 
 # ---------------------------------------------------------------------------

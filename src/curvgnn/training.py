@@ -138,7 +138,7 @@ class EpochRecord:
     epoch: int
     train_loss: float
     val_metric: float
-    zetas: list
+    zetas: list  # [zeta]: one value, in the list form the benchmark reads
     action_hgnn: str | None
     action_ace: str | None
     r_hgnn: float
@@ -154,7 +154,7 @@ class TrainResult:
     best_epoch: int
     test_metric: float
     final_embeddings: np.ndarray
-    final_zetas: list
+    final_zeta: float
     final_distortion: float
     freeze_epoch: int | None
     checkpoint: dict
@@ -408,7 +408,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         records.append(EpochRecord(
             epoch=epoch, train_loss=loss, val_metric=metric_curr,
-            zetas=[model.zeta] * config.n_layers, distortion=distortion_val,
+            zetas=[model.zeta], distortion=distortion_val,
             wall_ms=wall_ms, **play))
 
         if since_best >= EARLY_STOP_PATIENCE:
@@ -426,7 +426,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     result = TrainResult(records=records, best_val_metric=best_val,
                          best_epoch=best_epoch, test_metric=test_metric,
                          final_embeddings=final_emb,
-                         final_zetas=[model.zeta] * config.n_layers,
+                         final_zeta=model.zeta,
                          final_distortion=final_distortion,
                          freeze_epoch=search.freeze_epoch, checkpoint=checkpoint)
     if out_dir is not None:
@@ -457,7 +457,7 @@ def write_outputs(result: TrainResult, out_dir) -> None:
         "best_val_metric": result.best_val_metric,
         "best_epoch": result.best_epoch,
         "test_metric": result.test_metric,
-        "final_zetas": result.final_zetas,
+        "final_zetas": [result.final_zeta],  # one value, as metrics.jsonl's zetas
         "final_distortion": result.final_distortion,
         "freeze_epoch": result.freeze_epoch,
         "epochs_run": len(result.records),
@@ -470,6 +470,6 @@ def evaluate_checkpoint(path) -> dict:
     blob = load_checkpoint(path)
     config, model, task = model_from_checkpoint(blob, path)
     test = task.test_metric(model)
-    return {"test_metric": test, "zetas": [model.zeta] * config.n_layers,
+    return {"test_metric": test, "zeta": model.zeta,
             "best_epoch": blob["epoch"], "best_val_metric": blob["best_val_metric"],
             "task": config.task}

@@ -21,6 +21,7 @@ import numpy as np
 
 from curvgnn import _kernels, autodiff as ad, manifold
 from curvgnn.autodiff import Tensor
+from curvgnn.graphs import DataError
 from curvgnn.layers import layer_forward, message_edges
 
 
@@ -48,12 +49,11 @@ def parallel_transport(x, y, v, zeta, validate: bool = True) -> np.ndarray:
 
 
 def check_tangent(v, x) -> None:
-    """Raise ManifoldError unless <x, v>_L = 0 within tolerance."""
+    """Raise DataError unless <x, v>_L = 0 within tolerance."""
     ip = manifold.lorentz_inner(x, v)
     scale = 1.0 + np.abs(x[..., 0]) * np.max(np.abs(np.asarray(v)), axis=-1, initial=0.0)
     if np.any(np.abs(ip) > manifold.MANIFOLD_TOL * scale):
-        raise manifold.ManifoldError(
-            f"vector not tangent: <x,v> = {float(np.max(np.abs(ip))):.3e}")
+        raise DataError(f"vector not tangent: <x,v> = {float(np.max(np.abs(ip))):.3e}")
 
 
 def tangent_from_euclidean(w) -> np.ndarray:
@@ -69,7 +69,7 @@ def project_to_manifold(raw, zeta) -> np.ndarray:
     z = manifold.as_zeta(zeta)
     xs = raw[..., 1:]
     if not np.all(np.isfinite(xs)):
-        raise manifold.ManifoldError("non-finite spatial coordinates")
+        raise DataError("non-finite spatial coordinates")
     x0 = np.sqrt(z * z + (xs * xs).sum(axis=-1, keepdims=True))
     return np.concatenate([x0, xs], axis=-1)
 

@@ -4,6 +4,7 @@ allocator policy."""
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,21 @@ def test_embeddings_file_that_is_not_an_array_is_data_error(tmp_path, capsys, ki
     assert main(["estimate-curvature", "--edges", str(edges), "--embeddings", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(path) in err and "pickle" not in err
+
+
+@pytest.mark.parametrize("command", ["distortion", "estimate-curvature"])
+@pytest.mark.parametrize("kind", ["str", "complex"])
+def test_embeddings_that_are_not_real_numbers_are_data_error(tmp_path, capsys, command, kind):
+    # strings used to fail in the float conversion (exit 1), and a complex
+    # array lost its imaginary part to a ComplexWarning and passed
+    edges, g = write_tree_edges(tmp_path, depth=3)
+    emb = curvature.tree_layout_hyperbolic(g, 1.0)
+    path = tmp_path / "emb.npy"
+    np.save(path, np.full(emb.shape, "a") if kind == "str" else emb + 5j)
+    extra = ["--grid", "1:1:1"] if command == "distortion" else []
+    assert main([command, "--edges", str(edges), "--embeddings", str(path)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
 
 
 @pytest.mark.parametrize("sources", [["--embeddings", "EMB", "--tree-layout", "0.1"], []],
@@ -242,6 +258,24 @@ def test_train_then_eval_checkpoint(tmp_path, capsys):
     assert payload["test_metric"] == summary["test_metric"]
 
 
+def test_every_output_reports_the_one_curvature(tmp_path, capsys):
+    # an RL-on run whose curvature leaves zeta0 by epoch 3, so a field that
+    # reported the initial curvature would differ
+    out = tmp_path / "run"
+    assert main(["train", "--synthetic-tree", "5", "--seed", "0", "--epochs", "3",
+                 "--out", str(out)]) == 0
+    train_line = capsys.readouterr().out
+    zeta = json.loads((out / "checkpoint.json").read_text())["model"]["zeta"]
+    assert zeta != RunConfig().zeta0
+    records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert all(len(r["zetas"]) == 1 for r in records)
+    assert records[-1]["zetas"] == [zeta]
+    assert json.loads((out / "result.json").read_text())["final_zetas"] == [zeta]
+    assert float(re.search(r" zeta=(\S+) ", train_line).group(1)) == zeta
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["zeta"] == zeta
+
+
 # the fields of a sound checkpoint of the current version, whose model is the
 # one its config builds; each malformed case below breaks one
 CONFIG = {"synthetic_tree_depth": 3, "val_frac": 0.2, "test_frac": 0.2}
@@ -285,7 +319,7 @@ def test_eval_of_the_sound_checkpoint_fields_succeeds(tmp_path, capsys):
     path = tmp_path / "ck.json"
     path.write_text(json.dumps(CHECKPOINT_FIELDS))
     assert main(["eval", "--checkpoint", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["zetas"] == [MODEL["zeta"]] * 2
+    assert json.loads(capsys.readouterr().out)["zeta"] == MODEL["zeta"]
 
 
 def test_eval_version_and_layer_count_errors_keep_their_messages(tmp_path, capsys):

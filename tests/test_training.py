@@ -167,7 +167,7 @@ def test_distortion_cadence():
 def test_rl_disabled_keeps_zetas_fixed():
     res = train(quick_config(epochs=6, rl_enabled=False, zeta0=1.0))
     for rec in res.records:
-        assert rec.zetas == [1.0, 1.0]
+        assert rec.zetas == [1.0]
         assert rec.action_hgnn is None and rec.action_ace is None
 
 
@@ -182,8 +182,8 @@ def test_adopt_action_installs_proposed_curvatures(monkeypatch):
     # which leave the initial value once the estimator reports
     assert all(r.action_hgnn == "ADOPT" and r.action_ace == "EXPLORE"
                for r in res.records)
-    assert res.records[-1].zetas != [1.0, 1.0]
-    assert all(len(set(r.zetas)) == 1 for r in res.records)  # one curvature, every layer
+    assert res.records[-1].zetas != [1.0]
+    assert all(len(r.zetas) == 1 for r in res.records)  # the model's one curvature
 
 
 def test_keep_action_leaves_curvatures_alone(monkeypatch):
@@ -193,7 +193,7 @@ def test_keep_action_leaves_curvatures_alone(monkeypatch):
         nashq, "epsilon_greedy_joint",
         lambda sol, eps, rng: (nashq.HgnnAction.KEEP, nashq.AceAction.EXPLORE))
     res = train(quick_config(epochs=3))
-    assert all(r.zetas == [1.0, 1.0] for r in res.records)
+    assert all(r.zetas == [1.0] for r in res.records)
 
 
 def test_greedy_play_reuses_the_post_update_solution(monkeypatch):
@@ -269,9 +269,9 @@ def test_a_held_proposal_is_the_one_explored_earlier(monkeypatch):
     a = train(cfg)
     scripted_play(monkeypatch, [("ADOPT", "EXPLORE"), ("KEEP", "HOLD")])
     b = train(cfg)
-    assert a.records[0].zetas == [cfg.zeta0] * cfg.n_layers
+    assert a.records[0].zetas == [cfg.zeta0]
     assert a.records[1].zetas == b.records[0].zetas
-    assert b.records[0].zetas != [cfg.zeta0] * cfg.n_layers
+    assert b.records[0].zetas != [cfg.zeta0]
 
 
 def test_rewards_follow_the_val_metric(monkeypatch):
@@ -412,7 +412,7 @@ def test_checkpoint_roundtrip(tmp_path):
     res = train(quick_config(epochs=4), out_dir=tmp_path)
     out = training.evaluate_checkpoint(tmp_path / "checkpoint.json")
     assert out["test_metric"] == res.test_metric
-    assert out["zetas"] == res.final_zetas
+    assert out["zeta"] == res.final_zeta
     assert out["best_epoch"] == res.best_epoch
 
 
