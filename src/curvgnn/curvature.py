@@ -104,6 +104,15 @@ def _distortion_reports(g, points, seed):
     if g.n_edges == 0:
         raise ValueError("distortion is undefined on an edgeless graph")
     n = g.n_nodes
+    # the edge lengths first: their (slots, d+1) temporaries are gone before
+    # the sampled pairs exist
+    owner = np.repeat(np.arange(n), np.diff(g.indptr))
+    slot_lens = []
+    for emb, zeta in points:
+        manifold.check_on_manifold(emb, zeta)
+        slot_lens.append(manifold.hyp_distance(np.take(emb, owner, axis=0),
+                                               np.take(emb, g.indices, axis=0), zeta))
+    del owner
     exact = n <= DISTORTION_EXACT_LIMIT
     excluded = 0
     if exact:
@@ -115,22 +124,25 @@ def _distortion_reports(g, points, seed):
         n_pairs = DISTORTION_SAMPLE_FACTOR * n
         log.info("distortion: sampling %d ordered pairs on %d nodes", n_pairs, n)
         rng = np.random.default_rng(seed)
-        src = rng.integers(0, n, size=n_pairs)
-        dst = rng.integers(0, n, size=n_pairs)
+        # int32 draws take the same values and generator steps as int64 ones
+        # at half the memory. Each whole-sample array is dropped once the next
+        # is built, so the sample peaks at its two draws plus the int64 order
+        # of one stable sort (and that sort's buffer).
+        src = rng.integers(0, n, size=n_pairs, dtype=np.int32)
+        dst = rng.integers(0, n, size=n_pairs, dtype=np.int32)
         keep = src != dst
-        excluded = int((~keep).sum())
-        by_src = np.argsort(src[keep], kind="stable")  # keeps each source's draw order
-        src, dst = src[keep][by_src], dst[keep][by_src]
-        sources, first = np.unique(src, return_index=True)
-        bounds = np.append(first, len(src))
+        excluded = n_pairs - int(np.count_nonzero(keep))
+        src = src[keep]
+        dst = dst[keep]
+        del keep
+        by_src = np.argsort(src, kind="stable")  # keeps each source's draw order
+        dst = dst[by_src]
+        del by_src
+        counts = np.bincount(src, minlength=n)
+        del src
+        sources = np.flatnonzero(counts)
+        bounds = np.concatenate(([0], np.cumsum(counts[sources])))
         block = _kernels.BLOCK_SOURCES
-
-    owner = np.repeat(np.arange(n), np.diff(g.indptr))
-    slot_lens = []
-    for emb, zeta in points:
-        manifold.check_on_manifold(emb, zeta)
-        slot_lens.append(manifold.hyp_distance(np.take(emb, owner, axis=0),
-                                               np.take(emb, g.indices, axis=0), zeta))
     scores = [[0.0, 0, excluded] for _ in points]  # ratio sum, pairs used, excluded
     for lo in range(0, len(sources), block):
         block_src = sources[lo:lo + block]

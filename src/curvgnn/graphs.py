@@ -13,15 +13,17 @@ File formats:
   * labels     — CSV ``node_id,class_id``.
 
 Every input file (these three, a run config, a checkpoint) is read here as
-UTF-8; a byte that is not UTF-8, or a non-finite feature value, is a
-DataError naming the file and line.
+UTF-8, and a line ends at ``\n``, ``\r\n`` or a lone ``\r`` (Python's
+universal newlines; no other character ends one). A byte that is not
+UTF-8, a non-finite feature value, or a node or class id that does not fit
+in int64 is a DataError naming the file and line.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import logging
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +32,8 @@ import numpy as np
 from . import _kernels
 
 log = logging.getLogger(__name__)
+
+_INT64_MAX = np.iinfo(np.int64).max  # node and class ids are stored as int64
 
 
 class DataError(ValueError):
@@ -149,8 +153,15 @@ def read_json(path, what: str) -> dict:
 
 def _read_lines(path, what: str):
     """(line number, line) of each line of a UTF-8 text file, split at
-    universal newlines exactly as text-mode file iteration splits them."""
-    return enumerate(io.StringIO(_read_text(path, what), newline=None), start=1)
+    universal newlines exactly as text-mode file iteration splits them,
+    each line without its end."""
+    text = _read_text(path, what)
+    if "\r" in text:  # \r\n and a lone \r end a line as \n does
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final line end starts no further line
+    return enumerate(lines, start=1)
 
 
 def load_edge_list(path) -> np.ndarray:
@@ -166,8 +177,9 @@ def load_edge_list(path) -> np.ndarray:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise DataError(f"non-integer node id in {raw.strip()!r}", path, lineno)
-        if u < 0 or v < 0:
-            raise DataError(f"negative node id in {raw.strip()!r}", path, lineno)
+        if not (0 <= u <= _INT64_MAX and 0 <= v <= _INT64_MAX):
+            problem = "negative node id" if min(u, v) < 0 else "node id does not fit in int64"
+            raise DataError(f"{problem} in {raw.strip()!r}", path, lineno)
         edges.append((u, v))
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
@@ -192,7 +204,8 @@ def load_features(path) -> np.ndarray:
         if not np.all(np.isfinite(feats)):
             raise DataError("non-finite feature value in 'rows'", path, 1)
         return feats
-    rows, lines = [], []
+    values = array("d")  # every row's values, flat, as float64
+    lines = []
     width = None
     for lineno, raw in _read_lines(path, "feature file"):
         text = raw.strip()
@@ -206,11 +219,11 @@ def load_features(path) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise DataError(f"row has {len(row)} values, expected {width}", path, lineno)
-        rows.append(row)
+        values.extend(row)
         lines.append(lineno)
-    if not rows:
+    if not lines:
         raise DataError("empty feature file", path, 1)
-    feats = np.array(rows, dtype=np.float64)
+    feats = np.frombuffer(values, dtype=np.float64).reshape(len(lines), width)
     finite = np.isfinite(feats).all(axis=1)
     if not finite.all():
         raise DataError("non-finite feature value in row", path, lines[int(finite.argmin())])
@@ -234,6 +247,8 @@ def load_labels(path, n_nodes: int) -> np.ndarray:
             raise DataError(f"node id {node} out of range [0, {n_nodes})", path, lineno)
         if cls < 0:
             raise DataError(f"negative class id {cls}", path, lineno)
+        if cls > _INT64_MAX:
+            raise DataError(f"class id {cls} does not fit in int64", path, lineno)
         if labels[node] not in (-1, cls):
             raise DataError(
                 f"conflicting label for node {node}: {labels[node]} vs {cls}",

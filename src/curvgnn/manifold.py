@@ -345,10 +345,10 @@ def transport_from_origin(x, b, zeta: float) -> Tensor:
     num = minkowski(xd, bt)
     den = (xd[..., :1] + zeta) * zeta  # zeta^2 - <o, x> = zeta (zeta + x0)
     m = num / den
-    xo = xd + origin(xd.shape[-1] - 1, zeta)
-    out = bt + m * xo
+    out = bt + m * (xd + origin(xd.shape[-1] - 1, zeta))
 
-    def vjp(g):
+    def vjp(g):  # rebuilds o + x rather than keeping an (n, d+1) array on the tape
+        xo = xd + origin(xd.shape[-1] - 1, zeta)
         g_m = (g * xo).sum(axis=-1, keepdims=True)
         g_num = g_m / den
         # num = <x, (0, b)>_L and den = zeta (x0 + zeta)

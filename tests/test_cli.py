@@ -63,6 +63,13 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_id_beyond_int64_is_data_error(tmp_path, capsys):
+    edges = tmp_path / "e.tsv"
+    edges.write_text("0\t99999999999999999999\n")
+    assert main(["delta", "--edges", str(edges)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {edges}:1: node id does not fit")
+
+
 def test_distortion_grid_row_count(tmp_path, capsys):
     edges, g = write_tree_edges(tmp_path)
     emb = curvature.tree_layout_hyperbolic(g, 1.0, edge_length=1.0)

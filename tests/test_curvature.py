@@ -1,5 +1,7 @@
 """Curvature feedback tests: deviation law, distortion, estimation, update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,41 @@ def test_distortion_sampled_path_matches_redrawn_pairs(monkeypatch):
         rep = seeded_distortion(g, emb, 1.5, seed)
         assert (rep.pairs_used, rep.pairs_excluded) == (used, excluded)
         assert rep.mean_distortion == pytest.approx(total / used, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 2708, 10 ** 5, 2 ** 31 - 1])
+def test_int32_pair_draws_repeat_int64_draws(n):
+    """The sampled branch draws its pairs as int32: the same values and the
+    same generator end state as the int64 draws the oracles here make."""
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    for size in (1, 999, C.DISTORTION_SAMPLE_FACTOR * 2708):
+        assert np.array_equal(a.integers(0, n, size=size),
+                              b.integers(0, n, size=size, dtype=np.int32))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_sampled_distortion_peak_memory_per_pair(monkeypatch):
+    """The sampled branch keeps its pairs as int32, drops each whole-sample
+    array once the next is built and takes the edge lengths before sampling:
+    its traced peak stays below 32 bytes per sampled pair (an int64 sample
+    grouped by ``np.unique`` reached ~51) on a graph of Cora's density."""
+    monkeypatch.setattr(C, "DISTORTION_EXACT_LIMIT", 500)
+    rng = np.random.default_rng(2)
+    n = 1000
+    kids = np.arange(1, n)  # each node past the first links to two earlier ones
+    edges = np.concatenate([np.stack([kids, rng.integers(0, kids)], axis=1)
+                            for _ in range(2)])
+    g = graphs.Graph.from_edges(n, edges)
+    emb = M.to_hyperboloid(0.1 * rng.standard_normal((n, 16)), 1.0)
+    tracemalloc.start()
+    try:
+        rep = C.embedding_distortion(g, emb, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_pairs = C.DISTORTION_SAMPLE_FACTOR * n
+    assert rep.pairs_used + rep.pairs_excluded == n_pairs
+    assert peak < 32 * n_pairs
 
 
 def sampled_report_from_whole_trees(g, emb, zeta, seed):

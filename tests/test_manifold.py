@@ -151,6 +151,53 @@ def test_tape_distance_matches_mpmath_at_small_separations():
                 assert float(M.hyp_distance(x, y, zeta)) == got
 
 
+def mp_pair_at_radius(rng, radius, dim, sep):
+    """Two points sep apart, 80 digits exact, each rounded once to float64.
+
+    x lies at the given radius from the origin (zeta = 1) in a random
+    direction u; y follows the geodesic from x for length sep along a random
+    unit tangent orthogonal to the radial one, so it stays at about the
+    same radius.
+    """
+    with mpmath.workdps(80):
+        def unit(v):
+            norm = mpmath.sqrt(mpmath.fsum(c * c for c in v))
+            return [c / norm for c in v]
+
+        u = unit([mpmath.mpf(float(c)) for c in rng.standard_normal(dim)])
+        w = [mpmath.mpf(float(c)) for c in rng.standard_normal(dim)]
+        dot = mpmath.fsum(a * b for a, b in zip(u, w))
+        w = unit([b - dot * a for a, b in zip(u, w)])
+        r, s = mpmath.mpf(radius), mpmath.mpf(sep)
+        x = [mpmath.cosh(r)] + [mpmath.sinh(r) * a for a in u]
+        y = [mpmath.cosh(s) * x[0]] + [mpmath.cosh(s) * a + mpmath.sinh(s) * b
+                                       for a, b in zip(x[1:], w)]
+        return np.array([float(c) for c in x]), np.array([float(c) for c in y])
+
+
+# radius: (median, max) relative error bound of hyp_distance for points 0.1
+# apart there. Twice the errors measured for ROADMAP item 19 (7e-14 / 3e-13,
+# 5e-9 / 9e-9, 6e-5 / 1.4e-4), since those come from one seed and the
+# errors of other seeds spread by up to ~1.5x about them.
+RADIUS_PRECISION = {5: (1.4e-13, 6e-13), 10: (1e-8, 1.8e-8), 15: (1.2e-4, 2.8e-4)}
+
+
+@pytest.mark.parametrize("radius", RADIUS_PRECISION)
+def test_distance_precision_far_from_the_origin(radius):
+    """A point at radius r has coordinates near e^r / 2, which float64 holds
+    only to about e^r * 1e-16, so the error of a short distance there grows
+    like e^(2r): pinned at r in {5, 10, 15} (zeta = 1) for 20 pairs in 8
+    dimensions."""
+    rng = np.random.default_rng(19)
+    errors = []
+    for _ in range(20):
+        x, y = mp_pair_at_radius(rng, radius, 8, 0.1)
+        errors.append(abs(float(M.hyp_distance(x, y, 1.0)) - 0.1) / 0.1)
+    median_bound, max_bound = RADIUS_PRECISION[radius]
+    assert np.median(errors) < median_bound
+    assert max(errors) < max_bound
+
+
 def test_tape_log_origin_matches_mpmath_near_origin():
     rng = np.random.default_rng(43)
     for zeta in (0.5, 1.0, 3.0):
