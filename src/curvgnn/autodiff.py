@@ -318,16 +318,20 @@ def gather_rows(a, idx: np.ndarray) -> Tensor:
 def scatter_rows(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
     """Sum the rows of g into n_rows rows at idx: the adjoint of a[idx].
 
-    One bincount over flat (row, column) slots; like np.add.at it adds in
-    index order starting from zero, so the sums are bit-identical. The
-    modulo wraps negative rows as a[idx] does.
+    One bincount over the wrapped rows per column of g; like np.add.at it
+    adds in index order starting from zero, so the sums are bit-identical.
+    The modulo wraps negative rows as a[idx] does. An empty index or a
+    zero-width row sums to zeros.
     """
     shape = (n_rows,) + g.shape[idx.ndim:]
     rows = idx.ravel() % max(n_rows, 1)
     width = int(np.prod(shape[1:], dtype=np.int64))
-    flat = (rows[:, None] * width + np.arange(width)).ravel()
-    out = np.bincount(flat, weights=g.reshape(-1), minlength=n_rows * width)
-    return out.astype(np.float64, copy=False).reshape(shape)  # int if empty
+    out = np.zeros((n_rows, width))
+    if rows.size and width:
+        cols = g.reshape(rows.size, width)
+        for col in range(width):
+            out[:, col] = np.bincount(rows, weights=cols[:, col], minlength=n_rows)
+    return out.reshape(shape)
 
 
 class EdgePlan(NamedTuple):
@@ -386,12 +390,18 @@ def edge_plan(src: np.ndarray, indptr: np.ndarray) -> EdgePlan:
 
 
 def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
+    """Inverted dropout; identity when p == 0.
+
+    One tape node with parent a: it keeps the boolean keep mask of its one
+    uniform draw, and its VJP rebuilds the scaled mask keep / (1 - p) that
+    the forward multiplies by.
+    """
     a = as_tensor(a)
     if p <= 0.0:
         return a
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    return mul(a, Tensor(mask))
+    keep = rng.random(a.data.shape) >= p
+    out = a.data * (keep / (1.0 - p))
+    return _make(out, (a,), lambda g: (g * (keep / (1.0 - p)),))
 
 
 # ---------------------------------------------------------------------------

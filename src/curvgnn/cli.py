@@ -5,6 +5,17 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
 Options may come from a JSON config file (--config); explicit flags win.
 --log-level (before the subcommand) sends the package's log records at or
 above that level to stderr.
+
+Counts that size a diagnostic's arrays have stated limits, and a count
+beyond one is a usage error, not an allocation numpy refuses. A
+``distortion`` grid has at most GRID_POINTS_MAX points: the sweep holds
+every point's remapped embeddings and edge lengths at once, 8 (n (d+1) +
+2m) bytes a point (41 KB on a 1023-node tree with a 3-column layout).
+``estimate-curvature --samples`` is at most ESTIMATE_SAMPLES_MAX
+quadruples per node: each quadruple holds about 90 + 24 (d+1) bytes at
+once (160 bytes on that tree). ``delta --samples`` is at most
+DELTA_SAMPLES_MAX quadruples: about 330 bytes and one Python-level draw
+(~40 us) each.
 """
 
 from __future__ import annotations
@@ -25,6 +36,12 @@ from .training import RunConfig, TrainingDiverged
 
 class UsageError(Exception):
     pass
+
+
+# the count limits of the module docstring
+GRID_POINTS_MAX = 1000
+ESTIMATE_SAMPLES_MAX = 1000
+DELTA_SAMPLES_MAX = 100_000
 
 
 # glibc mallopt parameters (malloc.h). A training step builds tens of MB of
@@ -106,6 +123,19 @@ def _zeta(text: str) -> float:
     return value
 
 
+def _count(limit: int):
+    """An argparse type for a sample count: an int of at most `limit`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="curvgnn",
                 description="Hyperbolic GNN with adaptive curvature search")
@@ -144,7 +174,7 @@ def _build_parser() -> _Parser:
     de = sub.add_parser("delta", help="Gromov delta-hyperbolicity of a graph")
     de.add_argument("--edges", required=True)
     de.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    de.add_argument("--samples", type=int, default=5000)
+    de.add_argument("--samples", type=_count(DELTA_SAMPLES_MAX), default=5000)
     de.add_argument("--seed", type=_seed, default=0)
 
     di = sub.add_parser("distortion",
@@ -165,7 +195,7 @@ def _build_parser() -> _Parser:
     ec.add_argument("--edges", required=True)
     ec.add_argument("--embeddings", required=True)
     ec.add_argument("--zeta", type=_zeta, default=1.0)
-    ec.add_argument("--samples", type=int, dest="n_s",
+    ec.add_argument("--samples", type=_count(ESTIMATE_SAMPLES_MAX), dest="n_s",
                     help="quadruples per node (default: estimate_kappa's)")
     ec.add_argument("--seed", type=_seed, default=0)
     return p
@@ -194,9 +224,13 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError("grid needs step > 0 and stop >= start")
     if start <= 0:
         raise UsageError(f"bad grid {text!r}; every curvature must be positive")
-    n = int(round((stop - start) / step)) + 1
+    # one point past the limit shows that the grid exceeds it
+    n = min(int(round((stop - start) / step)) + 1, GRID_POINTS_MAX + 1)
     grid = start + step * np.arange(n)
-    return grid[grid <= stop + 1e-9]
+    grid = grid[grid <= stop + 1e-9]
+    if len(grid) > GRID_POINTS_MAX:
+        raise UsageError(f"bad grid {text!r}; at most {GRID_POINTS_MAX} points")
+    return grid
 
 
 def _load_edges(path) -> graphs.Graph:

@@ -165,7 +165,7 @@ def _read_lines(path, what: str):
 
 
 def load_edge_list(path) -> np.ndarray:
-    edges = []
+    ids = array("q")  # every edge's two ids, flat, as int64
     for lineno, raw in _read_lines(path, "edge list"):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -180,8 +180,9 @@ def load_edge_list(path) -> np.ndarray:
         if not (0 <= u <= _INT64_MAX and 0 <= v <= _INT64_MAX):
             problem = "negative node id" if min(u, v) < 0 else "node id does not fit in int64"
             raise DataError(f"{problem} in {raw.strip()!r}", path, lineno)
-        edges.append((u, v))
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+        ids.append(u)
+        ids.append(v)
+    return np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
 
 
 def load_features(path) -> np.ndarray:

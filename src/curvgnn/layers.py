@@ -4,11 +4,14 @@ The geometry comes from the tape ops of ``manifold`` (exp and log at the
 origin, the exp map, the weighted sum of log maps, transport from the
 origin, the distance of row pairs), so gradients flow to the Euclidean
 parameters and the decoder scores the same distances as the diagnostics.
-The decoder's one tape node per pair set keeps only the pairs' row
-differences, not their gathered endpoint rows. Every trainable
-parameter (weights, biases, attention) lives in tangent space at the
-origin; the model's curvature ``HyperbolicGNN.zeta`` is a plain float
-managed outside gradient descent, and every layer runs at it.
+A training step's tape keeps only what a VJP cannot rebuild in a pass
+or two: the decoder's one tape node per pair set keeps (P,) rows and
+rebuilds the pairs' row differences from the embeddings, the attention
+node keeps (E, 1) weights and rebuilds its hidden rows from its inputs,
+and dropout keeps a boolean mask. Every trainable parameter (weights,
+biases, attention) lives in tangent space at the origin; the model's
+curvature ``HyperbolicGNN.zeta`` is a plain float managed outside
+gradient descent, and every layer runs at it.
 
 The curvature is a change of scale. x -> s x maps the hyperboloid at zeta
 onto the one at s zeta and multiplies distances by s; every map of a layer
@@ -135,6 +138,19 @@ def linear_transform(t, W, b, zeta: float) -> Tensor:
     return exp_at(point, carried, zeta)
 
 
+def _attention_hidden(t: np.ndarray, w1: np.ndarray, b1: np.ndarray, plan: ad.EdgePlan):
+    """The relu'd first attention layer of every edge (E, d) and of every
+    self-loop (n, d): the two halves of att_w1 multiply the n node rows once,
+    and each edge sums its dst's and its src's projection."""
+    d = t.shape[1]
+    proj_dst = t @ w1[:d] + b1
+    proj_src = t @ w1[d:]
+    hidden = np.repeat(proj_dst, plan.counts, axis=0)
+    hidden += np.take(proj_src, plan.src, axis=0)
+    proj_dst += proj_src
+    return np.maximum(hidden, 0.0, out=hidden), np.maximum(proj_dst, 0.0, out=proj_dst)
+
+
 def attention_weights(tang, params: LayerParams, plan: ad.EdgePlan) -> Tensor:
     """Softmax over each dst's neighbours and itself of the MLP score of
     [tang_dst, tang_src]; the (E, 1) neighbour weights, one tape node with
@@ -149,19 +165,22 @@ def attention_weights(tang, params: LayerParams, plan: ad.EdgePlan) -> Tensor:
     softmax ignores a shift shared by a segment, so the output projection
     has no bias. Its denominators and every per-edge sum of the VJP are the
     plan's ``sum_by_dst``.
+
+    The node keeps only the (E, 1) and (n, 1) weights besides its inputs.
+    Its VJP rebuilds the (E, d) and (n, d) hidden rows from tang and the
+    unchanged att_w1 and att_b1 (``_attention_hidden``, as the forward
+    does), takes att_w2's gradient and a boolean relu mask from them and
+    drops them before it builds its (E, d) gradient rows.
     """
     tang = ad.as_tensor(tang)
     w1, b1, w2 = params.att_w1, params.att_b1, params.att_w2
     t = tang.data
     d = t.shape[1]
     counts = plan.counts
-    proj_dst = t @ w1.data[:d] + b1.data
-    proj_src = t @ w1.data[d:]
-    hidden = np.maximum(np.repeat(proj_dst, counts, axis=0)
-                        + np.take(proj_src, plan.src, axis=0), 0.0)
-    hidden_self = np.maximum(proj_dst + proj_src, 0.0)
+    hidden, hidden_self = _attention_hidden(t, w1.data, b1.data, plan)
     scores = hidden @ w2.data
     score_self = hidden_self @ w2.data
+    del hidden, hidden_self
     peak = score_self.copy()
     np.maximum.at(peak[:, 0], plan.dst, scores[:, 0])
     e = np.exp(scores - np.repeat(peak, counts, axis=0))
@@ -174,14 +193,21 @@ def attention_weights(tang, params: LayerParams, plan: ad.EdgePlan) -> Tensor:
         g_sum = plan.sum_by_dst(g * weights)
         g_scores = weights * (g - np.repeat(g_sum, counts, axis=0))
         g_self = w_self * -g_sum
-        g_hidden = (g_scores @ w2.data.T) * (hidden > 0.0)
-        g_hidden_self = (g_self @ w2.data.T) * (hidden_self > 0.0)
+        hidden, hidden_self = _attention_hidden(t, w1.data, b1.data, plan)
+        g_w2 = hidden.T @ g_scores + hidden_self.T @ g_self
+        live, live_self = hidden > 0.0, hidden_self > 0.0
+        del hidden, hidden_self
+        g_hidden = g_scores @ w2.data.T
+        g_hidden *= live
+        g_hidden_self = (g_self @ w2.data.T) * live_self
         g_dst = plan.sum_by_dst(g_hidden) + g_hidden_self
-        g_src = plan.sum_by_dst(np.take(g_hidden, plan.rev, axis=0)) + g_hidden_self
+        g_hidden = np.take(g_hidden, plan.rev, axis=0)
+        g_src = plan.sum_by_dst(g_hidden) + g_hidden_self
+        del g_hidden
         return (g_dst @ w1.data[:d].T + g_src @ w1.data[d:].T,
                 np.concatenate([t.T @ g_dst, t.T @ g_src]),
                 g_dst.sum(axis=0),
-                hidden.T @ g_scores + hidden_self.T @ g_self)
+                g_w2)
 
     return ad._make(weights, (tang, w1, b1, w2), vjp)
 

@@ -234,24 +234,32 @@ def log_origin(x, zeta: float) -> Tensor:
     return ad._make(out, (x,), vjp)
 
 
+def _row_diffs(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The (P, d+1) row differences x[i_p] - x[j_p]."""
+    diff = np.take(x, i, axis=0)
+    diff -= np.take(x, j, axis=0)
+    return diff
+
+
 def dist_pairs(x, i: np.ndarray, j: np.ndarray, zeta: float) -> Tensor:
     """The distances d(x[i_p], x[j_p]) = zeta * arccosh(1 + u) of row pairs,
     with u from ``_dist_arg`` of the row differences; one tape node with
-    input x. It keeps only the (P, d+1) row differences, not the gathered
-    rows, and its VJP scatters the difference gradient into both endpoints."""
+    input x. It keeps only (P,) rows: its VJP rebuilds the (P, d+1) row
+    differences from x, whose value lives until x's own VJP, and scatters
+    the difference gradient into both endpoints."""
     x = ad.as_tensor(x)
+    xd = x.data
     i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-    n = x.data.shape[0]
-    diff = np.take(x.data, i, axis=0) - np.take(x.data, j, axis=0)
-    q, k, u = _dist_arg(diff, zeta, keepdims=False)
+    q, k, u = _dist_arg(_row_diffs(xd, i, j), zeta, keepdims=False)
 
     def vjp(g):
         # u = k max(<diff, diff>_L, 0)
         g_q = (g * zeta) * acosh1p_slope(u) * k * (q > 0.0)
-        g_diff = (2.0 * g_q)[..., None] * diff
+        g_diff = _row_diffs(xd, i, j)
+        g_diff *= (2.0 * g_q)[..., None]
         g_diff[..., 0] = -g_diff[..., 0]
-        g_x = ad.scatter_rows(g_diff, i, n)
-        g_x -= ad.scatter_rows(g_diff, j, n)
+        g_x = ad.scatter_rows(g_diff, i, xd.shape[0])
+        g_x -= ad.scatter_rows(g_diff, j, xd.shape[0])
         return (g_x,)
 
     return ad._make(acosh1p(u) * zeta, (x,), vjp)
@@ -281,9 +289,8 @@ def sum_logs(h, plan: ad.EdgePlan, weights, zeta: float) -> Tensor:
     out = plan.sum_by_dst(a * h_src) - beta * x
 
     def vjp(g):
-        # this VJP sets the peak memory of a training step: it keeps only
-        # (E, 1) rows and recomputes h_src and diff from x, and each (E, d+1)
-        # temporary is updated in place and dropped after its last use
+        # it keeps only (E, 1) rows and recomputes h_src and diff from x; each
+        # (E, d+1) temporary is updated in place and deleted after its last use
         h_src = np.take(x, plan.src, axis=0)
         g_beta = np.repeat(-np.einsum("ij,ij->i", g, x)[:, None], plan.counts, axis=0)
         g_a = np.einsum("ij,ij->i", np.repeat(g, plan.counts, axis=0), h_src)[:, None]
@@ -301,7 +308,9 @@ def sum_logs(h, plan: ad.EdgePlan, weights, zeta: float) -> Tensor:
         g_src = np.take(g, plan.src, axis=0)
         g_src *= a[plan.rev]
         g_edge += g_src
+        del g_src
         g_h = plan.sum_by_dst(g_edge)
+        del g_edge
         g_h -= beta * g
         return g_h, g_a * c
 

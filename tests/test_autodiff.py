@@ -207,6 +207,27 @@ def test_dropout_semantics():
     assert ad.dropout(t, 0.0, rng) is t
 
 
+def test_dropout_is_one_node_with_a_boolean_mask():
+    """Dropout is one node with parent a; its closure keeps a boolean keep
+    mask, and its value and gradient are the bytes of a times the float
+    mask Tensor of the same draw."""
+    x = np.random.default_rng(1).standard_normal((30, 7))
+    a = Tensor(x, requires_grad=True)
+    out = ad.dropout(a, 0.3, np.random.default_rng(2))
+    assert out._parents == (a,)
+    held = [c.cell_contents for c in out._vjp.__closure__]
+    masks = [v for v in held if isinstance(v, np.ndarray)]
+    assert len(masks) == 1 and masks[0].dtype == bool and masks[0].shape == x.shape
+    assert not [v for v in held if isinstance(v, Tensor)]
+    b = Tensor(x, requires_grad=True)
+    want = b * Tensor((np.random.default_rng(2).random(x.shape) >= 0.3) / (1.0 - 0.3))
+    assert out.data.tobytes() == want.data.tobytes()
+    w = np.random.default_rng(3).standard_normal(x.shape)
+    backward(ad.tsum(out * Tensor(w)))
+    backward(ad.tsum(want * Tensor(w)))
+    assert a.grad.tobytes() == b.grad.tobytes()
+
+
 def gather_vjp_reference(shape, idx, g):
     ga = np.zeros(shape)
     np.add.at(ga, idx, g)

@@ -202,6 +202,34 @@ def test_grid_with_a_non_positive_curvature_is_usage_error(tmp_path, capsys, gri
     assert err == f"usage error: bad grid {grid!r}; every curvature must be positive\n"
 
 
+@pytest.mark.parametrize("flags,limit,message", [
+    (["distortion", "--tree-layout", "0.5", "--grid", "0.1:1e12:1e-3"], "GRID_POINTS_MAX",
+     "bad grid '0.1:1e12:1e-3'; at most {} points"),
+    (["estimate-curvature", "--samples", "1000000000000"], "ESTIMATE_SAMPLES_MAX",
+     "argument --samples: must be at most {}, got 1000000000000")],
+    ids=["grid", "estimate-samples"])
+def test_count_beyond_its_limit_is_usage_error(tmp_path, capsys, flags, limit, message):
+    # each count used to size an allocation that numpy refused, with a traceback
+    edges, g = write_tree_edges(tmp_path)
+    emb = tmp_path / "emb.npy"
+    np.save(emb, curvature.tree_layout_hyperbolic(g, 1.0, edge_length=0.5))
+    if flags[0] == "estimate-curvature":
+        flags = flags + ["--embeddings", str(emb)]
+    assert main(flags + ["--edges", str(edges)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: {message.format(getattr(cli, limit))}\n"
+
+
+def test_delta_samples_limit_is_checked_by_the_parser():
+    # parsed only: a sampled delta draws its quadruples one by one in Python
+    argv = ["delta", "--edges", "g.tsv", "--mode", "sampled", "--samples"]
+    limit = cli.DELTA_SAMPLES_MAX
+    assert _build_parser().parse_args(argv + [str(limit)]).samples == limit
+    with pytest.raises(cli.UsageError, match=f"must be at most {limit}, got {limit + 1}"):
+        _build_parser().parse_args(argv + [str(limit + 1)])
+
+
 @pytest.mark.parametrize("command,zeta", [("distortion", "0"), ("distortion", "-1"),
                                           ("estimate-curvature", "0"),
                                           ("estimate-curvature", "nan")])

@@ -153,6 +153,22 @@ def test_feature_reader_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
     assert peak < 3.5 * p.stat().st_size
 
 
+def test_edge_reader_peak_memory_per_edge(tmp_path):
+    """The edge reader collects ids in one flat int64 buffer, not a tuple of
+    two Python ints per edge: its traced peak stays below 110 bytes per edge
+    (a list of per-edge tuples reached ~180)."""
+    edges = np.random.default_rng(4).integers(0, 3000, size=(20000, 2))
+    p = write(tmp_path, "e.tsv", "".join(f"{u}\t{v}\n" for u, v in edges))
+    tracemalloc.start()
+    try:
+        got = graphs.load_edge_list(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, edges)
+    assert peak < 110 * len(edges)
+
+
 def test_self_loops_dropped():
     g = Graph.from_edges(3, np.array([[0, 0], [0, 1]]))
     assert g.n_edges == 1

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -591,9 +592,9 @@ def test_train_step_tape_has_no_self_loop_rows():
 
 
 def test_lp_step_tape_keeps_no_endpoint_rows_and_no_sum_logs_edge_rows():
-    """Of an LP step's tape, each pair set keeps one (P, d+1) array, the row
-    differences of its pairs, and no sum_logs VJP holds an (E, d+1) array:
-    it recomputes its edge rows from the node rows."""
+    """Of an LP step's tape, no pair set keeps a (P, d+1) array: the decoder
+    rebuilds its row differences from the embeddings. No sum_logs VJP holds
+    an (E, d+1) array either: it recomputes its edge rows from the node rows."""
     rng = np.random.default_rng(23)
     g = tree_with_isolated_nodes(rng, 4)
     plan = L.message_edges(g)
@@ -601,17 +602,68 @@ def test_lp_step_tape_keeps_no_endpoint_rows_and_no_sum_logs_edge_rows():
     emb = model.forward(g, training=True, rng=rng, edges=plan)
     pos, neg = g.edge_array()[:11], np.array([[0, 30], [5, 39], [12, 27]])
     loss = L.lp_loss(emb, pos, neg, 1.0)
-    arrays, x = tape_arrays(loss), emb.data
+    arrays = tape_arrays(loss)
     for pairs in (pos, neg):
-        rows = [a for a in arrays if a.shape == (len(pairs), 6)]
-        assert len(rows) == 1
-        assert np.array_equal(rows[0], x[pairs[:, 0]] - x[pairs[:, 1]])
+        assert not [a for a in arrays if a.shape == (len(pairs), 6)]
     sum_logs = [n for n in tape_nodes(loss) if n._vjp and "sum_logs" in n._vjp.__qualname__]
     assert len(sum_logs) == 2
     for node in sum_logs:
         held = [a.shape for a in closure_arrays(node._vjp) if a.ndim == 2]
         assert (50, 1) in held and (g.n_nodes, 6) in held
         assert not [shape for shape in held if shape[0] == 50 and shape[1] > 1]
+
+
+def test_attention_vjp_holds_no_edge_hidden_rows():
+    """The attention node keeps no (E, d) hidden rows and no (n, d) self-loop
+    rows: its VJP rebuilds both from tang, whose value is the only (n, d)
+    array its closure holds."""
+    rng = np.random.default_rng(25)
+    g = tree_with_isolated_nodes(rng, 5)
+    plan = L.message_edges(g)
+    params = L.init_layer(rng, 5, 5)
+    tang = Tensor(rng.standard_normal((g.n_nodes, 5)), requires_grad=True)
+    w = L.attention_weights(tang, params, plan)
+    for _ in range(2):  # the second time, the plan's slots are filled
+        held = closure_arrays(w._vjp)
+        assert not [a for a in held if a.shape == (len(plan.src), 5)]
+        assert [id(a) for a in held if a.shape == (g.n_nodes, 5)] == [id(tang.data)]
+        backward(ad.tsum(w * Tensor(rng.standard_normal(w.shape))))
+        w = L.attention_weights(tang, params, plan)
+
+
+def test_lp_step_peak_memory_per_row():
+    """One LP training step (forward, loss, backward, Adam) of a generated
+    Cora-density graph peaks below 70 traced bytes per n (d+1) + E d: the
+    attention, decoder and dropout nodes keep only (E, 1), (P,) and boolean
+    rows and rebuild the rest in their VJPs (the tape that kept them reached
+    ~84)."""
+    rng = np.random.default_rng(5)
+    n, d = 1000, 16
+    kids = np.arange(1, n)  # each node past the first links to two earlier ones
+    g = graphs.Graph.from_edges(n, np.concatenate(
+        [np.stack([kids, rng.integers(0, kids)], axis=1) for _ in range(2)]))
+    g.features = 0.5 * rng.standard_normal((n, d))
+    plan = L.message_edges(g)
+    model = L.HyperbolicGNN(d, d, 2, 1.0, rng, dropout=0.5)
+    opt = ad.Adam(model.parameters(), lr=1e-2)
+    pos = g.edge_array()
+
+    def step():
+        neg = graphs.sample_negative_edges(g, len(pos), rng)
+        emb = model.forward(g, training=True, rng=rng, edges=plan)
+        loss = L.lp_loss(emb, pos, neg, model.zeta)
+        opt.zero_grad()
+        backward(loss)
+        opt.step()
+
+    step()  # fills the plan's slots, which every later step shares
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70 * (n * (d + 1) + len(plan.src) * d)
 
 
 def test_no_tape_forward_equals_taped_forward():
