@@ -266,8 +266,7 @@ def _cmd_train(args) -> int:
     config = _train_config(args)
     result = training.train(config, out_dir=args.out)
     print(f"best_val={result.best_val_metric:.4f} epoch={result.best_epoch} "
-          f"test={result.test_metric:.4f} zeta={result.final_zeta} "
-          f"distortion={result.final_distortion:.4f}")
+          f"test={result.test_metric:.4f} zeta={result.final_zeta}")
     return 0
 
 

@@ -17,7 +17,7 @@ from curvgnn import autodiff as ad
 from curvgnn import curvature as C
 from curvgnn import graphs, layers, manifold as M, nashq
 from curvgnn.autodiff import Tensor, backward
-from curvgnn.training import RunConfig, roc_auc, train
+from curvgnn.training import RunConfig, model_from_checkpoint, roc_auc, train
 
 import geometry_oracle as geo
 import path_oracle
@@ -351,17 +351,23 @@ def desk_scale_runs():
     return runs
 
 
+def final_distortion(res):
+    """Distortion of a run's final embeddings over its message graph, the
+    number `curvgnn eval` reports for its checkpoint."""
+    _, _, task = model_from_checkpoint(res.checkpoint)
+    return C.embedding_distortion(task.msg_graph, res.final_embeddings,
+                                  res.final_zeta).mean_distortion
+
+
 def test_criterion_6_desk_scale_link_prediction(desk_scale_runs):
     aucs = {s: desk_scale_runs[s][0].test_metric for s in (0, 1, 2)}
     passing = [s for s, a in aucs.items() if a >= 0.85]
-    dist_ok = all(desk_scale_runs[s][0].final_distortion
-                  <= desk_scale_runs[s][1].final_distortion + 1e-12
-                  for s in passing)
+    dist = {s: [final_distortion(res) for res in desk_scale_runs[s]] for s in (0, 1, 2)}
+    dist_ok = all(dist[s][0] <= dist[s][1] + 1e-12 for s in passing)
     elapsed = desk_scale_runs["elapsed"]
     ok = len(passing) >= 2 and dist_ok and elapsed < 600.0
     detail = ", ".join(f"seed{s}: auc={aucs[s]:.3f} "
-                       f"dist {desk_scale_runs[s][0].final_distortion:.3f}"
-                       f"<={desk_scale_runs[s][1].final_distortion:.3f}"
+                       f"dist {dist[s][0]:.3f}<={dist[s][1]:.3f}"
                        for s in (0, 1, 2))
     report(6, ok, f"{detail}, {elapsed:.0f}s")
 

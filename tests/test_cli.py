@@ -306,7 +306,7 @@ def test_every_output_reports_the_one_curvature(tmp_path, capsys):
     assert all(len(r["zetas"]) == 1 for r in records)
     assert records[-1]["zetas"] == [zeta]
     assert json.loads((out / "result.json").read_text())["final_zetas"] == [zeta]
-    assert float(re.search(r" zeta=(\S+) ", train_line).group(1)) == zeta
+    assert float(re.search(r" zeta=(\S+)", train_line).group(1)) == zeta
     assert main(["eval", "--checkpoint", str(out / "checkpoint.json")]) == 0
     assert json.loads(capsys.readouterr().out)["zeta"] == zeta
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from curvgnn import graphs, layers, training
+from curvgnn import curvature, graphs, layers, training
 from curvgnn.training import (RunConfig, TrainingDiverged, micro_f1, roc_auc,
                               synthetic_tree_dataset, train)
 
@@ -158,10 +158,19 @@ def test_test_metric_isolated_until_final_eval():
     assert 0.0 <= res.test_metric <= 1.0
 
 
-def test_distortion_cadence():
+def test_distortion_cadence(monkeypatch):
+    # every distortion a train computes fills a record; none is left over
+    calls, embedding_distortion = [], curvature.embedding_distortion
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return embedding_distortion(*args, **kwargs)
+
+    monkeypatch.setattr(curvature, "embedding_distortion", counting)
     res = train(quick_config(epochs=6, distortion_every=2))
     have = [r.distortion is not None for r in res.records]
     assert have == [False, True, False, True, False, True]
+    assert len(calls) == sum(have)
 
 
 def test_rl_disabled_keeps_zetas_fixed():
@@ -404,6 +413,9 @@ def test_output_files_written(tmp_path):
     rec = json.loads(lines[0])
     assert set(rec) == {"epoch", "train_loss", "val_metric", "zetas", "action_hgnn",
                         "action_ace", "r_hgnn", "r_ace", "distortion", "wall_ms"}
+    assert set(json.loads((tmp_path / "result.json").read_text())) == {
+        "best_val_metric", "best_epoch", "test_metric", "final_zetas", "freeze_epoch",
+        "epochs_run"}
     emb = np.load(tmp_path / "embeddings.npy")
     assert emb.shape[0] == 31  # depth-4 tree
 
@@ -414,6 +426,9 @@ def test_checkpoint_roundtrip(tmp_path):
     assert out["test_metric"] == res.test_metric
     assert out["zeta"] == res.final_zeta
     assert out["best_epoch"] == res.best_epoch
+    _, _, task = training.model_from_checkpoint(res.checkpoint)
+    assert out["distortion"] == curvature.embedding_distortion(
+        task.msg_graph, res.final_embeddings, res.final_zeta).mean_distortion
 
 
 def test_best_checkpoint_scores_its_recorded_val_metric(tmp_path):
