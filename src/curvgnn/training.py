@@ -200,26 +200,21 @@ def micro_f1(pred_classes, true_classes) -> float:
 # data plumbing
 # ---------------------------------------------------------------------------
 
-def synthetic_tree_dataset(depth: int = 7, feature_dim: int = 16,
-                           seed: int = 0) -> graphs.Graph:
-    """Balanced binary tree with random-plus-degree node features."""
-    g = graphs.balanced_binary_tree(depth)
-    g.features = graphs.random_plus_degree_features(g, feature_dim, seed)
-    return g
-
-
 def _cap_feature_norms(feats: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     return feats / np.maximum(norms, 1.0)
 
 
 def _load_dataset(config: RunConfig) -> graphs.Graph:
+    """The input graph; a synthetic tree's features are drawn by `_build_task`."""
     if config.synthetic_tree_depth is not None:
-        return synthetic_tree_dataset(config.synthetic_tree_depth,
-                                      config.dim, seed=config.seed)
+        return graphs.balanced_binary_tree(config.synthetic_tree_depth)
     if config.edge_path is None:
         raise graphs.DataError("no dataset: give edge/feature paths or a synthetic tree")
-    return graphs.load_graph(config.edge_path, config.feature_path, config.label_path)
+    g = graphs.load_graph(config.edge_path, config.feature_path, config.label_path)
+    if g.features is None:
+        raise graphs.DataError("training requires node features")
+    return g
 
 
 @dataclass
@@ -273,10 +268,19 @@ class _Task:
 
 
 def _build_task(config: RunConfig, g: graphs.Graph) -> _Task:
+    """Split `g` and cap its feature norms. A graph without features is a
+    synthetic tree: its random-plus-degree features are drawn here, with the
+    degree of the message graph, so that no held-out edge reaches them."""
     if config.task == "lp":
         split = graphs.make_lp_split(g, config.val_frac, config.test_frac, config.seed)
-        return _Task(g.with_edges(split.train_pos), g, split)
-    return _Task(g, g, graphs.make_nc_split(g, seed=config.seed))
+        msg = g.with_edges(split.train_pos)
+    else:
+        split, msg = graphs.make_nc_split(g, seed=config.seed), g
+    if g.features is None:
+        g = replace(g, features=graphs.random_plus_degree_features(msg, config.dim,
+                                                                   config.seed))
+    features = _cap_feature_norms(g.features)
+    return _Task(replace(msg, features=features), replace(g, features=features), split)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +331,12 @@ def _prepare(config: RunConfig):
     """Load data, build split and model; shared by train() and eval paths."""
     config.validate()
     g = _load_dataset(config)
-    if g.features is None:
-        raise graphs.DataError("training requires node features")
-    g = replace(g, features=_cap_feature_norms(g.features))
     task = _build_task(config, g)
     n_classes = None if isinstance(task.split, graphs.EdgeSplit) else int(g.labels.max()) + 1
     init_rng = np.random.default_rng([config.seed, 1])
-    model = layers.HyperbolicGNN(g.features.shape[1], config.dim, config.n_layers,
-                                 config.zeta0, init_rng, dropout=config.dropout,
-                                 n_classes=n_classes)
+    model = layers.HyperbolicGNN(task.full_graph.features.shape[1], config.dim,
+                                 config.n_layers, config.zeta0, init_rng,
+                                 dropout=config.dropout, n_classes=n_classes)
     return model, task
 
 

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from curvgnn import curvature, graphs, layers, training
-from curvgnn.training import (RunConfig, TrainingDiverged, micro_f1, roc_auc,
-                              synthetic_tree_dataset, train)
+from curvgnn.training import RunConfig, TrainingDiverged, micro_f1, roc_auc, train
 
 
 def quick_config(**kw):
@@ -16,6 +15,13 @@ def quick_config(**kw):
                 val_frac=0.15, test_frac=0.15, distortion_every=2)
     base.update(kw)
     return RunConfig(**base)
+
+
+def synthetic_tree_dataset(depth, feature_dim, seed):
+    """Balanced binary tree with random-plus-degree node features."""
+    g = graphs.balanced_binary_tree(depth)
+    g.features = graphs.random_plus_degree_features(g, feature_dim, seed)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +361,20 @@ def test_search_calls_the_traced_names_through_their_modules(monkeypatch):
                       "transfer_curvature": epochs, "q_update": epochs,
                       "epsilon_greedy_joint": epochs, "solve": 1 + 2 * epochs,
                       "backward": epochs}
+
+
+def test_synthetic_lp_degree_channel_counts_only_train_edges(monkeypatch):
+    # column 0 of a synthetic tree's features, before the norm cap, is the
+    # train graph's degree over its maximum: held-out edges do not reach it
+    capped, cap = [], training._cap_feature_norms
+    monkeypatch.setattr(training, "_cap_feature_norms",
+                        lambda feats: capped.append(feats) or cap(feats))
+    for seed in (0, 1, 2):
+        _, task = training._prepare(quick_config(seed=seed))
+        train_deg = np.bincount(task.split.train_pos.ravel(), minlength=31)
+        assert np.array_equal(capped[-1][:, 0], train_deg / train_deg.max())
+        full_deg = task.full_graph.degrees()
+        assert not np.array_equal(capped[-1][:, 0], full_deg / full_deg.max())
 
 
 def test_node_classification_path():
