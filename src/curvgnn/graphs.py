@@ -17,6 +17,12 @@ UTF-8, and a line ends at ``\n``, ``\r\n`` or a lone ``\r`` (Python's
 universal newlines; no other character ends one). A byte that is not
 UTF-8, a non-finite feature value, or a node or class id that does not fit
 in int64 is a DataError naming the file and line.
+
+A graph read from files has at most MAX_NODES nodes, and an edge list
+whose largest id would size it beyond that is a DataError naming the file:
+`indptr` alone takes 8 (n + 1) bytes (128 MiB at the limit), and the
+u n + v edge keys of `Graph.from_edges` would overflow int64 above
+n ≈ 3.04e9.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from . import _kernels
 log = logging.getLogger(__name__)
 
 _INT64_MAX = np.iinfo(np.int64).max  # node and class ids are stored as int64
+MAX_NODES = 2 ** 24  # the node limit of the module docstring
 
 
 class DataError(ValueError):
@@ -263,6 +270,9 @@ def load_graph(edge_path, feature_path=None, label_path=None) -> Graph:
     edges = load_edge_list(edge_path)
     features = load_features(feature_path) if feature_path is not None else None
     max_id = int(edges.max()) if edges.size else -1
+    if max_id >= MAX_NODES:
+        raise DataError(f"node id {max_id} is beyond the limit of {MAX_NODES} nodes",
+                        edge_path)
     n_nodes = max(max_id + 1, features.shape[0] if features is not None else 0)
     if features is not None and max_id >= features.shape[0]:
         raise DataError(

@@ -70,6 +70,14 @@ def test_id_beyond_int64_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"data error: {edges}:1: node id does not fit")
 
 
+def test_id_beyond_the_node_limit_is_data_error(tmp_path, capsys):
+    edges = tmp_path / "e.tsv"
+    edges.write_text("0\t2000000000000\n")
+    assert main(["delta", "--edges", str(edges)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {edges}: node id 2000000000000 is beyond the limit")
+
+
 def test_distortion_grid_row_count(tmp_path, capsys):
     edges, g = write_tree_edges(tmp_path)
     emb = curvature.tree_layout_hyperbolic(g, 1.0, edge_length=1.0)

@@ -100,6 +100,16 @@ def test_edge_id_beyond_int64_is_data_error(tmp_path):
     assert graphs.load_edge_list(top).tolist() == [[0, 2 ** 63 - 1]]
 
 
+def test_node_id_beyond_the_node_limit_is_data_error(tmp_path):
+    # an int64 id that would size a 14.6 TiB indptr, refused before any array
+    p = write(tmp_path, "e.tsv", "0\t1\n0\t2000000000000\n")
+    with pytest.raises(DataError, match=r"e\.tsv: node id 2000000000000 is beyond the "
+                                        r"limit of 16777216 nodes"):
+        graphs.load_graph(p)
+    top = write(tmp_path, "top.tsv", f"0\t{graphs.MAX_NODES - 1}\n")
+    assert graphs.load_edge_list(top).max() == graphs.MAX_NODES - 1
+
+
 def test_class_id_beyond_int64_is_data_error(tmp_path):
     p = write(tmp_path, "l.csv", "0,1\n1,99999999999999999999\n")
     with pytest.raises(DataError, match=r"l\.csv:2: class id 99999999999999999999 does not"):
