@@ -106,8 +106,6 @@ def test_node_id_beyond_the_node_limit_is_data_error(tmp_path):
     with pytest.raises(DataError, match=r"e\.tsv: node id 2000000000000 is beyond the "
                                         r"limit of 16777216 nodes"):
         graphs.load_graph(p)
-    top = write(tmp_path, "top.tsv", f"0\t{graphs.MAX_NODES - 1}\n")
-    assert graphs.load_edge_list(top).max() == graphs.MAX_NODES - 1
 
 
 def test_class_id_beyond_int64_is_data_error(tmp_path):
